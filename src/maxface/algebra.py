@@ -67,12 +67,8 @@ def moebius_apply(a: np.ndarray, h: complex) -> complex:
 
 @dataclass(frozen=True)
 class GroupDefect:
-    group: str  # 'SU11' | 'SU2' | 'unimodular'
+    group: str  # 'SU11' | 'SU2'
     defect: float
-
-
-def unimodular_defect(a: np.ndarray) -> GroupDefect:
-    return GroupDefect("unimodular", abs(det2(a) - 1.0))
 
 
 def su11_defect(a: np.ndarray) -> GroupDefect:
@@ -318,40 +314,54 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
                    rtol: float = 1e-11, atol: float = 1e-13,
                    max_steps: int = 200000) -> np.ndarray:
-    """Integrate y' = f(s, y) from s0 to s1 (complex state vector), with the
-    classic 5(4) embedded pair and PI-free step control.  The local error per
-    step is held below atol + rtol * |y| componentwise."""
-    y = np.asarray(y0, dtype=complex).copy()
-    s = float(s0)
-    direction = 1.0 if s1 >= s0 else -1.0
+    """Integrate N independent complex systems y_i' = f(s, y)_i from s0 to s1.
+
+    y0 has shape (N, m).  Every row runs the classic 5(4) embedded pair with
+    PI-free step control on its own: its own s, step size and accept mask,
+    with the local error per step held below atol + rtol * |y| componentwise
+    in that row.  f(s, y, rows) is called with the rows still running: s of
+    shape (n,), y of shape (n, m) and their indices rows into y0; it returns
+    dy/ds of shape (n, m).  Finished rows drop out of the batch."""
+    out = np.array(y0, dtype=complex)
     span = abs(s1 - s0)
-    if span == 0.0:
-        return y
-    h = direction * min(0.1 * span + 1e-12, span)
+    if span == 0.0 or len(out) == 0:
+        return out
+    direction = 1.0 if s1 >= s0 else -1.0
+    rows = np.arange(len(out))
+    y = out
+    s = np.full(len(out), float(s0))
+    h = np.full(len(out), direction * min(0.1 * span + 1e-12, span))
     k = [None] * 7
-    k[0] = np.asarray(f(s, y), dtype=complex)
+    k[0] = np.asarray(f(s, y, rows), dtype=complex)
     for _ in range(max_steps):
-        if abs(h) > abs(s1 - s):
-            h = s1 - s
+        h = np.where(np.abs(h) > np.abs(s1 - s), s1 - s, h)
+        hc = h[:, None]
         for i in range(1, 7):
-            acc = y + h * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
-            k[i] = np.asarray(f(s + _DP_C[i] * h, acc), dtype=complex)
-        y5 = y + h * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        err = h * sum((b5 - b4) * k[j]
-                      for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
-                      if b5 != b4)
+            acc = y + hc * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
+            k[i] = np.asarray(f(s + _DP_C[i] * h, acc, rows), dtype=complex)
+        y5 = y + hc * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
+        err = hc * sum((b5 - b4) * k[j]
+                       for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
+                       if b5 != b4)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        enorm = float(np.max(np.abs(err) / scale))
-        if enorm <= 1.0:
-            s_new = s + h
-            y = y5
-            s = s_new
-            k[0] = k[6]  # FSAL
-            if s == s1 or abs(s1 - s) < 1e-15 * span:
-                return ensure_finite(y, "ODE state")
-        # on rejection y, s, k[0] are untouched; only the step shrinks
-        factor = 0.9 * enorm ** -0.2 if enorm > 0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if abs(h) < 1e-16 * span:
-            raise NumericalError(f"step size underflow at s={s}")
-    raise NumericalError(f"ODE step budget exhausted at s={s}")
+        enorm = np.max(np.abs(err) / scale, axis=1)
+        ok = enorm <= 1.0
+        # on rejection a row keeps its y, s and k[0]; only its step shrinks
+        y = np.where(ok[:, None], y5, y)
+        s = np.where(ok, s + h, s)
+        k[0] = np.where(ok[:, None], k[6], k[0])  # FSAL
+        done = ok & ((s == s1) | (np.abs(s1 - s) < 1e-15 * span))
+        with np.errstate(divide="ignore"):
+            factor = 0.9 * enorm ** -0.2
+        # fmin/fmax drop a NaN error norm to the smallest factor
+        h = h * np.fmin(5.0, np.fmax(0.2, factor))
+        if done.any():
+            out[rows[done]] = ensure_finite(y[done], "ODE state")
+            keep = ~done
+            rows, y, s, h = rows[keep], y[keep], s[keep], h[keep]
+            k[0] = k[0][keep]
+            if len(rows) == 0:
+                return out
+        if np.any(np.abs(h) < 1e-16 * span):
+            raise NumericalError(f"step size underflow at s={s.min()}")
+    raise NumericalError(f"ODE step budget exhausted at s={s.min()}")

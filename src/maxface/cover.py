@@ -334,12 +334,6 @@ def kappa2_apply(spec: CoverSpec, p: SurfacePoint) -> SurfacePoint:
     return SurfacePoint(-p.z, cmath.exp(-1j * spec.lam) * p.w if p.w is not None else None)
 
 
-def transform_path(spec: CoverSpec, path: SurfacePath, zmap, w0: complex,
-                   label: str = "") -> SurfacePath:
-    return SurfacePath(tuple(zmap(z) for z in path.z_vertices), w0,
-                       label or path.label)
-
-
 # ---------------------------------------------------------------------------
 # the concrete reflection connectors P_j : o -> mu_j(o)
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,9 +32,9 @@ import numpy as np
 from . import cover as cov
 from . import periods as per
 from . import weierstrass as wst
-from .algebra import (E3, EYE2, GroupDefect, det2, dormand_prince, inv2,
-                      mat2, moebius_apply, schwarzian_fd, su11_defect)
-from .errors import NumericalError, ValidationError
+from .algebra import (E3, EYE2, det2, dormand_prince, inv2, mat2,
+                      moebius_apply, schwarzian_fd, su11_defect)
+from .errors import ContinuationError, NumericalError, ValidationError
 
 _PROBES = (1.9 + 0.35j, 2.3 - 0.25j, 2.6 + 0.15j)
 
@@ -106,44 +106,153 @@ class LiftState:
     det_defect: float
 
 
-def integrate_lift(pair: AdmissiblePair, path: cov.SurfacePath,
-                   b: np.ndarray | None = None, rtol: float = 1e-11,
-                   atol: float = 1e-13) -> LiftState:
-    """Transport (F, w) along the polyline; w is snapped to the nearest exact
-    fiber root at every leg end and det F is monitored, never rescaled."""
+@dataclass
+class Transport:
+    """The lift along one polyline.  F[i] and w[i] are the frame and the
+    fiber value at the path's i-th vertex; route is the polyline actually
+    transported, branch-point detours included."""
+
+    route: tuple
+    w: list
+    F: np.ndarray
+    det_defect: float
+
+    @property
+    def end(self) -> LiftState:
+        return LiftState(F=self.F[-1].copy(), w=self.w[-1],
+                         point=cov.SurfacePoint(self.route[-1], self.w[-1]),
+                         det_defect=self.det_defect)
+
+
+_ATOL = 1e-13
+_MEMO_CAP = 1 << 16
+# leg propagators Phi (the frame at the leg end when F = e0 at its start),
+# keyed by (t, c, rtol, k, leg start, leg end, start fiber value rounded to
+# 1e-10); the rounding sits far below the sheet separation, so continuation
+# along different routes that reaches the same root shares the entry
+_PROPAGATORS: dict[tuple, np.ndarray] = {}
+# continued fiber value at the leg end, keyed by (k, a, b, w_a rounded); it is
+# an exact root over b, whichever start value in the basin reached it
+_SHEETS: dict[tuple, complex] = {}
+
+
+def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
+          detour: bool) -> tuple[list, list, tuple]:
+    """Split the path into legs (key, a, b, w_a, w_b), the start sheet of each
+    from nearest-root continuation.  Also returns, per path vertex, the
+    number of legs before it, and the transported polyline."""
     spec = pair.spec
     if path.w0 is None:
         raise ValidationError("the lift needs a fiber value at the start")
+    if len(_SHEETS) > _MEMO_CAP:
+        _SHEETS.clear()
+    w = path.w0
+    legs, upto, route = [], [0], [path.z_vertices[0]]
+    for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
+        seg = cov.sanitize_path(spec, (a, b)) if detour else (a, b)
+        for za, zb in zip(seg[:-1], seg[1:]):
+            sheet = (pair.k, za, zb,
+                     complex(round(w.real, 10), round(w.imag, 10)))
+            wb = _SHEETS.get(sheet)
+            if wb is None:
+                wb = _SHEETS[sheet] = cov._continue_segment(spec, za, zb, w)
+            legs.append(((pair.t, pair.c, rtol) + sheet, za, zb, w, wb))
+            route.append(zb)
+            w = wb
+        upto.append(len(legs))
+    return legs, upto, tuple(route)
+
+
+def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray:
+    """Propagators of the legs (key, a, b, w_a, w_b) from F = e0, all in one
+    batched Dormand-Prince call with w integrated jointly; w must end on the
+    continued root w_b."""
+    k, t, c = pair.k, pair.t, pair.c
+    za = np.array([leg[1] for leg in legs])
+    dza = np.array([leg[2] - leg[1] for leg in legs])
+    y0 = np.zeros((len(legs), 5), dtype=complex)
+    y0[:, 0] = y0[:, 3] = 1.0
+    y0[:, 4] = [leg[3] for leg in legs]
+
+    def rhs(s, y, rows):
+        dz = dza[rows]
+        z = za[rows] + dz * s
+        w = y[:, 4]
+        # t dz PsiHat_0 = [[p, q], [r, -p]]
+        tdz = t * dz
+        p = tdz / z
+        q = -c * w / (z * z) * tdz
+        r = tdz / (c * w)
+        out = np.empty_like(y)
+        out[:, 0] = p * y[:, 0] + q * y[:, 2]
+        out[:, 1] = p * y[:, 1] + q * y[:, 3]
+        out[:, 2] = r * y[:, 0] - p * y[:, 2]
+        out[:, 3] = r * y[:, 1] - p * y[:, 3]
+        out[:, 4] = w * _L_full(k, z) * dz
+        return out
+
+    y = dormand_prince(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
+    spec = pair.spec
+    for (_, a, b, _, wb), w_end in zip(legs, y[:, 4]):
+        roots = spec.fiber(b)
+        near = roots[int(np.argmin(np.abs(roots - w_end)))]
+        if abs(near - wb) > 1e-9 * (1.0 + abs(wb)):
+            raise ContinuationError(
+                f"lift left the continued sheet on leg {a} -> {b}")
+    return y[:, :4].reshape(-1, 2, 2)
+
+
+def _propagators(pair: AdmissiblePair, legs: list, rtol: float) -> dict:
+    """Phi for every leg; the ones not memoized are integrated together."""
+    found, new = {}, {}
+    for leg in legs:
+        key = leg[0]
+        if key in _PROPAGATORS:
+            found[key] = _PROPAGATORS[key]
+        else:
+            new[key] = leg
+    if new:
+        if len(_PROPAGATORS) + len(new) > _MEMO_CAP:
+            _PROPAGATORS.clear()
+        for key, phi in zip(new, _integrate_legs(pair, list(new.values()),
+                                                 rtol)):
+            _PROPAGATORS[key] = found[key] = phi
+    return found
+
+
+def transport(pair: AdmissiblePair, paths, b: np.ndarray | None = None,
+              rtol: float = 1e-11, detour: bool = True) -> list[Transport]:
+    """Lift every path from the frame b at its start.
+
+    The ODE is linear in F, so the frame at the i-th leg end is the prefix
+    product Phi_i ... Phi_1 b of memoized leg propagators.  Each path segment
+    gets the counterclockwise branch-point detours of cov.sanitize_path;
+    detour=False transports the segments straight, for rays that run
+    radially into a branch point, where a detour would wind about it.  det F
+    is monitored, never renormalized."""
     b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    verts = cov.sanitize_path(spec, path.z_vertices)
-    y = np.empty(5, dtype=complex)
-    y[:4] = b0.reshape(-1)
-    y[4] = path.w0
+    split = [_legs(pair, path, rtol, detour) for path in paths]
+    phis = _propagators(pair, [leg for legs, _, _ in split for leg in legs],
+                        rtol)
     det0 = det2(b0)
-    k, t = pair.k, pair.t
+    out = []
+    for path, (legs, upto, route) in zip(paths, split):
+        frames = [b0]
+        for leg in legs:
+            frames.append(phis[leg[0]] @ frames[-1])
+        F = np.array([frames[n] for n in upto])
+        ws = [path.w0] + [leg[4] for leg in legs]
+        defect = max(abs(det2(f) - det0) for f in F)
+        out.append(Transport(route=route, w=[ws[n] for n in upto], F=F,
+                             det_defect=float(defect)))
+    return out
 
-    for a, bz in zip(verts[:-1], verts[1:]):
-        dz = bz - a
-        if dz == 0:
-            continue
 
-        def rhs(s, yv, a=a, dz=dz):
-            z = a + dz * s
-            w = yv[4]
-            F = yv[:4].reshape(2, 2)
-            out = np.empty(5, dtype=complex)
-            out[:4] = (t * (pair.psihat0(z, w) @ F) * dz).reshape(-1)
-            out[4] = yv[4] * _L_full(k, z) * dz
-            return out
-
-        y = dormand_prince(rhs, y, 0.0, 1.0, rtol=rtol, atol=atol)
-        y[4] = cov.solve_fiber(spec, complex(bz), near=complex(y[4])).w
-
-    F = y[:4].reshape(2, 2).copy()
-    defect = abs(det2(F) - det0)
-    return LiftState(F=F, w=complex(y[4]),
-                     point=cov.SurfacePoint(complex(verts[-1]), complex(y[4])),
-                     det_defect=float(defect))
+def integrate_lift(pair: AdmissiblePair, path: cov.SurfacePath,
+                   b: np.ndarray | None = None,
+                   rtol: float = 1e-11) -> LiftState:
+    """The lift at the end of one path (see transport)."""
+    return transport(pair, [path], b, rtol)[0].end
 
 
 def _straight_path(spec: cov.CoverSpec, z_end: complex) -> cov.SurfacePath:
@@ -181,6 +290,13 @@ def _reflected_probe_path(spec: cov.CoverSpec, j: int, probe: complex) -> cov.Su
     return cov.SurfacePath(verts, o.w, label=f"P{j}*mu{j}c")
 
 
+def _probe_paths(spec: cov.CoverSpec, j: int, probes) -> list:
+    """The straight path c and P_j * (mu_j o c), for each probe in turn."""
+    return [p for probe in probes
+            for p in (_straight_path(spec, probe),
+                      _reflected_probe_path(spec, j, probe))]
+
+
 def reflection_monodromy(pair: AdmissiblePair, j: int,
                          b: np.ndarray | None = None,
                          probes: tuple = _PROBES,
@@ -188,15 +304,11 @@ def reflection_monodromy(pair: AdmissiblePair, j: int,
     """rho~_j and its probe spread (path-independence certificate)."""
     if j not in (1, 2, 3):
         raise ValidationError("reflection index must be 1, 2 or 3")
-    spec = pair.spec
     sig = sigma_matrices(pair.k)[j]
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    values = []
-    for probe in probes:
-        f1 = integrate_lift(pair, _straight_path(spec, probe), b0, rtol=rtol)
-        f2 = integrate_lift(pair, _reflected_probe_path(spec, j, probe), b0,
-                            rtol=rtol)
-        values.append(inv2(f2.F.conj()) @ sig @ f1.F)
+    ends = [tr.F[-1] for tr in transport(
+        pair, _probe_paths(pair.spec, j, probes), b, rtol)]
+    values = [inv2(f2.conj()) @ sig @ f1
+              for f1, f2 in zip(ends[::2], ends[1::2])]
     spread = max(float(np.max(np.abs(v - values[0]))) for v in values[1:]) \
         if len(values) > 1 else 0.0
     return values[0], spread
@@ -205,11 +317,10 @@ def reflection_monodromy(pair: AdmissiblePair, j: int,
 @lru_cache(maxsize=64)
 def _rho_tilde_cached(k: int, t: float, c: float) -> dict:
     pair = AdmissiblePair(k, t, c)
-    out = {}
-    for j in (1, 2, 3):
-        rho, spread = reflection_monodromy(pair, j)
-        out[j] = (rho, spread)
-    return out
+    # one batched solve for the legs of every probe path
+    transport(pair, [p for j in (1, 2, 3)
+                     for p in _probe_paths(pair.spec, j, _PROBES)])
+    return {j: reflection_monodromy(pair, j) for j in (1, 2, 3)}
 
 
 def rho_tilde(pair: AdmissiblePair, j: int,
@@ -279,9 +390,13 @@ def trace_identity_check(pair: AdmissiblePair, rtol: float = 1e-11) -> dict:
     """tr rho(tau_0) = (-1)^k 2 cos(pi nu_0) and the same at the other end."""
     k = pair.k
     nu0, nuinf = nu_exponents(k, pair.t)
+    ends = (("tau_0", cov.word_end_zero(k), nu0),
+            ("tau_inf", cov.word_end_infinity(k), nuinf))
+    # one batched solve for the legs of both loops
+    transport(pair, [cov.deck_word_path(pair.spec, word)
+                     for _, word, _ in ends], rtol=rtol)
     out = {}
-    for label, word, nu in (("tau_0", cov.word_end_zero(k), nu0),
-                            ("tau_inf", cov.word_end_infinity(k), nuinf)):
+    for label, word, nu in ends:
         rho = loop_monodromy(pair, word, rtol=rtol)["rho"]
         tr = complex(rho[0, 0] + rho[1, 1])
         target = (-1.0) ** k * 2.0 * math.cos(math.pi * nu)
@@ -386,17 +501,23 @@ def su11_certify(pair: AdmissiblePair, rtol: float = 1e-11,
         words.append((f"gen_k1^{j}_k2", cov.word_generator(j, True)))
     words.append(("tau_0", cov.word_end_zero(k)))
     words.append(("tau_inf", cov.word_end_infinity(k)))
+    # one batched solve for the legs of every word loop
+    transport(pair, [cov.deck_word_path(pair.spec, word) for _, word in words],
+              rtol=rtol)
+    worst_det = 0.0
     for label, word in words:
         res = loop_monodromy(pair, word, b=iota1, rtol=rtol)
         defect = su11_defect(res["rho"]).defect
         rows[label] = {"su11_defect": defect,
-                       "route_disagreement": res["route_disagreement"]}
+                       "route_disagreement": res["route_disagreement"],
+                       "det_defect": res["det_defect"]}
         worst = max(worst, defect)
+        worst_det = max(worst_det, res["det_defect"])
     certified = bool(worst < tol)
     if not certified:
         raise NumericalError(f"SU(1,1) certification failed: defect {worst:.2e}")
-    return {"certified": certified, "worst_defect": worst, "words": rows,
-            "iota1": iota1}
+    return {"certified": certified, "worst_defect": worst,
+            "worst_det_defect": worst_det, "words": rows, "iota1": iota1}
 
 
 def theta_zero_check(pair: AdmissiblePair) -> dict:
@@ -437,17 +558,12 @@ def desitter_sample(pair: AdmissiblePair, z_values, b: np.ndarray | None = None,
     """Sample the CMC-1 face at the given z values (lifted from the base
     point along straight sanitized legs, initial frame b)."""
     spec = pair.spec
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    o = cov.base_point(spec)
-    xs, dets, points = [], [], []
-    for z in z_values:
-        lift = integrate_lift(pair, _straight_path(spec, z), b0, rtol=rtol)
-        x = hermitian_coordinates(lift.F)
-        xs.append(x)
-        dets.append(desitter_defect(x))
-        points.append(lift.point)
-    return {"x": np.array(xs), "hyperboloid_defect": float(np.max(dets)),
-            "points": points}
+    lifts = [tr.end for tr in transport(
+        pair, [_straight_path(spec, z) for z in z_values], b, rtol)]
+    xs = np.array([hermitian_coordinates(lift.F) for lift in lifts])
+    return {"x": xs,
+            "hyperboloid_defect": max(desitter_defect(x) for x in xs),
+            "points": [lift.point for lift in lifts]}
 
 
 def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None,
@@ -458,37 +574,17 @@ def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None,
     marching the frame row by row from the base point (deterministic legs,
     quad faces; the grid stays in the right half plane clear of the branch
     points)."""
-    spec = pair.spec
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    o = cov.base_point(spec)
+    o = cov.base_point(pair.spec)
     radii = np.exp(np.linspace(math.log(r0), math.log(r1), nr))
     thetas = np.linspace(th0, th1, nth + 1)
-
-    def grid_z(i, j):
-        return radii[i] * cmath.exp(1j * thetas[j])
-
-    xs = np.zeros((nr, nth + 1, 4))
-    worst = 0.0
-    corner = grid_z(0, 0)
-    st = integrate_lift(pair, cov.SurfacePath((o.z, corner), o.w), b0,
-                        rtol=rtol)
-    F_row, w_row = st.F, st.w
-    for i in range(nr):
-        if i > 0:
-            st = integrate_lift(
-                pair, cov.SurfacePath((grid_z(i - 1, 0), grid_z(i, 0)), w_row),
-                F_row, rtol=rtol)
-            F_row, w_row = st.F, st.w
-        F, w = F_row, w_row
-        for j in range(nth + 1):
-            if j > 0:
-                st = integrate_lift(
-                    pair, cov.SurfacePath((grid_z(i, j - 1), grid_z(i, j)), w),
-                    F, rtol=rtol)
-                F, w = st.F, st.w
-            x = hermitian_coordinates(F)
-            xs[i, j] = x
-            worst = max(worst, desitter_defect(x))
+    column = [o.z] + [radii[i] * cmath.exp(1j * thetas[0]) for i in range(nr)]
+    # row i: down the theta0 column to radius i, then along the row
+    paths = [cov.SurfacePath(
+        column[:i + 2] + [radii[i] * cmath.exp(1j * th) for th in thetas[1:]],
+        o.w) for i in range(nr)]
+    xs = np.array([[hermitian_coordinates(F) for F in tr.F[i + 1:]]
+                   for i, tr in enumerate(transport(pair, paths, b, rtol))])
+    worst = max(desitter_defect(x) for x in xs.reshape(-1, 4))
     faces = []
     cols = nth + 1
     for i in range(nr - 1):
@@ -527,11 +623,10 @@ def quotient_check(pair: AdmissiblePair, probe: complex, h: float = 1e-5,
     the Moebius form): g = M11/M21 = M12/M22."""
     g0, _, base = secondary_gauss(pair, probe, rtol=rtol)
 
-    def lift_at(zeta: complex) -> np.ndarray:
-        seg = cov.SurfacePath((complex(probe), complex(zeta)), base.w)
-        return integrate_lift(pair, seg, base.F, rtol=rtol).F
-
-    dF = (lift_at(probe + h) - lift_at(probe - h)) / (2.0 * h)
+    fwd, back = transport(
+        pair, [cov.SurfacePath((complex(probe), complex(zeta)), base.w)
+               for zeta in (probe + h, probe - h)], base.F, rtol)
+    dF = (fwd.F[-1] - back.F[-1]) / (2.0 * h)
     m = inv2(base.F) @ dF
     q1 = complex(m[0, 0] / m[1, 0])
     q2 = complex(m[0, 1] / m[1, 1])
@@ -595,24 +690,18 @@ def end_asymptotics(pair: AdmissiblePair, which: str = "zero",
     with exponent nu/(k + nu), nu = nu_0 or nu_inf.  (The sign of x0 depends
     on the initial frame and deck sheet; the fit uses log |x0|.)  The fit is
     reported with its R^2; below 0.999 the result is flagged inconclusive."""
-    spec = pair.spec
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
     if depth is None:
         # the z=inf end converges more slowly (nu_inf < nu_0): go deeper
         depth = 1e-7 if which == "zero" else 1e-10
-    verts = _end_ray(which, depth)
-    o = cov.base_point(spec)
-    y_samples = []
-    F, w = b0, o.w
-    for a, bz in zip(verts[:-1], verts[1:]):
-        st = integrate_lift(pair, cov.SurfacePath((a, bz), w), F, rtol=rtol)
-        F, w = st.F, st.w
-        x = hermitian_coordinates(F)
-        y_samples.append((complex(bz), x))
+    # the ray stays clear of the branch points except the end it runs into
+    # radially, where a clearance detour would circle that end on every leg
+    ray = cov.SurfacePath(_end_ray(which, depth), cov.base_point(pair.spec).w)
+    tr = transport(pair, [ray], b, rtol, detour=False)[0]
+    y_samples = [hermitian_coordinates(F) for F in tr.F[1:]]
     nu0, nuinf = nu_exponents(pair.k, pair.t)
     nu = nu0 if which == "zero" else nuinf
     expected = nu / (pair.k + nu)
-    tail = [x for _, x in y_samples[-22:]]
+    tail = y_samples[-22:]
     lx0 = np.array([math.log(abs(x[0])) for x in tail])
     ltr = np.array([math.log(abs(complex(x[1], x[2]))) for x in tail])
     coef = np.polyfit(lx0, ltr, 1)
@@ -621,7 +710,7 @@ def end_asymptotics(pair: AdmissiblePair, which: str = "zero",
     ss_tot = float(np.sum((ltr - np.mean(ltr)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
     slope = float(coef[0])
-    x_last = y_samples[-1][1]
+    x_last = y_samples[-1]
     return {
         "end": which,
         "slope": slope,
@@ -631,6 +720,8 @@ def end_asymptotics(pair: AdmissiblePair, which: str = "zero",
         "conclusive": bool(r2 >= 0.999),
         "x3_over_x0": float(x_last[3] / x_last[0]),
         "samples": len(y_samples),
+        "legs": len(tr.route) - 1,
+        "winding": cov.winding_number(tr.route, 0j),
     }
 
 
@@ -652,6 +743,7 @@ def deformation_report(k: int, t: float, rtol: float = 1e-11) -> dict:
         "probe_spreads": spreads,
         "iota_form_residual": iota["form_residual"],
         "su11_worst_defect": cert["worst_defect"],
+        "worst_det_defect": cert["worst_det_defect"],
         "trace_tau0_residual": traces["tau_0"]["residual"],
         "trace_tauinf_residual": traces["tau_inf"]["residual"],
         "theta0_residual": theta["residual"],

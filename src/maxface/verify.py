@@ -486,7 +486,7 @@ def run_criterion(cid: int, cfg: VerifyConfig | None = None) -> dict:
     try:
         checks = fn(cfg)
         failed_err = None
-    except MaxfaceError as exc:
+    except Exception as exc:  # one criterion's crash must not end the run
         checks = []
         failed_err = f"{type(exc).__name__}: {exc}"
     runtime = time.perf_counter() - start

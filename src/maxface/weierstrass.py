@@ -433,12 +433,6 @@ def integrate_immersion(data: WeierstrassData, path: cov.SurfacePath,
     return ImmersionSample(end, x, data.metric_factor(end), data.qhat(end))
 
 
-def base_path_to(data: WeierstrassData, z_target: complex) -> cov.SurfacePath:
-    """Straight path from the datum's base point (sanitized for clearance by
-    the integrators)."""
-    return cov.SurfacePath((data.base.z, complex(z_target)), data.base.w)
-
-
 # ---------------------------------------------------------------------------
 # mesh sampling
 # ---------------------------------------------------------------------------

@@ -35,14 +35,20 @@ def complex_nums(draw, min_mag=0.0, max_mag=10.0):
 
 
 @st.composite
+def polar_nums(draw, min_mag, max_mag):
+    r = draw(st.floats(min_value=min_mag, max_value=max_mag))
+    phi = draw(st.floats(min_value=-math.pi, max_value=math.pi))
+    return cmath.rect(r, phi)
+
+
+@st.composite
 def gl2_matrices(draw):
-    """Invertible 2x2 complex matrices with decent conditioning."""
-    entries = [draw(complex_nums()) for _ in range(4)]
-    a = alg.mat2(*entries)
-    d = alg.det2(a)
-    if abs(d) < 0.1:
-        a = a + 1.5 * alg.EYE2
-    return a
+    """Invertible 2x2 complex matrices with decent conditioning: a unit lower
+    triangular factor times an upper triangular one with 0.5 <= |u_ii| <= 4,
+    so |det| >= 0.25 and every entry of a and its inverse stays bounded."""
+    l21, u12 = draw(polar_nums(0.0, 3.0)), draw(polar_nums(0.0, 3.0))
+    u11, u22 = draw(polar_nums(0.5, 4.0)), draw(polar_nums(0.5, 4.0))
+    return alg.mat2(1, 0, l21, 1) @ alg.mat2(u11, u12, 0, u22)
 
 
 @st.composite
@@ -212,18 +218,24 @@ def test_schwarzian_flags_critical_point():
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince: closed-form linear ODEs
+# Dormand-Prince: closed-form linear ODEs, one system per row
 # ---------------------------------------------------------------------------
 
+def _dp(f, y0, s0, s1, **tol):
+    """One system through the batched solver; f(s, v) sees a single row."""
+    y = alg.dormand_prince(lambda s, y, rows: f(s[0], y[0])[None, :],
+                           np.asarray(y0, dtype=complex)[None, :], s0, s1,
+                           **tol)
+    return y[0]
+
+
 def test_dp_scalar_exponential():
-    y = alg.dormand_prince(lambda s, v: v, np.array([1.0 + 0j]), 0.0, 2.0,
-                           rtol=1e-12, atol=1e-14)
+    y = _dp(lambda s, v: v, [1.0], 0.0, 2.0, rtol=1e-12, atol=1e-14)
     assert complex(y[0]) == pytest.approx(math.exp(2.0), rel=1e-10)
 
 
 def test_dp_rotation():
-    y = alg.dormand_prince(lambda s, v: 1j * v, np.array([1.0 + 0j]),
-                           0.0, math.pi, rtol=1e-12, atol=1e-14)
+    y = _dp(lambda s, v: 1j * v, [1.0], 0.0, math.pi, rtol=1e-12, atol=1e-14)
     assert complex(y[0]) == pytest.approx(-1.0, abs=1e-10)
 
 
@@ -233,8 +245,8 @@ def test_dp_matrix_exponential():
     def rhs(s, v):
         return (m @ v.reshape(2, 2)).reshape(-1)
 
-    y = alg.dormand_prince(rhs, alg.EYE2.reshape(-1).copy(), 0.0, 1.0,
-                           rtol=1e-12, atol=1e-14).reshape(2, 2)
+    y = _dp(rhs, alg.EYE2.reshape(-1), 0.0, 1.0,
+            rtol=1e-12, atol=1e-14).reshape(2, 2)
     # oracle: diagonalize m by hand through numpy's generic eig
     vals, vecs = np.linalg.eig(m)
     want = vecs @ np.diag(np.exp(vals)) @ np.linalg.inv(vecs)
@@ -244,21 +256,37 @@ def test_dp_matrix_exponential():
 
 
 def test_dp_backward_integration():
-    fwd = alg.dormand_prince(lambda s, v: v * s, np.array([1.0 + 0j]),
-                             0.0, 1.5, rtol=1e-12, atol=1e-14)
-    back = alg.dormand_prince(lambda s, v: v * s, fwd, 1.5, 0.0,
-                              rtol=1e-12, atol=1e-14)
+    fwd = _dp(lambda s, v: v * s, [1.0], 0.0, 1.5, rtol=1e-12, atol=1e-14)
+    back = _dp(lambda s, v: v * s, fwd, 1.5, 0.0, rtol=1e-12, atol=1e-14)
     assert complex(back[0]) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_dp_tolerance_scaling():
-    loose = alg.dormand_prince(lambda s, v: v, np.array([1.0 + 0j]), 0.0, 5.0,
-                               rtol=1e-6, atol=1e-8)
-    tight = alg.dormand_prince(lambda s, v: v, np.array([1.0 + 0j]), 0.0, 5.0,
-                               rtol=1e-13, atol=1e-15)
+    loose = _dp(lambda s, v: v, [1.0], 0.0, 5.0, rtol=1e-6, atol=1e-8)
+    tight = _dp(lambda s, v: v, [1.0], 0.0, 5.0, rtol=1e-13, atol=1e-15)
     exact = math.exp(5.0)
     assert abs(complex(tight[0]) - exact) < abs(complex(loose[0]) - exact)
     assert complex(tight[0]) == pytest.approx(exact, rel=1e-12)
+
+
+def test_dp_rows_step_independently():
+    """A batch of y' = lam_i y whose rows need very different step counts
+    matches each row integrated alone, bit for bit."""
+    lam = np.array([0.1, 1j, -3.0 + 2j, 6.0])
+    calls = []
+
+    def f(s, y, rows):
+        calls.append(len(rows))
+        return lam[rows][:, None] * y
+
+    y = alg.dormand_prince(f, np.ones((4, 1)), 0.0, 2.0, rtol=1e-12,
+                           atol=1e-14)
+    assert np.allclose(y[:, 0], np.exp(2.0 * lam), rtol=1e-10)
+    assert calls[-1] < 4  # finished rows left the batch
+    for i, li in enumerate(lam):
+        alone = _dp(lambda s, v, li=li: li * v, [1.0], 0.0, 2.0,
+                    rtol=1e-12, atol=1e-14)
+        assert complex(alone[0]) == complex(y[i, 0])
 
 
 def test_ensure_finite_catches_nan():

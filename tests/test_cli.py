@@ -7,6 +7,7 @@ import pytest
 
 from maxface import cli
 from maxface import schema as schema_mod
+from maxface import verify as verify_mod
 
 
 def run(argv):
@@ -197,6 +198,23 @@ def test_verify_perturbed_ck_fails(tmp_path, capsys):
     assert doc["perturb_ck"] == 0.01
     err = capsys.readouterr().err
     assert "[FAIL]" in err
+
+
+def test_verify_contains_stray_exception(tmp_path, monkeypatch, capsys):
+    """A criterion that crashes with a non-maxface error fails alone; the
+    run still finishes and reports the error."""
+    def crash(cfg):
+        return 1 / 0
+
+    monkeypatch.setitem(verify_mod.CRITERIA, 13, ("crashes", crash))
+    assert run(["verify", "--criteria", "8,13", "--jobs", "1",
+                "--out", str(tmp_path)]) == 4
+    doc = json.loads((tmp_path / "verify.json").read_text())
+    schema_mod.assert_valid(doc)
+    rows = {c["id"]: c for c in doc["criteria"]}
+    assert rows[8]["pass"] is True
+    assert rows[13]["pass"] is False
+    assert rows[13]["error"].startswith("ZeroDivisionError")
 
 
 def test_verify_unknown_criterion(capsys):

@@ -16,6 +16,7 @@ import pytest
 from maxface import algebra as alg
 from maxface import cover as cov
 from maxface import desitter as ds
+from maxface import verify as verify_mod
 from maxface import weierstrass as wst
 from maxface.errors import NumericalError, ValidationError
 
@@ -173,6 +174,29 @@ def test_loop_monodromy_routes_agree(word_fn):
     assert out["det_defect"] < 1e-10
 
 
+def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
+    """Route a (the word loop) and route b (the reflection probes) share
+    memoized leg propagators only where their paths share legs; corrupting a
+    leg that lies on the word loop alone must make the routes disagree."""
+    word = cov.word_end_zero(1)
+    loop_legs, _, _ = ds._legs(K1, cov.deck_word_path(K1.spec, word), 1e-11,
+                               True)
+    probe_keys = set()
+    for j in (1, 2, 3):
+        for path in ds._probe_paths(K1.spec, j, ds._PROBES):
+            legs, _, _ = ds._legs(K1, path, 1e-11, True)
+            probe_keys.update(leg[0] for leg in legs)
+    only_a = [leg[0] for leg in loop_legs if leg[0] not in probe_keys]
+    assert only_a
+    ds.loop_monodromy(K1, word)  # memoizes every leg of both routes
+    key = only_a[len(only_a) // 2]
+    monkeypatch.setitem(ds._PROPAGATORS, key,
+                        ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
+    with pytest.raises(NumericalError):
+        ds.loop_monodromy(K1, word)
+    assert not verify_mod.run_criterion(12)["pass"]
+
+
 def test_loop_monodromy_base_change_consistency():
     b = alg.mat2(1.1, 0.2 + 0.1j, -0.1j, 1.0)
     word = cov.word_end_zero(1)
@@ -264,6 +288,22 @@ def test_residue_derivative_routes():
     assert abs(out["target"][0, 0] - 1j * want) < 1e-12
 
 
+def test_residue_derivative_perturbed_contour_fails(monkeypatch):
+    """A perturbed contour route fails its check; the finite-difference
+    route, computed on the lift, does not move."""
+    exact = ds.residue_derivative(1)
+    integrate_form = wst.integrate_form
+    monkeypatch.setattr(wst, "integrate_form",
+                        lambda *a, **kw: integrate_form(*a, **kw) + 1e-7)
+    out = ds.residue_derivative(1)
+    assert out["contour_residual"] == pytest.approx(1e-7, rel=1e-3)
+    assert out["fd_residual"] == exact["fd_residual"]
+    checks = {c["name"]: c for c in verify_mod.criterion_9(
+        verify_mod.VerifyConfig())}
+    assert not checks["contour integral of Psi_0, k=1"]["pass"]
+    assert checks["d/dt rho(tau_0)^-1 at 0, k=1 (FD)"]["pass"]
+
+
 # ---------------------------------------------------------------------------
 # de Sitter geometry
 # ---------------------------------------------------------------------------
@@ -319,6 +359,9 @@ def test_hopf_shift_closed_form():
 
 def test_end_asymptotics_zero_end():
     out = ds.end_asymptotics(K1, which="zero")
+    # the ray is transported straight into z = 0: no clearance circles
+    assert out["legs"] == 48
+    assert abs(out["winding"]) < 0.25
     assert out["conclusive"]
     assert out["rel_error"] < 0.02
     assert out["r_squared"] > 0.999
