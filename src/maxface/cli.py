@@ -188,8 +188,9 @@ def cmd_singular(args) -> int:
     params.update(_parse_params(args.param))
     data = _get_surface(_merged(args, cfg, "surface"), params)
     eps = _merged(args, cfg, "tol_class")
-    report = sng.singular_report(data) if eps is None else \
-        sng.singular_report(data, eps_scale=eps)
+    comps = sng.trace_singular_set(data)
+    report = sng.singular_report(data, comps) if eps is None else \
+        sng.singular_report(data, comps, eps_scale=eps)
     doc = export.report_document(
         "singular", report,
         paper_anchor="singular set |G| = 1; classification by alpha, beta")
@@ -201,7 +202,6 @@ def cmd_singular(args) -> int:
     if out or fmt == "csv":
         path = Path(out or ".")
         path.mkdir(parents=True, exist_ok=True)
-        comps = sng.trace_singular_set(data)
         with open(path / f"{tag}_singular.csv", "w", encoding="utf-8") as fh:
             export.write_singular_csv(comps, fh)
         with open(path / f"{tag}_singular.json", "w", encoding="utf-8") as fh:

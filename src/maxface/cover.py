@@ -28,6 +28,13 @@ from .errors import ContinuationError, ValidationError
 BASE_Z = 2.0 + 0.0j
 
 
+@lru_cache(maxsize=None)
+def _unit_roots(n: int) -> np.ndarray:
+    units = np.exp(2j * math.pi * np.arange(n) / n)
+    units.flags.writeable = False
+    return units
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """k >= 1 selects w^(k+1) = z(z^2-1)^k; reduced=True (k even, k=2m) selects
@@ -62,20 +69,19 @@ class CoverSpec:
     def finite_branch_points(self) -> tuple[complex, ...]:
         return (0j, 1 + 0j) if self.reduced else (0j, 1 + 0j, -1 + 0j)
 
-    def rhs(self, z: complex) -> complex:
+    def rhs(self, z):
         if self.reduced:
             return z ** (self.m + 1) * (z - 1) ** (2 * self.m)
         return z * (z * z - 1) ** self.k
 
-    def fiber(self, z: complex) -> np.ndarray:
-        """All sheet_count roots w over z (ill-conditioned at branch points)."""
+    def fiber(self, z) -> np.ndarray:
+        """All sheet_count roots w over z, a scalar or an array, along a new
+        last axis: shape np.shape(z) + (sheet_count,).  Root 0 is the
+        principal root rhs(z)^(1/n); all roots are 0 where rhs(z) = 0.
+        Ill-conditioned at branch points."""
         n = self.sheet_count
-        r = self.rhs(z)
-        if r == 0:
-            return np.zeros(n, dtype=complex)
-        principal = cmath.exp(cmath.log(r) / n)
-        units = np.exp(2j * math.pi * np.arange(n) / n)
-        return principal * units
+        principal = np.power(self.rhs(z), 1.0 / n, dtype=complex)
+        return np.multiply.outer(principal, _unit_roots(n))
 
     def genus(self) -> int:
         # Riemann-Hurwitz from the branching data; see genus_check.

@@ -116,61 +116,54 @@ class SingularComponent:
 # ---------------------------------------------------------------------------
 
 class _Profile:
-    """phi = log|G|, H' = (G'/G), |eta_hat| as functions of z alone.
+    """phi_hat = log|G| in the trace chart zhat and H' = G'/G in z.
 
     |G| never depends on the fiber point (|w| is a function of z on every
-    cover in use), and G'/G is a w-free ratio, so a singular curve can be
-    traced entirely in the base coordinate."""
+    cover in use), so the principal root serves, and G'/G is a w-free
+    ratio: a singular curve can be traced entirely in the base coordinate."""
 
     def __init__(self, data: wst.WeierstrassData):
         self.data = data
         self.spec = data.cover
+        self.chart = data.chart
 
-    def _pt(self, z: complex) -> cov.SurfacePoint:
+    def _pt(self, z) -> cov.SurfacePoint:
         if self.spec is None:
             return cov.SurfacePoint(z, None)
-        return cov.SurfacePoint(z, self.spec.fiber(z)[0])
+        return cov.SurfacePoint(z, self.spec.fiber(z)[..., 0])
 
-    def phi(self, z: complex) -> float:
-        try:
-            with np.errstate(all="ignore"):
-                g = abs(self.data.G(self._pt(z)))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            return math.nan
-        if not (g > 0.0) or math.isinf(g):
-            return math.nan if (math.isnan(g) or math.isinf(g)) else -math.inf
-        return math.log(g)
+    def phi_hat(self, zh):
+        """log|G| at chart points zh: a float for a scalar, else an array of
+        zh's shape.  NaN where the chart or G is undefined (zh = 0 on an
+        inverted chart, z = 0 on the cover) or |G| is infinite, -inf where G
+        vanishes."""
+        with np.errstate(all="ignore"):
+            z = self.chart.to_z(np.asarray(zh, dtype=complex))
+            out = np.log(np.abs(self.data.G(self._pt(z))))
+        out = np.where(out == np.inf, np.nan, out)
+        return float(out) if out.ndim == 0 else out
 
-    def hprime(self, z: complex) -> complex:
-        p = self._pt(z)
-        return self.data.dG(p) / self.data.G(p)
-
-    def eta_abs(self, z: complex) -> float:
-        return abs(self.data.eta(self._pt(z)))
+    def grad(self, zh: complex) -> complex:
+        """Chart gradient of phi_hat, conj(H' dz/dzhat)."""
+        chart = self.chart
+        p = self._pt(chart.to_z(zh))
+        return (self.data.dG(p) / self.data.G(p) * chart.dz_dzhat(zh)).conjugate()
 
 
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
 
-def _phi_hat(prof: _Profile, chart: wst.TraceChart, zh: complex) -> float:
-    try:
-        z = chart.to_z(zh)
-    except ZeroDivisionError:
-        return math.nan
-    return prof.phi(z)
-
-
-def _newton_on_curve(prof: _Profile, chart: wst.TraceChart, zh: complex,
-                     tol: float = 1e-13, max_iter: int = 40) -> complex:
+def _newton_on_curve(prof: _Profile, zh: complex, tol: float = 1e-13,
+                     max_iter: int = 40) -> complex:
     """Project zh onto {phi = 0} by Newton steps along the chart gradient."""
     for _ in range(max_iter):
-        v = _phi_hat(prof, chart, zh)
+        v = prof.phi_hat(zh)
         if math.isnan(v) or math.isinf(v):
             raise NumericalError(f"phi undefined near zhat={zh}")
         if abs(v) < tol:
             return zh
-        grad = (prof.hprime(chart.to_z(zh)) * chart.dz_dzhat(zh)).conjugate()
+        grad = prof.grad(zh)
         g2 = abs(grad) ** 2
         if g2 < 1e-24:
             raise DegenerateError(f"vanishing gradient of log|G| at zhat={zh}")
@@ -178,16 +171,16 @@ def _newton_on_curve(prof: _Profile, chart: wst.TraceChart, zh: complex,
     raise NumericalError(f"corrector stalled at zhat={zh}, residual {v:.2e}")
 
 
-def _trace_component(prof: _Profile, chart: wst.TraceChart, seed: complex,
-                     step: float, max_steps: int, bound: float) -> tuple[np.ndarray, bool, bool]:
+def _trace_component(prof: _Profile, seed: complex, step: float,
+                     max_steps: int, bound: float) -> tuple[np.ndarray, bool, bool]:
     """March the level curve from a corrected seed.  Returns (vertices, closed,
     partial); vertices never repeat the start point."""
-    z0 = _newton_on_curve(prof, chart, seed)
+    z0 = _newton_on_curve(prof, seed)
     pts = [z0]
     h = step * (1.0 + abs(z0))
 
     def tangent(zh: complex) -> complex:
-        grad = (prof.hprime(chart.to_z(zh)) * chart.dz_dzhat(zh)).conjugate()
+        grad = prof.grad(zh)
         a = abs(grad)
         if a < 1e-12:
             raise DegenerateError(f"vanishing gradient at zhat={zh}")
@@ -203,7 +196,7 @@ def _trace_component(prof: _Profile, chart: wst.TraceChart, seed: complex,
         # adaptive turn control: halve on sharp turns, let the step relax back
         for _ in range(14):
             try:
-                nxt = _newton_on_curve(prof, chart, cur + h * t)
+                nxt = _newton_on_curve(prof, cur + h * t)
             except (NumericalError, DegenerateError):
                 h *= 0.5
                 continue
@@ -230,55 +223,60 @@ def _trace_component(prof: _Profile, chart: wst.TraceChart, seed: complex,
     return np.array(pts), False, True
 
 
-def _grid_seeds(prof: _Profile, chart: wst.TraceChart, window: tuple,
-                grid_n: int) -> list[complex]:
-    """Sign changes of phi on a chart grid, plus a dense scan of the real
-    axis (components of conjugation-symmetric data always cross it)."""
+def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
+                  fa: np.ndarray) -> np.ndarray:
+    """Bisect the sign change of phi_hat on every edge [za, zb] at once
+    (fa = phi_hat(za)) by 50 halvings.  An edge is dropped when a midpoint
+    is not finite and stops halving at an exact zero.  Returns the final
+    midpoints of the kept edges, in edge order."""
+    za, zb, fa = za.copy(), zb.copy(), fa.copy()
+    kept = np.ones(len(za), dtype=bool)
+    busy = kept.copy()
+    for _ in range(50):
+        idx = np.flatnonzero(busy)
+        if len(idx) == 0:
+            break
+        zm = 0.5 * (za[idx] + zb[idx])
+        fm = prof.phi_hat(zm)
+        finite = np.isfinite(fm)
+        kept[idx[~finite]] = False
+        busy[idx[~finite | (fm == 0.0)]] = False
+        move = finite & (fm != 0.0)
+        to_b = move & ((fa[idx] < 0) != (fm < 0))
+        to_a = move & ~to_b
+        zb[idx[to_b]] = zm[to_b]
+        za[idx[to_a]] = zm[to_a]
+        fa[idx[to_a]] = fm[to_a]
+    return 0.5 * (za[kept] + zb[kept])
+
+
+def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
+    """Sign changes of phi_hat on a chart grid, plus a dense sweep of the real
+    axis (components of conjugation-symmetric data always cross it).
+
+    Marching-squares seeding: the grid and the sweep are evaluated in one
+    call each, the sign-change edges are found by array masks and all of
+    them are bisected together.  Seed order: horizontal edges row-major,
+    vertical edges column-major, then the sweep; the tracer starts each
+    component at its first seed, so the order fixes its start vertex and
+    vertex count."""
     x0, x1, y0, y1 = window
-    xs = np.linspace(x0, x1, grid_n)
-    ys = np.linspace(y0, y1, grid_n)
-    vals = np.full((grid_n, grid_n), np.nan)
-    for i, y in enumerate(ys):
-        for j, x in enumerate(xs):
-            vals[i, j] = _phi_hat(prof, chart, complex(x, y))
-    seeds: list[complex] = []
+    grid = np.empty((grid_n, grid_n), dtype=complex)
+    grid.real = np.linspace(x0, x1, grid_n)
+    grid.imag = np.linspace(y0, y1, grid_n)[:, None]
+    vals = prof.phi_hat(grid)
+    line = np.linspace(x0, x1, 8 * grid_n).astype(complex)
+    sweep = prof.phi_hat(line)
 
-    def bisect_edge(za: complex, fa: float, zb: complex, fb: float):
-        for _ in range(50):
-            zm = 0.5 * (za + zb)
-            fm = _phi_hat(prof, chart, zm)
-            if not math.isfinite(fm):
-                return
-            if fm == 0.0:
-                break
-            if (fa < 0) != (fm < 0):
-                zb, fb = zm, fm
-            else:
-                za, fa = zm, fm
-        seeds.append(0.5 * (za + zb))
+    def crossings(za, zb, fa, fb):
+        m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
+        return za[m], zb[m], fa[m]
 
-    fin = np.isfinite(vals)
-    for i in range(grid_n):
-        for j in range(grid_n - 1):
-            if fin[i, j] and fin[i, j + 1] and (vals[i, j] < 0) != (vals[i, j + 1] < 0):
-                bisect_edge(complex(xs[j], ys[i]), vals[i, j],
-                            complex(xs[j + 1], ys[i]), vals[i, j + 1])
-    for j in range(grid_n):
-        for i in range(grid_n - 1):
-            if fin[i, j] and fin[i + 1, j] and (vals[i, j] < 0) != (vals[i + 1, j] < 0):
-                bisect_edge(complex(xs[j], ys[i]), vals[i, j],
-                            complex(xs[j], ys[i + 1]), vals[i + 1, j])
-    # dense 1-d sweep along the real chart axis for small components
-    n1 = 8 * grid_n
-    xs1 = np.linspace(x0, x1, n1)
-    prev_x, prev_f = None, None
-    for x in xs1:
-        f = _phi_hat(prof, chart, complex(x, 0.0))
-        if prev_f is not None and math.isfinite(f) and math.isfinite(prev_f) \
-                and (prev_f < 0) != (f < 0):
-            bisect_edge(complex(prev_x, 0.0), prev_f, complex(x, 0.0), f)
-        prev_x, prev_f = x, f
-    return seeds
+    edges = [crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
+             crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
+             crossings(line[:-1], line[1:], sweep[:-1], sweep[1:])]
+    za, zb, fa = (np.concatenate(part) for part in zip(*edges))
+    return [complex(z) for z in _bisect_edges(prof, za, zb, fa)]
 
 
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
@@ -318,14 +316,14 @@ def trace_singular_set(data: wst.WeierstrassData, *, step: float | None = None,
     win = window if window is not None else data.window
     gn = grid_n if grid_n is not None else data.grid_n
     bound = 1.6 * max(abs(win[0]), abs(win[1]), abs(win[2]), abs(win[3]))
-    seeds = _grid_seeds(prof, chart, win, gn)
+    seeds = _grid_seeds(prof, win, gn)
     comps: list[SingularComponent] = []
     for seed in seeds:
         tol_near = 2.5 * step * (1.0 + abs(seed))
         if any(np.min(np.abs(c.zhat_vertices - seed)) < tol_near for c in comps):
             continue
         try:
-            verts, closed, partial = _trace_component(prof, chart, seed, step,
+            verts, closed, partial = _trace_component(prof, seed, step,
                                                       max_steps, bound)
         except (NumericalError, DegenerateError):
             continue
@@ -368,7 +366,7 @@ def _refine_crossing(data: wst.WeierstrassData, prof: _Profile, comp: SingularCo
     chart = data.chart
 
     def value(zh: complex) -> tuple[float, cov.SurfacePoint]:
-        zh = _newton_on_curve(prof, chart, zh)
+        zh = _newton_on_curve(prof, zh)
         z = chart.to_z(zh)
         if data.cover is None:
             p = cov.SurfacePoint(complex(z), None)
@@ -451,7 +449,6 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
                     Gauss map winds once around the unit circle, and eta_hat
                     (chart values) is bounded away from 0.
     fold candidate: same with alpha purely imaginary."""
-    prof = _Profile(data)
     ring = _alpha_along(data, comp)
     alphas = np.array([a for _, _, a, _ in ring])
     a_scale = float(np.max(np.abs(alphas)))
@@ -493,10 +490,16 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
 # report
 # ---------------------------------------------------------------------------
 
-def singular_report(data: wst.WeierstrassData, *, step: float | None = None,
-                    window: tuple | None = None, grid_n: int | None = None,
+def singular_report(data: wst.WeierstrassData,
+                    comps: list[SingularComponent] | None = None, *,
+                    step: float | None = None, window: tuple | None = None,
+                    grid_n: int | None = None,
                     eps_scale: float = _CLASS_EPS) -> dict:
-    comps = trace_singular_set(data, step=step, window=window, grid_n=grid_n)
+    """Per-component classification of the singular set.  comps are the
+    components of trace_singular_set(data); when omitted they are traced
+    here with step, window and grid_n."""
+    if comps is None:
+        comps = trace_singular_set(data, step=step, window=window, grid_n=grid_n)
     rows = []
     for comp in comps:
         counts = count_singularities(data, comp, eps_scale)

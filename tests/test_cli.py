@@ -7,6 +7,7 @@ import pytest
 
 from maxface import cli
 from maxface import schema as schema_mod
+from maxface import singularities as sng
 from maxface import verify as verify_mod
 
 
@@ -99,6 +100,27 @@ def test_singular_writes_json_and_csv(tmp_path):
     assert doc["component_count"] == 2
     csv_text = (tmp_path / csv_files[0]).read_text()
     assert csv_text.startswith("component,circuit,index,chart")
+
+
+def test_singular_csv_traces_once(tmp_path, monkeypatch):
+    """The report and the CSV share one trace; the CSV has one row per
+    vertex of every lifted traversal."""
+    calls = []
+    trace = sng.trace_singular_set
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(sng, "trace_singular_set", counting)
+    assert run(["singular", "--surface", "genus_k", "--param", "k=1",
+                "--format", "csv", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    doc = json.loads(next(tmp_path.glob("*_singular.json")).read_text())
+    rows = next(tmp_path.glob("*_singular.csv")).read_text().splitlines()[1:]
+    assert len(rows) == sum(c["vertex_count"] * c["circuits"]
+                            for c in doc["components"])
+    assert any(c["circuits"] > 1 for c in doc["components"])
 
 
 def test_singular_stdout_json(capsys):

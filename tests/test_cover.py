@@ -43,6 +43,26 @@ def test_solve_fiber_residual(re, im, k):
     assert cov.on_cover(spec, p)
 
 
+@pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True), (4, True)])
+def test_fiber_on_arrays_matches_pointwise(k, reduced):
+    """An array of z gives the per-point roots along a new last axis, and
+    all roots vanish where the curve's right-hand side does."""
+    spec = cov.CoverSpec(k, reduced=reduced)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-2.5, 2.5, (3, 7)) + 1j * rng.uniform(-2.5, 2.5, (3, 7))
+    z[0, :len(spec.finite_branch_points)] = spec.finite_branch_points
+    roots = spec.fiber(z)
+    assert roots.shape == z.shape + (spec.sheet_count,)
+    for idx in np.ndindex(z.shape):
+        one = spec.fiber(complex(z[idx]))
+        assert one.shape == (spec.sheet_count,)
+        np.testing.assert_allclose(roots[idx], one, rtol=1e-14, atol=0.0)
+    zero = spec.rhs(z) == 0
+    assert zero.sum() == len(spec.finite_branch_points)
+    assert np.all(roots[zero] == 0)
+    assert np.all(spec.fiber(0j) == 0)
+
+
 def test_solve_fiber_near_selection():
     spec = cov.CoverSpec(2)
     roots = spec.fiber(2.0 + 0j)

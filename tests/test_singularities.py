@@ -153,6 +153,130 @@ def test_trinoid_counts():
 
 
 # ---------------------------------------------------------------------------
+# array seeding against a scalar reference
+# ---------------------------------------------------------------------------
+
+def _scalar_phi_hat(data, zh):
+    """log|G| at one chart point, with the principal fiber root from cmath:
+    NaN where the chart or G is undefined, -inf where G vanishes."""
+    try:
+        z = data.chart.to_z(zh)
+        w = None
+        if data.cover is not None:
+            r = data.cover.rhs(z)
+            w = 0j if r == 0 else cmath.exp(cmath.log(r) / data.cover.sheet_count)
+        with np.errstate(all="ignore"):
+            g = abs(data.G(cov.SurfacePoint(z, w)))
+    except ZeroDivisionError:
+        return math.nan
+    if math.isnan(g) or math.isinf(g):
+        return math.nan
+    return math.log(g) if g > 0 else -math.inf
+
+
+def _scalar_seeds(data, grid_n):
+    """Node-by-node grid and real-axis sign changes, each edge bisected 50
+    times by scalar calls; edges in the tracer's seed order."""
+    x0, x1, y0, y1 = data.window
+    xs, ys = np.linspace(x0, x1, grid_n), np.linspace(y0, y1, grid_n)
+    val = {(i, j): _scalar_phi_hat(data, complex(x, y))
+           for i, y in enumerate(ys) for j, x in enumerate(xs)}
+    pt = {(i, j): complex(x, y) for i, y in enumerate(ys) for j, x in enumerate(xs)}
+    pairs = [((i, j), (i, j + 1)) for i in range(grid_n) for j in range(grid_n - 1)]
+    pairs += [((i, j), (i + 1, j)) for j in range(grid_n) for i in range(grid_n - 1)]
+    edges = [(pt[a], val[a], pt[b], val[b]) for a, b in pairs]
+    line = [complex(x, 0.0) for x in np.linspace(x0, x1, 8 * grid_n)]
+    fl = [_scalar_phi_hat(data, z) for z in line]
+    edges += list(zip(line[:-1], fl[:-1], line[1:], fl[1:]))
+    seeds = []
+    for za, fa, zb, fb in edges:
+        if not (math.isfinite(fa) and math.isfinite(fb)) or (fa < 0) == (fb < 0):
+            continue
+        for _ in range(50):
+            zm = 0.5 * (za + zb)
+            fm = _scalar_phi_hat(data, zm)
+            if not math.isfinite(fm):
+                break
+            if fm == 0.0:
+                seeds.append(zm)
+                break
+            if (fa < 0) != (fm < 0):
+                zb = zm
+            else:
+                za, fa = zm, fm
+        else:
+            seeds.append(0.5 * (za + zb))
+    return seeds
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cone", {"a": 2.5}),
+    ("trinoid1", {"a": 3.67}),
+    ("genus_k", {"k": 1}),
+    ("genus_k_reduced", {"k": 2}),
+])
+def test_array_seeds_match_scalar_reference(name, params):
+    """One array evaluation of phi_hat and batched bisection reproduce the
+    scalar seeder: same seeds in the same order."""
+    if name.startswith("genus"):
+        params = dict(params, c=per.compute_ck(params["k"]).c_k)
+    data = wst.catalog_get(name, **params)
+    ref = _scalar_seeds(data, 21)
+    got = sng._grid_seeds(sng._Profile(data), data.window, 21)
+    assert len(ref) > 0
+    assert len(got) == len(ref)
+    assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
+
+
+def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
+    """zhat = 0 is a grid node of the cone's inverted chart and z = 0 is a
+    branch point of the cover: phi_hat is NaN there, as array and scalar."""
+    prof = sng._Profile(cone25)
+    x0, x1, _, _ = cone25.window
+    assert 0.0 in np.linspace(x0, x1, 21)
+    grid = np.array([[0j, 0.5 + 0.5j], [-1.0 + 0j, 2.0j]])
+    vals = prof.phi_hat(grid)
+    assert vals.shape == grid.shape
+    assert np.isnan(vals[0, 0]) and np.all(np.isfinite(vals.ravel()[1:]))
+    assert math.isnan(prof.phi_hat(0j))
+    for zh in grid.ravel()[1:]:
+        assert prof.phi_hat(zh) == pytest.approx(_scalar_phi_hat(cone25, zh),
+                                                 rel=1e-14, abs=1e-14)
+    gprof = sng._Profile(genus1)
+    assert np.isnan(gprof.phi_hat(np.array([0j, 0.7 + 0.2j]))[0])
+    assert math.isnan(gprof.phi_hat(0j))
+    # a pole of G (|G| = inf) is NaN too, not +inf
+    assert math.isnan(sng._Profile(wst.catalog_get("trinoid1")).phi_hat(0j))
+
+
+class _LineProfile:
+    """phi_hat = Re zhat - 1/2 on Im zhat = 0, undefined on a slot about the
+    root on Im zhat = 1, and Re zhat - 0.3 on Im zhat = 2; records every
+    batch it evaluates."""
+
+    def __init__(self):
+        self.batches = []
+
+    def phi_hat(self, zh):
+        self.batches.append(np.array(zh))
+        x, y = zh.real, zh.imag
+        f = np.where(y == 2.0, x - 0.3, x - 0.5)
+        return np.where((y == 1.0) & (np.abs(x - 0.5) < 0.1), np.nan, f)
+
+
+def test_bisect_edges_drops_and_stops():
+    """All edges halve together: one stops at an exact zero, one is dropped
+    at an undefined midpoint, one converges after 50 halvings."""
+    prof = _LineProfile()
+    za = np.array([0.0, 1j, 2j])
+    seeds = sng._bisect_edges(prof, za, za + 1.0, za.real - np.array([0.5, 0.5, 0.3]))
+    assert len(seeds) == 2
+    assert seeds[0] == 0.5
+    assert abs(seeds[1] - (0.3 + 2j)) < 1e-15
+    assert [len(b) for b in prof.batches] == [3] + [1] * 49
+
+
+# ---------------------------------------------------------------------------
 # robustness of the tracer
 # ---------------------------------------------------------------------------
 
