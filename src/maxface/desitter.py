@@ -134,10 +134,6 @@ _PROPAGATORS: dict[tuple, np.ndarray] = {}
 # continued fiber value at the leg end, keyed by (k, a, b, w_a rounded); it is
 # an exact root over b, whichever start value in the basin reached it
 _SHEETS: dict[tuple, complex] = {}
-# sanitized polyline of one path segment, keyed by (spec, repr(a), repr(b)):
-# the detour arcs depend on the sign of a zero imaginary part (through the
-# phase), which complex equality ignores
-_SEGMENTS: dict[tuple, tuple] = {}
 
 
 def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
@@ -148,18 +144,12 @@ def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
     spec = pair.spec
     if path.w0 is None:
         raise ValidationError("the lift needs a fiber value at the start")
-    for memo in (_SHEETS, _SEGMENTS):
-        if len(memo) > _MEMO_CAP:
-            memo.clear()
+    if len(_SHEETS) > _MEMO_CAP:
+        _SHEETS.clear()
     w = path.w0
     legs, upto, route = [], [0], [path.z_vertices[0]]
     for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
-        seg = (a, b)
-        if detour:
-            key = (spec, repr(a), repr(b))
-            seg = _SEGMENTS.get(key)
-            if seg is None:
-                seg = _SEGMENTS[key] = cov.sanitize_path(spec, (a, b))
+        seg = cov.sanitize_path(spec, (a, b)) if detour else (a, b)
         for za, zb in zip(seg[:-1], seg[1:]):
             sheet = (pair.k, za, zb,
                      complex(round(w.real, 10), round(w.imag, 10)))

@@ -491,15 +491,10 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
 # ---------------------------------------------------------------------------
 
 def singular_report(data: wst.WeierstrassData,
-                    comps: list[SingularComponent] | None = None, *,
-                    step: float | None = None, window: tuple | None = None,
-                    grid_n: int | None = None,
+                    comps: list[SingularComponent], *,
                     eps_scale: float = _CLASS_EPS) -> dict:
     """Per-component classification of the singular set.  comps are the
-    components of trace_singular_set(data); when omitted they are traced
-    here with step, window and grid_n."""
-    if comps is None:
-        comps = trace_singular_set(data, step=step, window=window, grid_n=grid_n)
+    components of trace_singular_set(data)."""
     rows = []
     for comp in comps:
         counts = count_singularities(data, comp, eps_scale)

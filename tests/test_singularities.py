@@ -296,7 +296,7 @@ def test_trace_step_halving_consistency(genus1):
 
 
 def test_singular_report_shape(cone25):
-    rep = sng.singular_report(cone25)
+    rep = sng.singular_report(cone25, sng.trace_singular_set(cone25))
     assert rep["surface"] == "cone"
     assert rep["component_count"] == 3
     labels = {row["label"] for row in rep["components"]}
