@@ -27,15 +27,14 @@ analogue.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cover as cov
 from . import weierstrass as wst
-from .errors import DegenerateError, NumericalError, ValidationError
+from .errors import DegenerateError, NumericalError
 
 _CLASS_EPS = 1e-7
 
@@ -44,26 +43,27 @@ _CLASS_EPS = 1e-7
 # pointwise invariants
 # ---------------------------------------------------------------------------
 
-def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint) -> tuple[complex, complex]:
-    """The classification pair (alpha, beta) at a surface point."""
-    g = data.G(p)
-    dg = data.dG(p)
-    d2g = data.d2G(p)
-    e = data.eta(p)
-    de = data.deta(p)
+def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
+    """The classification pair (alpha, beta) at a surface point.  p.z (and
+    p.w on a cover) may be arrays: then alpha and beta are arrays of their
+    shape, evaluated in one call of each Weierstrass function; a scalar
+    point gives complex scalars.  Raises DegenerateError if G^2 eta vanishes
+    at any point; beta is NaN where G' vanishes."""
+    g, dg, d2g, e, de = (np.asarray(f(p), dtype=complex)
+                         for f in (data.G, data.dG, data.d2G, data.eta, data.deta))
     denom = g * g * e
-    if denom == 0:
+    if np.any(denom == 0):
         raise DegenerateError("alpha undefined: G^2 eta vanishes")
     alpha = dg / denom
     dalpha = (d2g - alpha * (2.0 * g * dg * e + g * g * de)) / denom
-    beta = g * dalpha / dg if dg != 0 else complex("nan")
-    return complex(alpha), complex(beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.where(dg != 0, g * dalpha / dg, complex("nan"))
+    if alpha.ndim == 0:
+        return complex(alpha), complex(beta)
+    return alpha, beta
 
 
-def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint,
-                   eps_scale: float = _CLASS_EPS) -> dict:
-    """Classify one singular point; caller is responsible for |G| = 1."""
-    alpha, beta = alpha_beta(data, p)
+def _classify(alpha: complex, beta: complex, eps_scale: float) -> dict:
     b_ok = not (math.isnan(beta.real) or math.isnan(beta.imag))
     eps = eps_scale * (1.0 + abs(alpha) + (abs(beta) if b_ok else 0.0))
     if abs(alpha.imag) < eps and abs(alpha) > eps and b_ok and abs(beta.real) > eps:
@@ -75,6 +75,12 @@ def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint,
     else:
         kind = "degenerate"
     return {"kind": kind, "alpha": alpha, "beta": beta, "eps": eps}
+
+
+def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint,
+                   eps_scale: float = _CLASS_EPS) -> dict:
+    """Classify one singular point; caller is responsible for |G| = 1."""
+    return _classify(*alpha_beta(data, p), eps_scale)
 
 
 @dataclass(frozen=True)
@@ -143,8 +149,9 @@ class _Profile:
         out = np.where(out == np.inf, np.nan, out)
         return float(out) if out.ndim == 0 else out
 
-    def grad(self, zh: complex) -> complex:
-        """Chart gradient of phi_hat, conj(H' dz/dzhat)."""
+    def grad(self, zh):
+        """Chart gradient of phi_hat, conj(H' dz/dzhat), at a scalar or an
+        array of chart points."""
         chart = self.chart
         p = self._pt(chart.to_z(zh))
         return (self.data.dG(p) / self.data.G(p) * chart.dz_dzhat(zh)).conjugate()
@@ -154,28 +161,38 @@ class _Profile:
 # tracing
 # ---------------------------------------------------------------------------
 
-def _newton_on_curve(prof: _Profile, zh: complex, tol: float = 1e-13,
-                     max_iter: int = 40) -> complex:
-    """Project zh onto {phi = 0} by Newton steps along the chart gradient."""
+def _project(prof: _Profile, zh, tol: float = 1e-13, max_iter: int = 40):
+    """Project chart points onto {phi = 0} by Newton steps along the chart
+    gradient.  zh is a scalar or a 1-d array; each row steps on its own and
+    leaves the batch once |phi_hat| < tol.  Raises if any row meets an
+    undefined phi_hat, a vanishing gradient or its step budget."""
+    out = np.array(zh, dtype=complex, ndmin=1)
+    rows = np.arange(len(out))
+    cur = out
     for _ in range(max_iter):
-        v = prof.phi_hat(zh)
-        if math.isnan(v) or math.isinf(v):
-            raise NumericalError(f"phi undefined near zhat={zh}")
-        if abs(v) < tol:
-            return zh
-        grad = prof.grad(zh)
-        g2 = abs(grad) ** 2
-        if g2 < 1e-24:
-            raise DegenerateError(f"vanishing gradient of log|G| at zhat={zh}")
-        zh = zh - v * grad / g2
-    raise NumericalError(f"corrector stalled at zhat={zh}, residual {v:.2e}")
+        v = prof.phi_hat(cur)
+        if not np.isfinite(v).all():
+            raise NumericalError(f"phi undefined near zhat={cur[~np.isfinite(v)][0]}")
+        busy = np.abs(v) >= tol
+        if not busy.all():
+            rows, cur, v = rows[busy], cur[busy], v[busy]
+        if len(rows) == 0:
+            return out if np.ndim(zh) else complex(out[0])
+        grad = prof.grad(cur)
+        g2 = np.abs(grad) ** 2
+        if (g2 < 1e-24).any():
+            raise DegenerateError(f"vanishing gradient of log|G| at zhat={cur[g2 < 1e-24][0]}")
+        cur = cur - v * grad / g2
+        out[rows] = cur
+    raise NumericalError(f"corrector stalled at zhat={cur[0]}, "
+                         f"residual {np.max(np.abs(v)):.2e}")
 
 
 def _trace_component(prof: _Profile, seed: complex, step: float,
                      max_steps: int, bound: float) -> tuple[np.ndarray, bool, bool]:
     """March the level curve from a corrected seed.  Returns (vertices, closed,
     partial); vertices never repeat the start point."""
-    z0 = _newton_on_curve(prof, seed)
+    z0 = _project(prof, seed)
     pts = [z0]
     h = step * (1.0 + abs(z0))
 
@@ -190,13 +207,11 @@ def _trace_component(prof: _Profile, seed: complex, step: float,
     moved_away = False
     for n in range(max_steps):
         cur = pts[-1]
-        t = tangent(cur)
-        if (t.real * direction.real + t.imag * direction.imag) < 0:
-            t = -t
+        t = direction  # the unit tangent at cur, oriented along the walk
         # adaptive turn control: halve on sharp turns, let the step relax back
         for _ in range(14):
             try:
-                nxt = _newton_on_curve(prof, cur + h * t)
+                nxt = _project(prof, cur + h * t)
             except (NumericalError, DegenerateError):
                 h *= 0.5
                 continue
@@ -350,78 +365,100 @@ def trace_singular_set(data: wst.WeierstrassData, *, step: float | None = None,
 # counting and component-level detection
 # ---------------------------------------------------------------------------
 
-def _alpha_along(data: wst.WeierstrassData, comp: SingularComponent) -> list[tuple]:
-    out = []
-    for zh, z, w in comp.traversal():
-        p = cov.SurfacePoint(complex(z), complex(w) if w is not None else None)
-        a, b = alpha_beta(data, p)
-        out.append((zh, p, a, b))
-    return out
+def _alpha_along(data: wst.WeierstrassData, comp: SingularComponent):
+    """Chart points, surface points and alpha over the full lifted
+    traversal, each an array, alpha from one call of alpha_beta."""
+    zh = np.tile(comp.zhat_vertices, comp.circuits)
+    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
+    return zh, p, alpha_beta(data, p)[0]
 
 
-def _refine_crossing(data: wst.WeierstrassData, prof: _Profile, comp: SingularComponent,
-                     za: complex, zb: complex, wa, comp_fn) -> cov.SurfacePoint:
-    """Bisect comp_fn(alpha) = 0 between two traversal vertices, re-projecting
-    each midpoint onto the curve (chart coordinates)."""
-    chart = data.chart
+def _refine_crossings(data: wst.WeierstrassData, prof: _Profile, za: np.ndarray,
+                      zb: np.ndarray, wa: np.ndarray | None,
+                      imag: np.ndarray) -> cov.SurfacePoint:
+    """Bisect Im alpha = 0 (rows where imag) or Re alpha = 0 (the other
+    rows) between traversal vertices za and zb (chart coordinates), all rows
+    at once.  Every midpoint is projected onto the curve and takes the fiber
+    root nearest its row's wa.  A row stops at an exact zero, once
+    |zb - za| < 1e-14 (1 + |zm|), or after 60 halvings, and yields its last
+    midpoint; a row whose ends carry the same sign yields the end nearer to
+    zero.  Returns the refined points, z and w as arrays."""
+    chart, spec = data.chart, data.cover
 
-    def value(zh: complex) -> tuple[float, cov.SurfacePoint]:
-        zh = _newton_on_curve(prof, zh)
+    def point(rows, zh) -> cov.SurfacePoint:
         z = chart.to_z(zh)
-        if data.cover is None:
-            p = cov.SurfacePoint(complex(z), None)
-        else:
-            p = cov.solve_fiber(data.cover, complex(z), near=wa)
-        a, _ = alpha_beta(data, p)
-        return comp_fn(a), p
+        if spec is None:
+            return cov.SurfacePoint(z, None)
+        roots = spec.fiber(z)
+        pick = np.argmin(np.abs(roots - wa[rows, None]), axis=1)
+        return cov.SurfacePoint(z, roots[np.arange(len(rows)), pick])
 
-    fa, pa = value(za)
-    fb, pb = value(zb)
-    if (fa < 0) == (fb < 0):
-        return pa if abs(fa) < abs(fb) else pb
+    def value(rows, zh):
+        zh = _project(prof, zh)
+        alpha, _ = alpha_beta(data, point(rows, zh))
+        return zh, np.where(imag[rows], alpha.imag, alpha.real)
+
+    rows = np.arange(len(za))
+    za, zb = za.copy(), zb.copy()
+    best, fa = value(rows, za)
+    zb_on, fb = value(rows, zb)
+    busy = (fa < 0) != (fb < 0)
+    take_b = ~busy & ~(np.abs(fa) < np.abs(fb))
+    best[take_b] = zb_on[take_b]
     for _ in range(60):
-        zm = 0.5 * (za + zb)
-        fm, pm = value(zm)
-        if fm == 0.0 or abs(zb - za) < 1e-14 * (1 + abs(zm)):
-            return pm
-        if (fa < 0) != (fm < 0):
-            zb, fb = zm, fm
-        else:
-            za, fa = zm, fm
-    return pm
+        idx = np.flatnonzero(busy)
+        if len(idx) == 0:
+            break
+        zm = 0.5 * (za[idx] + zb[idx])
+        best[idx], fm = value(idx, zm)
+        stop = (fm == 0.0) | (np.abs(zb[idx] - za[idx]) < 1e-14 * (1 + np.abs(zm)))
+        busy[idx[stop]] = False
+        to_b = ~stop & ((fa[idx] < 0) != (fm < 0))
+        to_a = ~stop & ~to_b
+        zb[idx[to_b]] = zm[to_b]
+        za[idx[to_a]] = zm[to_a]
+        fa[idx[to_a]] = fm[to_a]
+    return point(rows, best)
 
 
 def count_singularities(data: wst.WeierstrassData, comp: SingularComponent,
                         eps_scale: float = _CLASS_EPS) -> dict:
     """Classified singular points of one component, located by sign changes
     of Im alpha (swallowtails) and Re alpha (cross caps) along the full
-    lifted traversal, refined by on-curve bisection."""
-    prof = _Profile(data)
-    ring = _alpha_along(data, comp)
-    if not comp.closed:
-        pairs = list(zip(ring[:-1], ring[1:]))
-    else:
-        pairs = list(zip(ring, ring[1:] + ring[:1]))
-    records: list[SingularPointRecord] = []
-    a_scale = max(abs(a) for _, _, a, _ in ring)
-    for comp_fn, target in ((lambda a: a.imag, "swallowtail"),
-                            (lambda a: a.real, "cuspidal_cross_cap")):
-        vals = np.array([comp_fn(a) for _, _, a, _ in ring])
-        vmax = float(np.max(np.abs(vals))) if len(vals) else 0.0
+    lifted traversal and refined together by on-curve bisection."""
+    zh, p, alpha = _alpha_along(data, comp)
+    i0 = np.arange(len(zh) if comp.closed else len(zh) - 1)
+    i1 = (i0 + 1) % len(zh)
+    a_scale = float(np.max(np.abs(alpha)))
+    edges, imag = [], []
+    for use_imag in (True, False):
+        vals = alpha.imag if use_imag else alpha.real
+        vmax = float(np.max(np.abs(vals)))
         # alpha-relative floor: a component with Im alpha (or Re alpha)
         # identically zero carries only rounding noise in vals
         floor = 1e-8 * vmax + 1e-11 * a_scale
         if vmax <= 1e-10 * a_scale:
             continue
-        for (zh0, p0, a0, _), (zh1, p1, a1, _) in pairs:
-            v0, v1 = comp_fn(a0), comp_fn(a1)
-            if (v0 < 0) == (v1 < 0) or max(abs(v0), abs(v1)) <= floor:
-                continue
-            p = _refine_crossing(data, prof, comp, zh0, zh1, p0.w, comp_fn)
-            cls = classify_point(data, p, eps_scale)
+        v0, v1 = vals[i0], vals[i1]
+        hit = np.flatnonzero(((v0 < 0) != (v1 < 0))
+                             & (np.maximum(np.abs(v0), np.abs(v1)) > floor))
+        edges.append(hit)
+        imag.append(np.full(len(hit), use_imag))
+    records: list[SingularPointRecord] = []
+    if edges:
+        e = np.concatenate(edges)
+        imag = np.concatenate(imag)
+        wa = p.w[i0[e]] if p.w is not None else None
+        pts = _refine_crossings(data, _Profile(data), zh[i0[e]], zh[i1[e]], wa, imag)
+        alphas, betas = alpha_beta(data, pts)
+        for j, use_imag in enumerate(imag):
+            cls = _classify(complex(alphas[j]), complex(betas[j]), eps_scale)
+            target = "swallowtail" if use_imag else "cuspidal_cross_cap"
+            z = complex(pts.z[j])
             records.append(SingularPointRecord(
                 kind=cls["kind"] if cls["kind"] == target else f"degenerate_{target}",
-                zhat=complex(data.chart.from_z(p.z)), z=p.z, w=p.w,
+                zhat=complex(data.chart.from_z(z)), z=z,
+                w=complex(pts.w[j]) if pts.w is not None else None,
                 alpha=cls["alpha"], beta=cls["beta"]))
     # merge duplicates from noisy double crossings
     unique: list[SingularPointRecord] = []
@@ -449,20 +486,14 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
                     Gauss map winds once around the unit circle, and eta_hat
                     (chart values) is bounded away from 0.
     fold candidate: same with alpha purely imaginary."""
-    ring = _alpha_along(data, comp)
-    alphas = np.array([a for _, _, a, _ in ring])
+    zh, p, alphas = _alpha_along(data, comp)
     a_scale = float(np.max(np.abs(alphas)))
     max_im = float(np.max(np.abs(alphas.imag)))
     max_re = float(np.max(np.abs(alphas.real)))
     min_abs = float(np.min(np.abs(alphas)))
     # winding of G and chart-eta floor over the traversal
-    eta_vals = []
-    g_vals = []
-    for zh, p, _, _ in ring:
-        g_vals.append(data.G(p))
-        eta_vals.append(abs(data.eta(p) * data.chart.dz_dzhat(zh)))
-    eta_vals = np.array(eta_vals)
-    g_vals = np.array(g_vals)
+    g_vals = np.asarray(data.G(p), dtype=complex)
+    eta_vals = np.abs(data.eta(p) * data.chart.dz_dzhat(zh))
     if comp.closed:
         rolled = np.roll(g_vals, -1)
         winding = float(np.sum(np.angle(rolled / g_vals)) / (2 * math.pi))

@@ -52,11 +52,11 @@ class RationalFunction:
         z = np.atleast_1d(z)
         out = np.empty_like(z)
         near = np.abs(z) <= 1.0
-        if np.any(near):
+        if near.any():
             zz = z[near]
             out[near] = np.polyval(self.num, zz) / np.polyval(self.den, zz)
         far = ~near
-        if np.any(far):
+        if far.any():
             u = 1.0 / z[far]
             n, d = len(self.num) - 1, len(self.den) - 1
             pn = np.polyval(self.num[::-1], u)
@@ -383,7 +383,7 @@ class ImmersionSample:
     qhat: complex
 
 
-def integrate_phi(data: WeierstrassData, path: cov.SurfacePath,
+def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
                   tol: float = 1e-10) -> np.ndarray:
     """Integral of the Phi-vector along the path (complex 3-vector)."""
 
@@ -393,16 +393,18 @@ def integrate_phi(data: WeierstrassData, path: cov.SurfacePath,
     return integrate_form(data.cover, path, form, tol)
 
 
-def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath, form,
-                   tol: float = 1e-10):
+def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.LiftedPath,
+                   form, tol: float = 1e-10):
     """Integrate form(z, w) dz along a (lifted) polyline with Gauss-Kronrod
-    panels per segment."""
-    if spec is not None and path.w0 is not None:
+    panels per segment.  A path that is already a LiftedPath is integrated
+    as it stands, so a caller can keep its endpoint fiber value."""
+    if isinstance(path, cov.LiftedPath):
+        lp = path
+    elif spec is not None and path.w0 is not None:
         lp = cov.LiftedPath(spec, path)
-        verts = lp.vertices
     else:
         lp = None
-        verts = tuple(complex(z) for z in path.z_vertices)
+    verts = lp.vertices if lp is not None else tuple(complex(z) for z in path.z_vertices)
     total = None
     for i, (a, b) in enumerate(zip(verts[:-1], verts[1:])):
         delta = b - a
@@ -415,7 +417,7 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath, form,
         seg = gk_adaptive(f, 0.0, 1.0, tol)
         total = seg if total is None else total + seg
     if total is None:
-        probe = np.asarray(form(verts[0], path.w0))
+        probe = np.asarray(form(verts[0], lp.w_end if lp is not None else path.w0))
         total = np.zeros_like(probe, dtype=complex)
     return total
 
@@ -424,12 +426,12 @@ def integrate_immersion(data: WeierstrassData, path: cov.SurfacePath,
                         x_start=None, tol: float = 1e-10) -> ImmersionSample:
     """March f = Re Int Phi along the path; x_start is the immersion value at
     the path start (defaults to the origin, i.e. a path based at data.base)."""
-    val = integrate_phi(data, path, tol)
-    x = (np.zeros(3) if x_start is None else np.asarray(x_start, dtype=float)) + val.real
     if data.cover is not None and path.w0 is not None:
-        end = cov.continue_path(data.cover, path)
+        lp = cov.LiftedPath(data.cover, path)
+        val, end = integrate_phi(data, lp, tol), lp.endpoint()
     else:
-        end = cov.SurfacePoint(path.end, None)
+        val, end = integrate_phi(data, path, tol), cov.SurfacePoint(path.end, None)
+    x = (np.zeros(3) if x_start is None else np.asarray(x_start, dtype=float)) + val.real
     return ImmersionSample(end, x, data.metric_factor(end), data.qhat(end))
 
 
@@ -485,17 +487,13 @@ def mesh_sample(data: WeierstrassData, kind: str | None = None,
 
     def leg_integral(z_a, z_b, w_a):
         path = cov.SurfacePath((z_a, z_b), w_a)
-        val = integrate_phi(data, path, tol)
-        if spec is not None:
-            end = cov.continue_path(spec, path)
-            return val.real, end.w
-        return val.real, None
+        if spec is None:
+            return integrate_phi(data, path, tol).real, None
+        lp = cov.LiftedPath(spec, path)
+        return integrate_phi(data, lp, tol).real, lp.w_end
 
     # spine: base -> first grid corner
-    corner = grid_z(0, 0)
-    spine = cov.SurfacePath((data.base.z, corner), data.base.w)
-    x_cur = integrate_phi(data, spine, tol).real
-    w_cur = cov.continue_path(spec, spine).w if spec is not None else None
+    x_cur, w_cur = leg_integral(data.base.z, grid_z(0, 0), data.base.w)
 
     for i in range(n_rows):
         if i > 0:

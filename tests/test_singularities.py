@@ -15,6 +15,7 @@ from maxface import cover as cov
 from maxface import periods as per
 from maxface import singularities as sng
 from maxface import weierstrass as wst
+from maxface.errors import DegenerateError
 
 # ---------------------------------------------------------------------------
 # alpha, beta closed forms
@@ -57,6 +58,52 @@ def test_associated_family_generic_edge():
     p = data.point(cmath.exp(0.8j))
     out = sng.classify_point(data, p)
     assert out["kind"] == "cuspidal_edge"
+
+
+def _planar(G, eta):
+    """Planar data from (numerator, denominator) coefficients of G and eta."""
+    return wst._planar("test", {}, wst.RationalFunction(*G),
+                       wst.RationalFunction(*eta), (), 0.5, "", "")
+
+
+def _assert_matches_pointwise(data, p, alpha, beta):
+    for i, z in enumerate(p.z):
+        w = None if p.w is None else complex(p.w[i])
+        a, b = sng.alpha_beta(data, cov.SurfacePoint(complex(z), w))
+        assert abs(alpha[i] - a) <= 1e-14 * abs(a)
+        if math.isnan(b.real):
+            assert np.isnan(beta[i])
+        else:
+            assert abs(beta[i] - b) <= 1e-14 * abs(b)
+
+
+def test_alpha_beta_on_arrays_matches_pointwise(genus1, genus2_reduced):
+    """One array call of alpha_beta equals pointwise calls, on planar data
+    and on both covers; G^2 eta = 0 anywhere raises, and beta is NaN where
+    G' = 0 (z = i on the full cover, z = -1 on the reduced one)."""
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(0.1, 1.5, 40)
+    trinoid = wst.catalog_get("trinoid1")
+    p = cov.SurfacePoint(z, None)
+    alpha, beta = sng.alpha_beta(trinoid, p)
+    assert alpha.shape == beta.shape == z.shape
+    _assert_matches_pointwise(trinoid, p, alpha, beta)
+    for data, flat in ((genus1, 1j), (genus2_reduced, -1 + 0j)):
+        zs = np.append(z, flat)
+        roots = data.cover.fiber(zs)
+        sheet = np.arange(len(zs)) % data.cover.sheet_count
+        p = cov.SurfacePoint(zs, roots[np.arange(len(zs)), sheet])
+        alpha, beta = sng.alpha_beta(data, p)
+        assert np.isnan(beta[-1]) and np.all(np.isfinite(beta[:-1]))
+        _assert_matches_pointwise(data, p, alpha, beta)
+    # G = z, eta = z dz: G^2 eta vanishes at z = 0 only
+    with pytest.raises(DegenerateError):
+        sng.alpha_beta(_planar(([1, 0],), ([1, 0],)),
+                       cov.SurfacePoint(np.array([0.5, 0.0, 1j]), None))
+    # G = z^2 + 1, eta = dz: G' = 0 at z = 0, alpha = 0 there
+    alpha, beta = sng.alpha_beta(_planar(([1, 0, 1],), ([1],)),
+                                 cov.SurfacePoint(np.array([0.5, 0.0]), None))
+    assert alpha[1] == 0 and np.isnan(beta[1]) and np.isfinite(beta[0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +321,157 @@ def test_bisect_edges_drops_and_stops():
     assert seeds[0] == 0.5
     assert abs(seeds[1] - (0.3 + 2j)) < 1e-15
     assert [len(b) for b in prof.batches] == [3] + [1] * 49
+
+
+# ---------------------------------------------------------------------------
+# batched classification against a scalar reference
+# ---------------------------------------------------------------------------
+
+def _scalar_newton(prof, zh, tol=1e-13, max_iter=40):
+    for _ in range(max_iter):
+        v = prof.phi_hat(zh)
+        assert math.isfinite(v)
+        if abs(v) < tol:
+            return zh
+        grad = complex(prof.grad(zh))
+        zh = zh - v * grad / abs(grad) ** 2
+    raise AssertionError(f"scalar Newton stalled at zhat={zh}")
+
+
+def _scalar_refine(data, prof, za, zb, wa, part):
+    """Bisect part(alpha) = 0 between two traversal vertices by scalar
+    calls: each midpoint projected onto the curve, the fiber root nearest
+    wa, at most 60 halvings."""
+
+    def value(zh):
+        z = complex(data.chart.to_z(_scalar_newton(prof, zh)))
+        p = data.point(z, near_w=wa)
+        return part(sng.alpha_beta(data, p)[0]), p
+
+    fa, pa = value(za)
+    fb, pb = value(zb)
+    if (fa < 0) == (fb < 0):
+        return pa if abs(fa) < abs(fb) else pb
+    for _ in range(60):
+        zm = 0.5 * (za + zb)
+        fm, pm = value(zm)
+        if fm == 0.0 or abs(zb - za) < 1e-14 * (1 + abs(zm)):
+            return pm
+        if (fa < 0) != (fm < 0):
+            zb = zm
+        else:
+            za, fa = zm, fm
+    return pm
+
+
+def _scalar_records(data, comp):
+    """(kind, point) of every classified crossing, vertex by vertex."""
+    prof = sng._Profile(data)
+    ring = []
+    for zh, z, w in comp.traversal():
+        p = cov.SurfacePoint(complex(z), None if w is None else complex(w))
+        ring.append((complex(zh), p, sng.alpha_beta(data, p)[0]))
+    pairs = list(zip(ring, ring[1:] + ring[:1] if comp.closed else ring[1:]))
+    a_scale = max(abs(a) for _, _, a in ring)
+    records = []
+    for part, target in ((lambda a: a.imag, "swallowtail"),
+                         (lambda a: a.real, "cuspidal_cross_cap")):
+        vmax = max(abs(part(a)) for _, _, a in ring)
+        if vmax <= 1e-10 * a_scale:
+            continue
+        floor = 1e-8 * vmax + 1e-11 * a_scale
+        for (za, pa, a0), (zb, _, a1) in pairs:
+            v0, v1 = part(a0), part(a1)
+            if (v0 < 0) == (v1 < 0) or max(abs(v0), abs(v1)) <= floor:
+                continue
+            p = _scalar_refine(data, prof, za, zb, pa.w, part)
+            kind = sng.classify_point(data, p)["kind"]
+            records.append((kind if kind == target else "degenerate_" + target, p))
+    unique = []
+    for kind, p in records:
+        if not any(kind == k and p.close_to(q, 1e-6) for k, q in unique):
+            unique.append((kind, p))
+    return unique
+
+
+def _close(a, b, rel):
+    return abs(a - b) <= rel * abs(b)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cone", {"a": 1.5}),
+    ("cone", {"a": 3.0}),
+    ("trinoid1", {"a": 3.67}),
+    ("genus_k", {"k": 1}),
+    ("genus_k_reduced", {"k": 2}),
+])
+def test_batched_classification_matches_scalar_reference(name, params):
+    """One array call of alpha_beta per traversal and one batched bisection
+    per component reproduce the vertex-by-vertex scalar classifier: the same
+    records, kinds and order.  Degenerate records are compared by kind only:
+    on the cone at a = 3 they bisect an Im alpha that is rounding noise."""
+    if name.startswith("genus"):
+        params = dict(params, c=per.compute_ck(params["k"]).c_k)
+    data = wst.catalog_get(name, **params)
+    for comp in sng.trace_singular_set(data):
+        got = sng.count_singularities(data, comp)
+        ref = _scalar_records(data, comp)
+        assert [r.kind for r in got["records"]] == [k for k, _ in ref]
+        assert got["degenerate"] == sum(k.startswith("degenerate") for k, _ in ref)
+        for r, (kind, p) in zip(got["records"], ref):
+            if kind.startswith("degenerate"):
+                continue
+            assert _close(r.z, p.z, 1e-12)
+            assert r.w is None if p.w is None else _close(r.w, p.w, 1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["cone25", "genus1"])
+def test_refine_rows_stop_independently(fixture, request, monkeypatch):
+    """Every crossing of a component refined in one batch equals the same
+    crossing refined alone, bit for bit, and rows leave the batch at their
+    own stops, before the 60-halving budget."""
+    data = request.getfixturevalue(fixture)
+    comp = sng.trace_singular_set(data)[0]
+    zh, p, alpha = sng._alpha_along(data, comp)
+    i0 = np.arange(len(zh))
+    i1 = (i0 + 1) % len(zh)
+    rows, imag = [], []
+    for part, use_imag in ((alpha.imag, True), (alpha.real, False)):
+        hit = np.flatnonzero((part[i0] < 0) != (part[i1] < 0))
+        rows.append(hit)
+        imag.append(np.full(len(hit), use_imag))
+    rows, imag = np.concatenate(rows), np.concatenate(imag)
+    assert len(rows) >= 4
+    za, zb = zh[i0[rows]], zh[i1[rows]]
+    wa = None if p.w is None else p.w[i0[rows]]
+    prof = sng._Profile(data)
+    # vertex edges all stop after about the same number of halvings; add
+    # rows 2e-6 and 2e-10 wide about the first crossing, which stop sooner,
+    # and one whose ends coincide, which never halves
+    w0 = None if wa is None else wa[0]
+    part = (lambda a: a.imag) if imag[0] else (lambda a: a.real)
+    zc = data.chart.from_z(_scalar_refine(data, prof, za[0], zb[0], w0, part).z)
+    u = (zb[0] - za[0]) / abs(zb[0] - za[0])
+    za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0]])
+    zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, za[0]])
+    imag = np.append(imag, [imag[0]] * 3)
+    wa = None if wa is None else np.append(wa, [w0] * 3)
+    sizes = []
+    project = sng._project
+    monkeypatch.setattr(sng, "_project",
+                        lambda prof, zh: sizes.append(len(zh)) or project(prof, zh))
+    batch = sng._refine_crossings(data, prof, za, zb, wa, imag)
+    halvings = sizes[2:]
+    assert sizes[:2] == [len(za)] * 2 and halvings[0] == len(za) - 1
+    assert len(set(halvings)) == 3 and len(halvings) < 60
+    assert halvings == sorted(halvings, reverse=True)
+    for j in range(len(za)):
+        one = slice(j, j + 1)
+        alone = sng._refine_crossings(data, prof, za[one], zb[one],
+                                      None if wa is None else wa[one], imag[one])
+        assert complex(alone.z[0]) == complex(batch.z[j])
+        if wa is not None:
+            assert complex(alone.w[0]) == complex(batch.w[j])
 
 
 # ---------------------------------------------------------------------------
