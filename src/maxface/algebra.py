@@ -1,11 +1,10 @@
 """Small complex-matrix and quadrature substrate.
 
 2x2 complex matrices are plain numpy arrays throughout.  This module keeps the
-numeric workhorses used everywhere else: Moebius action, group-membership
-defects, double-exponential quadrature for endpoint-singular integrals,
+numeric workhorses used everywhere else: Moebius action, the SU(1,1)
+defect, double-exponential quadrature for endpoint-singular integrals,
 Gauss-Kronrod panels for path integrals, a finite-difference Schwarzian
-derivative, and the sin-formula for integer powers of an elliptic SL(2,C)
-element.
+derivative, and a batched Dormand-Prince integrator.
 """
 
 from __future__ import annotations
@@ -65,27 +64,14 @@ def moebius_apply(a: np.ndarray, h: complex) -> complex:
     return num / den
 
 
-@dataclass(frozen=True)
-class GroupDefect:
-    group: str  # 'SU11' | 'SU2'
-    defect: float
-
-
-def su11_defect(a: np.ndarray) -> GroupDefect:
+def su11_defect(a: np.ndarray) -> float:
     """Frobenius norm of a* J a - J with J = diag(1,-1), plus |det-1| folded in.
 
     Zero exactly on SU(1,1); the value is the certification defect used by the
     monodromy checks.
     """
     r = a.conj().T @ E3 @ a - E3
-    d = float(np.linalg.norm(r)) + abs(det2(a) - 1.0)
-    return GroupDefect("SU11", d)
-
-
-def su2_defect(a: np.ndarray) -> GroupDefect:
-    r = a.conj().T @ a - EYE2
-    d = float(np.linalg.norm(r)) + abs(det2(a) - 1.0)
-    return GroupDefect("SU2", d)
+    return float(np.linalg.norm(r)) + abs(det2(a) - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -260,36 +246,6 @@ def schwarzian_fd(h, z: complex, step: float | None = None) -> complex:
     s_coarse = s_at(step)
     s_fine = s_at(0.5 * step)
     return ensure_finite((4.0 * s_fine - s_coarse) / 3.0, "schwarzian")
-
-
-# ---------------------------------------------------------------------------
-# integer powers of elliptic SL(2,C) elements via the sin-multiple formula
-# ---------------------------------------------------------------------------
-
-def mat_power_trig(a: np.ndarray, m: int) -> np.ndarray:
-    """a^m for unimodular a with real trace in (-2,2):
-
-        a^m = sin(m th)/sin(th) * a - sin((m-1) th)/sin(th) * I,
-        2 cos(th) = tr a.
-
-    Valid for any integer m (negative included, by Cayley-Hamilton).  Raises
-    DegenerateError outside the elliptic range.
-    """
-    ensure_finite(a, "matrix")
-    d = det2(a)
-    if abs(d - 1.0) > 1e-9:
-        raise ValidationError(f"mat_power_trig needs det=1, got {d}")
-    tr = a[0, 0] + a[1, 1]
-    if abs(tr.imag) > 1e-8 * (1.0 + abs(tr)):
-        raise DegenerateError(f"mat_power_trig: trace not real ({tr})")
-    x = 0.5 * tr.real
-    if not (-1.0 < x < 1.0):
-        raise DegenerateError(
-            f"mat_power_trig: parabolic/hyperbolic element (tr/2 = {x})"
-        )
-    th = math.acos(x)
-    s = math.sin(th)
-    return (math.sin(m * th) / s) * a - (math.sin((m - 1) * th) / s) * EYE2
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from . import cover as cov
+import numpy as np
+
 from . import desitter as ds
 from . import export
 from . import periods as per
@@ -121,10 +123,12 @@ def _surface_tag(name: str, params: dict) -> str:
 def _get_surface(name: str | None, params: dict) -> wst.WeierstrassData:
     if not name:
         raise ValidationError("--surface is required")
-    if name in ("genus_k", "genus_k_reduced") and "c" not in params:
-        k = params.get("k", 1)
-        params = dict(params, c=per.compute_ck(k).c_k)
-    return wst.catalog_get(name, **params)
+    data = wst.catalog_get(name, **params)
+    if data.cover is not None and "c" not in params:
+        # the closing constant for the catalog's k, its default included
+        data = wst.catalog_get(name, **params,
+                               c=per.compute_ck(data.params["k"]).c_k)
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +162,7 @@ def cmd_mesh(args) -> int:
     if data.cover is not None:
         # half of the full angular sweep: the fundamental piece the
         # reflection group doubles
-        import math as _math
-        half = _math.pi * data.cover.sheet_count
+        half = math.pi * data.cover.sheet_count
         nth_full = dict(data.default_mesh).get("nth", 64)
         meshes["half"] = wst.mesh_sample(data, th1=half,
                                          nth=max(8, nth_full // 2))
@@ -249,8 +252,7 @@ def _cmc1_row(job) -> dict:
     if t == 0.0:
         pair = ds.AdmissiblePair(k, 0.0)
         sig = ds.sigma_matrices(k)
-        import numpy as _np
-        worst = max(float(_np.max(_np.abs(ds.rho_tilde(pair, j) - sig[j])))
+        worst = max(float(np.max(np.abs(ds.rho_tilde(pair, j) - sig[j])))
                     for j in (1, 2, 3))
         return {"k": k, "t": 0.0, "c": pair.c, "degenerate_to_sigma": worst,
                 "nu_0": float(k), "nu_inf": float(k)}
@@ -259,7 +261,10 @@ def _cmc1_row(job) -> dict:
 
 def cmd_cmc1(args) -> int:
     cfg = _load_config(args)
-    k = _parse_krange(str(_merged(args, cfg, "k", "1")))[0]
+    ks = _parse_krange(str(_merged(args, cfg, "k", "1")))
+    if len(ks) != 1:
+        raise ValidationError(f"cmc1 takes a single k, got {ks}")
+    k = ks[0]
     ts = _parse_tlist(str(_merged(args, cfg, "t", "0.02")))
     jobs = _jobs_value(args)
     jobs_list = [(k, t) for t in sorted(ts)]

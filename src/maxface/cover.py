@@ -16,7 +16,6 @@ with w0 the positive real fiber root over z = 2.
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +73,14 @@ class CoverSpec:
             return z ** (self.m + 1) * (z - 1) ** (2 * self.m)
         return z * (z * z - 1) ** self.k
 
+    def log_derivative(self, z):
+        """w'/w along the curve, for a scalar or an array of z."""
+        if self.reduced:
+            m = self.m
+            return ((m + 1) / z + (2 * m) / (z - 1)) / (2 * m + 1)
+        k = self.k
+        return ((2 * k + 1) * z * z - 1) / ((k + 1) * z * (z * z - 1))
+
     def fiber(self, z) -> np.ndarray:
         """All sheet_count roots w over z, a scalar or an array, along a new
         last axis: shape np.shape(z) + (sheet_count,).  Root 0 is the
@@ -109,7 +116,6 @@ class SurfacePath:
     z_vertices: tuple
     w0: complex | None
     label: str = ""
-    resolution: int = 8  # initial per-segment subdivision hint
 
     def __post_init__(self):
         self.z_vertices = tuple(complex(z) for z in self.z_vertices)
@@ -246,45 +252,46 @@ def _continue_segment(spec: CoverSpec, z0: complex, z1: complex, w: complex,
             )
 
 
-def continue_path(spec: CoverSpec, path: SurfacePath) -> SurfacePoint:
-    """Transport the starting fiber value along the whole polyline."""
-    if path.w0 is None:
-        raise ValidationError("path carries no fiber value")
-    verts = sanitize_path(spec, path.z_vertices)
-    w = path.w0
-    for a, b in zip(verts[:-1], verts[1:]):
-        w = _continue_segment(spec, a, b, w)
-    return SurfacePoint(verts[-1], w)
-
-
 class LiftedPath:
-    """A sanitized polyline with per-segment w checkpoints, able to answer
-    w at any point along any segment (seed by interpolation, snap to the
-    nearest exact fiber root)."""
+    """A polyline lifted to the cover by nearest-root continuation of its
+    starting fiber value: the one continuation primitive.
+
+    Each input segment gets its branch-point detours (sanitize_path) on its
+    own, so w_vertices[i] is the fiber value at input vertex i.  legs holds
+    the transported pieces (z0, z1, s_nodes, w_nodes) with their
+    continuation checkpoints, and w_at answers w at any point along a leg
+    (seed by interpolation, snap to the nearest exact fiber root)."""
 
     def __init__(self, spec: CoverSpec, path: SurfacePath):
+        if path.w0 is None:
+            raise ValidationError("path carries no fiber value")
         self.spec = spec
-        self.vertices = sanitize_path(spec, path.z_vertices)
-        self.legs = []  # (z0, z1, s_nodes, w_nodes)
+        self.path = path
+        self.legs = []
         w = path.w0
-        for a, b in zip(self.vertices[:-1], self.vertices[1:]):
-            if w is None:
-                self.legs.append((a, b, None, None))
-                continue
-            rec: list = []
-            w = _continue_segment(spec, a, b, w, record=rec)
-            s_nodes = np.array([s for s, _ in rec])
-            w_nodes = np.array([wv for _, wv in rec])
-            self.legs.append((a, b, s_nodes, w_nodes))
-        self.w_end = w
+        self.w_vertices = [w]
+        for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
+            seg = sanitize_path(spec, (a, b))
+            for za, zb in zip(seg[:-1], seg[1:]):
+                rec: list = []
+                w = _continue_segment(spec, za, zb, w, record=rec)
+                self.legs.append((za, zb, np.array([s for s, _ in rec]),
+                                  np.array([wv for _, wv in rec])))
+            self.w_vertices.append(w)
 
-    def endpoint(self) -> SurfacePoint:
-        return SurfacePoint(self.vertices[-1], self.w_end)
+    @property
+    def w_end(self) -> complex:
+        return self.w_vertices[-1]
 
-    def w_at(self, leg: int, s: float) -> complex | None:
+    def is_closed(self, tol: float = 1e-9) -> bool:
+        """The polyline closes in z and w returns to its starting value."""
+        if abs(self.path.start - self.path.end) > 1e-12:
+            return False
+        w0 = self.path.w0
+        return abs(self.w_end - w0) <= tol * (1 + abs(w0))
+
+    def w_at(self, leg: int, s: float) -> complex:
         z0, z1, s_nodes, w_nodes = self.legs[leg]
-        if s_nodes is None:
-            return None
         z = z0 + (z1 - z0) * s
         i = int(np.searchsorted(s_nodes, s))
         i = max(1, min(i, len(s_nodes) - 1))
@@ -464,39 +471,12 @@ def generator_loops(spec: CoverSpec) -> list[SurfacePath]:
     return loops
 
 
-def loop_is_closed(spec: CoverSpec, path: SurfacePath, tol: float = 1e-9) -> bool:
-    if abs(path.start - path.end) > 1e-12:
-        return False
-    end = continue_path(spec, path)
-    return abs(end.w - path.w0) <= tol * (1 + abs(path.w0))
-
-
 def winding_number(vertices, z0: complex) -> float:
     """Total winding of the polyline about z0 (in turns; integer when closed)."""
     total = 0.0
     for a, b in zip(vertices[:-1], vertices[1:]):
         total += cmath.phase((b - z0) / (a - z0))
     return total / (2 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# reduction to the squared coordinate
-# ---------------------------------------------------------------------------
-
-def double_cover_project(spec: CoverSpec, p: SurfacePoint) -> SurfacePoint:
-    """Project the full even-k cover to the reduced curve: (z, w) -> (z^2, z w).
-
-    On-curve check: (zw)^(2m+1) = z^(2m+1) w^(2m+1) = z^(2m+1) z (z^2-1)^(2m)
-    = (z^2)^(m+1) (z^2-1)^(2m)."""
-    if spec.reduced:
-        raise ValidationError("point already lives on the reduced curve")
-    if spec.k % 2 != 0:
-        raise ValidationError("reduction needs even k")
-    q = SurfacePoint(p.z * p.z, p.z * p.w if p.w is not None else None)
-    red = CoverSpec(spec.k, reduced=True)
-    if q.w is not None and not on_cover(red, q, 1e-7):
-        raise ContinuationError("projection left the reduced curve")
-    return q
 
 
 def genus_check(spec: CoverSpec) -> dict:
@@ -516,37 +496,3 @@ def genus_check(spec: CoverSpec) -> dict:
     genus = (branching - 2 * deg + 2) // 2
     return {"degree": deg, "branch_points": n_branch,
             "total_branching": branching, "genus": genus}
-
-
-# ---------------------------------------------------------------------------
-# path CSV i/o
-# ---------------------------------------------------------------------------
-
-def save_path_csv(path: SurfacePath, filename: str) -> None:
-    with open(filename, "w", newline="") as fh:
-        if path.w0 is not None:
-            fh.write(f"# initial_w = {path.w0.real!r} {path.w0.imag!r}\n")
-        else:
-            fh.write("# initial_w = none\n")
-        writer = csv.writer(fh)
-        writer.writerow(["re_z", "im_z"])
-        for z in path.z_vertices:
-            writer.writerow([repr(z.real), repr(z.imag)])
-
-
-def load_path_csv(filename: str) -> SurfacePath:
-    with open(filename, newline="") as fh:
-        first = fh.readline().strip()
-        if not first.startswith("# initial_w"):
-            raise ValidationError("path csv missing initial_w header")
-        tail = first.split("=", 1)[1].strip()
-        w0 = None
-        if tail != "none":
-            re_s, im_s = tail.split()
-            w0 = complex(float(re_s), float(im_s))
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["re_z", "im_z"]:
-            raise ValidationError("path csv has unexpected columns")
-        verts = [complex(float(r[0]), float(r[1])) for r in reader if r]
-    return SurfacePath(tuple(verts), w0)

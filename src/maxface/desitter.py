@@ -94,10 +94,6 @@ def nu_exponents(k: int, t: float) -> tuple[float, float]:
 # the joint (F, w) lift
 # ---------------------------------------------------------------------------
 
-def _L_full(k: int, z: complex) -> complex:
-    return ((2 * k + 1) * z * z - 1.0) / ((k + 1) * z * (z * z - 1.0))
-
-
 @dataclass
 class LiftState:
     F: np.ndarray
@@ -167,7 +163,7 @@ def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray
     """Propagators of the legs (key, a, b, w_a, w_b) from F = e0, all in one
     batched Dormand-Prince call with w integrated jointly; w must end on the
     continued root w_b."""
-    k, t, c = pair.k, pair.t, pair.c
+    t, c, spec = pair.t, pair.c, pair.spec
     za = np.array([leg[1] for leg in legs])
     dza = np.array([leg[2] - leg[1] for leg in legs])
     y0 = np.zeros((len(legs), 5), dtype=complex)
@@ -188,11 +184,10 @@ def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray
         out[:, 1] = p * y[:, 1] + q * y[:, 3]
         out[:, 2] = r * y[:, 0] - p * y[:, 2]
         out[:, 3] = r * y[:, 1] - p * y[:, 3]
-        out[:, 4] = w * _L_full(k, z) * dz
+        out[:, 4] = w * spec.log_derivative(z) * dz
         return out
 
     y = dormand_prince(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
-    spec = pair.spec
     for (_, a, b, _, wb), w_end in zip(legs, y[:, 4]):
         roots = spec.fiber(b)
         near = roots[int(np.argmin(np.abs(roots - w_end)))]
@@ -492,7 +487,7 @@ def su11_certify(pair: AdmissiblePair, rtol: float = 1e-11,
     rows = {}
     worst = 0.0
     for j in (1, 2, 3):
-        defect = su11_defect(rho_tilde(pair, j, b=iota1)).defect
+        defect = su11_defect(rho_tilde(pair, j, b=iota1))
         rows[f"rho~_{j}"] = {"su11_defect": defect, "route_disagreement": 0.0}
         worst = max(worst, defect)
     words = [("gamma", cov.word_base_loop())]
@@ -507,7 +502,7 @@ def su11_certify(pair: AdmissiblePair, rtol: float = 1e-11,
     worst_det = 0.0
     for label, word in words:
         res = loop_monodromy(pair, word, b=iota1, rtol=rtol)
-        defect = su11_defect(res["rho"]).defect
+        defect = su11_defect(res["rho"])
         rows[label] = {"su11_defect": defect,
                        "route_disagreement": res["route_disagreement"],
                        "det_defect": res["det_defect"]}
@@ -649,7 +644,7 @@ def schwarzian_relation(pair: AdmissiblePair, probe: complex,
 
     def G_local(zeta: complex) -> complex:
         seg = cov.SurfacePath((complex(probe), complex(zeta)), base.w)
-        return pair.c * cov.continue_path(pair.spec, seg).w / zeta
+        return pair.c * cov.LiftedPath(pair.spec, seg).w_end / zeta
 
     s_g = schwarzian_fd(g_local, probe, step=step)
     s_G = schwarzian_fd(G_local, probe, step=step)

@@ -18,19 +18,11 @@ class NumericalError(MaxfaceError):
     pass
 
 
-class BranchPointError(NumericalError):
-    pass
-
-
 class ContinuationError(NumericalError):
     pass
 
 
 class QuadratureError(NumericalError):
-    pass
-
-
-class IntegrationError(NumericalError):
     pass
 
 

@@ -8,7 +8,6 @@ timestamps or environment details are embedded.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 
@@ -69,12 +68,6 @@ def report_document(kind: str, body: dict, paper_anchor: str = "") -> dict:
 def dump_json(doc: dict, fh) -> None:
     json.dump(jsonable(doc), fh, indent=2, sort_keys=True)
     fh.write("\n")
-
-
-def dumps_json(doc: dict) -> str:
-    buf = io.StringIO()
-    dump_json(doc, buf)
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,12 @@ def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath,
     loop does not close on the cover."""
     if abs(loop.start - loop.end) > 1e-12:
         raise ValidationError("period_vector needs a closed z-polyline")
-    if data.cover is not None and not cov.loop_is_closed(data.cover, loop):
+    if data.cover is None:
+        return wst.integrate_phi(data, loop, tol)
+    lifted = cov.LiftedPath(data.cover, loop)
+    if not lifted.is_closed():
         raise ValidationError(f"loop {loop.label!r} does not close on the cover")
-    return wst.integrate_phi(data, loop, tol)
+    return wst.integrate_phi(data, lifted, tol)
 
 
 def closure_residual(data: wst.WeierstrassData, loop: cov.SurfacePath,

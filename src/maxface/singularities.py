@@ -37,6 +37,7 @@ from . import weierstrass as wst
 from .errors import DegenerateError, NumericalError
 
 _CLASS_EPS = 1e-7
+_MAX_STEPS = 40000  # predictor-corrector steps per traced component
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +190,7 @@ def _project(prof: _Profile, zh, tol: float = 1e-13, max_iter: int = 40):
 
 
 def _trace_component(prof: _Profile, seed: complex, step: float,
-                     max_steps: int, bound: float) -> tuple[np.ndarray, bool, bool]:
+                     bound: float) -> tuple[np.ndarray, bool, bool]:
     """March the level curve from a corrected seed.  Returns (vertices, closed,
     partial); vertices never repeat the start point."""
     z0 = _project(prof, seed)
@@ -205,7 +206,7 @@ def _trace_component(prof: _Profile, seed: complex, step: float,
 
     direction = tangent(z0)
     moved_away = False
-    for n in range(max_steps):
+    for n in range(_MAX_STEPS):
         cur = pts[-1]
         t = direction  # the unit tangent at cur, oriented along the walk
         # adaptive turn control: halve on sharp turns, let the step relax back
@@ -297,15 +298,13 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
     """Continue w around the closed z-circuit until the lift closes.
     Returns (circuits, w at every vertex of the full traversal)."""
-    n = len(verts_z)
-    loop = list(verts_z) + [verts_z[0]]
+    loop = tuple(verts_z) + (verts_z[0],)
     w = spec.fiber(complex(loop[0]))[0]
     all_w = []
     for circuit in range(1, spec.sheet_count + 1):
-        for i in range(n):
-            all_w.append(w)
-            seg = cov.SurfacePath((complex(loop[i]), complex(loop[i + 1])), w)
-            w = cov.continue_path(spec, seg).w
+        lifted = cov.LiftedPath(spec, cov.SurfacePath(loop, w))
+        all_w.extend(lifted.w_vertices[:-1])
+        w = lifted.w_end
         if abs(w - all_w[0]) < 1e-8 * (1 + abs(w)):
             return circuit, np.array(all_w)
     raise NumericalError("singular-curve lift failed to close on the cover")
@@ -313,33 +312,25 @@ def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.n
 
 def _lift_open(spec: cov.CoverSpec, verts_z: np.ndarray) -> np.ndarray:
     w = spec.fiber(complex(verts_z[0]))[0]
-    all_w = [w]
-    for a, b in zip(verts_z[:-1], verts_z[1:]):
-        seg = cov.SurfacePath((complex(a), complex(b)), w)
-        w = cov.continue_path(spec, seg).w
-        all_w.append(w)
-    return np.array(all_w)
+    return np.array(cov.LiftedPath(spec, cov.SurfacePath(verts_z, w)).w_vertices)
 
 
-def trace_singular_set(data: wst.WeierstrassData, *, step: float | None = None,
-                       window: tuple | None = None, grid_n: int | None = None,
-                       max_steps: int = 40000) -> list[SingularComponent]:
+def trace_singular_set(data: wst.WeierstrassData, *,
+                       step: float | None = None) -> list[SingularComponent]:
     """All singular components of the catalog surface inside the chart window."""
     prof = _Profile(data)
     chart = data.chart
     step = step if step is not None else data.trace_step
-    win = window if window is not None else data.window
-    gn = grid_n if grid_n is not None else data.grid_n
+    win = data.window
     bound = 1.6 * max(abs(win[0]), abs(win[1]), abs(win[2]), abs(win[3]))
-    seeds = _grid_seeds(prof, win, gn)
+    seeds = _grid_seeds(prof, win, data.grid_n)
     comps: list[SingularComponent] = []
     for seed in seeds:
         tol_near = 2.5 * step * (1.0 + abs(seed))
         if any(np.min(np.abs(c.zhat_vertices - seed)) < tol_near for c in comps):
             continue
         try:
-            verts, closed, partial = _trace_component(prof, seed, step,
-                                                      max_steps, bound)
+            verts, closed, partial = _trace_component(prof, seed, step, bound)
         except (NumericalError, DegenerateError):
             continue
         if len(verts) < 8:

@@ -17,7 +17,7 @@ import cmath
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +26,13 @@ from . import desitter as ds
 from . import periods as per
 from . import singularities as sng
 from . import weierstrass as wst
-from .algebra import EYE2, su11_defect
+from .algebra import EYE2
 from .errors import MaxfaceError
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     perturb_ck: float = 0.0
-    rtol: float = 1e-11
 
 
 def _check(name: str, value, tolerance, ok: bool, anchor: str = "") -> dict:
@@ -330,7 +329,7 @@ def criterion_9(cfg: VerifyConfig) -> list[dict]:
             checks.append(_check(
                 f"rho~_2^(k+1) = (-1)^k e0, k={k} t={t:+}", powres, 1e-8,
                 powres <= 1e-8, "(rho_2)^(k+1) = (-1)^k e0"))
-            traces = ds.trace_identity_check(pair, rtol=cfg.rtol)
+            traces = ds.trace_identity_check(pair)
             for lbl in ("tau_0", "tau_inf"):
                 res = traces[lbl]["residual"]
                 checks.append(_check(
@@ -373,13 +372,12 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
     for k in (1, 2):
         for t in (-0.02, 0.02):
             pair = ds.AdmissiblePair(k, t)
-            cert = ds.su11_certify(pair, rtol=cfg.rtol)
+            cert = ds.su11_certify(pair)
             checks.append(_check(
                 f"SU(1,1) at iota_1, k={k} t={t:+}", cert["worst_defect"],
                 1e-8, cert["worst_defect"] < 1e-8,
                 "all reflection and loop monodromies lie in SU(1,1)"))
-            sample = ds.desitter_sample(pair, _DS_SAMPLE_Z,
-                                        b=cert["iota1"], rtol=cfg.rtol)
+            sample = ds.desitter_sample(pair, _DS_SAMPLE_Z, b=cert["iota1"])
             checks.append(_check(
                 f"hyperboloid constraint, k={k} t={t:+}",
                 sample["hyperboloid_defect"], 1e-9,
@@ -391,7 +389,7 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
         # ring at distance >= 0.75 from the Hopf poles {0, +-1}: the FD
         # Schwarzian truncation grows like (step/dist)^4 near the poles
         z = 2.3 + 0.55 * cmath.exp(2j * math.pi * (i + 0.5) / 20.0)
-        rel = ds.schwarzian_relation(pair, z, rtol=cfg.rtol)["rel_residual"]
+        rel = ds.schwarzian_relation(pair, z)["rel_residual"]
         worst = max(worst, rel)
     checks.append(_check(
         "Schwarzian relation at 20 points", worst, 1e-5, worst <= 1e-5,
@@ -404,7 +402,7 @@ def criterion_11(cfg: VerifyConfig) -> list[dict]:
     checks = []
     pair = ds.AdmissiblePair(1, 0.02)
     for which in ("zero", "infinity"):
-        ea = ds.end_asymptotics(pair, which, rtol=cfg.rtol)
+        ea = ds.end_asymptotics(pair, which)
         ok = ea["conclusive"] and ea["rel_error"] <= 0.02
         checks.append(_check(
             f"end {which}: slope of log|x1+ix2| vs log|x0|",
@@ -429,7 +427,7 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
         pair = ds.AdmissiblePair(k, 0.02)
         for lbl, word in (("tau_0", cov.word_end_zero(k)),
                           ("tau_inf", cov.word_end_infinity(k))):
-            res = ds.loop_monodromy(pair, word, rtol=cfg.rtol)
+            res = ds.loop_monodromy(pair, word)
             checks.append(_check(
                 f"word vs ODE monodromy {lbl}, k={k}",
                 res["route_disagreement"], 1e-8,
@@ -450,7 +448,7 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
             f"(mu_2 mu_1)^(k+1) = id, k={k}", worst, 1e-10, worst <= 1e-10,
             "(mu~_2 mu~_1)^(k+1) is the trivial deck transformation"))
         tau0 = cov.deck_word_path(spec, cov.word_end_zero(k))
-        closed = cov.loop_is_closed(spec, tau0)
+        closed = cov.LiftedPath(spec, tau0).is_closed()
         checks.append(_check(
             f"tau_0 realization closes on the cover, k={k}", closed, True,
             closed, "tau_0 = (mu~_3 mu~_2)^(2(k+1)) as a continuation fact"))

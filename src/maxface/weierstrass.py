@@ -71,22 +71,6 @@ class RationalFunction:
         num = np.polysub(np.polymul(dn, d), np.polymul(n, dd))
         return RationalFunction(num, np.polymul(d, d))
 
-    def __mul__(self, other):
-        if isinstance(other, RationalFunction):
-            return RationalFunction(np.polymul(self.num, other.num),
-                                    np.polymul(self.den, other.den))
-        return RationalFunction(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def at_infinity(self) -> complex:
-        n, d = len(self.num) - 1, len(self.den) - 1
-        if n > d:
-            return INF
-        if n < d:
-            return 0j
-        return self.num[0] / self.den[0]
-
 
 # ---------------------------------------------------------------------------
 # data container
@@ -138,16 +122,9 @@ class WeierstrassData:
         e = self.eta(p)
         return np.array([-2.0 * g * e, (1.0 + g * g) * e, 1j * (1.0 - g * g) * e])
 
-    def qhat(self, p: cov.SurfacePoint) -> complex:
-        return self.eta(p) * self.dG(p)
-
     def metric_factor(self, p: cov.SurfacePoint) -> float:
         g = abs(self.G(p))
         return (1.0 - g * g) ** 2 * abs(self.eta(p)) ** 2
-
-    def lift_metric_factor(self, p: cov.SurfacePoint) -> float:
-        g = abs(self.G(p))
-        return (1.0 + g * g) ** 2 * abs(self.eta(p)) ** 2
 
 
 def phi_null_residual(data: WeierstrassData, p: cov.SurfacePoint) -> float:
@@ -185,20 +162,15 @@ def _planar(name, params, G_rat, eta_rat, punctures, base_z, constraints, anchor
 
 def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
     spec = cov.CoverSpec(k, reduced=reduced)
+    L = spec.log_derivative
     if reduced:
         m = spec.m
-
-        def L(z):  # W'/W on the reduced curve
-            return ((m + 1) / z + (2 * m) / (z - 1)) / (2 * m + 1)
 
         def dL(z):
             return (-(m + 1) / z ** 2 - (2 * m) / (z - 1) ** 2) / (2 * m + 1)
 
         eta_scale = 0.5
     else:
-        def L(z):  # w'/w = ((2k+1)z^2 - 1) / ((k+1) z (z^2-1))
-            return ((2 * k + 1) * z * z - 1) / ((k + 1) * z * (z * z - 1))
-
         def dL(z):
             p = (2 * k + 1) * z * z - 1
             q = (k + 1) * (z ** 3 - z)
@@ -375,14 +347,6 @@ def catalog_list(ck_values: dict | None = None) -> list[dict]:
 # immersion integration
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ImmersionSample:
-    point: cov.SurfacePoint
-    x: np.ndarray            # (x0, x1, x2) in R^{2,1}
-    metric_factor: float
-    qhat: complex
-
-
 def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
                   tol: float = 1e-10) -> np.ndarray:
     """Integral of the Phi-vector along the path (complex 3-vector)."""
@@ -397,16 +361,21 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
                    form, tol: float = 1e-10):
     """Integrate form(z, w) dz along a (lifted) polyline with Gauss-Kronrod
     panels per segment.  A path that is already a LiftedPath is integrated
-    as it stands, so a caller can keep its endpoint fiber value."""
+    as it stands, so a caller can reuse its lift (end fiber value, closure
+    check)."""
     if isinstance(path, cov.LiftedPath):
         lp = path
     elif spec is not None and path.w0 is not None:
         lp = cov.LiftedPath(spec, path)
     else:
         lp = None
-    verts = lp.vertices if lp is not None else tuple(complex(z) for z in path.z_vertices)
+    if lp is not None:
+        path = lp.path
+        legs = [leg[:2] for leg in lp.legs]
+    else:
+        legs = list(zip(path.z_vertices[:-1], path.z_vertices[1:]))
     total = None
-    for i, (a, b) in enumerate(zip(verts[:-1], verts[1:])):
+    for i, (a, b) in enumerate(legs):
         delta = b - a
 
         def f(s, a=a, delta=delta, i=i):
@@ -417,22 +386,9 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
         seg = gk_adaptive(f, 0.0, 1.0, tol)
         total = seg if total is None else total + seg
     if total is None:
-        probe = np.asarray(form(verts[0], lp.w_end if lp is not None else path.w0))
+        probe = np.asarray(form(path.start, path.w0))
         total = np.zeros_like(probe, dtype=complex)
     return total
-
-
-def integrate_immersion(data: WeierstrassData, path: cov.SurfacePath,
-                        x_start=None, tol: float = 1e-10) -> ImmersionSample:
-    """March f = Re Int Phi along the path; x_start is the immersion value at
-    the path start (defaults to the origin, i.e. a path based at data.base)."""
-    if data.cover is not None and path.w0 is not None:
-        lp = cov.LiftedPath(data.cover, path)
-        val, end = integrate_phi(data, lp, tol), lp.endpoint()
-    else:
-        val, end = integrate_phi(data, path, tol), cov.SurfacePoint(path.end, None)
-    x = (np.zeros(3) if x_start is None else np.asarray(x_start, dtype=float)) + val.real
-    return ImmersionSample(end, x, data.metric_factor(end), data.qhat(end))
 
 
 # ---------------------------------------------------------------------------
@@ -660,12 +616,7 @@ def order_table(data: WeierstrassData, radii=None) -> OrderTable:
             lG = math.log(c) + lw - labs_z
             lEta = math.log(eta_scale) - lw + labs_dz
             # |Q_zeta| = |eta_z| * |dG/dz| * |dz/dzeta|^2 with dG/dz = G(L - 1/z)
-            if spec.reduced:
-                mm = spec.m
-                Lz = ((mm + 1) / z + (2 * mm) / (z - 1)) / (2 * mm + 1)
-            else:
-                Lz = ((2 * k + 1) * z * z - 1) / ((k + 1) * z * (z * z - 1))
-            l_dG = lG + math.log(abs(Lz - 1.0 / z))
+            l_dG = lG + math.log(abs(spec.log_derivative(z) - 1.0 / z))
             lQ = (lEta - labs_dz) + l_dG + 2 * labs_dz
             samples.append([lG, lEta, lG + lEta, 2 * lG + lEta, lQ])
         samples = np.array(samples)
@@ -707,11 +658,7 @@ def gauss_degree(data: WeierstrassData, probe: complex = 0.37 + 0.21j) -> dict:
     """Number of preimages of a generic value under G (continuation-free root
     count of the preimage polynomial)."""
     if data.cover is None:
-        # planar rational G = N/D: roots of N - v D
-        # reconstruct N, D from the stored evaluator closure is opaque; the
-        # catalog keeps them in data.params? -> recompute from name instead.
-        raise ValidationError("gauss_degree needs the rational data; use "
-                              "gauss_degree_rational")
+        raise ValidationError("gauss_degree applies to the cover family")
     spec = data.cover
     c = data.params["c"]
     v = probe
@@ -741,12 +688,6 @@ def _binom_pow(base, n: int) -> np.ndarray:
     for _ in range(n):
         out = np.polymul(out, b)
     return out
-
-
-def gauss_degree_rational(G_rat: RationalFunction, probe: complex = 0.37 + 0.21j) -> dict:
-    poly = np.polysub(G_rat.num, probe * G_rat.den)
-    roots = np.roots(poly)
-    return {"probe": probe, "degree": int(len(roots)), "roots": roots}
 
 
 def osserman_check(data: WeierstrassData, degree: int | None = None) -> dict:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from maxface import cli
+from maxface import periods as per
 from maxface import schema as schema_mod
 from maxface import singularities as sng
 from maxface import verify as verify_mod
@@ -123,6 +124,15 @@ def test_singular_csv_traces_once(tmp_path, monkeypatch):
     assert any(c["circuits"] > 1 for c in doc["components"])
 
 
+def test_singular_default_k_takes_its_period_constant(capsys):
+    """Without --param k the reduced family builds its catalog default k = 2
+    and must close with c_2, not c_1."""
+    assert run(["singular", "--surface", "genus_k_reduced"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["params"]["k"] == 2
+    assert doc["params"]["c"] == per.compute_ck(2).c_k
+
+
 def test_singular_stdout_json(capsys):
     assert run(["singular", "--surface", "trinoid1", "--param", "a=3.67"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -195,6 +205,13 @@ def test_cmc1_mesh_artifact(tmp_path):
 
 def test_cmc1_rejects_out_of_window_t(capsys):
     assert run(["cmc1", "--k", "1", "--t", "0.2"]) == 2
+
+
+def test_cmc1_rejects_several_k(capsys):
+    """cmc1 reports one k; a k range is refused, not cut to its first k."""
+    assert run(["cmc1", "--k", "2,3", "--t", "0.01"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_continuation_round_trip_trivial_loop():
     # a small loop encircling no branch point must come back on-sheet
     loop = [2.0 + 0.3 * cmath.exp(2j * math.pi * i / 24) for i in range(25)]
     path = cov.SurfacePath(tuple(loop), p0.w)
-    end = cov.continue_path(spec, path)
+    end = cov.SurfacePoint(path.end, cov.LiftedPath(spec, path).w_end)
     assert end.close_to(p0, 1e-9)
 
 
@@ -111,10 +111,13 @@ def test_branch_loop_permutes_then_returns(k):
         pts.append(o.z)
         return cov.SurfacePath(tuple(pts), o.w)
 
-    once = cov.continue_path(spec, circle(1))
+    def end(path):
+        return cov.SurfacePoint(path.end, cov.LiftedPath(spec, path).w_end)
+
+    once = end(circle(1))
     assert abs(once.z - o.z) < 1e-12
     assert abs(once.w - o.w) > 1e-3  # nontrivial permutation
-    full = cov.continue_path(spec, circle(k + 1))
+    full = end(circle(k + 1))
     assert full.close_to(o, 1e-8)
 
 
@@ -130,8 +133,8 @@ def test_sanitize_path_inserts_branch_detour():
             assert cov._seg_point_dist(a, b, bp) > 0.5 * clr
     # the detour respects homotopy: continuation along it is well-defined
     p0 = cov.solve_fiber(spec, clean[0])
-    end = cov.continue_path(spec, cov.SurfacePath(clean, p0.w))
-    assert cov.on_cover(spec, end, 1e-8)
+    lifted = cov.LiftedPath(spec, cov.SurfacePath(clean, p0.w))
+    assert cov.on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
 
 
 def test_winding_number_oracle():
@@ -204,7 +207,7 @@ def test_end_words_are_identity_loops(k):
     for word in (cov.word_end_zero(k), cov.word_end_infinity(k),
                  cov.word_base_loop()):
         path = cov.deck_word_path(spec, word)
-        assert cov.loop_is_closed(spec, path, 1e-9)
+        assert cov.LiftedPath(spec, path).is_closed(1e-9)
 
 
 def test_deck_word_rejects_odd_word():
@@ -218,7 +221,7 @@ def test_generator_loops_close(k):
     loops = cov.generator_loops(spec)
     assert len(loops) == 2 * (k + 1)
     for loop in loops:
-        assert cov.loop_is_closed(spec, loop, 1e-9)
+        assert cov.LiftedPath(spec, loop).is_closed(1e-9)
 
 
 def test_generator_loop_labels():
@@ -230,22 +233,6 @@ def test_generator_loop_labels():
 # ---------------------------------------------------------------------------
 # reduced curve and genus bookkeeping
 # ---------------------------------------------------------------------------
-
-def test_double_cover_projection_on_curve():
-    spec = cov.CoverSpec(2)
-    p = cov.solve_fiber(spec, 1.8 + 0.4j)
-    q = cov.double_cover_project(spec, p)
-    assert abs(q.z - p.z * p.z) < 1e-12
-    red = cov.CoverSpec(2, reduced=True)
-    assert cov.on_cover(red, q, 1e-7)
-
-
-def test_double_cover_rejects_odd_k():
-    spec = cov.CoverSpec(3)
-    p = cov.solve_fiber(spec, 1.8 + 0.4j)
-    with pytest.raises(ValidationError):
-        cov.double_cover_project(spec, p)
-
 
 @pytest.mark.parametrize("k,genus", [(1, 1), (2, 2), (3, 3), (4, 4)])
 def test_genus_full_curve(k, genus):
@@ -262,18 +249,3 @@ def test_cover_spec_validation():
         cov.CoverSpec(0)
     with pytest.raises(ValidationError):
         cov.CoverSpec(3, reduced=True)
-
-
-# ---------------------------------------------------------------------------
-# path persistence
-# ---------------------------------------------------------------------------
-
-def test_path_csv_round_trip(tmp_path):
-    spec = cov.CoverSpec(2)
-    o = cov.base_point(spec)
-    path = cov.SurfacePath((o.z, 1.5 + 0.5j, 0.5 + 1.2j), o.w, label="probe")
-    fname = str(tmp_path / "path.csv")
-    cov.save_path_csv(path, fname)
-    back = cov.load_path_csv(fname)
-    assert back.w0 == pytest.approx(path.w0)
-    assert np.allclose(back.z_vertices, path.z_vertices)

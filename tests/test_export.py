@@ -63,9 +63,11 @@ def test_jsonable_rejects_unknown():
 
 def test_dump_json_deterministic():
     doc = export.report_document("gallery", {"b": 1, "a": [2, {"z": 3}]})
-    s1 = export.dumps_json(doc)
-    s2 = export.dumps_json(export.report_document(
-        "gallery", {"a": [2, {"z": 3}], "b": 1}))
+    buf1, buf2 = io.StringIO(), io.StringIO()
+    export.dump_json(doc, buf1)
+    export.dump_json(export.report_document(
+        "gallery", {"a": [2, {"z": 3}], "b": 1}), buf2)
+    s1, s2 = buf1.getvalue(), buf2.getvalue()
     assert s1 == s2
     assert s1.endswith("\n")
     assert json.loads(s1)["schema"] == export.SCHEMA_ID

@@ -6,6 +6,7 @@ Beta values and, for the root route, a bisection on the raw contour
 integrals); they pin the implementation against silent regressions.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from maxface import cover as cov
 from maxface import periods as per
 from maxface import weierstrass as wst
+from maxface.errors import ValidationError
 
 # frozen oracle decimals (Beta-function route, 1e-10 quadrature)
 FROZEN = {
@@ -102,6 +104,42 @@ def test_generator_closure_at_ck(k):
     data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
     for loop in cov.generator_loops(data.cover):
         assert per.closure_residual(data, loop) < 1e-8
+
+
+def test_period_vector_lifts_each_loop_once(monkeypatch):
+    """The closure check and the integral share one lift of the loop, and
+    nothing continues w outside it."""
+    data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+    built, legs, steps = [], [], []
+    init, step = cov.LiftedPath.__init__, cov._continue_segment
+
+    def counting_init(self, spec, path):
+        built.append(path.label)
+        init(self, spec, path)
+        legs.append(len(self.legs))
+
+    def counting_step(*args, **kwargs):
+        steps.append(args[1:3])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(cov.LiftedPath, "__init__", counting_init)
+    monkeypatch.setattr(cov, "_continue_segment", counting_step)
+    loops = cov.generator_loops(data.cover)
+    for loop in loops:
+        per.period_vector(data, loop)
+    assert built == [loop.label for loop in loops]
+    assert len(steps) == sum(legs)
+
+
+def test_period_vector_rejects_loop_that_permutes_sheets():
+    """Once around z = 1 closes in z but not on the cover."""
+    data = wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k)
+    o = data.base
+    circle = [1.0 + 0.4 * cmath.exp(2j * math.pi * i / 32) for i in range(33)]
+    loop = cov.SurfacePath((o.z, 1.4 + 0j, *circle[1:], o.z), o.w,
+                           label="around_one")
+    with pytest.raises(ValidationError, match="does not close"):
+        per.period_vector(data, loop)
 
 
 def test_perturbed_c_breaks_closure():

@@ -18,6 +18,47 @@ from maxface import weierstrass as wst
 from maxface.errors import DegenerateError
 
 # ---------------------------------------------------------------------------
+# lifting traced components to the cover
+# ---------------------------------------------------------------------------
+
+def _continue_vertexwise(spec, verts, w):
+    """w at every vertex, continued one sanitized 2-vertex segment at a time."""
+    out = [w]
+    for a, b in zip(verts[:-1], verts[1:]):
+        seg = cov.sanitize_path(spec, (complex(a), complex(b)))
+        for za, zb in zip(seg[:-1], seg[1:]):
+            w = cov._continue_segment(spec, za, zb, w)
+        out.append(w)
+    return out
+
+
+@pytest.mark.parametrize("name, k", [("genus_k", 1), ("genus_k", 3),
+                                     ("genus_k_reduced", 2)])
+def test_component_lift_matches_vertexwise_reference(name, k):
+    data = wst.catalog_get(name, k=k, c=per.compute_ck(k).c_k)
+    spec = data.cover
+    comps = sng.trace_singular_set(data)
+    assert comps
+    for comp in comps:
+        verts = comp.z_vertices
+        w0 = spec.fiber(complex(verts[0]))[0]
+        loop = list(verts) + [verts[0]]
+        ref, w = [], w0
+        for circuits in range(1, spec.sheet_count + 1):
+            ws = _continue_vertexwise(spec, loop, w)
+            ref += ws[:-1]
+            w = ws[-1]
+            if abs(w - w0) < 1e-8 * (1 + abs(w)):
+                break
+        got_circuits, got_w = sng._lift_component(spec, verts)
+        assert got_circuits == circuits
+        np.testing.assert_array_equal(got_w, np.array(ref))
+        np.testing.assert_array_equal(
+            sng._lift_open(spec, verts),
+            np.array(_continue_vertexwise(spec, verts, w0)))
+
+
+# ---------------------------------------------------------------------------
 # alpha, beta closed forms
 # ---------------------------------------------------------------------------
 
