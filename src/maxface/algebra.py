@@ -182,28 +182,30 @@ _WG = np.array([
 ])
 
 
+# the 15 panel nodes (+x, then -x, then the centre) and their Kronrod and
+# Gauss-7 weights; Kronrod nodes 1, 3, 5 are the Gauss-7 nodes
+_X15 = np.concatenate([_XK[:-1], -_XK[:-1], _XK[-1:]])
+_W15 = np.concatenate([_WK[:-1], _WK[:-1], _WK[-1:]])
+_G15 = np.zeros(15)
+_G15[[1, 3, 5, 8, 10, 12, 14]] = np.concatenate([_WG[:-1], _WG])
+
+
 def _gk15(f, a: float, b: float):
-    """One Kronrod-15 panel on [a,b]; f maps float -> complex or ndarray."""
+    """One Kronrod-15 panel on [a,b].  f takes the array of the 15 nodes and
+    returns its values along the last axis (a complex array of any leading
+    shape)."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    fv = [f(mid + half * x) for x in _XK[:-1]]
-    fv += [f(mid - half * x) for x in _XK[:-1]]
-    fc = f(mid)
-    k = _WK[-1] * np.asarray(fc, dtype=complex)
-    g = _WG[-1] * np.asarray(fc, dtype=complex)
-    for i in range(7):
-        pair = np.asarray(fv[i], dtype=complex) + np.asarray(fv[i + 7], dtype=complex)
-        k = k + _WK[i] * pair
-        if i % 2 == 1:  # Kronrod nodes 1,3,5 are the Gauss-7 nodes
-            g = g + _WG[(i - 1) // 2] * pair
-    k = k * half
-    g = g * half
+    fv = np.asarray(f(mid + half * _X15), dtype=complex)
+    k = half * (fv @ _W15)
+    g = half * (fv @ _G15)
     err = float(np.max(np.abs(k - g)))
     return k, err
 
 
 def gk_adaptive(f, a: float, b: float, tol: float, max_depth: int = 28):
-    """Adaptive bisection of Kronrod panels to absolute tolerance tol."""
+    """Adaptive bisection of Kronrod panels to absolute tolerance tol; f is
+    called once per panel, on an array of nodes (see _gk15)."""
     val, err = _gk15(f, a, b)
     if err <= tol or (b - a) < 1e-14:
         return val

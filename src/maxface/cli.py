@@ -163,7 +163,7 @@ def cmd_mesh(args) -> int:
         # half of the full angular sweep: the fundamental piece the
         # reflection group doubles
         half = math.pi * data.cover.sheet_count
-        nth_full = dict(data.default_mesh).get("nth", 64)
+        nth_full = data.default_mesh["nth"]
         meshes["half"] = wst.mesh_sample(data, th1=half,
                                          nth=max(8, nth_full // 2))
     written = []

@@ -160,6 +160,7 @@ def base_point(spec: CoverSpec) -> SurfacePoint:
     return SurfacePoint(BASE_Z, w0)
 
 
+@lru_cache(maxsize=None)
 def clearance(spec: CoverSpec) -> float:
     pts = spec.finite_branch_points
     dmin = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1:]) if len(pts) > 1 else 1.0
@@ -257,10 +258,11 @@ class LiftedPath:
     starting fiber value: the one continuation primitive.
 
     Each input segment gets its branch-point detours (sanitize_path) on its
-    own, so w_vertices[i] is the fiber value at input vertex i.  legs holds
-    the transported pieces (z0, z1, s_nodes, w_nodes) with their
-    continuation checkpoints, and w_at answers w at any point along a leg
-    (seed by interpolation, snap to the nearest exact fiber root)."""
+    own, so w_vertices[i] is the fiber value at input vertex i and upto[i]
+    the number of legs before it.  legs holds the transported pieces
+    (z0, z1, s_nodes, w_nodes) with their continuation checkpoints, and w_at
+    answers w at points along a leg (seed by interpolation, snap to the
+    nearest exact fiber root)."""
 
     def __init__(self, spec: CoverSpec, path: SurfacePath):
         if path.w0 is None:
@@ -270,6 +272,7 @@ class LiftedPath:
         self.legs = []
         w = path.w0
         self.w_vertices = [w]
+        self.upto = [0]
         for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
             seg = sanitize_path(spec, (a, b))
             for za, zb in zip(seg[:-1], seg[1:]):
@@ -278,6 +281,7 @@ class LiftedPath:
                 self.legs.append((za, zb, np.array([s for s, _ in rec]),
                                   np.array([wv for _, wv in rec])))
             self.w_vertices.append(w)
+            self.upto.append(len(self.legs))
 
     @property
     def w_end(self) -> complex:
@@ -290,15 +294,15 @@ class LiftedPath:
         w0 = self.path.w0
         return abs(self.w_end - w0) <= tol * (1 + abs(w0))
 
-    def w_at(self, leg: int, s: float) -> complex:
+    def w_at(self, leg: int, s: np.ndarray) -> np.ndarray:
+        """w at the leg parameters s (an array in [0, 1])."""
         z0, z1, s_nodes, w_nodes = self.legs[leg]
-        z = z0 + (z1 - z0) * s
-        i = int(np.searchsorted(s_nodes, s))
-        i = max(1, min(i, len(s_nodes) - 1))
+        i = np.clip(np.searchsorted(s_nodes, s), 1, len(s_nodes) - 1)
         t = (s - s_nodes[i - 1]) / (s_nodes[i] - s_nodes[i - 1])
         seed = w_nodes[i - 1] * (1 - t) + w_nodes[i] * t
-        roots = self.spec.fiber(z)
-        return complex(roots[int(np.argmin(np.abs(roots - seed)))])
+        roots = self.spec.fiber(z0 + (z1 - z0) * s)
+        pick = np.argmin(np.abs(roots - seed[..., None]), axis=-1)
+        return np.take_along_axis(roots, pick[..., None], axis=-1)[..., 0]
 
 
 # ---------------------------------------------------------------------------

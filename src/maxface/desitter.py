@@ -419,14 +419,14 @@ def residue_derivative(pair_k: int, h: float = 1e-5,
     contour = wst.integrate_form(
         spec, loop,
         lambda z, w: np.array([[1.0 / z, -c * w / (z * z)],
-                               [1.0 / (c * w), -1.0 / z]]))
+                               [1.0 / (c * w), -1.0 / z]]))[-1]
     target = 2.0 * (k + 1) * math.pi * 1j * np.diag([1.0, -1.0])
     return {
         "fd": d_fd,
-        "contour": np.asarray(contour),
+        "contour": contour,
         "target": target,
         "fd_residual": float(np.max(np.abs(d_fd - target))),
-        "contour_residual": float(np.max(np.abs(np.asarray(contour) - target))),
+        "contour_residual": float(np.max(np.abs(contour - target))),
     }
 
 

@@ -123,11 +123,11 @@ def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath,
     if abs(loop.start - loop.end) > 1e-12:
         raise ValidationError("period_vector needs a closed z-polyline")
     if data.cover is None:
-        return wst.integrate_phi(data, loop, tol)
+        return wst.integrate_phi(data, loop, tol)[-1]
     lifted = cov.LiftedPath(data.cover, loop)
     if not lifted.is_closed():
         raise ValidationError(f"loop {loop.label!r} does not close on the cover")
-    return wst.integrate_phi(data, lifted, tol)
+    return wst.integrate_phi(data, lifted, tol)[-1]
 
 
 def closure_residual(data: wst.WeierstrassData, loop: cov.SurfacePath,
@@ -141,8 +141,8 @@ def _gamma_raw_integrals(k: int) -> tuple[complex, complex]:
     (c-independent; G^2 eta = c^2 J)."""
     spec = cov.CoverSpec(k)
     gamma = cov.deck_word_path(spec, cov.word_base_loop())
-    E = wst.integrate_form(spec, gamma, lambda z, w: 1.0 / w)
-    J = wst.integrate_form(spec, gamma, lambda z, w: w / (z * z))
+    E, J = wst.integrate_form(
+        spec, gamma, lambda z, w: np.array([1.0 / w, w / (z * z)]))[-1]
     return complex(E), complex(J)
 
 

@@ -155,8 +155,7 @@ def _planar(name, params, G_rat, eta_rat, punctures, base_z, constraints, anchor
         constraints=constraints, anchor=anchor,
         chart=chart or TraceChart(), window=window, grid_n=grid_n,
         trace_step=trace_step,
-        default_mesh=default_mesh or {"kind": "logpolar", "r0": 0.3, "r1": 3.0,
-                                      "nr": 24, "nth": 96},
+        default_mesh=default_mesh or {"r0": 0.3, "r1": 3.0, "nr": 24, "nth": 96},
     )
 
 
@@ -209,8 +208,7 @@ def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
         anchor=(f"G = c W/Z, eta = dZ/(2W) on {kind}" if reduced else
                 f"G = c w/z, eta = dz/w on {kind}"),
         window=window, grid_n=101,
-        default_mesh={"kind": "cover_polar", "r0": 0.35, "r1": 2.6,
-                      "nr": 20, "nth": 48},
+        default_mesh={"r0": 0.35, "r1": 2.6, "nr": 20, "nth": 48},
     )
 
 
@@ -256,7 +254,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "a > 1/2; b = -a^2 + a sqrt(4a^2-1)",
             "G = (b - z^2)/z, eta = z^2 dz/(z^2-a^2)^2; three ends at +-a, inf",
             window=(-5.2, 5.2, -5.2, 5.2), grid_n=161,
-            default_mesh={"kind": "logpolar", "r0": 0.25, "r1": 0.86 * a,
+            default_mesh={"r0": 0.25, "r1": 0.86 * a,
                           "nr": 22, "nth": 80},
         )
     if name == "trinoid2":
@@ -273,7 +271,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "c > 0, c != 1",
             "G = c(z^2+3)/(z^2-1), eta = dz/c; three ends at +-1, inf",
             window=(-2.6, 2.6, -2.6, 2.6), grid_n=121,
-            default_mesh={"kind": "logpolar", "r0": 0.05, "r1": 0.8,
+            default_mesh={"r0": 0.05, "r1": 0.8,
                           "nr": 18, "nth": 64},
         )
     if name == "cone":
@@ -302,7 +300,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "G = (z-1)(z^2+az+1)/((z+1)(z^2-az+1)), "
             "eta = (z^2-az+1)^2 dz/((z-1)^4 (z+1)^2); cone-like axis through infinity",
             chart=chart, window=(-8.0, 8.0, -8.0, 8.0), grid_n=161, trace_step=0.008,
-            default_mesh={"kind": "logpolar", "r0": 0.06, "r1": 0.8,
+            default_mesh={"r0": 0.06, "r1": 0.8,
                           "nr": 18, "nth": 64},
         )
     if name == "genus_k":
@@ -349,7 +347,8 @@ def catalog_list(ck_values: dict | None = None) -> list[dict]:
 
 def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
                   tol: float = 1e-10) -> np.ndarray:
-    """Integral of the Phi-vector along the path (complex 3-vector)."""
+    """Integrals of the Phi-vector from the start of the path to each of its
+    vertices, shape (len(vertices), 3)."""
 
     def form(z, w):
         return data.phi(cov.SurfacePoint(z, w))
@@ -358,11 +357,13 @@ def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
 
 
 def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.LiftedPath,
-                   form, tol: float = 1e-10):
-    """Integrate form(z, w) dz along a (lifted) polyline with Gauss-Kronrod
-    panels per segment.  A path that is already a LiftedPath is integrated
-    as it stands, so a caller can reuse its lift (end fiber value, closure
-    check)."""
+                   form, tol: float = 1e-10) -> np.ndarray:
+    """Integrals of form(z, w) dz from the start of a (lifted) polyline to
+    each of its vertices, with Gauss-Kronrod panels per leg: shape
+    (len(vertices),) + form shape, entry 0 zero.  form takes arrays of z and
+    w and returns its values along the last axis.  A path that is already a
+    LiftedPath is integrated as it stands, so a caller can reuse its lift
+    (end fiber value, closure check)."""
     if isinstance(path, cov.LiftedPath):
         lp = path
     elif spec is not None and path.w0 is not None:
@@ -370,25 +371,24 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
     else:
         lp = None
     if lp is not None:
-        path = lp.path
+        path, upto = lp.path, lp.upto
         legs = [leg[:2] for leg in lp.legs]
     else:
         legs = list(zip(path.z_vertices[:-1], path.z_vertices[1:]))
-    total = None
+        upto = range(len(path.z_vertices))
+    w0 = None if lp is None else np.array([path.w0])
+    total = np.zeros(np.shape(form(np.array([path.start]), w0))[:-1], dtype=complex)
+    partial = [total]
     for i, (a, b) in enumerate(legs):
         delta = b - a
 
         def f(s, a=a, delta=delta, i=i):
-            z = a + delta * s
             w = lp.w_at(i, s) if lp is not None else None
-            return np.asarray(form(z, w)) * delta
+            return form(a + delta * s, w) * delta
 
-        seg = gk_adaptive(f, 0.0, 1.0, tol)
-        total = seg if total is None else total + seg
-    if total is None:
-        probe = np.asarray(form(path.start, path.w0))
-        total = np.zeros_like(probe, dtype=complex)
-    return total
+        total = total + gk_adaptive(f, 0.0, 1.0, tol)
+        partial.append(total)
+    return np.array([partial[n] for n in upto])
 
 
 # ---------------------------------------------------------------------------
@@ -405,80 +405,44 @@ class MeshSample:
     cols: int = 0
 
 
-def mesh_sample(data: WeierstrassData, kind: str | None = None,
-                r0: float | None = None, r1: float | None = None,
-                nr: int | None = None, nth: int | None = None,
-                th0: float = 0.0, th1: float | None = None,
-                center: complex = 0j, tol: float = 1e-9) -> MeshSample:
-    """Sample the immersion on an annular grid around `center`.
+def mesh_sample(data: WeierstrassData, nr: int | None = None,
+                nth: int | None = None, th1: float | None = None) -> MeshSample:
+    """Sample the immersion on the log-polar grid of data.default_mesh about
+    z = 0: nr radii from r0 to r1, nth + 1 angles from 0 to th1.  On a cover
+    th1 defaults to the full sweep 2 pi sheet_count over all sheets.
 
-    kind 'logpolar' (planar data) or 'cover_polar' (genus family: the angular
-    range defaults to the full (k+1)-sheet sweep 2 pi (k+1)).  Integration
-    marches row and column legs incrementally, so the result is deterministic
-    and watertight in the parameter grid.
-    """
-    g = dict(data.default_mesh)
-    kind = kind or g.get("kind", "logpolar")
-    r0 = r0 if r0 is not None else g.get("r0", 0.3)
-    r1 = r1 if r1 is not None else g.get("r1", 3.0)
-    nr = nr if nr is not None else g.get("nr", 20)
-    nth = nth if nth is not None else g.get("nth", 64)
-    if th1 is None:
-        if kind == "cover_polar" and data.cover is not None:
-            th1 = 2.0 * math.pi * data.cover.sheet_count
-        else:
-            th1 = 2.0 * math.pi
-    radii = np.exp(np.linspace(math.log(r0), math.log(r1), nr))
-    thetas = np.linspace(th0, th1, nth + 1)
-
-    def grid_z(i, j):
-        return center + radii[i] * cmath.exp(1j * thetas[j])
-
+    The spine (base point, then the first column) is lifted and integrated as
+    one path, and each row as one path from its spine vertex, so the result
+    is deterministic and watertight in the parameter grid."""
+    g = data.default_mesh
+    nr = nr if nr is not None else g["nr"]
+    nth = nth if nth is not None else g["nth"]
     spec = data.cover
-    n_rows, n_cols = nr, nth + 1
-    xs = np.zeros((n_rows, n_cols, 3))
-    mets = np.zeros((n_rows, n_cols))
-    zs = np.zeros((n_rows, n_cols), dtype=complex)
-    ws = np.zeros((n_rows, n_cols), dtype=complex) if spec is not None else None
+    if th1 is None:
+        th1 = 2.0 * math.pi * (spec.sheet_count if spec is not None else 1)
+    radii = np.exp(np.linspace(math.log(g["r0"]), math.log(g["r1"]), nr))
+    zs = radii[:, None] * np.exp(1j * np.linspace(0.0, th1, nth + 1))
 
-    def leg_integral(z_a, z_b, w_a):
-        path = cov.SurfacePath((z_a, z_b), w_a)
-        if spec is None:
-            return integrate_phi(data, path, tol).real, None
-        lp = cov.LiftedPath(spec, path)
-        return integrate_phi(data, lp, tol).real, lp.w_end
+    def lift(z_vertices, w0):
+        path = cov.SurfacePath(z_vertices, w0)
+        return path if spec is None else cov.LiftedPath(spec, path)
 
-    # spine: base -> first grid corner
-    x_cur, w_cur = leg_integral(data.base.z, grid_z(0, 0), data.base.w)
+    spine = lift((data.base.z, *zs[:, 0]), data.base.w)
+    x_col = integrate_phi(data, spine, 1e-9).real
+    xs = np.empty(zs.shape + (3,))
+    ws = np.empty(zs.shape, dtype=complex) if spec is not None else None
+    for i in range(nr):
+        row = lift(zs[i], spine.w_vertices[i + 1] if ws is not None else None)
+        xs[i] = x_col[i + 1] + integrate_phi(data, row, 1e-9).real
+        if ws is not None:
+            ws[i] = row.w_vertices
+    mets = data.metric_factor(cov.SurfacePoint(zs, ws))
 
-    for i in range(n_rows):
-        if i > 0:
-            dx, w_cur = leg_integral(grid_z(i - 1, 0), grid_z(i, 0), w_cur)
-            x_cur = x_row0 + dx
-        x_row0 = x_cur
-        w_row0 = w_cur
-        x, w = x_cur, w_cur
-        for j in range(n_cols):
-            if j > 0:
-                dx, w = leg_integral(grid_z(i, j - 1), grid_z(i, j), w)
-                x = x_prev + dx
-            x_prev = x
-            zs[i, j] = grid_z(i, j)
-            p = cov.SurfacePoint(zs[i, j], w)
-            xs[i, j] = x
-            mets[i, j] = data.metric_factor(p)
-            if ws is not None:
-                ws[i, j] = w
-        x_cur, w_cur = x_row0, w_row0
-
-    faces = []
-    for i in range(n_rows - 1):
-        for j in range(n_cols - 1):
-            a = i * n_cols + j
-            faces.append((a, a + 1, a + n_cols + 1, a + n_cols))
-    return MeshSample(xs.reshape(-1, 3), mets.reshape(-1),
-                      np.array(faces, dtype=int), zs.reshape(-1),
-                      rows=n_rows, cols=n_cols)
+    n_cols = nth + 1
+    a = (np.arange(nr - 1)[:, None] * n_cols + np.arange(n_cols - 1)).reshape(-1)
+    faces = np.stack([a, a + 1, a + n_cols + 1, a + n_cols], axis=1)
+    return MeshSample(xs.reshape(-1, 3), mets.reshape(-1), faces, zs.reshape(-1),
+                      rows=nr, cols=n_cols)
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,29 @@ def test_tanh_sinh_rejects_divergent_exponent():
 
 
 def test_gk_adaptive_oracles():
-    val = alg.gk_adaptive(lambda s: math.exp(s), 0.0, 1.0, 1e-12)
+    val = alg.gk_adaptive(np.exp, 0.0, 1.0, 1e-12)
     assert complex(val).real == pytest.approx(math.e - 1.0, rel=1e-12)
-    val = alg.gk_adaptive(lambda s: cmath.exp(1j * s), 0.0, math.pi, 1e-12)
+    val = alg.gk_adaptive(lambda s: np.exp(1j * s), 0.0, math.pi, 1e-12)
     assert complex(val) == pytest.approx(2j, rel=1e-11)
+
+
+def test_gk15_degrees_of_exactness():
+    """One call of f per panel; the Kronrod-15 rule is exact through degree
+    22, its Gauss-7 part through degree 13, so the error estimate vanishes
+    for s^13 and not for s^14."""
+    calls = []
+
+    def power(n):
+        def f(s):
+            calls.append(np.shape(s))
+            return s ** n
+        return f
+
+    val, _ = alg._gk15(power(22), 0.0, 1.0)
+    assert calls == [(15,)]
+    assert complex(val) == pytest.approx(1.0 / 23.0, rel=1e-14)
+    assert alg._gk15(power(13), 0.0, 1.0)[1] < 1e-15
+    assert alg._gk15(power(14), 0.0, 1.0)[1] > 1e-10
 
 
 # ---------------------------------------------------------------------------

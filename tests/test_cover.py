@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxface import algebra as alg
 from maxface import cover as cov
 from maxface.errors import ValidationError
 
@@ -135,6 +136,37 @@ def test_sanitize_path_inserts_branch_detour():
     p0 = cov.solve_fiber(spec, clean[0])
     lifted = cov.LiftedPath(spec, cov.SurfacePath(clean, p0.w))
     assert cov.on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
+
+
+def _w_at_reference(lp, leg, s):
+    """w at the leg parameters s, one point at a time: interpolated seed,
+    then the nearest root of the fiber.  The fibers come from one array call,
+    as in w_at, because numpy may round an array power differently from a
+    scalar one in the last bit."""
+    z0, z1, s_nodes, w_nodes = lp.legs[leg]
+    out = []
+    for x, roots in zip(s, lp.spec.fiber(z0 + (z1 - z0) * s)):
+        i = max(1, min(int(np.searchsorted(s_nodes, x)), len(s_nodes) - 1))
+        t = (x - s_nodes[i - 1]) / (s_nodes[i] - s_nodes[i - 1])
+        seed = w_nodes[i - 1] * (1 - t) + w_nodes[i] * t
+        out.append(roots[int(np.argmin(np.abs(roots - seed)))])
+    return out
+
+
+@pytest.mark.parametrize("k, reduced", [(1, False), (2, True)])
+def test_w_at_matches_pointwise_reference(k, reduced):
+    """The array w_at picks, bit for bit, the root a point-by-point nearest
+    root search picks, on every leg of a path that is detoured around z = 1
+    and then passes it just outside the clearance disc."""
+    spec = cov.CoverSpec(k, reduced=reduced)
+    o = cov.base_point(spec)
+    bump = 0.5j * cov.clearance(spec)
+    verts = (o.z, 1.3 + bump, 0.7 + bump, 0.7 + 3 * bump, 1.3 + 3 * bump)
+    lp = cov.LiftedPath(spec, cov.SurfacePath(verts, o.w))
+    assert len(lp.legs) > 2
+    s = np.concatenate([np.linspace(0.0, 1.0, 33), 0.5 + 0.5 * alg._X15])
+    for leg in range(len(lp.legs)):
+        assert np.array_equal(lp.w_at(leg, s), _w_at_reference(lp, leg, s))
 
 
 def test_winding_number_oracle():

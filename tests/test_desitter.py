@@ -92,7 +92,7 @@ def test_lift_first_order_in_t():
     path = cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)
     lift = ds.integrate_lift(pair, path, rtol=1e-12)
     contour = wst.integrate_form(spec, path,
-                                 lambda z, w: pair.psihat0(z, w), tol=1e-12)
+                                 lambda z, w: pair.psihat0(z, w), tol=1e-12)[-1]
     assert np.max(np.abs(lift.F - alg.EYE2 - t * contour)) < 5.0 * t * t
 
 

@@ -119,7 +119,7 @@ def test_integrate_phi_catenoid_closed_form():
     data = wst.catalog_get("catenoid")
     a, b = 1.0 + 0j, 2.0 + 1.5j
     path = cov.SurfacePath((a, b), None)
-    got = wst.integrate_phi(data, path, tol=1e-12)
+    got = wst.integrate_phi(data, path, tol=1e-12)[-1]
     want = np.array([
         -2.0 * (cmath.log(b) - cmath.log(a)),
         (b - 1.0 / b) - (a - 1.0 / a),
@@ -132,7 +132,7 @@ def test_integrate_form_residue_loop():
     """Int dz/z around the unit-ish circle = 2 pi i (planar chart)."""
     pts = tuple(1.3 * cmath.exp(2j * math.pi * i / 48) for i in range(49))
     path = cov.SurfacePath(pts, None)
-    got = wst.integrate_form(None, path, lambda z, w: 1.0 / z, tol=1e-12)
+    got = wst.integrate_form(None, path, lambda z, w: 1.0 / z, tol=1e-12)[-1]
     assert complex(got) == pytest.approx(2j * math.pi, rel=1e-10)
 
 
@@ -146,14 +146,75 @@ def test_integrate_form_on_cover_exact_differential():
     def dw(z, w):
         return w * (3 * z * z - 1) / (2 * z * (z * z - 1))
 
-    got = wst.integrate_form(spec, path, dw, tol=1e-12)
+    got = wst.integrate_form(spec, path, dw, tol=1e-12)[-1]
     w_end = cov.LiftedPath(spec, path).w_end
     assert complex(got) == pytest.approx(w_end - o.w, rel=1e-9)
+
+
+def test_integrate_form_prefixes_are_exact():
+    """Entry j is the integral over the first j segments, bit for bit, also
+    across a segment detoured around z = 1."""
+    spec = cov.CoverSpec(1)
+    o = cov.base_point(spec)
+    bump = 0.5j * cov.clearance(spec)
+    verts = (o.z, 1.3 + bump, 0.7 + bump, 0.8 + 0.9j, 1.6 + 0.4j)
+
+    def form(z, w):
+        return np.array([1.0 / w, w / (z * z)])
+
+    whole = wst.integrate_form(spec, cov.SurfacePath(verts, o.w), form)
+    assert whole.shape == (len(verts), 2)
+    assert not np.any(whole[0])
+    for j in range(1, len(verts)):
+        part = wst.integrate_form(spec, cov.SurfacePath(verts[:j + 1], o.w), form)
+        assert np.array_equal(whole[j], part[-1])
 
 
 # ---------------------------------------------------------------------------
 # mesh sampling
 # ---------------------------------------------------------------------------
+
+def _marched_mesh(data, nr, nth):
+    """Reference vertices and metric: every grid edge lifted and integrated as
+    its own 2-vertex path, marching down the first column and along each
+    row from the base point."""
+    g, spec = data.default_mesh, data.cover
+    th1 = 2.0 * math.pi * (spec.sheet_count if spec is not None else 1)
+    radii = np.exp(np.linspace(math.log(g["r0"]), math.log(g["r1"]), nr))
+    z = [[r * cmath.exp(1j * th) for th in np.linspace(0.0, th1, nth + 1)]
+         for r in radii]
+
+    def leg(za, zb, wa):
+        path = cov.SurfacePath((za, zb), wa)
+        if spec is not None:
+            path = cov.LiftedPath(spec, path)
+        return wst.integrate_phi(data, path, 1e-9)[-1].real, getattr(path, "w_end", None)
+
+    xs, mets = np.empty((nr, nth + 1, 3)), np.empty((nr, nth + 1))
+    x_col, w_col = leg(data.base.z, z[0][0], data.base.w)
+    for i in range(nr):
+        if i:
+            dx, w_col = leg(z[i - 1][0], z[i][0], w_col)
+            x_col = x_col + dx
+        x, w = x_col, w_col
+        for j in range(nth + 1):
+            if j:
+                dx, w = leg(z[i][j - 1], z[i][j], w)
+                x = x + dx
+            xs[i, j] = x
+            mets[i, j] = data.metric_factor(cov.SurfacePoint(z[i][j], w))
+    return xs.reshape(-1, 3), mets.reshape(-1)
+
+
+@pytest.mark.parametrize("name, params, nr, nth",
+                         [("catenoid", {}, 4, 12), ("genus_k", {"k": 1}, 4, 16)])
+def test_mesh_matches_marched_reference(name, params, nr, nth):
+    """One lifted path per row gives the vertices of edge-by-edge marching."""
+    data = wst.catalog_get(name, **params)
+    mesh = wst.mesh_sample(data, nr=nr, nth=nth)
+    xs, mets = _marched_mesh(data, nr, nth)
+    assert np.max(np.abs(mesh.vertices - xs)) <= 1e-14 * np.max(np.abs(xs))
+    assert np.max(np.abs(mesh.metric - mets)) <= 1e-14 * np.max(np.abs(mets))
 
 def test_mesh_catenoid_parallels_are_circles():
     """Rotational symmetry: x1^2 + x2^2 constant along each grid row."""
