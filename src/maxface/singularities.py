@@ -15,9 +15,10 @@ with the scale-aware threshold eps = 1e-7 (1 + |alpha| + |beta|):
 Curves are traced in a Moebius chart zhat (so components through z = infinity
 become bounded) by a predictor-corrector walk on phi = log|G|, whose chart
 gradient is conj(H') with H' = (G'/G) dz/dzhat.  Components on a branched
-cover are lifted by analytic continuation of w; a z-circuit that permutes the
-sheets closes only after several circuits, and singular points are counted on
-the full lifted traversal.
+cover are lifted by analytic continuation of w along one z-circuit; a circuit
+that permutes the sheets closes only after several circuits, the first one
+rotated by the deck group w -> zeta w, and singular points are counted on the
+full lifted traversal.
 
 Cone-like components are recognized at component level (alpha real and
 bounded away from zero along the whole curve, G winding +-1, eta_hat bounded
@@ -150,12 +151,16 @@ class _Profile:
         out = np.where(out == np.inf, np.nan, out)
         return float(out) if out.ndim == 0 else out
 
-    def grad(self, zh):
-        """Chart gradient of phi_hat, conj(H' dz/dzhat), at a scalar or an
-        array of chart points."""
+    def phi_grad(self, zh: np.ndarray):
+        """phi_hat and its chart gradient conj(H' dz/dzhat) at a 1-d array
+        of chart points, from one call each of fiber, G and G'."""
         chart = self.chart
-        p = self._pt(chart.to_z(zh))
-        return (self.data.dG(p) / self.data.G(p) * chart.dz_dzhat(zh)).conjugate()
+        with np.errstate(all="ignore"):
+            p = self._pt(chart.to_z(zh))
+            g = self.data.G(p)
+            phi = np.log(np.abs(g))
+            grad = (self.data.dG(p) / g * chart.dz_dzhat(zh)).conjugate()
+        return np.where(phi == np.inf, np.nan, phi), grad
 
 
 # ---------------------------------------------------------------------------
@@ -165,21 +170,24 @@ class _Profile:
 def _project(prof: _Profile, zh, tol: float = 1e-13, max_iter: int = 40):
     """Project chart points onto {phi = 0} by Newton steps along the chart
     gradient.  zh is a scalar or a 1-d array; each row steps on its own and
-    leaves the batch once |phi_hat| < tol.  Raises if any row meets an
-    undefined phi_hat, a vanishing gradient or its step budget."""
+    leaves the batch once |phi_hat| < tol.  Returns (points, gradients) of
+    zh's form, each gradient the one evaluated at its returned point (one
+    phi_grad call per iterate).  Raises if any row meets an undefined
+    phi_hat, a vanishing gradient or its step budget."""
     out = np.array(zh, dtype=complex, ndmin=1)
+    grads = np.empty_like(out)
     rows = np.arange(len(out))
     cur = out
     for _ in range(max_iter):
-        v = prof.phi_hat(cur)
+        v, grad = prof.phi_grad(cur)
         if not np.isfinite(v).all():
             raise NumericalError(f"phi undefined near zhat={cur[~np.isfinite(v)][0]}")
         busy = np.abs(v) >= tol
         if not busy.all():
-            rows, cur, v = rows[busy], cur[busy], v[busy]
+            grads[rows[~busy]] = grad[~busy]
+            rows, cur, v, grad = rows[busy], cur[busy], v[busy], grad[busy]
         if len(rows) == 0:
-            return out if np.ndim(zh) else complex(out[0])
-        grad = prof.grad(cur)
+            return (out, grads) if np.ndim(zh) else (complex(out[0]), complex(grads[0]))
         g2 = np.abs(grad) ** 2
         if (g2 < 1e-24).any():
             raise DegenerateError(f"vanishing gradient of log|G| at zhat={cur[g2 < 1e-24][0]}")
@@ -189,22 +197,22 @@ def _project(prof: _Profile, zh, tol: float = 1e-13, max_iter: int = 40):
                          f"residual {np.max(np.abs(v)):.2e}")
 
 
+def _tangent(zh: complex, grad: complex) -> complex:
+    """Unit tangent of the level curve at zh from the chart gradient there."""
+    a = abs(grad)
+    if a < 1e-12:
+        raise DegenerateError(f"vanishing gradient at zhat={zh}")
+    return 1j * grad / a
+
+
 def _trace_component(prof: _Profile, seed: complex, step: float,
                      bound: float) -> tuple[np.ndarray, bool, bool]:
     """March the level curve from a corrected seed.  Returns (vertices, closed,
     partial); vertices never repeat the start point."""
-    z0 = _project(prof, seed)
+    z0, grad0 = _project(prof, seed)
     pts = [z0]
     h = step * (1.0 + abs(z0))
-
-    def tangent(zh: complex) -> complex:
-        grad = prof.grad(zh)
-        a = abs(grad)
-        if a < 1e-12:
-            raise DegenerateError(f"vanishing gradient at zhat={zh}")
-        return 1j * grad / a
-
-    direction = tangent(z0)
+    direction = _tangent(z0, grad0)
     moved_away = False
     for n in range(_MAX_STEPS):
         cur = pts[-1]
@@ -212,11 +220,11 @@ def _trace_component(prof: _Profile, seed: complex, step: float,
         # adaptive turn control: halve on sharp turns, let the step relax back
         for _ in range(14):
             try:
-                nxt = _project(prof, cur + h * t)
+                nxt, grad = _project(prof, cur + h * t)
             except (NumericalError, DegenerateError):
                 h *= 0.5
                 continue
-            t_new = tangent(nxt)
+            t_new = _tangent(nxt, grad)
             if (t_new.real * t.real + t_new.imag * t.imag) < 0:
                 t_new = -t_new
             cosang = max(-1.0, min(1.0, t.real * t_new.real + t.imag * t_new.imag))
@@ -296,18 +304,23 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
 
 
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
-    """Continue w around the closed z-circuit until the lift closes.
-    Returns (circuits, w at every vertex of the full traversal)."""
+    """Lift the closed z-circuit once.  w -> zeta w, zeta an n-th root of
+    unity, is a deck transformation of the cover, so if the circuit ends at
+    zeta^s w0, circuit j is circuit 0 times zeta^(s j) and the lift closes
+    after n / gcd(s, n) circuits.  Returns (circuits, w at every vertex of
+    the full traversal)."""
     loop = tuple(verts_z) + (verts_z[0],)
-    w = spec.fiber(complex(loop[0]))[0]
-    all_w = []
-    for circuit in range(1, spec.sheet_count + 1):
-        lifted = cov.LiftedPath(spec, cov.SurfacePath(loop, w))
-        all_w.extend(lifted.w_vertices[:-1])
-        w = lifted.w_end
-        if abs(w - all_w[0]) < 1e-8 * (1 + abs(w)):
-            return circuit, np.array(all_w)
-    raise NumericalError("singular-curve lift failed to close on the cover")
+    n = spec.sheet_count
+    units = cov._unit_roots(n)
+    w0 = spec.fiber(complex(loop[0]))[0]
+    lifted = cov.LiftedPath(spec, cov.SurfacePath(loop, w0))
+    ratio = lifted.w_end / w0
+    s = int(np.argmin(np.abs(units - ratio)))
+    if not abs(ratio - units[s]) < 1e-8:
+        raise NumericalError("singular-curve lift failed to close on the cover")
+    circuits = n // math.gcd(s, n)
+    w = np.array(lifted.w_vertices[:-1])
+    return circuits, np.concatenate([w * units[(s * j) % n] for j in range(circuits)])
 
 
 def _lift_open(spec: cov.CoverSpec, verts_z: np.ndarray) -> np.ndarray:
@@ -385,7 +398,7 @@ def _refine_crossings(data: wst.WeierstrassData, prof: _Profile, za: np.ndarray,
         return cov.SurfacePoint(z, roots[np.arange(len(rows)), pick])
 
     def value(rows, zh):
-        zh = _project(prof, zh)
+        zh, _ = _project(prof, zh)
         alpha, _ = alpha_beta(data, point(rows, zh))
         return zh, np.where(imag[rows], alpha.imag, alpha.real)
 

@@ -505,7 +505,6 @@ def _run_criterion_job(args) -> dict:
 def run_all(ids=None, perturb_ck: float = 0.0, jobs: int = 1) -> dict:
     ids = sorted(ids) if ids else sorted(CRITERIA)
     cfg = VerifyConfig(perturb_ck=perturb_ck)
-    start = time.perf_counter()
     if jobs > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             results = list(pool.map(_run_criterion_job,
@@ -515,6 +514,5 @@ def run_all(ids=None, perturb_ck: float = 0.0, jobs: int = 1) -> dict:
     return {
         "criteria": results,
         "all_pass": all(r["pass"] for r in results),
-        "total_runtime_s": round(time.perf_counter() - start, 3),
         "perturb_ck": perturb_ck,
     }

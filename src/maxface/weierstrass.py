@@ -37,7 +37,9 @@ class RationalFunction:
 
     Evaluation switches to the reversed polynomials in 1/z for |z| > 1, so
     values stay accurate out to z = infinity (useful for Moebius-chart
-    tracing through the point at infinity).
+    tracing through the point at infinity).  The polynomials are evaluated
+    by Horner's rule on Python-complex coefficients in np.polyval's order,
+    which gives np.polyval's values bit for bit at finite points.
     """
 
     def __init__(self, num, den=(1.0,)):
@@ -45,23 +47,42 @@ class RationalFunction:
         self.den = np.atleast_1d(np.asarray(den, dtype=complex))
         if not np.any(self.den != 0):
             raise ValidationError("zero denominator polynomial")
+        self._near = ([complex(c) for c in self.num], [complex(c) for c in self.den])
+        self._far = (self._near[0][::-1], self._near[1][::-1])
+        self._shift = len(self.den) - len(self.num)
+
+    @staticmethod
+    def _horner(coef, x):
+        if len(coef) == 1:
+            return np.full(x.shape, coef[0])
+        y = coef[0] * x + coef[1]
+        for c in coef[2:]:
+            y = y * x + c
+        return y
+
+    def _near_value(self, z):
+        num, den = self._near
+        return self._horner(num, z) / self._horner(den, z)
+
+    def _far_value(self, z):
+        num, den = self._far
+        u = 1.0 / z
+        return self._horner(num, u) / self._horner(den, u) * u ** self._shift
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        out = np.empty_like(z)
         near = np.abs(z) <= 1.0
-        if near.any():
-            zz = z[near]
-            out[near] = np.polyval(self.num, zz) / np.polyval(self.den, zz)
-        far = ~near
-        if far.any():
-            u = 1.0 / z[far]
-            n, d = len(self.num) - 1, len(self.den) - 1
-            pn = np.polyval(self.num[::-1], u)
-            pd = np.polyval(self.den[::-1], u)
-            out[far] = pn / pd * u ** (d - n)
+        if near.all():
+            out = self._near_value(z)
+        elif not near.any():
+            out = self._far_value(z)
+        else:
+            out = np.empty_like(z)
+            out[near] = self._near_value(z[near])
+            far = ~near
+            out[far] = self._far_value(z[far])
         return complex(out[0]) if scalar else out
 
     def deriv(self) -> "RationalFunction":
@@ -212,8 +233,22 @@ def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
     )
 
 
+def _int_param(params: dict, key: str, default: int) -> int:
+    """Pop an integer parameter; a fractional value is refused, not truncated."""
+    val = params.pop(key, default)
+    try:
+        integral = float(val).is_integer()
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ValidationError(f"{key} must be an integer, got {val!r}")
+    return int(float(val))
+
+
 def catalog_get(name: str, **params) -> WeierstrassData:
     """Instantiate a catalog datum; parameter constraints are validated here."""
+    if name in ("catenoid", "helicoid") and params:
+        raise ValidationError(f"unknown parameters {sorted(params)}")
     if name == "catenoid":
         return _planar(
             "catenoid", {}, RationalFunction([1, 0]), RationalFunction([1], [1, 0, 0]),
@@ -304,7 +339,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
                           "nr": 18, "nth": 64},
         )
     if name == "genus_k":
-        k = int(params.pop("k", 1))
+        k = _int_param(params, "k", 1)
         c = float(params.pop("c", 1.0))
         if params:
             raise ValidationError(f"unknown parameters {sorted(params)}")
@@ -312,7 +347,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             raise ValidationError("genus_k needs integer k >= 1 and c > 0")
         return _genus_family(k, c, reduced=False)
     if name == "genus_k_reduced":
-        k = int(params.pop("k", 2))
+        k = _int_param(params, "k", 2)
         c = float(params.pop("c", 1.0))
         if params:
             raise ValidationError(f"unknown parameters {sorted(params)}")

@@ -84,6 +84,18 @@ def test_mesh_rejects_excluded_parameter(capsys):
     assert run(["mesh", "--surface", "cone", "--param", "a=2"]) == 2
 
 
+@pytest.mark.parametrize("surface, param", [
+    ("catenoid", "foo=1"), ("helicoid", "a=2"),
+    ("genus_k", "k=1.5"), ("genus_k_reduced", "k=2.5"),
+])
+def test_mesh_rejects_unchecked_parameter(surface, param, capsys):
+    """Surfaces without parameters refuse any; a fractional k is refused,
+    not truncated."""
+    assert run(["mesh", "--surface", surface, "--param", param]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+
+
 # ---------------------------------------------------------------------------
 # singular
 # ---------------------------------------------------------------------------
@@ -173,6 +185,23 @@ def test_periods_parallel_matches_serial(capsys, monkeypatch):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-1", None), (None, "0"), (None, "-2"), (None, "two"),
+    (None, "1.5"),
+])
+def test_jobs_must_be_positive_integer(flag, env, monkeypatch, capsys):
+    """A bad --jobs or MAXFACE_JOBS exits 2 before any work; neither falls
+    back to one worker."""
+    monkeypatch.delenv("MAXFACE_JOBS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MAXFACE_JOBS", env)
+    argv = ["periods", "--k", "1,2"] + (["--jobs", flag] if flag else [])
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+    assert run(["verify", "--criteria", "3"] + (["--jobs", flag] if flag else [])) == 2
+
+
 def test_periods_bad_k(capsys):
     assert run(["periods", "--k", "0"]) == 2
     assert run(["periods", "--k", "abc"]) in (2,)
@@ -227,6 +256,19 @@ def test_verify_subset_passes(tmp_path, capsys):
     assert [c["id"] for c in doc["criteria"]] == [1, 3, 7, 8]
     err = capsys.readouterr().err
     assert err.count("[PASS]") == 4
+
+
+def test_verify_json_is_deterministic(tmp_path, capsys):
+    """Two runs write byte-identical reports: no wall times in the JSON,
+    which stay on the stderr lines."""
+    texts = []
+    for name in ("a", "b"):
+        assert run(["verify", "--criteria", "3,7", "--out",
+                    str(tmp_path / name)]) == 0
+        texts.append((tmp_path / name / "verify.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert b"runtime" not in texts[0]
+    assert capsys.readouterr().err.count("s)\n") == 4
 
 
 def test_verify_perturbed_ck_fails(tmp_path, capsys):

@@ -6,6 +6,7 @@ independently derived expectations for the catalog surfaces.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -32,30 +33,72 @@ def _continue_vertexwise(spec, verts, w):
     return out
 
 
+def _assert_lift_matches_reference(spec, verts):
+    """The closed lift of verts against a circuit-by-circuit marched
+    reference: the same circuit count, circuit 0 bit for bit, circuit j
+    equal to circuit 0 times units[(s j) % n] exactly (w_end = units[s] w0
+    after one circuit) and within 1e-14 of the marched circuit j.  The open
+    lift equals the reference bit for bit.  Returns the circuit count."""
+    n = spec.sheet_count
+    units = np.exp(2j * np.pi * np.arange(n) / n)
+    m = len(verts)
+    w0 = spec.fiber(complex(verts[0]))[0]
+    loop = list(verts) + [verts[0]]
+    ref, w = [], w0
+    for circuits in range(1, n + 1):
+        ws = _continue_vertexwise(spec, loop, w)
+        ref += ws[:-1]
+        w = ws[-1]
+        if abs(w - w0) < 1e-8 * (1 + abs(w)):
+            break
+    ref = np.array(ref)
+    s = int(np.argmin(np.abs(units - ref[m] / w0))) if circuits > 1 else 0
+    got_circuits, got_w = sng._lift_component(spec, verts)
+    assert got_circuits == circuits
+    assert len(got_w) == len(ref)
+    np.testing.assert_array_equal(got_w[:m], ref[:m])
+    for j in range(1, circuits):
+        got_j, ref_j = got_w[j * m:(j + 1) * m], ref[j * m:(j + 1) * m]
+        np.testing.assert_array_equal(got_j, got_w[:m] * units[(s * j) % n])
+        assert np.all(np.abs(got_j - ref_j) <= 1e-14 * np.abs(ref_j))
+    np.testing.assert_array_equal(
+        sng._lift_open(spec, verts),
+        np.array(_continue_vertexwise(spec, verts, w0)))
+    return circuits
+
+
 @pytest.mark.parametrize("name, k", [("genus_k", 1), ("genus_k", 3),
                                      ("genus_k_reduced", 2)])
 def test_component_lift_matches_vertexwise_reference(name, k):
+    """Traced components close after sheet_count circuits."""
     data = wst.catalog_get(name, k=k, c=per.compute_ck(k).c_k)
-    spec = data.cover
     comps = sng.trace_singular_set(data)
     assert comps
     for comp in comps:
-        verts = comp.z_vertices
-        w0 = spec.fiber(complex(verts[0]))[0]
-        loop = list(verts) + [verts[0]]
-        ref, w = [], w0
-        for circuits in range(1, spec.sheet_count + 1):
-            ws = _continue_vertexwise(spec, loop, w)
-            ref += ws[:-1]
-            w = ws[-1]
-            if abs(w - w0) < 1e-8 * (1 + abs(w)):
-                break
-        got_circuits, got_w = sng._lift_component(spec, verts)
-        assert got_circuits == circuits
-        np.testing.assert_array_equal(got_w, np.array(ref))
-        np.testing.assert_array_equal(
-            sng._lift_open(spec, verts),
-            np.array(_continue_vertexwise(spec, verts, w0)))
+        circuits = _assert_lift_matches_reference(data.cover, comp.z_vertices)
+        assert circuits == data.cover.sheet_count
+
+
+def _polygon(corners, per_side=12):
+    t = np.linspace(0.0, 1.0, per_side, endpoint=False)
+    return np.concatenate([a + (b - a) * t
+                           for a, b in zip(corners, corners[1:] + corners[:1])])
+
+
+@pytest.mark.parametrize("corners, circuits", [
+    # about z = 1 alone: w winds by 3/4 of a turn on w^4 = z(z^2-1)^3
+    ([0.6 - 0.4j, 1.4 - 0.4j, 1.4 + 0.4j, 0.6 + 0.4j], 4),
+    # about z = 1 and z = -1 but not z = 0: 6/4 of a turn, two circuits
+    ([-1.5 - 0.5j, -0.5 - 0.5j, -0.4 + 0.25j, 0.4 + 0.25j, 0.5 - 0.5j,
+      1.5 - 0.5j, 1.5 + 0.6j, -1.5 + 0.6j], 2),
+    # about no branch point: one circuit
+    ([1.6 + 0.4j, 2.2 + 0.4j, 2.2 + 1.0j, 1.6 + 1.0j], 1),
+])
+def test_component_lift_circuits_follow_the_deck_rotation(corners, circuits):
+    """Closed z-loops on the genus-3 cover whose lifts close after 4, 2 and
+    1 circuits."""
+    spec = wst.catalog_get("genus_k", k=3).cover
+    assert _assert_lift_matches_reference(spec, _polygon(corners)) == circuits
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +380,109 @@ def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
     assert math.isnan(sng._Profile(wst.catalog_get("trinoid1")).phi_hat(0j))
 
 
+# ---------------------------------------------------------------------------
+# Newton projection: one (G, G') evaluation per iterate
+# ---------------------------------------------------------------------------
+
+def _project_two_calls(prof, zh, tol=1e-13, max_iter=40):
+    """The projector with phi_hat and the gradient from separate calls,
+    the gradient on the rows still stepping."""
+    out = np.array(zh, dtype=complex, ndmin=1)
+    rows = np.arange(len(out))
+    cur = out
+    for _ in range(max_iter):
+        v = prof.phi_hat(cur)
+        busy = np.abs(v) >= tol
+        rows, cur, v = rows[busy], cur[busy], v[busy]
+        if len(rows) == 0:
+            return out
+        grad = prof.phi_grad(cur)[1]
+        cur = cur - v * grad / np.abs(grad) ** 2
+        out[rows] = cur
+    raise AssertionError("reference projector stalled")
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cone", {"a": 2.5}),
+    ("genus_k", {"k": 1}),
+    ("genus_k_reduced", {"k": 2}),
+])
+def test_project_returns_points_and_their_gradients(name, params):
+    """_project moves the same points as the two-call projector, and each
+    returned gradient equals phi_grad at its returned point; a scalar in
+    gives complex scalars out."""
+    if name.startswith("genus"):
+        params = dict(params, c=per.compute_ck(params["k"]).c_k)
+    data = wst.catalog_get(name, **params)
+    prof = sng._Profile(data)
+    comp = sng.trace_singular_set(data)[0]
+    zh = comp.zhat_vertices[::5] + 1e-3 * (1 + 1j) * (1 + np.abs(comp.zhat_vertices[::5]))
+    pts, grads = sng._project(prof, zh)
+    np.testing.assert_array_equal(pts, _project_two_calls(prof, zh))
+    np.testing.assert_array_equal(grads, prof.phi_grad(pts)[1])
+    assert np.all(np.abs(prof.phi_hat(pts)) < 1e-13)
+    pt, grad = sng._project(prof, complex(zh[1]))
+    assert type(pt) is complex and type(grad) is complex
+    assert pt == pts[1] and grad == grads[1]
+
+
+def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
+    """Tracing genus_k k=1 evaluates (G, G') once per Newton iterate: every
+    phi_grad call is made by _project, makes one call each of fiber, G and
+    G', and feeds the next iterate; no gradient is evaluated outside
+    _project."""
+    data = dataclasses.replace(genus1)
+    calls = []        # (inside _project, zh, phi, grad, fiber/G/dG calls)
+    evals = {"fiber": 0, "G": 0, "dG": 0}
+    outside = []      # evaluations made outside _project
+    depth = [0]
+    runs = []         # phi_grad calls of each _project call that returned
+
+    def counting(key, fn):
+        def wrapper(*args):
+            evals[key] += 1
+            if depth[0] == 0:
+                outside.append(key)
+            return fn(*args)
+        return wrapper
+
+    phi_grad, project = sng._Profile.phi_grad, sng._project
+
+    def counted_phi_grad(self, zh):
+        before = dict(evals)
+        v, grad = phi_grad(self, zh)
+        calls.append((depth[0], np.array(zh), v, grad,
+                      {k: evals[k] - before[k] for k in evals}))
+        return v, grad
+
+    def counted_project(prof, zh):
+        depth[0] += 1
+        start = len(calls)
+        try:
+            out = project(prof, zh)
+        finally:
+            depth[0] -= 1
+        runs.append(calls[start:])
+        return out
+
+    monkeypatch.setattr(sng._Profile, "phi_grad", counted_phi_grad)
+    monkeypatch.setattr(sng, "_project", counted_project)
+    monkeypatch.setattr(cov.CoverSpec, "fiber", counting("fiber", cov.CoverSpec.fiber))
+    data.G, data.dG = counting("G", data.G), counting("dG", data.dG)
+
+    comps = sng.trace_singular_set(data)
+    assert len(comps) == 2 and len(runs) > 100
+    assert all(inside for inside, *_ in calls)
+    assert "dG" not in outside
+    assert all(c[4] == {"fiber": 1, "G": 1, "dG": 1} for c in calls)
+    for run in runs:
+        for (_, zh, v, grad, _), (_, nxt, *_rest) in zip(run, run[1:]):
+            busy = np.abs(v) >= 1e-13
+            step = v[busy] * grad[busy] / np.abs(grad[busy]) ** 2
+            np.testing.assert_array_equal(nxt, zh[busy] - step)
+        assert np.all(np.abs(run[-1][2]) < 1e-13)
+
+
 class _LineProfile:
     """phi_hat = Re zhat - 1/2 on Im zhat = 0, undefined on a slot about the
     root on Im zhat = 1, and Re zhat - 0.3 on Im zhat = 2; records every
@@ -374,7 +520,7 @@ def _scalar_newton(prof, zh, tol=1e-13, max_iter=40):
         assert math.isfinite(v)
         if abs(v) < tol:
             return zh
-        grad = complex(prof.grad(zh))
+        grad = complex(prof.phi_grad(np.array([zh]))[1][0])
         zh = zh - v * grad / abs(grad) ** 2
     raise AssertionError(f"scalar Newton stalled at zhat={zh}")
 

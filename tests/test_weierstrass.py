@@ -25,6 +25,56 @@ def test_rational_eval_matches_polyval():
         assert r(z) == pytest.approx(want, rel=1e-12)
 
 
+def _polyval_reference(r, z):
+    """The two-sided evaluation written with np.polyval and boolean masks."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    out = np.empty_like(z)
+    near = np.abs(z) <= 1.0
+    out[near] = np.polyval(r.num, z[near]) / np.polyval(r.den, z[near])
+    u = 1.0 / z[~near]
+    out[~near] = (np.polyval(r.num[::-1], u) / np.polyval(r.den[::-1], u)
+                  * u ** (len(r.den) - len(r.num)))
+    return out
+
+
+def test_rational_eval_bit_identical_to_polyval():
+    """Horner evaluation equals np.polyval bit for bit: on an array mixing
+    |z| < 1, |z| = 1 and |z| > 1, on arrays on one side only, on a scalar,
+    for constant polynomials (an array out for an array in) and at poles,
+    z = infinity included."""
+    rng = np.random.default_rng(11)
+    inside = 0.9 * np.exp(2j * np.pi * rng.random(30)) * rng.random(30)
+    outside = np.exp(2j * np.pi * rng.random(30)) / (0.05 + 0.9 * rng.random(30))
+    circle = np.exp(2j * np.pi * rng.random(10))
+    mixed = np.concatenate([inside, circle, outside, [0.5j, -1.0, 1j, 2.0]])
+    rationals = [
+        wst.RationalFunction([1.0, -2.0, 3.0], [2.0, 0.5]),
+        wst.RationalFunction(np.polymul([1, -1], [1, 2.5, 1]),
+                             np.polymul([1, 1], [1, -2.5, 1])),
+        wst.RationalFunction([1j, 0.5 - 2j, 0.0, 1.0], [1.0, 0.0, 0.0]),
+        wst.RationalFunction([2.0 - 1j]),
+        wst.RationalFunction([3.0], [1.5j]),
+    ]
+    rationals += [r.deriv() for r in rationals[:3]]
+    poles = np.array([0.0, -1.0, 0.5, complex("inf")])
+    with np.errstate(all="ignore"):   # z = -1 is a pole of rationals[1]
+        for r in rationals:
+            for z in (mixed, inside, outside, circle):
+                got = r(z)
+                assert got.shape == z.shape
+                assert got.tobytes() == _polyval_reference(r, z).tobytes()
+            for z in (0.3 + 0.1j, -0.7, 4.0 - 2j, 1j):
+                got = r(z)
+                assert type(got) is complex
+                assert np.array([got]).tobytes() == _polyval_reference(r, z).tobytes()
+        for r in (wst.RationalFunction([1.0], [1.0, 0.0]),
+                  wst.RationalFunction([1.0, 0.0], [1.0, 1.0]),
+                  wst.RationalFunction([1.0, 0.0, 0.0], [2.0, -1.0])):
+            got = r(poles)
+            assert got.tobytes() == _polyval_reference(r, poles).tobytes()
+            assert not np.isfinite(got[:3]).all()
+
+
 def test_rational_eval_large_argument():
     # (z^2+1)/(z^3) -> evaluated through the 1/z chart for |z|>1
     r = wst.RationalFunction([1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0])
