@@ -10,11 +10,10 @@ derivative, and a batched Dormand-Prince integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, NumericalError, QuadratureError, ValidationError
+from .errors import DegenerateError, NumericalError, QuadratureError
 
 EYE2 = np.eye(2, dtype=complex)
 # signature matrix of the Hermitian model; also the J defining U(1,1)
@@ -78,30 +77,7 @@ def su11_defect(a: np.ndarray) -> float:
 # tanh-sinh quadrature on (0,1) with endpoint power singularities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Declares the endpoint behaviour of an integrand on (0,1).
-
-    left_exponent / right_exponent are the power-law exponents at t=0 / t=1
-    (both must be > -1 for convergence).  tol is the absolute tolerance,
-    max_level the deepest double-exponential refinement level (node spacing
-    h = 2^-level).
-    """
-
-    left_exponent: float = 0.0
-    right_exponent: float = 0.0
-    tol: float = 1e-12
-    max_level: int = 12
-
-    def __post_init__(self):
-        if not (self.left_exponent > -1.0 and self.right_exponent > -1.0):
-            raise ValidationError("endpoint exponents must be > -1")
-        if not (self.tol > 0.0):
-            raise ValidationError("tol must be positive")
-        if not (1 <= self.max_level <= 20):
-            raise ValidationError("max_level out of range")
-
-
+_TS_MAX_LEVEL = 12  # deepest refinement level (node spacing h = 2^-level)
 _UMAX = 6.5  # |u| beyond which double-exponential weights underflow float64
 
 
@@ -133,17 +109,18 @@ def _ts_nodes(h: float, only_odd: bool):
         u += step * h
 
 
-def quad_singular(f, spec: QuadratureSpec) -> complex:
-    """Integrate f over (0,1) by tanh-sinh refinement.
+def quad_singular(f, tol: float) -> complex:
+    """Integrate f over (0,1) by tanh-sinh refinement to absolute tolerance
+    tol.
 
     The integrand is called as f(a, b) where a is the distance to 0 (= t) and
     b the distance to 1 (= 1-t), both formed without cancellation so that
     endpoint powers as strong as t^-0.95 stay accurate in float64.  Raises
-    QuadratureError if max_level refinements do not reach spec.tol.
+    QuadratureError if _TS_MAX_LEVEL refinements do not reach tol.
     """
     total = 0.0 + 0.0j
     prev = None
-    for level in range(1, spec.max_level + 1):
+    for level in range(1, _TS_MAX_LEVEL + 1):
         h = 0.5 ** level
         acc = 0.0 + 0.0j
         for a, b, w in _ts_nodes(h, only_odd=(level > 1)):
@@ -154,11 +131,11 @@ def quad_singular(f, spec: QuadratureSpec) -> complex:
             total = 0.5 * total + acc  # halving h: old nodes keep half weight
         if prev is not None:
             err = abs(total - prev)
-            if err <= max(spec.tol, 1e-15 * abs(total)) and level >= 3:
+            if err <= max(tol, 1e-15 * abs(total)) and level >= 3:
                 return ensure_finite(total, "quadrature result")
         prev = total
     raise QuadratureError(
-        f"tanh-sinh did not reach tol={spec.tol} in {spec.max_level} levels"
+        f"tanh-sinh did not reach tol={tol} in {_TS_MAX_LEVEL} levels"
     )
 
 
@@ -220,33 +197,42 @@ def gk_adaptive(f, a: float, b: float, tol: float, max_depth: int = 28):
 # finite-difference Schwarzian derivative
 # ---------------------------------------------------------------------------
 
-def schwarzian_fd(h, z: complex, step: float | None = None) -> complex:
+# stencil offsets in units of the step: the five-point stencils at spacings
+# step and step/2 share the centre and the points at +-step
+_SCHWARZIAN_OFFSETS = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+def schwarzian_fd(h, z, step=None):
     """Schwarzian derivative S(h)(z) = h'''/h' - (3/2)(h''/h')^2 by central FD.
 
     Five-point stencils for h', h'', h''' at spacings d and d/2, combined with
     one Richardson level (the leading error of the h''' stencil is O(d^2)).
-    The default step macheps^(1/5) * (1+|z|) assumes h is evaluated to machine
-    accuracy; pass a larger step for evaluators with numerical noise (e.g. ODE
-    continuations).
+    z (and step) is a scalar or an array.  h is called once, on the stencil
+    points z[..., None] + step[..., None] * _SCHWARZIAN_OFFSETS, and returns
+    its values there along the last axis, with any leading shape (several
+    functions may be stacked); the result has the shape of the values less
+    that axis.  The default step macheps^(1/5) * (1+|z|) assumes h is
+    evaluated to machine accuracy; pass a larger step for evaluators with
+    numerical noise (e.g. ODE continuations).
     """
+    z = np.asarray(z, dtype=complex)
     if step is None:
-        step = (2.2e-16) ** 0.2 * (1.0 + abs(z))
+        step = (2.2e-16) ** 0.2 * (1.0 + np.abs(z))
+    step = np.asarray(step, dtype=float)
+    f = np.moveaxis(np.asarray(
+        h(z[..., None] + step[..., None] * _SCHWARZIAN_OFFSETS),
+        dtype=complex), -1, 0)
 
-    def s_at(d: float) -> complex:
-        f2p = complex(h(z + 2 * d))
-        f1p = complex(h(z + d))
-        f0 = complex(h(z))
-        f1m = complex(h(z - d))
-        f2m = complex(h(z - 2 * d))
+    def s_at(d, f2m, f1m, f0, f1p, f2p):
         d1 = (-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * d)
         d2 = (-f2p + 16 * f1p - 30 * f0 + 16 * f1m - f2m) / (12 * d * d)
         d3 = (f2p - 2 * f1p + 2 * f1m - f2m) / (2 * d ** 3)
-        if abs(d1) < 1e-13 * (1.0 + abs(f0)):
+        if np.any(np.abs(d1) < 1e-13 * (1.0 + np.abs(f0))):
             raise DegenerateError("schwarzian_fd: h' ~ 0 at sample point")
         return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
-    s_coarse = s_at(step)
-    s_fine = s_at(0.5 * step)
+    s_coarse = s_at(step, f[0], f[1], f[3], f[5], f[6])
+    s_fine = s_at(0.5 * step, f[1], f[2], f[3], f[4], f[5])
     return ensure_finite((4.0 * s_fine - s_coarse) / 3.0, "schwarzian")
 
 

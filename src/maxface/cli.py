@@ -43,7 +43,21 @@ def _parse_params(items) -> dict:
             except ValueError:
                 raise ValidationError(
                     f"--param {key}: {raw!r} is not a number") from None
+        if not math.isfinite(val):
+            raise ValidationError(f"--param {key}: {raw!r} is not finite")
         out[key] = val
+    return out
+
+
+def _positive(value, flag: str) -> float:
+    """value as a float; anything but a finite positive number is refused."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not (math.isfinite(out) and out > 0):
+        raise ValidationError(
+            f"{flag} must be a finite positive number, got {value!r}")
     return out
 
 
@@ -196,6 +210,8 @@ def cmd_singular(args) -> int:
     params.update(_parse_params(args.param))
     data = _get_surface(_merged(args, cfg, "surface"), params)
     eps = _merged(args, cfg, "tol_class")
+    if eps is not None:
+        eps = _positive(eps, "--tol-class")
     comps = sng.trace_singular_set(data)
     report = sng.singular_report(data, comps) if eps is None else \
         sng.singular_report(data, comps, eps_scale=eps)
@@ -222,7 +238,7 @@ def cmd_singular(args) -> int:
 def cmd_periods(args) -> int:
     cfg = _load_config(args)
     ks = _parse_krange(_merged(args, cfg, "k", "1-4"))
-    tol = _merged(args, cfg, "tol_closure", 1e-8)
+    tol = _positive(_merged(args, cfg, "tol_closure", 1e-8), "--tol-closure")
     jobs = _jobs_value(args)
     if jobs > 1 and len(ks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(ks))) as pool:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import cover as cov
 from . import weierstrass as wst
-from .algebra import QuadratureSpec, quad_singular
+from .algebra import quad_singular
 from .errors import NumericalError, ValidationError
 
 
@@ -46,10 +46,6 @@ def compute_AkBk(k: int, tol: float = 1e-10) -> tuple[float, float]:
     if k < 1:
         raise ValidationError("k >= 1")
     n = k + 1.0
-    spec_a = QuadratureSpec(left_exponent=1.0 / n, right_exponent=-1.0 / n,
-                            tol=tol, max_level=12)
-    spec_b = QuadratureSpec(left_exponent=-1.0 / n, right_exponent=-k / n,
-                            tol=tol, max_level=12)
 
     # integrands in log space: at deep tanh-sinh nodes b ~ 1e-300 and b**k
     # would underflow to 0 before the outer fractional power is applied
@@ -60,8 +56,8 @@ def compute_AkBk(k: int, tol: float = 1e-10) -> tuple[float, float]:
     def fb(a, b):
         return math.exp(-(math.log(a) + k * (math.log(b) + math.log(2.0 - b))) / n)
 
-    A = quad_singular(fa, spec_a).real
-    B = quad_singular(fb, spec_b).real
+    A = quad_singular(fa, tol).real
+    B = quad_singular(fb, tol).real
     A_beta = 0.5 * math.exp(_log_beta((k + 2) / (2 * n), k / n))
     B_beta = 0.5 * math.exp(_log_beta(k / (2 * n), 1.0 / n))
     if abs(A - A_beta) > 1e-9 * (1 + A_beta) or abs(B - B_beta) > 1e-9 * (1 + B_beta):

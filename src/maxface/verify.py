@@ -383,14 +383,12 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
                 sample["hyperboloid_defect"], 1e-9,
                 sample["hyperboloid_defect"] <= 1e-9,
                 "f = F e3 F^* satisfies -x0^2+x1^2+x2^2+x3^2 = 1"))
-    pair = ds.AdmissiblePair(1, 0.02)
-    worst = 0.0
-    for i in range(20):
-        # ring at distance >= 0.75 from the Hopf poles {0, +-1}: the FD
-        # Schwarzian truncation grows like (step/dist)^4 near the poles
-        z = 2.3 + 0.55 * cmath.exp(2j * math.pi * (i + 0.5) / 20.0)
-        rel = ds.schwarzian_relation(pair, z)["rel_residual"]
-        worst = max(worst, rel)
+    # ring at distance >= 0.75 from the Hopf poles {0, +-1}: the FD
+    # Schwarzian truncation grows like (step/dist)^4 near the poles
+    ring = [2.3 + 0.55 * cmath.exp(2j * math.pi * (i + 0.5) / 20.0)
+            for i in range(20)]
+    worst = float(np.max(ds.schwarzian_relation(
+        ds.AdmissiblePair(1, 0.02), ring)["rel_residual"]))
     checks.append(_check(
         "Schwarzian relation at 20 points", worst, 1e-5, worst <= 1e-5,
         "S(g) - S(G) = 2 Q_t = (2tk/(k+1)) (z^2+1)/(z^2(z^2-1))"))
@@ -425,9 +423,9 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
                              "the sigma_j are anti-involutions"))
     for k in (1, 2):
         pair = ds.AdmissiblePair(k, 0.02)
-        for lbl, word in (("tau_0", cov.word_end_zero(k)),
-                          ("tau_inf", cov.word_end_infinity(k))):
-            res = ds.loop_monodromy(pair, word)
+        monodromies = ds.loop_monodromy(
+            pair, [cov.word_end_zero(k), cov.word_end_infinity(k)])
+        for lbl, res in zip(("tau_0", "tau_inf"), monodromies):
             checks.append(_check(
                 f"word vs ODE monodromy {lbl}, k={k}",
                 res["route_disagreement"], 1e-8,

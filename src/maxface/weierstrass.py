@@ -265,6 +265,8 @@ def catalog_get(name: str, **params) -> WeierstrassData:
         phase = float(params.pop("phase", math.pi / 4))
         if params:
             raise ValidationError(f"unknown parameters {sorted(params)}")
+        if not 0.0 < phase < math.pi / 2:
+            raise ValidationError("associated needs 0 < phase < pi/2")
         return _planar(
             "associated", {"phase": phase},
             RationalFunction([1, 0]),

@@ -87,11 +87,28 @@ def test_mesh_rejects_excluded_parameter(capsys):
 @pytest.mark.parametrize("surface, param", [
     ("catenoid", "foo=1"), ("helicoid", "a=2"),
     ("genus_k", "k=1.5"), ("genus_k_reduced", "k=2.5"),
+    ("associated", "phase=5"), ("associated", "phase=0"),
+    ("genus_k", "c=nan"), ("genus_k", "c=inf"),
 ])
 def test_mesh_rejects_unchecked_parameter(surface, param, capsys):
     """Surfaces without parameters refuse any; a fractional k is refused,
-    not truncated."""
+    not truncated; a phase outside (0, pi/2) and non-finite values are
+    refused."""
     assert run(["mesh", "--surface", surface, "--param", param]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("args", [
+    ["singular", "--surface", "genus_k", "--tol-class", "0"],
+    ["singular", "--surface", "genus_k", "--tol-class", "nan"],
+    ["periods", "--k", "1", "--tol-closure=-1e-8"],
+    ["periods", "--k", "1", "--tol-closure", "inf"],
+])
+def test_rejects_nonpositive_tolerance(args, capsys):
+    """A classification or closure tolerance must be finite and > 0 (at
+    --tol-class 0 every singular point would read as degenerate)."""
+    assert run(args) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValidationError"
 

@@ -7,7 +7,6 @@ cross-checked against the closed forms nu_0 = k sqrt(1 + 4t(k+1)/k) etc.;
 they guard the integration pipeline against silent regressions.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -76,11 +75,12 @@ def test_lift_preserves_determinant():
     spec = K1.spec
     path = cov.SurfacePath((2.0, 1.8 + 0.9j, 1.1 + 1.3j),
                            cov.base_point(spec).w)
-    lift = ds.integrate_lift(K1, path)
+    lift = ds.transport(K1, [path])[0]
     assert lift.det_defect < 1e-11
-    assert alg.det2(lift.F) == pytest.approx(1.0, abs=1e-11)
+    assert alg.det2(lift.F[-1]) == pytest.approx(1.0, abs=1e-11)
     # the w-component rides along on the curve
-    assert cov.on_cover(spec, lift.point, 1e-8)
+    assert cov.on_cover(spec, cov.SurfacePoint(lift.route[-1], lift.w[-1]),
+                        1e-8)
 
 
 def test_lift_first_order_in_t():
@@ -90,10 +90,10 @@ def test_lift_first_order_in_t():
     spec = pair.spec
     o = cov.base_point(spec)
     path = cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)
-    lift = ds.integrate_lift(pair, path, rtol=1e-12)
+    F = ds.transport(pair, [path], rtol=1e-12)[0].F[-1]
     contour = wst.integrate_form(spec, path,
                                  lambda z, w: pair.psihat0(z, w), tol=1e-12)[-1]
-    assert np.max(np.abs(lift.F - alg.EYE2 - t * contour)) < 5.0 * t * t
+    assert np.max(np.abs(F - alg.EYE2 - t * contour)) < 5.0 * t * t
 
 
 def test_lift_composes_over_concatenation():
@@ -102,18 +102,18 @@ def test_lift_composes_over_concatenation():
     o = cov.base_point(spec)
     mid = 1.5 + 0.9j
     end = 0.9 + 1.4j
-    whole = ds.integrate_lift(K1, cov.SurfacePath((o.z, mid, end), o.w))
-    first = ds.integrate_lift(K1, cov.SurfacePath((o.z, mid), o.w))
-    second = ds.integrate_lift(K1, cov.SurfacePath((mid, end), first.point.w),
-                               b=first.F)
-    assert np.max(np.abs(second.F - whole.F)) < 1e-9
+    whole = ds.transport(K1, [cov.SurfacePath((o.z, mid, end), o.w)])[0]
+    first = ds.transport(K1, [cov.SurfacePath((o.z, mid), o.w)])[0]
+    second = ds.transport(K1, [cov.SurfacePath((mid, end), first.w[-1])],
+                          b=first.F[-1])[0]
+    assert np.max(np.abs(second.F[-1] - whole.F[-1])) < 1e-9
 
 
 def test_lift_at_zero_t_is_identity():
     spec = K1_ZERO.spec
     o = cov.base_point(spec)
-    lift = ds.integrate_lift(K1_ZERO, cov.SurfacePath((o.z, 1.2 + 1.1j), o.w))
-    assert np.max(np.abs(lift.F - alg.EYE2)) < 1e-13
+    lift = ds.transport(K1_ZERO, [cov.SurfacePath((o.z, 1.2 + 1.1j), o.w)])[0]
+    assert np.max(np.abs(lift.F[-1] - alg.EYE2)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +130,9 @@ def test_sigma_involutive_property(k):
 
 
 def test_rho_tilde_probe_independent():
+    rho = ds._rho_tilde_cached(K1.k, K1.t, K1.c)
     for j in (1, 2, 3):
-        _, spread = ds.reflection_monodromy(K1, j)
+        _, spread = rho[j]
         assert spread < 1e-10
 
 
@@ -169,7 +170,7 @@ def test_rho2_power_identity():
 @pytest.mark.parametrize("word_fn", [cov.word_end_zero, cov.word_end_infinity,
                                      lambda k: cov.word_base_loop()])
 def test_loop_monodromy_routes_agree(word_fn):
-    out = ds.loop_monodromy(K1, word_fn(1))
+    [out] = ds.loop_monodromy(K1, [word_fn(1)])
     assert out["route_disagreement"] < 1e-10
     assert out["det_defect"] < 1e-10
 
@@ -188,19 +189,19 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
             probe_keys.update(leg[0] for leg in legs)
     only_a = [leg[0] for leg in loop_legs if leg[0] not in probe_keys]
     assert only_a
-    ds.loop_monodromy(K1, word)  # memoizes every leg of both routes
+    ds.loop_monodromy(K1, [word])  # memoizes every leg of both routes
     key = only_a[len(only_a) // 2]
     monkeypatch.setitem(ds._PROPAGATORS, key,
                         ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
     with pytest.raises(NumericalError):
-        ds.loop_monodromy(K1, word)
+        ds.loop_monodromy(K1, [word])
     assert not verify_mod.run_criterion(12)["pass"]
 
 
 def test_loop_monodromy_base_change_consistency():
     b = alg.mat2(1.1, 0.2 + 0.1j, -0.1j, 1.0)
     word = cov.word_end_zero(1)
-    at_b = ds.loop_monodromy(K1, word, b=b)
+    [at_b] = ds.loop_monodromy(K1, [word], b=b)
     assert at_b["route_disagreement"] < 1e-9
 
 
@@ -215,6 +216,36 @@ def test_trace_identities_frozen():
     # closed form: (-1)^k 2 cos(pi nu)
     assert out["tau_0"]["target"] == pytest.approx(
         -2.0 * math.cos(math.pi * FROZEN["nu_0"]), abs=1e-9)
+
+
+def test_word_loops_are_lifted_once():
+    """trace_identity_check and su11_certify split each word loop into legs
+    once: the loop monodromies share one transport and nothing lifts a loop
+    ahead of it."""
+    pair = ds.AdmissiblePair(1, -0.015)
+    ds.construct_iota(pair)  # lifts and caches the reflection probe paths
+    calls = []
+    legs = ds._legs
+
+    def counted(pair_, path, *args):
+        calls.append(path.z_vertices)
+        return legs(pair_, path, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds, "_legs", counted)
+        ds.trace_identity_check(pair)
+        assert calls == [cov.deck_word_path(pair.spec, word).z_vertices
+                         for word in (cov.word_end_zero(1),
+                                      cov.word_end_infinity(1))]
+        calls.clear()
+        ds.su11_certify(pair)
+    # gamma, two generators for each of the k+1 rotations, tau_0, tau_inf
+    words = ([cov.word_base_loop()]
+             + [cov.word_generator(j, k2) for j in range(pair.k + 1)
+                for k2 in (False, True)]
+             + [cov.word_end_zero(1), cov.word_end_infinity(1)])
+    assert calls == [cov.deck_word_path(pair.spec, word).z_vertices
+                     for word in words]
 
 
 def test_word_sigma_product_identity_words():
@@ -325,7 +356,7 @@ def test_surface_lies_on_hyperboloid():
 
 def test_desitter_grid_mesh():
     iota1 = ds.construct_iota(K1)["iota1"]
-    grid = ds.desitter_grid(K1, b=iota1, nr=4, nth=6)
+    grid = ds.desitter_grid(K1, b=iota1)
     assert grid["hyperboloid_defect"] < 1e-8
     assert grid["x"].shape[1] == 4
     assert grid["faces"].shape[1] == 4
@@ -342,8 +373,58 @@ def test_quotient_check_two_routes():
 
 
 def test_schwarzian_relation_at_safe_point():
-    out = ds.schwarzian_relation(K1, 2.3 + 0.55j)
-    assert out["rel_residual"] < 1e-5
+    out = ds.schwarzian_relation(K1, [2.3 + 0.55j])
+    assert out["rel_residual"][0] < 1e-5
+
+
+def _reference_schwarzian(pair, probe):
+    """S(g) and S(G) at one probe from one transport per stencil path and
+    the scalar five-point formula at spacings d and d/2 with one Richardson
+    level."""
+    o = cov.base_point(pair.spec)
+    step = 0.02 * (1.0 + abs(probe))
+
+    def g_and_G(zeta):
+        lift = ds.transport(pair, [cov.SurfacePath((o.z, probe, zeta),
+                                                   o.w)])[0]
+        G = pair.c * lift.w[-1] / zeta
+        return alg.moebius_apply(alg.inv2(lift.F[-1]), G), G
+
+    def s_at(d, which):
+        f2m, f1m, f0, f1p, f2p = (g_and_G(probe + m * d)[which]
+                                  for m in (-2, -1, 0, 1, 2))
+        d1 = (-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * d)
+        d2 = (-f2p + 16 * f1p - 30 * f0 + 16 * f1m - f2m) / (12 * d * d)
+        d3 = (f2p - 2 * f1p + 2 * f1m - f2m) / (2 * d ** 3)
+        return d3 / d1 - 1.5 * (d2 / d1) ** 2
+
+    return [(4.0 * s_at(0.5 * step, which) - s_at(step, which)) / 3.0
+            for which in (0, 1)]
+
+
+def test_schwarzian_relation_one_solve_for_all_probes(monkeypatch):
+    """Every stencil point of every probe is lifted by one transport, whose
+    new legs take one batched ODE solve."""
+    probes = (2.1 + 0.5j, 2.5 - 0.4j, 1.8 + 0.7j)
+    counts = {"transport": 0, "dormand_prince": 0}
+    for name in counts:
+        fn = getattr(ds, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ds, name, counted)
+    monkeypatch.setattr(ds, "_PROPAGATORS", {})
+    out = ds.schwarzian_relation(K1, probes)
+    assert counts == {"transport": 1, "dormand_prince": 1}
+    monkeypatch.undo()
+    for i, probe in enumerate(probes):
+        s_g, s_G = _reference_schwarzian(K1, probe)
+        assert out["S_g"][i] == pytest.approx(s_g, rel=1e-12)
+        assert out["S_G"][i] == pytest.approx(s_G, rel=1e-12)
+        target = ds._hopf_shift(K1, probe)
+        rel = abs(s_g - s_G - target) / (1.0 + abs(target))
+        assert out["rel_residual"][i] == pytest.approx(rel, rel=1e-12)
 
 
 def test_hopf_shift_closed_form():
