@@ -253,6 +253,24 @@ _DP_A = (
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
+# the nonzero (stage, weight) terms of each stage sum, the 5th-order update
+# and the error estimate, in tableau order
+_DP_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0)
+                  for row in _DP_A)
+_DP_Y5 = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
+_DP_ERR = tuple((j, b5 - b4) for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
+                if b5 != b4)
+
+
+def _weighted_sum(k: np.ndarray, terms, out: np.ndarray,
+                  product: np.ndarray) -> np.ndarray:
+    """out = sum of w * k[j] over terms, added left to right in their order
+    (the rounding of Python's sum over the same products)."""
+    (j, w), rest = terms[0], terms[1:]
+    np.multiply(k[j], w, out=out)
+    for j, w in rest:
+        np.add(out, np.multiply(k[j], w, out=product), out=out)
+    return out
 
 
 def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
@@ -265,7 +283,8 @@ def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
     with the local error per step held below atol + rtol * |y| componentwise
     in that row.  f(s, y, rows) is called with the rows still running: s of
     shape (n,), y of shape (n, m) and their indices rows into y0; it returns
-    dy/ds of shape (n, m).  Finished rows drop out of the batch."""
+    dy/ds of shape (n, m).  Finished rows drop out of the batch.  The stages
+    live in one (7, N, m) buffer whose leading n rows are the running ones."""
     out = np.array(y0, dtype=complex)
     span = abs(s1 - s0)
     if span == 0.0 or len(out) == 0:
@@ -275,25 +294,29 @@ def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
     y = out
     s = np.full(len(out), float(s0))
     h = np.full(len(out), direction * min(0.1 * span + 1e-12, span))
-    k = [None] * 7
-    k[0] = np.asarray(f(s, y, rows), dtype=complex)
+    stages = np.empty((7,) + out.shape, dtype=complex)
+    # the stage argument (then the 5th-order solution), a product, the error
+    work = np.empty((3,) + out.shape, dtype=complex)
+    stages[0] = f(s, y, rows)
     for _ in range(max_steps):
+        n = len(rows)
+        k, (acc, term, err) = stages[:, :n], work[:, :n]
         h = np.where(np.abs(h) > np.abs(s1 - s), s1 - s, h)
         hc = h[:, None]
         for i in range(1, 7):
-            acc = y + hc * sum(a * k[j] for j, a in enumerate(_DP_A[i]) if a != 0.0)
-            k[i] = np.asarray(f(s + _DP_C[i] * h, acc, rows), dtype=complex)
-        y5 = y + hc * sum(b * k[j] for j, b in enumerate(_DP_B5) if b != 0.0)
-        err = hc * sum((b5 - b4) * k[j]
-                       for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
-                       if b5 != b4)
+            _weighted_sum(k, _DP_TERMS[i], acc, term)
+            np.add(y, np.multiply(hc, acc, out=acc), out=acc)
+            k[i] = f(s + _DP_C[i] * h, acc, rows)
+        y5 = _weighted_sum(k, _DP_Y5, acc, term)
+        np.add(y, np.multiply(hc, y5, out=y5), out=y5)
+        np.multiply(hc, _weighted_sum(k, _DP_ERR, err, term), out=err)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         enorm = np.max(np.abs(err) / scale, axis=1)
         ok = enorm <= 1.0
         # on rejection a row keeps its y, s and k[0]; only its step shrinks
         y = np.where(ok[:, None], y5, y)
         s = np.where(ok, s + h, s)
-        k[0] = np.where(ok[:, None], k[6], k[0])  # FSAL
+        np.copyto(k[0], k[6], where=ok[:, None])  # FSAL
         done = ok & ((s == s1) | (np.abs(s1 - s) < 1e-15 * span))
         with np.errstate(divide="ignore"):
             factor = 0.9 * enorm ** -0.2
@@ -303,7 +326,7 @@ def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
             out[rows[done]] = ensure_finite(y[done], "ODE state")
             keep = ~done
             rows, y, s, h = rows[keep], y[keep], s[keep], h[keep]
-            k[0] = k[0][keep]
+            stages[0, :len(rows)] = k[0][keep]
             if len(rows) == 0:
                 return out
         if np.any(np.abs(h) < 1e-16 * span):

@@ -268,16 +268,24 @@ def cmd_periods(args) -> int:
     return 0
 
 
-def _cmc1_row(job) -> dict:
-    k, t = job
-    if t == 0.0:
+def _cmc1_rows(job) -> list[dict]:
+    """The rows of (k, ts), in the order of ts; the nonzero t values share
+    one deformation_report."""
+    k, ts = job
+    reports = iter(ds.deformation_report(k, [t for t in ts if t != 0.0]))
+    rows = []
+    for t in ts:
+        if t != 0.0:
+            rows.append(next(reports))
+            continue
         pair = ds.AdmissiblePair(k, 0.0)
         sig = ds.sigma_matrices(k)
         worst = max(float(np.max(np.abs(ds.rho_tilde(pair, j) - sig[j])))
                     for j in (1, 2, 3))
-        return {"k": k, "t": 0.0, "c": pair.c, "degenerate_to_sigma": worst,
-                "nu_0": float(k), "nu_inf": float(k)}
-    return ds.deformation_report(k, t)
+        rows.append({"k": k, "t": 0.0, "c": pair.c,
+                     "degenerate_to_sigma": worst,
+                     "nu_0": float(k), "nu_inf": float(k)})
+    return rows
 
 
 def cmd_cmc1(args) -> int:
@@ -286,26 +294,25 @@ def cmd_cmc1(args) -> int:
     if len(ks) != 1:
         raise ValidationError(f"cmc1 takes a single k, got {ks}")
     k = ks[0]
-    ts = _parse_tlist(str(_merged(args, cfg, "t", "0.02")))
+    ts = sorted(_parse_tlist(str(_merged(args, cfg, "t", "0.02"))))
     jobs = _jobs_value(args)
-    jobs_list = [(k, t) for t in sorted(ts)]
-    if jobs > 1 and len(jobs_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(jobs_list))) as pool:
-            rows = list(pool.map(_cmc1_row, jobs_list))
+    if jobs > 1 and len(ts) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ts))) as pool:
+            rows = [row for part in pool.map(_cmc1_rows, [(k, [t]) for t in ts])
+                    for row in part]
     else:
-        rows = [_cmc1_row(job) for job in jobs_list]
-    body = {"k": k, "t_values": sorted(ts), "rows": rows}
+        rows = _cmc1_rows((k, ts))
+    body = {"k": k, "t_values": ts, "rows": rows}
     doc = export.report_document(
         "cmc1", body,
         paper_anchor="dF = t Psi_0 F dz; monodromy conjugated into SU(1,1)")
     out = _merged(args, cfg, "out")
     if getattr(args, "mesh", False):
-        t_mesh = next((t for t in sorted(ts) if t != 0.0), None)
+        t_mesh = next((t for t in ts if t != 0.0), None)
         if t_mesh is None:
             raise ValidationError("--mesh needs a nonzero t")
         pair = ds.AdmissiblePair(k, t_mesh)
-        iota1 = ds.construct_iota(pair)["iota1"]
-        grid = ds.desitter_grid(pair, b=iota1)
+        grid = ds.desitter_grid(pair, b=ds.construct_iota([pair])[0]["iota1"])
         path = Path(out or ".")
         path.mkdir(parents=True, exist_ok=True)
         fname = f"cmc1_k{k}_t{f'{t_mesh:g}'.replace('.', 'p').replace('-', 'm')}.ply"

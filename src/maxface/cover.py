@@ -78,8 +78,7 @@ class CoverSpec:
         if self.reduced:
             m = self.m
             return ((m + 1) / z + (2 * m) / (z - 1)) / (2 * m + 1)
-        k = self.k
-        return ((2 * k + 1) * z * z - 1) / ((k + 1) * z * (z * z - 1))
+        return genus_log_derivative(self.k, z)
 
     def fiber(self, z) -> np.ndarray:
         """All sheet_count roots w over z, a scalar or an array, along a new
@@ -93,6 +92,12 @@ class CoverSpec:
     def genus(self) -> int:
         # Riemann-Hurwitz from the branching data; see genus_check.
         return genus_check(self)["genus"]
+
+
+def genus_log_derivative(k, z):
+    """w'/w along w^(k+1) = z(z^2-1)^k; k and z broadcast, so the rows of one
+    batch may lie on covers of different k."""
+    return ((2 * k + 1) * z * z - 1) / ((k + 1) * z * (z * z - 1))
 
 
 @dataclass(frozen=True)

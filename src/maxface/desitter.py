@@ -25,7 +25,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +52,15 @@ class AdmissiblePair:
     def __post_init__(self):
         if self.k < 1:
             raise ValidationError("k >= 1")
+        if not math.isfinite(self.t):
+            raise ValidationError(f"t must be finite, got {self.t}")
         if abs(self.t) >= self.t_max:
             raise ValidationError(
                 f"|t| must stay below k/(4(k+1)) = {self.t_max}")
         if self.c is None:
             object.__setattr__(self, "c", per.compute_ck(self.k).c_k)
-        elif not self.c > 0:
-            raise ValidationError("c > 0")
+        elif not (self.c > 0 and math.isfinite(self.c)):
+            raise ValidationError(f"c must be finite and > 0, got {self.c}")
 
     @property
     def t_max(self) -> float:
@@ -145,23 +146,27 @@ def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
     return legs, upto, tuple(route)
 
 
-def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray:
-    """Propagators of the legs (key, a, b, w_a, w_b) from F = e0, all in one
-    batched Dormand-Prince call with w integrated jointly; w must end on the
-    continued root w_b."""
-    t, c, spec = pair.t, pair.c, pair.spec
-    za = np.array([leg[1] for leg in legs])
-    dza = np.array([leg[2] - leg[1] for leg in legs])
-    y0 = np.zeros((len(legs), 5), dtype=complex)
+def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
+    """Propagators of the legs of the rows (pair, (key, a, b, w_a, w_b)) from
+    F = e0, all in one batched Dormand-Prince call with w integrated jointly;
+    each row reads its own t, c and k.  w must end on the continued root
+    w_b."""
+    za = np.array([leg[1] for _, leg in rows])
+    dza = np.array([leg[2] - leg[1] for _, leg in rows])
+    ts = np.array([pair.t for pair, _ in rows])
+    cs = np.array([pair.c for pair, _ in rows])
+    ks = np.array([pair.k for pair, _ in rows])
+    y0 = np.zeros((len(rows), 5), dtype=complex)
     y0[:, 0] = y0[:, 3] = 1.0
-    y0[:, 4] = [leg[3] for leg in legs]
+    y0[:, 4] = [leg[3] for _, leg in rows]
 
-    def rhs(s, y, rows):
-        dz = dza[rows]
-        z = za[rows] + dz * s
+    def rhs(s, y, live):
+        dz = dza[live]
+        z = za[live] + dz * s
         w = y[:, 4]
+        c = cs[live]
         # t dz PsiHat_0 = [[p, q], [r, -p]]
-        tdz = t * dz
+        tdz = ts[live] * dz
         p = tdz / z
         q = -c * w / (z * z) * tdz
         r = tdz / (c * w)
@@ -170,12 +175,12 @@ def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray
         out[:, 1] = p * y[:, 1] + q * y[:, 3]
         out[:, 2] = r * y[:, 0] - p * y[:, 2]
         out[:, 3] = r * y[:, 1] - p * y[:, 3]
-        out[:, 4] = w * spec.log_derivative(z) * dz
+        out[:, 4] = w * cov.genus_log_derivative(ks[live], z) * dz
         return out
 
     y = dormand_prince(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
-    for (_, a, b, _, wb), w_end in zip(legs, y[:, 4]):
-        roots = spec.fiber(b)
+    for (pair, (_, a, b, _, wb)), w_end in zip(rows, y[:, 4]):
+        roots = pair.spec.fiber(b)
         near = roots[int(np.argmin(np.abs(roots - w_end)))]
         if abs(near - wb) > 1e-9 * (1.0 + abs(wb)):
             raise ContinuationError(
@@ -183,46 +188,66 @@ def _integrate_legs(pair: AdmissiblePair, legs: list, rtol: float) -> np.ndarray
     return y[:, :4].reshape(-1, 2, 2)
 
 
-def _propagators(pair: AdmissiblePair, legs: list, rtol: float) -> dict:
-    """Phi for every leg; the ones not memoized are integrated together."""
+def _propagators(rows: list, rtol: float) -> dict:
+    """Phi for the leg of every row (pair, leg); the ones not memoized are
+    integrated together."""
     found, new = {}, {}
-    for leg in legs:
+    for pair, leg in rows:
         key = leg[0]
         if key in _PROPAGATORS:
             found[key] = _PROPAGATORS[key]
         else:
-            new[key] = leg
+            new[key] = (pair, leg)
     if new:
         if len(_PROPAGATORS) + len(new) > _MEMO_CAP:
             _PROPAGATORS.clear()
-        for key, phi in zip(new, _integrate_legs(pair, list(new.values()),
-                                                 rtol)):
+        for key, phi in zip(new, _integrate_legs(list(new.values()), rtol)):
             _PROPAGATORS[key] = found[key] = phi
     return found
 
 
-def transport(pair: AdmissiblePair, paths, b: np.ndarray | None = None,
-              rtol: float = 1e-11, detour: bool = True) -> list[Transport]:
-    """Lift every path from the frame b at its start.
+def _frames(b, n: int) -> np.ndarray:
+    """n initial frames from b: None (e0), one frame, or one per item."""
+    b = EYE2 if b is None else np.asarray(b, dtype=complex)
+    return np.broadcast_to(b.reshape(-1, 2, 2), (n, 2, 2))
+
+
+def transport(jobs, b=None, rtol: float = 1e-11,
+              detour: bool = True) -> list[Transport]:
+    """Lift the path of every job (pair, path) from the frame b at its start:
+    one frame for all jobs or one per job.
 
     The ODE is linear in F, so the frame at the i-th leg end is the prefix
-    product Phi_i ... Phi_1 b of memoized leg propagators.  Each path segment
-    gets the counterclockwise branch-point detours of cov.sanitize_path;
-    detour=False transports the segments straight, for rays that run
-    radially into a branch point, where a detour would wind about it.  det F
-    is monitored, never renormalized."""
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    split = [_legs(pair, path, rtol, detour) for path in paths]
-    phis = _propagators(pair, [leg for legs, _, _ in split for leg in legs],
-                        rtol)
-    det0 = det2(b0)
+    product Phi_i ... Phi_1 b of memoized leg propagators; the legs not yet
+    memoized, of every pair, take one batched solve.  A path is split into
+    legs once per k, however many pairs lift it.  Each path segment gets the
+    counterclockwise branch-point detours of cov.sanitize_path; detour=False
+    transports the segments straight, for rays that run radially into a
+    branch point, where a detour would wind about it.  det F is monitored,
+    never renormalized."""
+    jobs = list(jobs)
+    split, lifts = {}, []
+    for pair, path in jobs:
+        # the legs, sheets and route depend on (k, path) only; each pair
+        # keys the legs' propagators by its own (t, c, rtol)
+        where = (pair.k, path.z_vertices, path.w0)
+        if where not in split:
+            split[where] = _legs(pair, path, rtol, detour)
+        legs, upto, route = split[where]
+        head = (pair.t, pair.c, rtol)
+        lifts.append(([(head + leg[0][3:],) + leg[1:] for leg in legs],
+                      upto, route))
+    phis = _propagators([(pair, leg) for (pair, _), (legs, _, _)
+                         in zip(jobs, lifts) for leg in legs], rtol)
     out = []
-    for path, (legs, upto, route) in zip(paths, split):
+    for (_, path), (legs, upto, route), b0 in zip(jobs, lifts,
+                                                  _frames(b, len(jobs))):
         frames = [b0]
         for leg in legs:
             frames.append(phis[leg[0]] @ frames[-1])
         F = np.array([frames[n] for n in upto])
         ws = [path.w0] + [leg[4] for leg in legs]
+        det0 = det2(b0)
         defect = max(abs(det2(f) - det0) for f in F)
         out.append(Transport(route=route, w=[ws[n] for n in upto], F=F,
                              det_defect=float(defect)))
@@ -271,34 +296,47 @@ def _probe_paths(spec: cov.CoverSpec, j: int, probes) -> list:
                       _reflected_probe_path(spec, j, probe))]
 
 
-@lru_cache(maxsize=64)
-def _rho_tilde_cached(k: int, t: float, c: float) -> dict:
-    """j -> (rho~_j at e0, its probe spread), the spread being the
+# pair -> j -> (rho~_j at e0, its probe spread)
+_RHO_TILDE: dict[AdmissiblePair, dict] = {}
+
+
+def _rho_tildes(pairs) -> list[dict]:
+    """Per pair, j -> (rho~_j at e0, its probe spread), the spread being the
     path-independence certificate; one transport lifts every probe path of
-    the three reflections."""
-    pair = AdmissiblePair(k, t, c)
-    sig = sigma_matrices(k)
-    lifts = transport(pair, [p for j in (1, 2, 3)
-                             for p in _probe_paths(pair.spec, j, _PROBES)])
-    # [j - 1][probe] -> (F at c, F at P_j * (mu_j o c))
-    ends = np.array([tr.F[-1] for tr in lifts]).reshape(3, len(_PROBES), 2, 2, 2)
-    out = {}
-    for j, probe_ends in zip((1, 2, 3), ends):
-        values = [inv2(f2.conj()) @ sig[j] @ f1 for f1, f2 in probe_ends]
-        out[j] = (values[0], max(float(np.max(np.abs(v - values[0])))
-                                 for v in values[1:]))
-    return out
+    the three reflections for all the pairs not yet memoized."""
+    tables = {pair: _RHO_TILDE.get(pair) for pair in pairs}
+    new = [pair for pair, table in tables.items() if table is None]
+    lifts = transport([(pair, path) for pair in new for j in (1, 2, 3)
+                       for path in _probe_paths(pair.spec, j, _PROBES)])
+    # [pair][j - 1][probe] -> (F at c, F at P_j * (mu_j o c))
+    ends = np.array([tr.F[-1] for tr in lifts]).reshape(
+        len(new), 3, len(_PROBES), 2, 2, 2)
+    for pair, pair_ends in zip(new, ends):
+        sig = sigma_matrices(pair.k)
+        table = tables[pair] = {}
+        for j, probe_ends in zip((1, 2, 3), pair_ends):
+            values = [inv2(f2.conj()) @ sig[j] @ f1 for f1, f2 in probe_ends]
+            table[j] = (values[0], max(float(np.max(np.abs(v - values[0])))
+                                       for v in values[1:]))
+    if len(_RHO_TILDE) + len(new) > _MEMO_CAP:
+        _RHO_TILDE.clear()
+    _RHO_TILDE.update((pair, tables[pair]) for pair in new)
+    return [tables[pair] for pair in pairs]
 
 
-def rho_tilde(pair: AdmissiblePair, j: int,
-              b: np.ndarray | None = None) -> np.ndarray:
-    """rho~_j at initial frame b (computed once at e0, then conjugated:
-    rho~_j(b) = conj(b)^{-1} rho~_j b)."""
-    rho = _rho_tilde_cached(pair.k, pair.t, pair.c)[j][0]
+def _at_frame(rho: np.ndarray, b) -> np.ndarray:
+    """A reflection matrix at e0 moved to the initial frame b:
+    rho~_j(b) = conj(b)^{-1} rho~_j b (b = None keeps e0)."""
     if b is None:
         return rho
     b = np.asarray(b, dtype=complex)
     return inv2(b.conj()) @ rho @ b
+
+
+def rho_tilde(pair: AdmissiblePair, j: int,
+              b: np.ndarray | None = None) -> np.ndarray:
+    """rho~_j at initial frame b (computed once at e0, then conjugated)."""
+    return _at_frame(_rho_tildes([pair])[0][j][0], b)
 
 
 # ---------------------------------------------------------------------------
@@ -316,26 +354,28 @@ def word_sigma_product(k: int, word: cov.DeckWord) -> np.ndarray:
     return acc
 
 
-def loop_monodromy(pair: AdmissiblePair, words,
-                   b: np.ndarray | None = None) -> list[dict]:
-    """Monodromy of the lift around each realized word loop; one transport
-    lifts all the loops.
+def loop_monodromy(jobs, b=None) -> list[dict]:
+    """Monodromy of the lift around the realized loop of every job
+    (pair, word), from the frame b (one for all jobs or one per job); one
+    transport lifts all the loops.
 
     route a: direct integration, rho = F_end^{-1} b;
     route b: alternating composition Pi Sigma^{-1} with
              Pi = conj(rho~_{i1}) rho~_{i2} conj(rho~_{i3}) ...
 
-    Returns route a per word (with the route disagreement recorded); raises
+    Returns route a per job (with the route disagreement recorded); raises
     if the two routes disagree beyond 1e-8 on any word."""
-    b0 = EYE2 if b is None else np.asarray(b, dtype=complex)
-    lifts = transport(pair, [cov.deck_word_path(pair.spec, word)
-                             for word in words], b0)
+    jobs = list(jobs)
+    tables = _rho_tildes([pair for pair, _ in jobs])
+    frames = _frames(b, len(jobs))
+    lifts = transport([(pair, cov.deck_word_path(pair.spec, word))
+                       for pair, word in jobs], frames)
     out = []
-    for word, lift in zip(words, lifts):
+    for (pair, word), table, lift, b0 in zip(jobs, tables, lifts, frames):
         rho_a = inv2(lift.F[-1]) @ b0
         acc = EYE2.copy()
         for pos, idx in enumerate(word.indices):
-            m = rho_tilde(pair, idx, b)
+            m = _at_frame(table[idx][0], None if b is None else b0)
             acc = acc @ (m.conj() if pos % 2 == 0 else m)
         sig = word_sigma_product(pair.k, word)
         if b is None:
@@ -354,68 +394,81 @@ def loop_monodromy(pair: AdmissiblePair, words,
     return out
 
 
-def trace_identity_check(pair: AdmissiblePair) -> dict:
-    """tr rho(tau_0) = (-1)^k 2 cos(pi nu_0) and the same at the other end."""
-    k = pair.k
-    nu0, nuinf = nu_exponents(k, pair.t)
-    ends = (("tau_0", cov.word_end_zero(k), nu0),
-            ("tau_inf", cov.word_end_infinity(k), nuinf))
-    monodromies = loop_monodromy(pair, [word for _, word, _ in ends])
-    out = {}
-    for (label, _, nu), res in zip(ends, monodromies):
-        rho = res["rho"]
-        tr = complex(rho[0, 0] + rho[1, 1])
-        target = (-1.0) ** k * 2.0 * math.cos(math.pi * nu)
-        out[label] = {"trace": tr, "target": target,
-                      "residual": abs(tr - target)}
+def trace_identity_check(pairs) -> list[dict]:
+    """Per pair, tr rho(tau_0) = (-1)^k 2 cos(pi nu_0) and the same at the
+    other end; one loop_monodromy call for every pair."""
+    pairs = list(pairs)
+    monodromies = iter(loop_monodromy(
+        [(pair, word) for pair in pairs
+         for word in (cov.word_end_zero(pair.k),
+                      cov.word_end_infinity(pair.k))]))
+    out = []
+    for pair in pairs:
+        row = {}
+        for label, nu in zip(("tau_0", "tau_inf"),
+                             nu_exponents(pair.k, pair.t)):
+            rho = next(monodromies)["rho"]
+            tr = complex(rho[0, 0] + rho[1, 1])
+            target = (-1.0) ** pair.k * 2.0 * math.cos(math.pi * nu)
+            row[label] = {"trace": tr, "target": target,
+                          "residual": abs(tr - target)}
+        out.append(row)
     return out
 
 
-def residue_derivative(pair_k: int) -> dict:
-    """d/dt|_0 rho(tau_0)^{-1} = 2 (k+1) pi i diag(1,-1), checked two ways:
-    a centered difference of the monodromy in t, and the direct contour
-    integral of PsiHat_0 over the realized tau_0 loop."""
-    k = pair_k
-    c = per.compute_ck(k).c_k
-    word = cov.word_end_zero(k)
-    spec = cov.CoverSpec(k)
-    loop = cov.deck_word_path(spec, word)
-
-    def rho_inv(t: float) -> np.ndarray:
-        # rho^{-1} = b^{-1} F_end = F_end at b = e0
-        return transport(AdmissiblePair(k, t, c), [loop], rtol=1e-12)[0].F[-1]
-
+def residue_derivative(ks) -> list[dict]:
+    """Per k, d/dt|_0 rho(tau_0)^{-1} = 2 (k+1) pi i diag(1,-1), checked two
+    ways: a centered difference of the monodromy in t, and the direct
+    contour integral of PsiHat_0 over the realized tau_0 loop.  One
+    transport lifts the loop at t = +-h for every k."""
     h = 1e-5
-    d_fd = (rho_inv(h) - rho_inv(-h)) / (2.0 * h)
-    contour = wst.integrate_form(
-        spec, loop,
-        lambda z, w: np.array([[1.0 / z, -c * w / (z * z)],
-                               [1.0 / (c * w), -1.0 / z]]))[-1]
-    target = 2.0 * (k + 1) * math.pi * 1j * np.diag([1.0, -1.0])
-    return {
-        "fd": d_fd,
-        "contour": contour,
-        "target": target,
-        "fd_residual": float(np.max(np.abs(d_fd - target))),
-        "contour_residual": float(np.max(np.abs(contour - target))),
-    }
+    loops = [(k, per.compute_ck(k).c_k,
+              cov.deck_word_path(cov.CoverSpec(k), cov.word_end_zero(k)))
+             for k in ks]
+    # rho^{-1} = b^{-1} F_end = F_end at b = e0
+    ends = iter(tr.F[-1] for tr in transport(
+        [(AdmissiblePair(k, t, c), loop) for k, c, loop in loops
+         for t in (h, -h)], rtol=1e-12))
+    out = []
+    for k, c, loop in loops:
+        fwd, back = next(ends), next(ends)
+        d_fd = (fwd - back) / (2.0 * h)
+        contour = wst.integrate_form(
+            cov.CoverSpec(k), loop,
+            lambda z, w: np.array([[1.0 / z, -c * w / (z * z)],
+                                   [1.0 / (c * w), -1.0 / z]]))[-1]
+        target = 2.0 * (k + 1) * math.pi * 1j * np.diag([1.0, -1.0])
+        out.append({
+            "fd": d_fd,
+            "contour": contour,
+            "target": target,
+            "fd_residual": float(np.max(np.abs(d_fd - target))),
+            "contour_residual": float(np.max(np.abs(contour - target))),
+        })
+    return out
 
 
 # ---------------------------------------------------------------------------
 # the SU(1,1) initial frame
 # ---------------------------------------------------------------------------
 
-def construct_iota(pair: AdmissiblePair) -> dict:
-    """The two-step frame normalization.
+def construct_iota(pairs) -> list[dict]:
+    """The two-step frame normalization of each pair, from one _rho_tildes
+    call for all of them.
 
     rho~_2 at e0 has the form [[cos k lam - i u, i s1], [i s2, cos k lam + i u]]
     with u, s1, s2 real; iota is the real matrix that rotates it into SU(1,1).
     Conjugating rho~_3 by iota gives [[q, i r1], [i r2, conj q]] with r1 r2 < 0,
     and the diagonal rescaling iota_1 = iota diag(s, 1/s), s = (-r1/r2)^{1/4},
     finishes the job for the whole group."""
+    pairs = list(pairs)
+    return [_iota(pair, rho) for pair, rho in zip(pairs, _rho_tildes(pairs))]
+
+
+def _iota(pair: AdmissiblePair, rho: dict) -> dict:
     k = pair.k
     lam = pair.lam
-    r2m = rho_tilde(pair, 2)
+    r2m = rho[2][0]
     cos_kl = math.cos(k * lam)
     u = -float(r2m[0, 0].imag)
     s1 = float(r2m[0, 1].imag)
@@ -430,7 +483,7 @@ def construct_iota(pair: AdmissiblePair) -> dict:
     iota = np.array([[u + math.sin(k * lam), s1],
                      [-s2, u + math.sin(k * lam)]], dtype=complex) / root
 
-    r3m = rho_tilde(pair, 3, b=iota)
+    r3m = _at_frame(rho[3][0], iota)
     q = complex(r3m[0, 0])
     r1 = float(r3m[0, 1].imag)
     r2_ = float(r3m[1, 0].imag)
@@ -449,37 +502,49 @@ def construct_iota(pair: AdmissiblePair) -> dict:
             "form_residual": float(form_residual)}
 
 
-def su11_certify(pair: AdmissiblePair) -> dict:
-    """Certify that at b = iota_1 the three reflection matrices, every
-    generator monodromy, and both end monodromies lie in SU(1,1)."""
-    k = pair.k
-    iota1 = construct_iota(pair)["iota1"]
-    rows = {}
-    worst = 0.0
-    for j in (1, 2, 3):
-        defect = su11_defect(rho_tilde(pair, j, b=iota1))
-        rows[f"rho~_{j}"] = {"su11_defect": defect, "route_disagreement": 0.0}
-        worst = max(worst, defect)
-    words = [("gamma", cov.word_base_loop())]
-    for j in range(k + 1):
-        words.append((f"gen_k1^{j}", cov.word_generator(j, False)))
-        words.append((f"gen_k1^{j}_k2", cov.word_generator(j, True)))
-    words.append(("tau_0", cov.word_end_zero(k)))
-    words.append(("tau_inf", cov.word_end_infinity(k)))
-    worst_det = 0.0
-    for (label, _), res in zip(words, loop_monodromy(
-            pair, [word for _, word in words], b=iota1)):
-        defect = su11_defect(res["rho"])
-        rows[label] = {"su11_defect": defect,
-                       "route_disagreement": res["route_disagreement"],
-                       "det_defect": res["det_defect"]}
-        worst = max(worst, defect)
-        worst_det = max(worst_det, res["det_defect"])
-    certified = bool(worst < 1e-8)
-    if not certified:
-        raise NumericalError(f"SU(1,1) certification failed: defect {worst:.2e}")
-    return {"certified": certified, "worst_defect": worst,
-            "worst_det_defect": worst_det, "words": rows, "iota1": iota1}
+def su11_certify(pairs) -> list[dict]:
+    """Certify for each pair that at b = iota_1 the three reflection
+    matrices, every generator monodromy, and both end monodromies lie in
+    SU(1,1); one loop_monodromy call lifts the word loops of every pair."""
+    pairs = list(pairs)
+    iotas = [iota["iota1"] for iota in construct_iota(pairs)]
+    words = [[("gamma", cov.word_base_loop())]
+             + [(f"gen_k1^{j}{tag}", cov.word_generator(j, k2))
+                for j in range(pair.k + 1)
+                for k2, tag in ((False, ""), (True, "_k2"))]
+             + [("tau_0", cov.word_end_zero(pair.k)),
+                ("tau_inf", cov.word_end_infinity(pair.k))]
+             for pair in pairs]
+    monodromies = iter(loop_monodromy(
+        [(pair, word) for pair, labelled in zip(pairs, words)
+         for _, word in labelled],
+        [iota1 for iota1, labelled in zip(iotas, words) for _ in labelled]))
+    out = []
+    for pair, iota1, labelled in zip(pairs, iotas, words):
+        rows = {}
+        worst = 0.0
+        for j in (1, 2, 3):
+            defect = su11_defect(rho_tilde(pair, j, b=iota1))
+            rows[f"rho~_{j}"] = {"su11_defect": defect,
+                                 "route_disagreement": 0.0}
+            worst = max(worst, defect)
+        worst_det = 0.0
+        for label, _ in labelled:
+            res = next(monodromies)
+            defect = su11_defect(res["rho"])
+            rows[label] = {"su11_defect": defect,
+                           "route_disagreement": res["route_disagreement"],
+                           "det_defect": res["det_defect"]}
+            worst = max(worst, defect)
+            worst_det = max(worst_det, res["det_defect"])
+        certified = bool(worst < 1e-8)
+        if not certified:
+            raise NumericalError(
+                f"SU(1,1) certification failed: defect {worst:.2e}")
+        out.append({"certified": certified, "worst_defect": worst,
+                    "worst_det_defect": worst_det, "words": rows,
+                    "iota1": iota1})
+    return out
 
 
 def theta_zero_check(pair: AdmissiblePair) -> dict:
@@ -515,17 +580,23 @@ def desitter_defect(x: np.ndarray) -> float:
     return float(abs(-x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2 - 1.0))
 
 
-def desitter_sample(pair: AdmissiblePair, z_values,
-                    b: np.ndarray | None = None) -> dict:
-    """Sample the CMC-1 face at the given z values (lifted from the base
-    point along straight sanitized legs, initial frame b)."""
-    spec = pair.spec
-    lifts = transport(pair, [_straight_path(spec, z) for z in z_values], b)
-    xs = np.array([hermitian_coordinates(tr.F[-1]) for tr in lifts])
-    return {"x": xs,
-            "hyperboloid_defect": max(desitter_defect(x) for x in xs),
-            "points": [cov.SurfacePoint(tr.route[-1], tr.w[-1])
-                       for tr in lifts]}
+def desitter_sample(pairs, z_values, b=None) -> list[dict]:
+    """Sample the CMC-1 face of each pair at the given z values (lifted from
+    the base point along straight sanitized legs, initial frame b: one for
+    all pairs or one per pair); one transport for every pair."""
+    pairs = list(pairs)
+    frames = np.repeat(_frames(b, len(pairs)), len(z_values), axis=0)
+    lifts = transport([(pair, _straight_path(pair.spec, z))
+                       for pair in pairs for z in z_values], frames)
+    out = []
+    for i in range(len(pairs)):
+        mine = lifts[i * len(z_values):(i + 1) * len(z_values)]
+        xs = np.array([hermitian_coordinates(tr.F[-1]) for tr in mine])
+        out.append({"x": xs,
+                    "hyperboloid_defect": max(desitter_defect(x) for x in xs),
+                    "points": [cov.SurfacePoint(tr.route[-1], tr.w[-1])
+                               for tr in mine]})
+    return out
 
 
 def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None) -> dict:
@@ -543,7 +614,8 @@ def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None) -> dict:
         column[:i + 2] + [radii[i] * cmath.exp(1j * th) for th in thetas[1:]],
         o.w) for i in range(nr)]
     xs = np.array([[hermitian_coordinates(F) for F in tr.F[i + 1:]]
-                   for i, tr in enumerate(transport(pair, paths, b, 1e-10))])
+                   for i, tr in enumerate(transport(
+                       [(pair, path) for path in paths], b, 1e-10))])
     worst = max(desitter_defect(x) for x in xs.reshape(-1, 4))
     faces = []
     cols = nth + 1
@@ -565,8 +637,8 @@ def _via_probe(pair: AdmissiblePair, probes, points) -> list[Transport]:
     in row-major order; F[1], w[1] are the lift at the probe and F[2], w[2]
     the lift at the point."""
     o = cov.base_point(pair.spec)
-    return transport(pair, [
-        cov.SurfacePath((o.z, complex(probe), complex(z)), o.w)
+    return transport([
+        (pair, cov.SurfacePath((o.z, complex(probe), complex(z)), o.w))
         for probe, row in zip(probes, points) for z in row])
 
 
@@ -650,7 +722,7 @@ def end_asymptotics(pair: AdmissiblePair, which: str = "zero") -> dict:
     # the ray stays clear of the branch points except the end it runs into
     # radially, where a clearance detour would circle that end on every leg
     ray = cov.SurfacePath(_end_ray(which), cov.base_point(pair.spec).w)
-    tr = transport(pair, [ray], detour=False)[0]
+    [tr] = transport([(pair, ray)], detour=False)
     y_samples = [hermitian_coordinates(F) for F in tr.F[1:]]
     nu0, nuinf = nu_exponents(pair.k, pair.t)
     nu = nu0 if which == "zero" else nuinf
@@ -683,22 +755,27 @@ def end_asymptotics(pair: AdmissiblePair, which: str = "zero") -> dict:
 # aggregate report
 # ---------------------------------------------------------------------------
 
-def deformation_report(k: int, t: float) -> dict:
-    pair = AdmissiblePair(k, t)
-    nu0, nuinf = nu_exponents(k, t)
-    spreads = {j: _rho_tilde_cached(k, t, pair.c)[j][1] for j in (1, 2, 3)}
-    iota = construct_iota(pair)
-    cert = su11_certify(pair)
-    traces = trace_identity_check(pair)
-    theta = theta_zero_check(pair)
-    return {
-        "k": k, "t": t, "c": pair.c,
-        "nu_0": nu0, "nu_inf": nuinf,
-        "probe_spreads": spreads,
-        "iota_form_residual": iota["form_residual"],
-        "su11_worst_defect": cert["worst_defect"],
-        "worst_det_defect": cert["worst_det_defect"],
-        "trace_tau0_residual": traces["tau_0"]["residual"],
-        "trace_tauinf_residual": traces["tau_inf"]["residual"],
-        "theta0_residual": theta["residual"],
-    }
+def deformation_report(k: int, ts) -> list[dict]:
+    """The cmc1 row of each t: exponents, probe spreads and the iota, SU(1,1),
+    trace and theta checks, each check lifting every t in one call."""
+    pairs = [AdmissiblePair(k, t) for t in ts]
+    rhos = _rho_tildes(pairs)
+    iotas = construct_iota(pairs)
+    certs = su11_certify(pairs)
+    traces = trace_identity_check(pairs)
+    out = []
+    for pair, rho, iota, cert, trace in zip(pairs, rhos, iotas, certs,
+                                            traces):
+        nu0, nuinf = nu_exponents(k, pair.t)
+        out.append({
+            "k": k, "t": pair.t, "c": pair.c,
+            "nu_0": nu0, "nu_inf": nuinf,
+            "probe_spreads": {j: rho[j][1] for j in (1, 2, 3)},
+            "iota_form_residual": iota["form_residual"],
+            "su11_worst_defect": cert["worst_defect"],
+            "worst_det_defect": cert["worst_det_defect"],
+            "trace_tau0_residual": trace["tau_0"]["residual"],
+            "trace_tauinf_residual": trace["tau_inf"]["residual"],
+            "theta0_residual": theta_zero_check(pair)["residual"],
+        })
+    return out

@@ -320,24 +320,27 @@ def criterion_9(cfg: VerifyConfig) -> list[dict]:
     """Deformation algebra: the half-turn power law, trace identities,
     the t-derivative residue, and the second-order growth of |q|."""
     checks = []
-    for k in (1, 2):
-        for t in (-0.02, -0.01, 0.01, 0.02):
-            pair = ds.AdmissiblePair(k, t)
-            r2 = ds.rho_tilde(pair, 2)
-            powres = float(np.max(np.abs(
-                np.linalg.matrix_power(r2, k + 1) - (-1.0) ** k * EYE2)))
+    pairs = [ds.AdmissiblePair(k, t)
+             for k in (1, 2) for t in (-0.02, -0.01, 0.01, 0.02)]
+    for pair, traces in zip(pairs, ds.trace_identity_check(pairs)):
+        k, t = pair.k, pair.t
+        r2 = ds.rho_tilde(pair, 2)
+        powres = float(np.max(np.abs(
+            np.linalg.matrix_power(r2, k + 1) - (-1.0) ** k * EYE2)))
+        checks.append(_check(
+            f"rho~_2^(k+1) = (-1)^k e0, k={k} t={t:+}", powres, 1e-8,
+            powres <= 1e-8, "(rho_2)^(k+1) = (-1)^k e0"))
+        for lbl in ("tau_0", "tau_inf"):
+            res = traces[lbl]["residual"]
             checks.append(_check(
-                f"rho~_2^(k+1) = (-1)^k e0, k={k} t={t:+}", powres, 1e-8,
-                powres <= 1e-8, "(rho_2)^(k+1) = (-1)^k e0"))
-            traces = ds.trace_identity_check(pair)
-            for lbl in ("tau_0", "tau_inf"):
-                res = traces[lbl]["residual"]
-                checks.append(_check(
-                    f"trace rho({lbl}), k={k} t={t:+}", res, 1e-6,
-                    res <= 1e-6,
-                    "trace rho(tau) = (-1)^k 2 cos(pi nu), nu = k sqrt(1 +- 4t(k+1)/k)"))
-    for k in (1, 2):
-        rd = ds.residue_derivative(k)
+                f"trace rho({lbl}), k={k} t={t:+}", res, 1e-6,
+                res <= 1e-6,
+                "trace rho(tau) = (-1)^k 2 cos(pi nu), nu = k sqrt(1 +- 4t(k+1)/k)"))
+    h = 1e-3
+    q_pairs = [ds.AdmissiblePair(k, tt) for k in (1, 2) for tt in (-h, 0.0, h)]
+    qs = [abs(iota["q"]) ** 2 for iota in ds.construct_iota(q_pairs)]
+    for k, rd, q3 in zip((1, 2), ds.residue_derivative((1, 2)),
+                         (qs[:3], qs[3:])):
         scale = 2.0 * (k + 1) * math.pi
         checks.append(_check(
             f"d/dt rho(tau_0)^-1 at 0, k={k} (FD)", rd["fd_residual"] / scale,
@@ -347,10 +350,7 @@ def criterion_9(cfg: VerifyConfig) -> list[dict]:
             f"contour integral of Psi_0, k={k}", rd["contour_residual"], 1e-9,
             rd["contour_residual"] <= 1e-9,
             "contour(Psi_0) over tau_0 = 2 pi i diag(k+1, -(k+1))"))
-        h = 1e-3
-        qs = [abs(ds.construct_iota(ds.AdmissiblePair(k, tt))["q"]) ** 2
-              for tt in (-h, 0.0, h)]
-        d2 = (qs[0] - 2.0 * qs[1] + qs[2]) / (h * h)
+        d2 = (q3[0] - 2.0 * q3[1] + q3[2]) / (h * h)
         target = 4.0 * (k + 1) * math.pi / k * math.tan(
             math.pi * k / (2.0 * k + 2.0))
         rel = abs(d2 - target) / target
@@ -369,20 +369,21 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
     """SU(1,1) certification, the hyperboloid constraint, and the
     Schwarzian/Hopf comparison of the secondary Gauss map."""
     checks = []
-    for k in (1, 2):
-        for t in (-0.02, 0.02):
-            pair = ds.AdmissiblePair(k, t)
-            cert = ds.su11_certify(pair)
-            checks.append(_check(
-                f"SU(1,1) at iota_1, k={k} t={t:+}", cert["worst_defect"],
-                1e-8, cert["worst_defect"] < 1e-8,
-                "all reflection and loop monodromies lie in SU(1,1)"))
-            sample = ds.desitter_sample(pair, _DS_SAMPLE_Z, b=cert["iota1"])
-            checks.append(_check(
-                f"hyperboloid constraint, k={k} t={t:+}",
-                sample["hyperboloid_defect"], 1e-9,
-                sample["hyperboloid_defect"] <= 1e-9,
-                "f = F e3 F^* satisfies -x0^2+x1^2+x2^2+x3^2 = 1"))
+    pairs = [ds.AdmissiblePair(k, t) for k in (1, 2) for t in (-0.02, 0.02)]
+    certs = ds.su11_certify(pairs)
+    samples = ds.desitter_sample(pairs, _DS_SAMPLE_Z,
+                                 b=[cert["iota1"] for cert in certs])
+    for pair, cert, sample in zip(pairs, certs, samples):
+        k, t = pair.k, pair.t
+        checks.append(_check(
+            f"SU(1,1) at iota_1, k={k} t={t:+}", cert["worst_defect"],
+            1e-8, cert["worst_defect"] < 1e-8,
+            "all reflection and loop monodromies lie in SU(1,1)"))
+        checks.append(_check(
+            f"hyperboloid constraint, k={k} t={t:+}",
+            sample["hyperboloid_defect"], 1e-9,
+            sample["hyperboloid_defect"] <= 1e-9,
+            "f = F e3 F^* satisfies -x0^2+x1^2+x2^2+x3^2 = 1"))
     # ring at distance >= 0.75 from the Hopf poles {0, +-1}: the FD
     # Schwarzian truncation grows like (step/dist)^4 near the poles
     ring = [2.3 + 0.55 * cmath.exp(2j * math.pi * (i + 0.5) / 20.0)
@@ -421,10 +422,12 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
         checks.append(_check(f"conj(sigma_j) sigma_j = e0, k={k}", worst,
                              1e-14, worst <= 1e-14,
                              "the sigma_j are anti-involutions"))
+    pairs = [ds.AdmissiblePair(k, 0.02) for k in (1, 2)]
+    monodromies = iter(ds.loop_monodromy(
+        [(pair, word) for pair in pairs
+         for word in (cov.word_end_zero(pair.k),
+                      cov.word_end_infinity(pair.k))]))
     for k in (1, 2):
-        pair = ds.AdmissiblePair(k, 0.02)
-        monodromies = ds.loop_monodromy(
-            pair, [cov.word_end_zero(k), cov.word_end_infinity(k)])
         for lbl, res in zip(("tau_0", "tau_inf"), monodromies):
             checks.append(_check(
                 f"word vs ODE monodromy {lbl}, k={k}",

@@ -253,6 +253,13 @@ def test_cmc1_rejects_out_of_window_t(capsys):
     assert run(["cmc1", "--k", "1", "--t", "0.2"]) == 2
 
 
+def test_cmc1_rejects_nonfinite_t(capsys):
+    assert run(["cmc1", "--k", "1", "--t=0.01,nan"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+    assert "finite" in err["error"]["message"]
+
+
 def test_cmc1_rejects_several_k(capsys):
     """cmc1 reports one k; a k range is refused, not cut to its first k."""
     assert run(["cmc1", "--k", "2,3", "--t", "0.01"]) == 2

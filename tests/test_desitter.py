@@ -47,6 +47,16 @@ def test_admissible_window():
     ds.AdmissiblePair(2, 0.08)        # inside k/(4(k+1)) = 1/6
 
 
+@pytest.mark.parametrize("t, c", [(math.nan, None), (math.inf, None),
+                                  (-math.inf, None), (0.01, math.nan),
+                                  (0.01, math.inf)])
+def test_admissible_pair_rejects_nonfinite(t, c):
+    """A NaN t would never hit the propagator memo and used to fail only in
+    nu_exponents, as if it lay outside the window."""
+    with pytest.raises(ValidationError, match="finite"):
+        ds.AdmissiblePair(1, t, c)
+
+
 def test_nu_closed_form():
     nu0, nuinf = ds.nu_exponents(1, 0.02)
     assert nu0 == pytest.approx(math.sqrt(1.16), rel=1e-14)
@@ -75,7 +85,7 @@ def test_lift_preserves_determinant():
     spec = K1.spec
     path = cov.SurfacePath((2.0, 1.8 + 0.9j, 1.1 + 1.3j),
                            cov.base_point(spec).w)
-    lift = ds.transport(K1, [path])[0]
+    [lift] = ds.transport([(K1, path)])
     assert lift.det_defect < 1e-11
     assert alg.det2(lift.F[-1]) == pytest.approx(1.0, abs=1e-11)
     # the w-component rides along on the curve
@@ -90,7 +100,7 @@ def test_lift_first_order_in_t():
     spec = pair.spec
     o = cov.base_point(spec)
     path = cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)
-    F = ds.transport(pair, [path], rtol=1e-12)[0].F[-1]
+    F = ds.transport([(pair, path)], rtol=1e-12)[0].F[-1]
     contour = wst.integrate_form(spec, path,
                                  lambda z, w: pair.psihat0(z, w), tol=1e-12)[-1]
     assert np.max(np.abs(F - alg.EYE2 - t * contour)) < 5.0 * t * t
@@ -102,17 +112,85 @@ def test_lift_composes_over_concatenation():
     o = cov.base_point(spec)
     mid = 1.5 + 0.9j
     end = 0.9 + 1.4j
-    whole = ds.transport(K1, [cov.SurfacePath((o.z, mid, end), o.w)])[0]
-    first = ds.transport(K1, [cov.SurfacePath((o.z, mid), o.w)])[0]
-    second = ds.transport(K1, [cov.SurfacePath((mid, end), first.w[-1])],
-                          b=first.F[-1])[0]
+    [whole] = ds.transport([(K1, cov.SurfacePath((o.z, mid, end), o.w))])
+    [first] = ds.transport([(K1, cov.SurfacePath((o.z, mid), o.w))])
+    [second] = ds.transport([(K1, cov.SurfacePath((mid, end), first.w[-1]))],
+                            b=first.F[-1])
     assert np.max(np.abs(second.F[-1] - whole.F[-1])) < 1e-9
+
+
+def _empty_memos(monkeypatch):
+    for memo in ("_PROPAGATORS", "_SHEETS", "_RHO_TILDE"):
+        monkeypatch.setattr(ds, memo, {})
+
+
+def test_multi_pair_transport_matches_per_pair_calls(monkeypatch):
+    """One transport over pairs of k = 1 and k = 2 with +-t, each from its
+    own frame, gives every path the frames and fiber values, bit for bit,
+    that a transport of its pair alone gives: each row of the batched solve
+    reads its own t, c and k."""
+    pairs = [ds.AdmissiblePair(k, t) for k in (1, 2) for t in (0.02, -0.03)]
+    frames = {pair: alg.mat2(1.0 + 0.1 * i, 0.2j, -0.1, 1.0)
+              for i, pair in enumerate(pairs)}
+
+    def jobs(pair):
+        o = cov.base_point(pair.spec)
+        return [(pair, cov.SurfacePath((o.z, 1.6 + 0.8j, 1.1 + 1.3j), o.w)),
+                (pair, cov.deck_word_path(pair.spec,
+                                          cov.word_end_zero(pair.k)))]
+
+    def lift(batch):
+        _empty_memos(monkeypatch)
+        return ds.transport(batch, [frames[pair] for pair, _ in batch])
+
+    together = lift([job for pair in pairs for job in jobs(pair)])
+    alone = [tr for pair in pairs for tr in lift(jobs(pair))]
+    assert len(together) == len(alone) == 8
+    for mixed, single in zip(together, alone):
+        assert np.array_equal(mixed.F, single.F)
+        assert mixed.w == single.w
+        assert mixed.route == single.route
+        assert mixed.det_defect == single.det_defect
+
+
+def test_batched_checks_solve_counts(monkeypatch):
+    """On empty memos criterion 9 takes one batched ODE solve per stage:
+    the probe paths and then the trace words of its eight (k, t) pairs, the
+    +-h residue loops of both k and the probe paths of the six iota pairs.
+    deformation_report over two t values takes two, the same rows as one
+    report per t."""
+    solves = []
+    dormand_prince = ds.dormand_prince
+
+    def counted(f, y0, *args, **kwargs):
+        solves.append(len(y0))
+        return dormand_prince(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(ds, "dormand_prince", counted)
+    _empty_memos(monkeypatch)
+    checks = verify_mod.criterion_9(verify_mod.VerifyConfig())
+    assert all(check["pass"] for check in checks)
+    assert len(solves) == 4
+    _empty_memos(monkeypatch)
+    solves.clear()
+    rows = ds.deformation_report(2, [0.013, -0.027])
+    assert len(solves) == 2
+    for t, row in zip((0.013, -0.027), rows):
+        _empty_memos(monkeypatch)
+        assert ds.deformation_report(2, [t]) == [row]
+
+
+def test_checks_take_empty_pair_lists():
+    """cmc1 with only t = 0 asks deformation_report for no rows; a worker of
+    cmc1 --jobs 2 can get such a list."""
+    assert ds.deformation_report(1, []) == []
+    assert ds.su11_certify([]) == ds.desitter_sample([], (2.0 + 1j,)) == []
 
 
 def test_lift_at_zero_t_is_identity():
     spec = K1_ZERO.spec
     o = cov.base_point(spec)
-    lift = ds.transport(K1_ZERO, [cov.SurfacePath((o.z, 1.2 + 1.1j), o.w)])[0]
+    [lift] = ds.transport([(K1_ZERO, cov.SurfacePath((o.z, 1.2 + 1.1j), o.w))])
     assert np.max(np.abs(lift.F[-1] - alg.EYE2)) < 1e-13
 
 
@@ -130,7 +208,7 @@ def test_sigma_involutive_property(k):
 
 
 def test_rho_tilde_probe_independent():
-    rho = ds._rho_tilde_cached(K1.k, K1.t, K1.c)
+    [rho] = ds._rho_tildes([K1])
     for j in (1, 2, 3):
         _, spread = rho[j]
         assert spread < 1e-10
@@ -170,7 +248,7 @@ def test_rho2_power_identity():
 @pytest.mark.parametrize("word_fn", [cov.word_end_zero, cov.word_end_infinity,
                                      lambda k: cov.word_base_loop()])
 def test_loop_monodromy_routes_agree(word_fn):
-    [out] = ds.loop_monodromy(K1, [word_fn(1)])
+    [out] = ds.loop_monodromy([(K1, word_fn(1))])
     assert out["route_disagreement"] < 1e-10
     assert out["det_defect"] < 1e-10
 
@@ -189,24 +267,24 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
             probe_keys.update(leg[0] for leg in legs)
     only_a = [leg[0] for leg in loop_legs if leg[0] not in probe_keys]
     assert only_a
-    ds.loop_monodromy(K1, [word])  # memoizes every leg of both routes
+    ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
     key = only_a[len(only_a) // 2]
     monkeypatch.setitem(ds._PROPAGATORS, key,
                         ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
     with pytest.raises(NumericalError):
-        ds.loop_monodromy(K1, [word])
+        ds.loop_monodromy([(K1, word)])
     assert not verify_mod.run_criterion(12)["pass"]
 
 
 def test_loop_monodromy_base_change_consistency():
     b = alg.mat2(1.1, 0.2 + 0.1j, -0.1j, 1.0)
     word = cov.word_end_zero(1)
-    [at_b] = ds.loop_monodromy(K1, [word], b=b)
+    [at_b] = ds.loop_monodromy([(K1, word)], b=b)
     assert at_b["route_disagreement"] < 1e-9
 
 
 def test_trace_identities_frozen():
-    out = ds.trace_identity_check(K1)
+    [out] = ds.trace_identity_check([K1])
     assert out["tau_0"]["residual"] < 1e-8
     assert out["tau_inf"]["residual"] < 1e-8
     assert out["tau_0"]["trace"] == pytest.approx(FROZEN["trace_tau0"],
@@ -219,33 +297,37 @@ def test_trace_identities_frozen():
 
 
 def test_word_loops_are_lifted_once():
-    """trace_identity_check and su11_certify split each word loop into legs
-    once: the loop monodromies share one transport and nothing lifts a loop
-    ahead of it."""
+    """trace_identity_check and su11_certify split each distinct word loop
+    into legs once: the loop monodromies share one transport, nothing lifts
+    a loop ahead of it, and a loop that two words realize (gamma and the
+    first generator) is split once."""
     pair = ds.AdmissiblePair(1, -0.015)
-    ds.construct_iota(pair)  # lifts and caches the reflection probe paths
+    ds.construct_iota([pair])  # lifts and caches the reflection probe paths
     calls = []
     legs = ds._legs
 
     def counted(pair_, path, *args):
-        calls.append(path.z_vertices)
+        calls.append((path.z_vertices, path.w0))
         return legs(pair_, path, *args)
+
+    def loops(words):
+        return list(dict.fromkeys(
+            (path.z_vertices, path.w0)
+            for path in (cov.deck_word_path(pair.spec, w) for w in words)))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ds, "_legs", counted)
-        ds.trace_identity_check(pair)
-        assert calls == [cov.deck_word_path(pair.spec, word).z_vertices
-                         for word in (cov.word_end_zero(1),
-                                      cov.word_end_infinity(1))]
+        ds.trace_identity_check([pair])
+        assert calls == loops([cov.word_end_zero(1), cov.word_end_infinity(1)])
         calls.clear()
-        ds.su11_certify(pair)
+        ds.su11_certify([pair])
     # gamma, two generators for each of the k+1 rotations, tau_0, tau_inf
     words = ([cov.word_base_loop()]
              + [cov.word_generator(j, k2) for j in range(pair.k + 1)
                 for k2 in (False, True)]
              + [cov.word_end_zero(1), cov.word_end_infinity(1)])
-    assert calls == [cov.deck_word_path(pair.spec, word).z_vertices
-                     for word in words]
+    assert len(loops(words)) == len(words) - 1
+    assert calls == loops(words)
 
 
 def test_word_sigma_product_identity_words():
@@ -263,7 +345,7 @@ def test_word_sigma_product_identity_words():
 # ---------------------------------------------------------------------------
 
 def test_iota_t_zero_degeneracy():
-    out = ds.construct_iota(K1_ZERO)
+    [out] = ds.construct_iota([K1_ZERO])
     assert np.max(np.abs(out["iota"] - alg.EYE2)) < 1e-10
     assert np.max(np.abs(out["iota1"] - alg.EYE2)) < 1e-10
     assert out["s"] == pytest.approx(1.0)
@@ -272,7 +354,7 @@ def test_iota_t_zero_degeneracy():
 
 
 def test_iota_form_and_reality():
-    out = ds.construct_iota(K1)
+    [out] = ds.construct_iota([K1])
     assert out["form_residual"] < 1e-10
     assert np.max(np.abs(out["iota"].imag)) < 1e-12   # iota is real
     assert out["r1"] * out["r2"] < 0                  # opposite signs
@@ -280,7 +362,7 @@ def test_iota_form_and_reality():
 
 
 def test_all_generators_su11_at_iota1():
-    cert = ds.su11_certify(K1)
+    [cert] = ds.su11_certify([K1])
     assert cert["certified"]
     assert cert["worst_defect"] < 1e-8
     # reflection monodromies at iota1 are themselves SU(1,1)
@@ -312,7 +394,7 @@ def test_theta_zero_pi_over_4_at_zero_t():
 # ---------------------------------------------------------------------------
 
 def test_residue_derivative_routes():
-    out = ds.residue_derivative(1)
+    [out] = ds.residue_derivative([1])
     assert out["contour_residual"] < 1e-9
     assert out["fd_residual"] < 1e-4
     want = 2.0 * 2.0 * math.pi
@@ -322,11 +404,11 @@ def test_residue_derivative_routes():
 def test_residue_derivative_perturbed_contour_fails(monkeypatch):
     """A perturbed contour route fails its check; the finite-difference
     route, computed on the lift, does not move."""
-    exact = ds.residue_derivative(1)
+    [exact] = ds.residue_derivative([1])
     integrate_form = wst.integrate_form
     monkeypatch.setattr(wst, "integrate_form",
                         lambda *a, **kw: integrate_form(*a, **kw) + 1e-7)
-    out = ds.residue_derivative(1)
+    [out] = ds.residue_derivative([1])
     assert out["contour_residual"] == pytest.approx(1e-7, rel=1e-3)
     assert out["fd_residual"] == exact["fd_residual"]
     checks = {c["name"]: c for c in verify_mod.criterion_9(
@@ -347,15 +429,15 @@ def test_hermitian_coordinates_identity():
 
 
 def test_surface_lies_on_hyperboloid():
-    iota1 = ds.construct_iota(K1)["iota1"]
-    out = ds.desitter_sample(K1, (1.8 + 0.4j, 2.2 - 0.3j, 2.6 + 0.9j),
-                             b=iota1)
+    iota1 = ds.construct_iota([K1])[0]["iota1"]
+    [out] = ds.desitter_sample([K1], (1.8 + 0.4j, 2.2 - 0.3j, 2.6 + 0.9j),
+                               b=iota1)
     assert out["hyperboloid_defect"] < 1e-9
     assert out["x"].shape == (3, 4)
 
 
 def test_desitter_grid_mesh():
-    iota1 = ds.construct_iota(K1)["iota1"]
+    iota1 = ds.construct_iota([K1])[0]["iota1"]
     grid = ds.desitter_grid(K1, b=iota1)
     assert grid["hyperboloid_defect"] < 1e-8
     assert grid["x"].shape[1] == 4
@@ -385,8 +467,8 @@ def _reference_schwarzian(pair, probe):
     step = 0.02 * (1.0 + abs(probe))
 
     def g_and_G(zeta):
-        lift = ds.transport(pair, [cov.SurfacePath((o.z, probe, zeta),
-                                                   o.w)])[0]
+        [lift] = ds.transport([(pair, cov.SurfacePath((o.z, probe, zeta),
+                                                      o.w))])
         G = pair.c * lift.w[-1] / zeta
         return alg.moebius_apply(alg.inv2(lift.F[-1]), G), G
 
@@ -452,7 +534,7 @@ def test_end_asymptotics_zero_end():
 
 
 def test_deformation_report_keys():
-    rep = ds.deformation_report(1, 0.02)
+    [rep] = ds.deformation_report(1, [0.02])
     for key in ("k", "t", "c", "nu_0", "nu_inf", "su11_worst_defect",
                 "trace_tau0_residual", "trace_tauinf_residual",
                 "theta0_residual"):
