@@ -212,7 +212,7 @@ def cmd_singular(args) -> int:
     eps = _merged(args, cfg, "tol_class")
     if eps is not None:
         eps = _positive(eps, "--tol-class")
-    comps = sng.trace_singular_set(data)
+    [comps] = sng.trace_singular_set(data)
     report = sng.singular_report(data, comps) if eps is None else \
         sng.singular_report(data, comps, eps_scale=eps)
     doc = export.report_document(

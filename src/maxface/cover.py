@@ -181,6 +181,21 @@ def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
     return abs(a + t * ab - p)
 
 
+def _near_branch_points(spec: CoverSpec, vertices) -> np.ndarray:
+    """For every segment of the polyline, whether it may pass a finite
+    branch point closer than the clearance radius: the distance of every
+    segment to every branch point in one array pass.  A relative margin of
+    1e-9 keeps rounding from clearing a segment sanitize_path would detour."""
+    bp = np.array(spec.finite_branch_points, dtype=complex)
+    v = np.array(vertices, dtype=complex)
+    a, ab = v[:-1, None], (v[1:] - v[:-1])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((bp - a).conjugate() * ab).real / np.abs(ab) ** 2, 0.0, 1.0)
+    # a zero-length segment measures from its start
+    dist = np.abs(a + np.where(np.isnan(t), 0.0, t) * ab - bp)
+    return np.any(dist < clearance(spec) * (1.0 + 1e-9), axis=1)
+
+
 def sanitize_path(spec: CoverSpec, vertices) -> tuple:
     """Insert a counterclockwise semicircular detour wherever a segment passes
     a finite branch point closer than the clearance radius.
@@ -263,11 +278,13 @@ class LiftedPath:
     starting fiber value: the one continuation primitive.
 
     Each input segment gets its branch-point detours (sanitize_path) on its
-    own, so w_vertices[i] is the fiber value at input vertex i and upto[i]
-    the number of legs before it.  legs holds the transported pieces
-    (z0, z1, s_nodes, w_nodes) with their continuation checkpoints, and w_at
-    answers w at points along a leg (seed by interpolation, snap to the
-    nearest exact fiber root)."""
+    own; the segments are screened against the branch points in one array
+    pass and only those near one are sanitized, the others are one leg (none
+    if shorter than 1e-14).  So w_vertices[i] is the fiber value at input
+    vertex i and upto[i] the number of legs before it.  legs holds the
+    transported pieces (z0, z1, s_nodes, w_nodes) with their continuation
+    checkpoints, and w_at answers w at points along a leg (seed by
+    interpolation, snap to the nearest exact fiber root)."""
 
     def __init__(self, spec: CoverSpec, path: SurfacePath):
         if path.w0 is None:
@@ -278,8 +295,13 @@ class LiftedPath:
         w = path.w0
         self.w_vertices = [w]
         self.upto = [0]
-        for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
-            seg = sanitize_path(spec, (a, b))
+        z = path.z_vertices
+        for a, b, near in zip(z[:-1], z[1:], _near_branch_points(spec, z)):
+            if near:
+                seg = sanitize_path(spec, (a, b))
+            else:
+                a, b = complex(a), complex(b)
+                seg = (a, b) if abs(b - a) > 1e-14 else (a,)
             for za, zb in zip(seg[:-1], seg[1:]):
                 rec: list = []
                 w = _continue_segment(spec, za, zb, w, record=rec)

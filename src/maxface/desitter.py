@@ -712,17 +712,27 @@ def _end_ray(which: str) -> list[complex]:
     raise ValidationError("end must be 'zero' or 'infinity'")
 
 
-def end_asymptotics(pair: AdmissiblePair, which: str = "zero") -> dict:
-    """Slope of log|x1 + i x2| against log x0 along a ray into the end.
+_ENDS = ("zero", "infinity")
+
+
+def end_asymptotics(pair: AdmissiblePair) -> list[dict]:
+    """Slope of log|x1 + i x2| against log x0 along a ray into each end,
+    one dict per end of `_ENDS`, both rays lifted in one transport call.
 
     The lift has |x0| -> inf with x3/x0 -> 1 and the transverse part growing
     with exponent nu/(k + nu), nu = nu_0 or nu_inf.  (The sign of x0 depends
     on the initial frame and deck sheet; the fit uses log |x0|.)  The fit is
     reported with its R^2; below 0.999 the result is flagged inconclusive."""
-    # the ray stays clear of the branch points except the end it runs into
+    # a ray stays clear of the branch points except the end it runs into
     # radially, where a clearance detour would circle that end on every leg
-    ray = cov.SurfacePath(_end_ray(which), cov.base_point(pair.spec).w)
-    [tr] = transport([(pair, ray)], detour=False)
+    w0 = cov.base_point(pair.spec).w
+    trs = transport([(pair, cov.SurfacePath(_end_ray(which), w0)) for which in _ENDS],
+                    detour=False)
+    return [_end_fit(pair, which, tr) for which, tr in zip(_ENDS, trs)]
+
+
+def _end_fit(pair: AdmissiblePair, which: str, tr: Transport) -> dict:
+    """The growth fit of one end from the lift `tr` of its ray."""
     y_samples = [hermitian_coordinates(F) for F in tr.F[1:]]
     nu0, nuinf = nu_exponents(pair.k, pair.t)
     nu = nu0 if which == "zero" else nuinf

@@ -13,12 +13,12 @@ with the scale-aware threshold eps = 1e-7 (1 + |alpha| + |beta|):
     degenerate          anything else pointwise
 
 Curves are traced in a Moebius chart zhat (so components through z = infinity
-become bounded) by a predictor-corrector walk on phi = log|G|, whose chart
-gradient is conj(H') with H' = (G'/G) dz/dzhat.  Components on a branched
-cover are lifted by analytic continuation of w along one z-circuit; a circuit
-that permutes the sheets closes only after several circuits, the first one
-rotated by the deck group w -> zeta w, and singular points are counted on the
-full lifted traversal.
+become bounded) by predictor-corrector walks on phi = log|G|, all components
+marched in lockstep; the chart gradient of phi is conj(H') with
+H' = (G'/G) dz/dzhat.  Components on a branched cover are lifted by analytic
+continuation of w along one z-circuit; a circuit that permutes the sheets
+closes only after several circuits, the first one rotated by the deck group
+w -> zeta w, and singular points are counted on the full lifted traversal.
 
 Cone-like components are recognized at component level (alpha real and
 bounded away from zero along the whole curve, G winding +-1, eta_hat bounded
@@ -167,92 +167,205 @@ class _Profile:
 # tracing
 # ---------------------------------------------------------------------------
 
-def _project(prof: _Profile, zh, tol: float = 1e-13, max_iter: int = 40):
-    """Project chart points onto {phi = 0} by Newton steps along the chart
-    gradient.  zh is a scalar or a 1-d array; each row steps on its own and
-    leaves the batch once |phi_hat| < tol.  Returns (points, gradients) of
-    zh's form, each gradient the one evaluated at its returned point (one
-    phi_grad call per iterate).  Raises if any row meets an undefined
-    phi_hat, a vanishing gradient or its step budget."""
-    out = np.array(zh, dtype=complex, ndmin=1)
-    grads = np.empty_like(out)
+def _project(prof: _Profile, zh: np.ndarray, tol: float = 1e-13, max_iter: int = 40):
+    """Project the chart points zh (a 1-d array) onto {phi = 0} by Newton
+    steps along the chart gradient.  Each row steps on its own and leaves
+    the batch once |phi_hat| < tol, or fails: at an undefined phi_hat, a
+    vanishing gradient or after max_iter steps.  Returns (points, gradients,
+    ok), each gradient the one evaluated at its returned point (one
+    phi_grad call per iterate) and NaN on a failed row."""
+    cur = np.array(zh, dtype=complex)
+    out = cur.copy()
+    grads = np.full(len(out), complex("nan"))
+    ok = np.zeros(len(out), dtype=bool)
     rows = np.arange(len(out))
-    cur = out
     for _ in range(max_iter):
         v, grad = prof.phi_grad(cur)
-        if not np.isfinite(v).all():
-            raise NumericalError(f"phi undefined near zhat={cur[~np.isfinite(v)][0]}")
-        busy = np.abs(v) >= tol
-        if not busy.all():
-            grads[rows[~busy]] = grad[~busy]
-            rows, cur, v, grad = rows[busy], cur[busy], v[busy], grad[busy]
-        if len(rows) == 0:
-            return (out, grads) if np.ndim(zh) else (complex(out[0]), complex(grads[0]))
         g2 = np.abs(grad) ** 2
-        if (g2 < 1e-24).any():
-            raise DegenerateError(f"vanishing gradient of log|G| at zhat={cur[g2 < 1e-24][0]}")
+        av = np.abs(v)
+        # NaN fails here, -inf (G = 0) on the next iterate
+        busy = (av >= tol) & (g2 >= 1e-24)
+        if not busy.all():
+            done = av < tol
+            ok[rows[done]] = True
+            grads[rows[done]] = grad[done]
+            out[rows] = cur
+            rows, cur, v, grad, g2 = rows[busy], cur[busy], v[busy], grad[busy], g2[busy]
+            if len(rows) == 0:
+                return out, grads, ok
         cur = cur - v * grad / g2
-        out[rows] = cur
-    raise NumericalError(f"corrector stalled at zhat={cur[0]}, "
-                         f"residual {np.max(np.abs(v)):.2e}")
+    out[rows] = cur
+    return out, grads, ok
 
 
-def _tangent(zh: complex, grad: complex) -> complex:
-    """Unit tangent of the level curve at zh from the chart gradient there."""
-    a = abs(grad)
-    if a < 1e-12:
-        raise DegenerateError(f"vanishing gradient at zhat={zh}")
-    return 1j * grad / a
+class _Walk:
+    """One level curve marched from its seed: a row of the lockstep march.
 
+    The walk corrects its seed, then steps h along the unit tangent and
+    corrects; a failed correction or a turn sharper than 0.45 rad halves h
+    (14 halvings end the walk as partial) and an accepted step lets h relax
+    back by 1.25.  It closes on returning within 0.9 h of its start after
+    moving away, and ends as partial outside the bound or after _MAX_STEPS
+    steps.  A seed that cannot be corrected, a vertex with a vanishing
+    gradient or an end before 8 vertices drops the walk."""
 
-def _trace_component(prof: _Profile, seed: complex, step: float,
-                     bound: float) -> tuple[np.ndarray, bool, bool]:
-    """March the level curve from a corrected seed.  Returns (vertices, closed,
-    partial); vertices never repeat the start point."""
-    z0, grad0 = _project(prof, seed)
-    pts = [z0]
-    h = step * (1.0 + abs(z0))
-    direction = _tangent(z0, grad0)
-    moved_away = False
-    for n in range(_MAX_STEPS):
-        cur = pts[-1]
-        t = direction  # the unit tangent at cur, oriented along the walk
-        # adaptive turn control: halve on sharp turns, let the step relax back
-        for _ in range(14):
-            try:
-                nxt, grad = _project(prof, cur + h * t)
-            except (NumericalError, DegenerateError):
-                h *= 0.5
-                continue
-            t_new = _tangent(nxt, grad)
+    def __init__(self, seed: complex, step: float):
+        self.seed, self.step = seed, step
+        self.pts: list[complex] = []       # vertices, never repeating pts[0]
+        self.h = 0.0
+        self.direction = 0j                # unit tangent at pts[-1], along the walk
+        self.moved_away = False
+        self.tries = 0                     # halvings of the pending step
+        self.done = False
+        self.result = None                 # (vertices, closed) unless dropped
+
+    def target(self) -> complex:
+        """The point to correct next."""
+        if not self.pts:
+            return self.seed
+        return self.pts[-1] + self.h * self.direction
+
+    def advance(self, nxt: complex, grad: complex, ok: bool, bound: float) -> None:
+        """Take the correction nxt of target() (gradient grad there; ok
+        False if the correction failed)."""
+        a = abs(grad) if ok else 0.0
+        if ok and a < 1e-12 or not (ok or self.pts):
+            self.done = True               # no tangent, or an uncorrectable seed
+            return
+        if not self.pts:
+            self.pts.append(nxt)
+            self.h = self.step * (1.0 + abs(nxt))
+            self.direction = 1j * grad / a
+            return
+        cur, t = self.pts[-1], self.direction
+        if ok:
+            t_new = 1j * grad / a
             if (t_new.real * t.real + t_new.imag * t.imag) < 0:
                 t_new = -t_new
             cosang = max(-1.0, min(1.0, t.real * t_new.real + t.imag * t_new.imag))
-            if math.acos(cosang) > 0.45 and h > 1e-6 * (1 + abs(cur)):
-                h *= 0.5
-                continue
-            break
-        else:
-            return np.array(pts), False, True
-        direction = t_new
-        d0 = abs(nxt - z0)
-        if moved_away and n >= 8 and d0 < 0.9 * h:
-            return np.array(pts), True, False
-        if d0 > 3.0 * h:
-            moved_away = True
-        pts.append(nxt)
-        h = min(h * 1.25, step * (1.0 + abs(nxt)))
-        if abs(nxt.real) > bound or abs(nxt.imag) > bound:
-            return np.array(pts), False, True
-    return np.array(pts), False, True
+            ok = not (math.acos(cosang) > 0.45 and self.h > 1e-6 * (1 + abs(cur)))
+        if not ok:
+            self.h *= 0.5
+            self.tries += 1
+            if self.tries == 14:
+                self._end(closed=False)
+            return
+        self.tries = 0
+        self.direction = t_new
+        n = len(self.pts) - 1              # steps accepted before this one
+        d0 = abs(nxt - self.pts[0])
+        if self.moved_away and n >= 8 and d0 < 0.9 * self.h:
+            self._end(closed=True)
+            return
+        if d0 > 3.0 * self.h:
+            self.moved_away = True
+        self.pts.append(nxt)
+        self.h = min(self.h * 1.25, self.step * (1.0 + abs(nxt)))
+        if abs(nxt.real) > bound or abs(nxt.imag) > bound or n + 1 == _MAX_STEPS:
+            self._end(closed=False)
+
+    def _end(self, closed: bool) -> None:
+        self.done = True
+        if len(self.pts) >= 8:
+            self.result = (np.array(self.pts), closed)
+
+
+def _speculate(pending: list[int], groups: np.ndarray, live: set) -> list[int]:
+    """Seeds to start ahead of their turn: the first pending seed of every
+    predicted component (groups) that has no live walk."""
+    out, seen = [], set(live)
+    for j in pending:
+        if groups[j] not in seen:
+            seen.add(groups[j])
+            out.append(j)
+    return out
+
+
+class _Lane:
+    """The seeds of one step size, resolved in _grid_seeds order.  A seed
+    within 2.5 step (1 + |seed|) of a component already kept is skipped;
+    any other is traced, and kept unless its walk is dropped.  Walks of
+    later seeds may run ahead; a walk whose seed turns out to be skipped is
+    discarded, so the kept components do not depend on which seeds run
+    ahead."""
+
+    def __init__(self, seeds: list[complex], step: float):
+        self.seeds, self.step = seeds, step
+        self.points = np.array(seeds, dtype=complex)
+        self.near = np.array([2.5 * step * (1.0 + abs(s)) for s in seeds])
+        self.covered = np.zeros(len(seeds), dtype=bool)
+        self.next = 0                      # the first seed not yet resolved
+        self.walks: dict[int, _Walk] = {}  # seed index -> walk, unresolved seeds only
+        self.kept: list[tuple] = []        # (vertices, closed)
+
+    def resolve(self) -> None:
+        while self.next < len(self.seeds):
+            i = self.next
+            if not self.covered[i]:
+                walk = self.walks.get(i)
+                if walk is None or not walk.done:
+                    return
+                if walk.result:
+                    self._keep(walk.result)
+            self.walks.pop(i, None)
+            self.next += 1
+
+    def _keep(self, result: tuple) -> None:
+        self.kept.append(result)
+        verts = result[0]
+        for lo in range(self.next + 1, len(self.seeds), 64):
+            block = self.points[lo:lo + 64]
+            dist = np.min(np.abs(verts[:, None] - block[None, :]), axis=0)
+            self.covered[lo:lo + 64] |= dist < self.near[lo:lo + 64]
+        for i in [i for i in self.walks if self.covered[i]]:
+            del self.walks[i]
+
+    def running(self) -> list[_Walk]:
+        """The walks to advance this round."""
+        return [w for w in self.walks.values() if not w.done]
+
+    def start(self, groups: np.ndarray) -> None:
+        """Start the walk of the next seed and the speculative ones."""
+        if self.next == len(self.seeds):
+            return
+        if self.next not in self.walks:
+            self.walks[self.next] = _Walk(self.seeds[self.next], self.step)
+        live = {groups[i] for i, w in self.walks.items() if w.result or not w.done}
+        pending = [j for j in range(self.next + 1, len(self.seeds))
+                   if not self.covered[j] and j not in self.walks]
+        for j in _speculate(pending, groups, live):
+            self.walks[j] = _Walk(self.seeds[j], self.step)
+
+
+def _march(prof: _Profile, seeds: list[complex], groups: np.ndarray,
+           steps: tuple, bound: float) -> list[list[tuple]]:
+    """Trace the components of every step size in one lockstep march: each
+    round corrects the pending point of every live walk in one _project
+    call.  Returns, per step size, the kept (vertices, closed) in seed
+    order."""
+    lanes = [_Lane(seeds, step) for step in steps]
+    changed = True
+    while True:
+        if changed:
+            for lane in lanes:
+                lane.resolve()
+                lane.start(groups)
+        walks = [w for lane in lanes for w in lane.running()]
+        if not walks:
+            return [lane.kept for lane in lanes]
+        pts, grads, ok = _project(prof, np.array([w.target() for w in walks]))
+        changed = False
+        for w, z, g, good in zip(walks, pts.tolist(), grads.tolist(), ok.tolist()):
+            w.advance(z, g, good, bound)
+            changed = changed or w.done
 
 
 def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
-                  fa: np.ndarray) -> np.ndarray:
+                  fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisect the sign change of phi_hat on every edge [za, zb] at once
     (fa = phi_hat(za)) by 50 halvings.  An edge is dropped when a midpoint
     is not finite and stops halving at an exact zero.  Returns the final
-    midpoints of the kept edges, in edge order."""
+    midpoints of the kept edges, in edge order, and the kept mask."""
     za, zb, fa = za.copy(), zb.copy(), fa.copy()
     kept = np.ones(len(za), dtype=bool)
     busy = kept.copy()
@@ -271,10 +384,28 @@ def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
         zb[idx[to_b]] = zm[to_b]
         za[idx[to_a]] = zm[to_a]
         fa[idx[to_a]] = fm[to_a]
-    return 0.5 * (za[kept] + zb[kept])
+    return 0.5 * (za[kept] + zb[kept]), kept
 
 
-def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
+def _cell_groups(cells: np.ndarray) -> np.ndarray:
+    """Connected labels of edges that each join two grid cells (rows of
+    cells): the level curve runs from cell to cell across its sign-change
+    edges, so edges of one label are predicted to lie on one component."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in cells.tolist():
+        parent[find(a)] = find(b)
+    return np.array([find(a) for a in cells[:, 0].tolist()], dtype=int)
+
+
+def _grid_seeds(prof: _Profile, window: tuple,
+                grid_n: int) -> tuple[list[complex], np.ndarray]:
     """Sign changes of phi_hat on a chart grid, plus a dense sweep of the real
     axis (components of conjugation-symmetric data always cross it).
 
@@ -283,7 +414,9 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     them are bisected together.  Seed order: horizontal edges row-major,
     vertical edges column-major, then the sweep; the tracer starts each
     component at its first seed, so the order fixes its start vertex and
-    vertex count."""
+    vertex count.  Returns the seeds and, per seed, a predicted component
+    label from the cell connectivity of the sign-change edges (a sweep seed
+    takes the cell it lies in)."""
     x0, x1, y0, y1 = window
     grid = np.empty((grid_n, grid_n), dtype=complex)
     grid.real = np.linspace(x0, x1, grid_n)
@@ -294,13 +427,26 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
 
     def crossings(za, zb, fa, fb):
         m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
-        return za[m], zb[m], fa[m]
+        return za[m], zb[m], fa[m], np.nonzero(m)
 
-    edges = [crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
-             crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
-             crossings(line[:-1], line[1:], sweep[:-1], sweep[1:])]
-    za, zb, fa = (np.concatenate(part) for part in zip(*edges))
-    return [complex(z) for z in _bisect_edges(prof, za, zb, fa)]
+    (za, zb, fa, (r, c)), (zav, zbv, fav, (cv, rv)), (zas, zbs, fas, (i,)) = (
+        crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
+        crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
+        crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
+    # cell (r, c) is numbered r m + c; a grid edge joins the cells on its
+    # two sides (one on the border), a sweep edge the cell it lies in
+    m = grid_n - 1
+    row0 = min(max(int(-y0 / (y1 - y0) * m), 0), m - 1)
+    col = np.clip(((line[i].real + line[i + 1].real) / 2 - x0) / (x1 - x0) * m,
+                  0, m - 1).astype(int)
+    cells = np.concatenate([
+        np.stack([np.maximum(r - 1, 0) * m + c, np.minimum(r, m - 1) * m + c], 1),
+        np.stack([rv * m + np.maximum(cv - 1, 0), rv * m + np.minimum(cv, m - 1)], 1),
+        np.stack([row0 * m + col] * 2, 1)])
+    seeds, kept = _bisect_edges(prof, np.concatenate([za, zav, zas]),
+                                np.concatenate([zb, zbv, zbs]),
+                                np.concatenate([fa, fav, fas]))
+    return [complex(z) for z in seeds], _cell_groups(cells)[kept]
 
 
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
@@ -329,25 +475,25 @@ def _lift_open(spec: cov.CoverSpec, verts_z: np.ndarray) -> np.ndarray:
 
 
 def trace_singular_set(data: wst.WeierstrassData, *,
-                       step: float | None = None) -> list[SingularComponent]:
-    """All singular components of the catalog surface inside the chart window."""
+                       steps: tuple | None = None) -> list[list[SingularComponent]]:
+    """All singular components of the catalog surface inside the chart
+    window: one component list per step size of steps (default
+    (data.trace_step,)), all traced in one lockstep march from the same
+    seeds."""
     prof = _Profile(data)
-    chart = data.chart
-    step = step if step is not None else data.trace_step
     win = data.window
     bound = 1.6 * max(abs(win[0]), abs(win[1]), abs(win[2]), abs(win[3]))
-    seeds = _grid_seeds(prof, win, data.grid_n)
+    seeds, groups = _grid_seeds(prof, win, data.grid_n)
+    marched = _march(prof, seeds, groups, steps or (data.trace_step,), bound)
+    return [_components(data, traces) for traces in marched]
+
+
+def _components(data: wst.WeierstrassData, traces: list[tuple]) -> list[SingularComponent]:
+    """Components from traced (vertices, closed), lifted to the cover,
+    largest traversal first; an open trace is partial."""
+    chart = data.chart
     comps: list[SingularComponent] = []
-    for seed in seeds:
-        tol_near = 2.5 * step * (1.0 + abs(seed))
-        if any(np.min(np.abs(c.zhat_vertices - seed)) < tol_near for c in comps):
-            continue
-        try:
-            verts, closed, partial = _trace_component(prof, seed, step, bound)
-        except (NumericalError, DegenerateError):
-            continue
-        if len(verts) < 8:
-            continue
+    for verts, closed in traces:
         verts_z = np.array([chart.to_z(zh) for zh in verts])
         circuits, w_all = 1, None
         if data.cover is not None:
@@ -358,7 +504,7 @@ def trace_singular_set(data: wst.WeierstrassData, *,
         comps.append(SingularComponent(
             label=f"component_{len(comps)}", zhat_vertices=verts,
             z_vertices=verts_z, w_vertices=w_all, circuits=circuits,
-            closed=closed, partial=partial, chart_name=chart.name))
+            closed=closed, partial=not closed, chart_name=chart.name))
     comps.sort(key=lambda c: (-c.vertex_count * c.circuits, c.label))
     for i, c in enumerate(comps):
         c.label = f"component_{i}"
@@ -380,61 +526,81 @@ def _alpha_along(data: wst.WeierstrassData, comp: SingularComponent):
 def _refine_crossings(data: wst.WeierstrassData, prof: _Profile, za: np.ndarray,
                       zb: np.ndarray, wa: np.ndarray | None,
                       imag: np.ndarray) -> cov.SurfacePoint:
-    """Bisect Im alpha = 0 (rows where imag) or Re alpha = 0 (the other
-    rows) between traversal vertices za and zb (chart coordinates), all rows
-    at once.  Every midpoint is projected onto the curve and takes the fiber
-    root nearest its row's wa.  A row stops at an exact zero, once
-    |zb - za| < 1e-14 (1 + |zm|), or after 60 halvings, and yields its last
-    midpoint; a row whose ends carry the same sign yields the end nearer to
-    zero.  Returns the refined points, z and w as arrays."""
+    """Locate Im alpha = 0 (rows where imag) or Re alpha = 0 (the other
+    rows) on the chord from za to zb (traversal vertices, chart
+    coordinates), all rows at once, by ITP on the chord parameter s
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi point,
+    truncated towards the midpoint by max(0.2 w^2, eps) for a bracket of
+    width w, so that a row converging from one side steps across its root,
+    and kept within the minmax radius of the midpoint.  Every iterate is
+    projected onto the curve and takes the fiber root nearest its row's wa.
+    A row stops at an exact zero, once its bracket is narrower than
+    1e-14 (1 + |zm|) in the chart (zm the chord midpoint, 2 eps in s), or
+    after n + 1 iterates, n the halvings bisection needs for that width, at
+    most 60; it yields its last iterate.  A row whose ends carry the same
+    sign yields the end nearer to zero.  Returns the refined points, z and
+    w as arrays; raises NumericalError if a projection fails."""
     chart, spec = data.chart, data.cover
 
-    def point(rows, zh) -> cov.SurfacePoint:
-        z = chart.to_z(zh)
-        if spec is None:
-            return cov.SurfacePoint(z, None)
-        roots = spec.fiber(z)
-        pick = np.argmin(np.abs(roots - wa[rows, None]), axis=1)
-        return cov.SurfacePoint(z, roots[np.arange(len(rows)), pick])
-
     def value(rows, zh):
-        zh, _ = _project(prof, zh)
-        alpha, _ = alpha_beta(data, point(rows, zh))
-        return zh, np.where(imag[rows], alpha.imag, alpha.real)
+        zh, _, ok = _project(prof, zh)
+        if not ok.all():
+            raise NumericalError(f"corrector failed at zhat={zh[~ok][0]}")
+        z = chart.to_z(zh)
+        w = None
+        if spec is not None:
+            roots = spec.fiber(z)
+            pick = np.argmin(np.abs(roots - wa[rows, None]), axis=1)
+            w = roots[np.arange(len(rows)), pick]
+        p = cov.SurfacePoint(z, w)
+        alpha, _ = alpha_beta(data, p)
+        return p, np.where(imag[rows], alpha.imag, alpha.real)
 
     rows = np.arange(len(za))
-    za, zb = za.copy(), zb.copy()
+    chord = zb - za
     best, fa = value(rows, za)
-    zb_on, fb = value(rows, zb)
+    pb, fb = value(rows, zb)
     busy = (fa < 0) != (fb < 0)
     take_b = ~busy & ~(np.abs(fa) < np.abs(fb))
-    best[take_b] = zb_on[take_b]
-    for _ in range(60):
+    best.z[take_b] = pb.z[take_b]
+    if spec is not None:
+        best.w[take_b] = pb.w[take_b]
+    with np.errstate(divide="ignore"):
+        eps = 0.5e-14 * (1 + np.abs(za + 0.5 * chord)) / np.abs(chord)
+        n_max = np.minimum(np.ceil(np.log2(0.5 / eps)) + 1, 60)
+    a, b = np.zeros(len(za)), np.ones(len(za))
+    for j in range(60):
         idx = np.flatnonzero(busy)
         if len(idx) == 0:
             break
-        zm = 0.5 * (za[idx] + zb[idx])
-        best[idx], fm = value(idx, zm)
-        stop = (fm == 0.0) | (np.abs(zb[idx] - za[idx]) < 1e-14 * (1 + np.abs(zm)))
+        lo, hi, flo, fhi, e = a[idx], b[idx], fa[idx], fb[idx], eps[idx]
+        mid = 0.5 * (lo + hi)
+        r = e * 2.0 ** (n_max[idx] - j) - 0.5 * (hi - lo)
+        delta = np.maximum(0.2 * (hi - lo) ** 2, e)
+        xf = (fhi * lo - flo * hi) / (fhi - flo)
+        sigma = np.sign(mid - xf)
+        xt = np.where(delta <= np.abs(mid - xf), xf + sigma * delta, mid)
+        x = np.where(np.abs(xt - mid) <= r, xt, mid - sigma * r)
+        pm, fm = value(idx, za[idx] + x * chord[idx])
+        best.z[idx] = pm.z
+        if spec is not None:
+            best.w[idx] = pm.w
+        to_b = (flo < 0) != (fm < 0)
+        b[idx[to_b]], fb[idx[to_b]] = x[to_b], fm[to_b]
+        a[idx[~to_b]], fa[idx[~to_b]] = x[~to_b], fm[~to_b]
+        stop = (fm == 0.0) | (b[idx] - a[idx] <= 2 * e) | (j + 1 >= n_max[idx])
         busy[idx[stop]] = False
-        to_b = ~stop & ((fa[idx] < 0) != (fm < 0))
-        to_a = ~stop & ~to_b
-        zb[idx[to_b]] = zm[to_b]
-        za[idx[to_a]] = zm[to_a]
-        fa[idx[to_a]] = fm[to_a]
-    return point(rows, best)
+    return best
 
 
-def count_singularities(data: wst.WeierstrassData, comp: SingularComponent,
-                        eps_scale: float = _CLASS_EPS) -> dict:
-    """Classified singular points of one component, located by sign changes
-    of Im alpha (swallowtails) and Re alpha (cross caps) along the full
-    lifted traversal and refined together by on-curve bisection."""
+def _crossings(data: wst.WeierstrassData, comp: SingularComponent):
+    """Traversal edges of comp across which Im alpha (imag True) or Re alpha
+    changes sign: (chart ends za, zb, w at za or None, imag)."""
     zh, p, alpha = _alpha_along(data, comp)
     i0 = np.arange(len(zh) if comp.closed else len(zh) - 1)
     i1 = (i0 + 1) % len(zh)
     a_scale = float(np.max(np.abs(alpha)))
-    edges, imag = [], []
+    edges, imag = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=bool)]
     for use_imag in (True, False):
         vals = alpha.imag if use_imag else alpha.real
         vmax = float(np.max(np.abs(vals)))
@@ -448,38 +614,54 @@ def count_singularities(data: wst.WeierstrassData, comp: SingularComponent,
                              & (np.maximum(np.abs(v0), np.abs(v1)) > floor))
         edges.append(hit)
         imag.append(np.full(len(hit), use_imag))
-    records: list[SingularPointRecord] = []
-    if edges:
-        e = np.concatenate(edges)
-        imag = np.concatenate(imag)
-        wa = p.w[i0[e]] if p.w is not None else None
-        pts = _refine_crossings(data, _Profile(data), zh[i0[e]], zh[i1[e]], wa, imag)
+    e = np.concatenate(edges)
+    wa = p.w[i0[e]] if p.w is not None else None
+    return zh[i0[e]], zh[i1[e]], wa, np.concatenate(imag)
+
+
+def count_singularities(data: wst.WeierstrassData, comps: list[SingularComponent],
+                        eps_scale: float = _CLASS_EPS) -> list[dict]:
+    """Classified singular points of each component, located by sign
+    changes of Im alpha (swallowtails) and Re alpha (cross caps) along its
+    full lifted traversal; the crossings of all components are refined in
+    one _refine_crossings call.  One dict of counts and records per
+    component."""
+    parts = [_crossings(data, comp) for comp in comps]
+    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    records: list[list[SingularPointRecord]] = [[] for _ in comps]
+    if len(owner):
+        za, zb, wa, imag = (None if col[0] is None else np.concatenate(col)
+                            for col in zip(*parts))
+        pts = _refine_crossings(data, _Profile(data), za, zb, wa, imag)
         alphas, betas = alpha_beta(data, pts)
         for j, use_imag in enumerate(imag):
             cls = _classify(complex(alphas[j]), complex(betas[j]), eps_scale)
             target = "swallowtail" if use_imag else "cuspidal_cross_cap"
             z = complex(pts.z[j])
-            records.append(SingularPointRecord(
+            records[owner[j]].append(SingularPointRecord(
                 kind=cls["kind"] if cls["kind"] == target else f"degenerate_{target}",
                 zhat=complex(data.chart.from_z(z)), z=z,
                 w=complex(pts.w[j]) if pts.w is not None else None,
                 alpha=cls["alpha"], beta=cls["beta"]))
-    # merge duplicates from noisy double crossings
-    unique: list[SingularPointRecord] = []
-    for r in records:
-        dup = any(
-            abs(r.z - u.z) < 1e-6 * (1 + abs(r.z))
-            and (r.w is None or abs(r.w - u.w) < 1e-6 * (1 + abs(r.w)))
-            and r.kind == u.kind
-            for u in unique)
-        if not dup:
-            unique.append(r)
-    return {
-        "swallowtails": sum(1 for r in unique if r.kind == "swallowtail"),
-        "cross_caps": sum(1 for r in unique if r.kind == "cuspidal_cross_cap"),
-        "degenerate": sum(1 for r in unique if r.kind.startswith("degenerate")),
-        "records": unique,
-    }
+    out = []
+    for recs in records:
+        # merge duplicates from noisy double crossings
+        unique: list[SingularPointRecord] = []
+        for r in recs:
+            dup = any(
+                abs(r.z - u.z) < 1e-6 * (1 + abs(r.z))
+                and (r.w is None or abs(r.w - u.w) < 1e-6 * (1 + abs(r.w)))
+                and r.kind == u.kind
+                for u in unique)
+            if not dup:
+                unique.append(r)
+        out.append({
+            "swallowtails": sum(1 for r in unique if r.kind == "swallowtail"),
+            "cross_caps": sum(1 for r in unique if r.kind == "cuspidal_cross_cap"),
+            "degenerate": sum(1 for r in unique if r.kind.startswith("degenerate")),
+            "records": unique,
+        })
+    return out
 
 
 def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
@@ -529,10 +711,9 @@ def singular_report(data: wst.WeierstrassData,
                     comps: list[SingularComponent], *,
                     eps_scale: float = _CLASS_EPS) -> dict:
     """Per-component classification of the singular set.  comps are the
-    components of trace_singular_set(data)."""
+    components of one list of trace_singular_set(data)."""
     rows = []
-    for comp in comps:
-        counts = count_singularities(data, comp, eps_scale)
+    for comp, counts in zip(comps, count_singularities(data, comps, eps_scale)):
         cone = detect_cone_like(data, comp)
         rows.append({
             "label": comp.label,

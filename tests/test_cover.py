@@ -138,6 +138,43 @@ def test_sanitize_path_inserts_branch_detour():
     assert cov.on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
 
 
+def _legs_reference(spec, path):
+    """The legs of path with every segment sanitized on its own."""
+    legs, w = [], path.w0
+    for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
+        seg = cov.sanitize_path(spec, (a, b))
+        for za, zb in zip(seg[:-1], seg[1:]):
+            rec = []
+            w = cov._continue_segment(spec, za, zb, w, record=rec)
+            legs.append((za, zb, [s for s, _ in rec], [v for _, v in rec]))
+    return legs
+
+
+@pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
+def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
+    """LiftedPath screens its segments against the branch points in one
+    array pass and sanitizes only those near one; its legs equal, bit for
+    bit, the legs of sanitizing every segment: on a path that ends inside a
+    clearance disc and leaves it, repeats a vertex,
+    and passes z = 1 at the clearance radius, just inside it and just
+    outside it."""
+    spec = cov.CoverSpec(k, reduced=reduced)
+    o = cov.base_point(spec)
+    clr = cov.clearance(spec)
+    verts = (o.z, 1.0 + 0.6j, 1.0 + 0.5 * clr * 1j, -0.5 + 0.4j, -0.5 + 0.4j,
+             2.0 + clr * 1j, 0.5 + clr * 1j, 0.5 + clr * (1 - 1e-12) * 1j,
+             2.0 + clr * (1 - 1e-12) * 1j, 2.0 + clr * (1 + 1e-12) * 1j,
+             0.5 + clr * (1 + 1e-12) * 1j, o.z)
+    lp = cov.LiftedPath(spec, cov.SurfacePath(verts, o.w))
+    ref = _legs_reference(spec, lp.path)
+    assert len(lp.legs) == len(ref) > len(verts)
+    for (za, zb, s, w), (ra, rb, rs, rw) in zip(lp.legs, ref):
+        assert (za, zb) == (ra, rb)
+        assert s.tolist() == rs and w.tolist() == rw
+    near = cov._near_branch_points(spec, verts)
+    assert near.any() and not near.all()
+
+
 def _w_at_reference(lp, leg, s):
     """w at the leg parameters s, one point at a time: interpolated seed,
     then the nearest root of the fiber.  The fibers come from one array call,

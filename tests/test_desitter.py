@@ -521,7 +521,8 @@ def test_hopf_shift_closed_form():
 # ---------------------------------------------------------------------------
 
 def test_end_asymptotics_zero_end():
-    out = ds.end_asymptotics(K1, which="zero")
+    out = ds.end_asymptotics(K1)[0]
+    assert out["end"] == "zero"
     # the ray is transported straight into z = 0: no clearance circles
     assert out["legs"] == 48
     assert abs(out["winding"]) < 0.25
@@ -531,6 +532,30 @@ def test_end_asymptotics_zero_end():
     # slope -> nu_0/(k + nu_0)
     nu0 = FROZEN["nu_0"]
     assert out["expected"] == pytest.approx(nu0 / (1 + nu0), abs=1e-9)
+
+
+def test_end_rays_share_one_solve(monkeypatch):
+    """On empty memos both end rays of criterion 11 are lifted in one
+    batched ODE solve, and each end's fit equals the fit of its ray lifted
+    alone by `transport`, bit for bit."""
+    solves = []
+    dormand_prince = ds.dormand_prince
+
+    def counted(f, y0, *args, **kwargs):
+        solves.append(len(y0))
+        return dormand_prince(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr(ds, "dormand_prince", counted)
+    _empty_memos(monkeypatch)
+    both = ds.end_asymptotics(K1)
+    assert len(solves) == 1
+    assert [out["end"] for out in both] == ["zero", "infinity"]
+    w0 = cov.base_point(K1.spec).w
+    for out in both:
+        _empty_memos(monkeypatch)
+        ray = cov.SurfacePath(ds._end_ray(out["end"]), w0)
+        [alone] = ds.transport([(K1, ray)], detour=False)
+        assert ds._end_fit(K1, out["end"], alone) == out
 
 
 def test_deformation_report_keys():

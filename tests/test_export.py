@@ -131,7 +131,7 @@ def test_write_obj_deterministic(small_mesh):
 # ---------------------------------------------------------------------------
 
 def test_singular_csv_round_trips(cone25):
-    comps = sng.trace_singular_set(cone25)
+    [comps] = sng.trace_singular_set(cone25)
     buf = io.StringIO()
     export.write_singular_csv(comps, buf)
     lines = buf.getvalue().splitlines()

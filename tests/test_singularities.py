@@ -72,7 +72,7 @@ def _assert_lift_matches_reference(spec, verts):
 def test_component_lift_matches_vertexwise_reference(name, k):
     """Traced components close after sheet_count circuits."""
     data = wst.catalog_get(name, k=k, c=per.compute_ck(k).c_k)
-    comps = sng.trace_singular_set(data)
+    [comps] = sng.trace_singular_set(data)
     assert comps
     for comp in comps:
         circuits = _assert_lift_matches_reference(data.cover, comp.z_vertices)
@@ -205,7 +205,7 @@ def test_singular_ovals_on_frozen_curve(k):
     """|G| = 1 on the genus family is r^2 + 1/r^2 - 2 cos 2 theta = rho_k."""
     sol = per.compute_ck(k)
     data = wst.catalog_get("genus_k", k=k, c=sol.c_k)
-    comps = sng.trace_singular_set(data)
+    [comps] = sng.trace_singular_set(data)
     assert len(comps) == 2
     for comp in comps:
         assert comp.closed and not comp.partial
@@ -217,7 +217,7 @@ def test_singular_ovals_on_frozen_curve(k):
 def test_singular_oval_reduced(k):
     sol = per.compute_ck(k)
     data = wst.catalog_get("genus_k_reduced", k=k, c=sol.c_k)
-    comps = sng.trace_singular_set(data)
+    [comps] = sng.trace_singular_set(data)
     assert len(comps) == 1
     comp = comps[0]
     # reduced coordinate: R + 1/R - 2 cos Theta = rho_k
@@ -230,16 +230,15 @@ def test_singular_oval_reduced(k):
 def test_genus_family_counts(k):
     """Each oval carries 2(k+1) swallowtails and 2(k+1) cross caps."""
     data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
-    comps = sng.trace_singular_set(data)
-    for comp in comps:
-        counts = sng.count_singularities(data, comp)
+    [comps] = sng.trace_singular_set(data)
+    for counts in sng.count_singularities(data, comps):
         assert counts["swallowtails"] == 2 * (k + 1)
         assert counts["cross_caps"] == 2 * (k + 1)
         assert counts["degenerate"] == 0
 
 
 def test_components_carry_cover_lift(genus1):
-    comps = sng.trace_singular_set(genus1)
+    [comps] = sng.trace_singular_set(genus1)
     for comp in comps:
         assert comp.w_vertices is not None
         spec = genus1.cover
@@ -253,7 +252,7 @@ def test_components_carry_cover_lift(genus1):
 # ---------------------------------------------------------------------------
 
 def test_cone_structure(cone25):
-    comps = sng.trace_singular_set(cone25)
+    [comps] = sng.trace_singular_set(cone25)
     assert len(comps) == 3
     cones = []
     generic = []
@@ -266,17 +265,17 @@ def test_cone_structure(cone25):
     assert det["max_im_alpha"] < 1e-8
     assert det["min_abs_alpha"] > 0.01
     assert det["gauss_winding"] in (1, -1)
-    for comp, _ in generic:
-        counts = sng.count_singularities(cone25, comp)
+    for counts in sng.count_singularities(cone25, [comp for comp, _ in generic]):
         assert counts["swallowtails"] > 0
         assert counts["cross_caps"] > 0
 
 
 def test_trinoid_counts():
     data = wst.catalog_get("trinoid1", a=3.67)
-    comps = sng.trace_singular_set(data)
-    sw = sum(sng.count_singularities(data, c)["swallowtails"] for c in comps)
-    cc = sum(sng.count_singularities(data, c)["cross_caps"] for c in comps)
+    [comps] = sng.trace_singular_set(data)
+    counts = sng.count_singularities(data, comps)
+    sw = sum(c["swallowtails"] for c in counts)
+    cc = sum(c["cross_caps"] for c in counts)
     assert sw == 8
     assert cc == 0
     for comp in comps:
@@ -353,10 +352,11 @@ def test_array_seeds_match_scalar_reference(name, params):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     ref = _scalar_seeds(data, 21)
-    got = sng._grid_seeds(sng._Profile(data), data.window, 21)
+    got, groups = sng._grid_seeds(sng._Profile(data), data.window, 21)
     assert len(ref) > 0
     assert len(got) == len(ref)
     assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
+    assert groups.shape == (len(got),)
 
 
 def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
@@ -409,21 +409,30 @@ def _project_two_calls(prof, zh, tol=1e-13, max_iter=40):
 ])
 def test_project_returns_points_and_their_gradients(name, params):
     """_project moves the same points as the two-call projector, and each
-    returned gradient equals phi_grad at its returned point; a scalar in
-    gives complex scalars out."""
+    returned gradient equals phi_grad at its returned point.  A row that
+    fails (undefined phi_hat, or out of steps) is reported with a NaN
+    gradient and leaves the other rows as they are."""
     if name.startswith("genus"):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     prof = sng._Profile(data)
-    comp = sng.trace_singular_set(data)[0]
+    comp = sng.trace_singular_set(data)[0][0]
     zh = comp.zhat_vertices[::5] + 1e-3 * (1 + 1j) * (1 + np.abs(comp.zhat_vertices[::5]))
-    pts, grads = sng._project(prof, zh)
+    pts, grads, ok = sng._project(prof, zh)
+    assert ok.all()
     np.testing.assert_array_equal(pts, _project_two_calls(prof, zh))
     np.testing.assert_array_equal(grads, prof.phi_grad(pts)[1])
     assert np.all(np.abs(prof.phi_hat(pts)) < 1e-13)
-    pt, grad = sng._project(prof, complex(zh[1]))
-    assert type(pt) is complex and type(grad) is complex
-    assert pt == pts[1] and grad == grads[1]
+    pts2, grads2, ok2 = sng._project(prof, np.insert(zh, 1, complex("nan")))
+    assert ok2.tolist() == [True, False] + [True] * (len(zh) - 1)
+    assert np.isnan(grads2[1])
+    np.testing.assert_array_equal(np.delete(pts2, 1), pts)
+    np.testing.assert_array_equal(np.delete(grads2, 1), grads)
+    # one iterate: the rows already on the curve stay, the others run out
+    pts3, grads3, ok3 = sng._project(prof, np.append(pts[:3], zh[3:]), max_iter=1)
+    assert ok3.tolist() == [True] * 3 + [False] * (len(zh) - 3)
+    np.testing.assert_array_equal(pts3[:3], pts[:3])
+    assert np.isnan(grads3[3:]).all()
 
 
 def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
@@ -470,8 +479,8 @@ def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
     monkeypatch.setattr(cov.CoverSpec, "fiber", counting("fiber", cov.CoverSpec.fiber))
     data.G, data.dG = counting("G", data.G), counting("dG", data.dG)
 
-    comps = sng.trace_singular_set(data)
-    assert len(comps) == 2 and len(runs) > 100
+    [comps] = sng.trace_singular_set(data)
+    assert len(comps) == 2 and len(runs) > 60
     assert all(inside for inside, *_ in calls)
     assert "dG" not in outside
     assert all(c[4] == {"fiber": 1, "G": 1, "dG": 1} for c in calls)
@@ -503,7 +512,9 @@ def test_bisect_edges_drops_and_stops():
     at an undefined midpoint, one converges after 50 halvings."""
     prof = _LineProfile()
     za = np.array([0.0, 1j, 2j])
-    seeds = sng._bisect_edges(prof, za, za + 1.0, za.real - np.array([0.5, 0.5, 0.3]))
+    seeds, kept = sng._bisect_edges(prof, za, za + 1.0,
+                                    za.real - np.array([0.5, 0.5, 0.3]))
+    assert kept.tolist() == [True, False, True]
     assert len(seeds) == 2
     assert seeds[0] == 0.5
     assert abs(seeds[1] - (0.3 + 2j)) < 1e-15
@@ -600,8 +611,8 @@ def test_batched_classification_matches_scalar_reference(name, params):
     if name.startswith("genus"):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
-    for comp in sng.trace_singular_set(data):
-        got = sng.count_singularities(data, comp)
+    [comps] = sng.trace_singular_set(data)
+    for comp, got in zip(comps, sng.count_singularities(data, comps)):
         ref = _scalar_records(data, comp)
         assert [r.kind for r in got["records"]] == [k for k, _ in ref]
         assert got["degenerate"] == sum(k.startswith("degenerate") for k, _ in ref)
@@ -615,10 +626,12 @@ def test_batched_classification_matches_scalar_reference(name, params):
 @pytest.mark.parametrize("fixture", ["cone25", "genus1"])
 def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     """Every crossing of a component refined in one batch equals the same
-    crossing refined alone, bit for bit, and rows leave the batch at their
-    own stops, before the 60-halving budget."""
+    crossing refined alone, bit for bit.  No row takes more iterates than
+    bisection's worst case n_1/2 + n0 (n_1/2 the halvings down to the width
+    stop 1e-14 (1 + |zm|), n0 = 1), a batch takes as many as its slowest row,
+    and the vertex edges converge superlinearly."""
     data = request.getfixturevalue(fixture)
-    comp = sng.trace_singular_set(data)[0]
+    comp = sng.trace_singular_set(data)[0][0]
     zh, p, alpha = sng._alpha_along(data, comp)
     i0 = np.arange(len(zh))
     i1 = (i0 + 1) % len(zh)
@@ -632,33 +645,43 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     za, zb = zh[i0[rows]], zh[i1[rows]]
     wa = None if p.w is None else p.w[i0[rows]]
     prof = sng._Profile(data)
-    # vertex edges all stop after about the same number of halvings; add
-    # rows 2e-6 and 2e-10 wide about the first crossing, which stop sooner,
-    # and one whose ends coincide, which never halves
+    edges = len(za)
+    # add rows 2e-6 and 2e-10 wide about the first crossing, one whose ends
+    # coincide, which never iterates, and one from the crossing itself to a
+    # vertex, which converges from one side under plain regula falsi
     w0 = None if wa is None else wa[0]
     part = (lambda a: a.imag) if imag[0] else (lambda a: a.real)
     zc = data.chart.from_z(_scalar_refine(data, prof, za[0], zb[0], w0, part).z)
     u = (zb[0] - za[0]) / abs(zb[0] - za[0])
-    za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0]])
-    zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, za[0]])
-    imag = np.append(imag, [imag[0]] * 3)
-    wa = None if wa is None else np.append(wa, [w0] * 3)
-    sizes = []
+    za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0], za[0]])
+    zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, za[0], zc + 1e-9 * u])
+    imag = np.append(imag, [imag[0]] * 4)
+    wa = None if wa is None else np.append(wa, [w0] * 4)
+    calls = []
     project = sng._project
     monkeypatch.setattr(sng, "_project",
-                        lambda prof, zh: sizes.append(len(zh)) or project(prof, zh))
+                        lambda prof, zh: calls.append(len(zh)) or project(prof, zh))
     batch = sng._refine_crossings(data, prof, za, zb, wa, imag)
-    halvings = sizes[2:]
-    assert sizes[:2] == [len(za)] * 2 and halvings[0] == len(za) - 1
-    assert len(set(halvings)) == 3 and len(halvings) < 60
-    assert halvings == sorted(halvings, reverse=True)
+    assert calls[:2] == [len(za)] * 2 and calls[2] == len(za) - 1
+    batch_iterates = len(calls) - 2
+    iterates = []
     for j in range(len(za)):
         one = slice(j, j + 1)
+        calls.clear()
         alone = sng._refine_crossings(data, prof, za[one], zb[one],
                                       None if wa is None else wa[one], imag[one])
+        iterates.append(len(calls) - 2)
         assert complex(alone.z[0]) == complex(batch.z[j])
         if wa is not None:
             assert complex(alone.w[0]) == complex(batch.w[j])
+    chord = zb - za
+    width = np.abs(chord)
+    n_half = np.ceil(np.log2(width[width > 0] / (1e-14 * (1 + np.abs(za + 0.5 * chord)[width > 0]))))
+    assert np.all(np.array(iterates)[width > 0] <= n_half + 1)
+    assert iterates[-2] == 0
+    assert batch_iterates == max(iterates)
+    # bisection takes about 42 halvings on a vertex edge
+    assert max(iterates[:edges]) <= 12
 
 
 # ---------------------------------------------------------------------------
@@ -668,20 +691,70 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
 def test_trace_step_halving_consistency(genus1):
     """Halving the predictor step must not change the component count or
     the classified counts."""
-    coarse = sng.trace_singular_set(genus1)
-    fine = sng.trace_singular_set(genus1, step=genus1.trace_step / 2)
+    coarse, fine = sng.trace_singular_set(
+        genus1, steps=(genus1.trace_step, genus1.trace_step / 2))
     assert len(coarse) == len(fine)
-    c_counts = sorted(
-        (sng.count_singularities(genus1, c)["swallowtails"],
-         sng.count_singularities(genus1, c)["cross_caps"]) for c in coarse)
-    f_counts = sorted(
-        (sng.count_singularities(genus1, c)["swallowtails"],
-         sng.count_singularities(genus1, c)["cross_caps"]) for c in fine)
+    c_counts, f_counts = (
+        sorted((c["swallowtails"], c["cross_caps"])
+               for c in sng.count_singularities(genus1, comps))
+        for comps in (coarse, fine))
     assert c_counts == f_counts
 
 
+def _assert_same_components(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert (a.label, a.closed, a.partial, a.circuits) == \
+            (b.label, b.closed, b.partial, b.circuits)
+        np.testing.assert_array_equal(a.zhat_vertices, b.zhat_vertices)
+        np.testing.assert_array_equal(a.z_vertices, b.z_vertices)
+        assert (a.w_vertices is None) == (b.w_vertices is None)
+        if a.w_vertices is not None:
+            np.testing.assert_array_equal(a.w_vertices, b.w_vertices)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("genus_k", {"k": 1}),
+    ("genus_k_reduced", {"k": 2}),
+    ("cone", {"a": 2.5}),
+])
+def test_lockstep_march_is_independent_of_speculation(name, params, monkeypatch):
+    """The components are bit-identical whether only the next seed to
+    resolve marches (one seed per round), every unresolved seed marches
+    from the start, or one walk starts per predicted component (the
+    default, in fewer rounds than one seed at a time); two step sizes
+    marched together equal each step size traced alone."""
+    if name.startswith("genus"):
+        params = dict(params, c=per.compute_ck(params["k"]).c_k)
+    data = wst.catalog_get(name, **params)
+    h = data.trace_step
+    rounds = []
+    project = sng._project
+    monkeypatch.setattr(sng, "_project",
+                        lambda prof, zh: rounds.append(len(zh)) or project(prof, zh))
+    comps = {}
+    default = sng._speculate
+    for mode, speculate in (("components", default),
+                            ("one", lambda pending, groups, live: []),
+                            ("every", lambda pending, groups, live: pending)):
+        monkeypatch.setattr(sng, "_speculate", speculate)
+        rounds.clear()
+        [comps[mode]] = sng.trace_singular_set(data)
+        comps[mode + " rounds"] = len(rounds)
+    assert len(comps["one"]) == (3 if name == "cone" else 2 if name == "genus_k" else 1)
+    _assert_same_components(comps["components"], comps["one"])
+    _assert_same_components(comps["every"], comps["one"])
+    assert comps["components rounds"] <= comps["one rounds"]
+    if name == "cone":
+        assert comps["components rounds"] < comps["one rounds"]
+    monkeypatch.setattr(sng, "_speculate", default)
+    coarse, fine = sng.trace_singular_set(data, steps=(h, h / 2))
+    _assert_same_components(coarse, comps["one"])
+    _assert_same_components(fine, sng.trace_singular_set(data, steps=(h / 2,))[0])
+
+
 def test_singular_report_shape(cone25):
-    rep = sng.singular_report(cone25, sng.trace_singular_set(cone25))
+    rep = sng.singular_report(cone25, sng.trace_singular_set(cone25)[0])
     assert rep["surface"] == "cone"
     assert rep["component_count"] == 3
     labels = {row["label"] for row in rep["components"]}
@@ -690,7 +763,7 @@ def test_singular_report_shape(cone25):
 
 
 def test_traversal_spans_all_circuits(genus1):
-    comps = sng.trace_singular_set(genus1)
+    [comps] = sng.trace_singular_set(genus1)
     comp = comps[0]
     tv = list(comp.traversal())
     assert len(tv) == comp.circuits * comp.vertex_count
