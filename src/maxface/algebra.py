@@ -167,30 +167,48 @@ _G15 = np.zeros(15)
 _G15[[1, 3, 5, 8, 10, 12, 14]] = np.concatenate([_WG[:-1], _WG])
 
 
-def _gk15(f, a: float, b: float):
-    """One Kronrod-15 panel on [a,b].  f takes the array of the 15 nodes and
-    returns its values along the last axis (a complex array of any leading
-    shape)."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = np.asarray(f(mid + half * _X15), dtype=complex)
-    k = half * (fv @ _W15)
-    g = half * (fv @ _G15)
-    err = float(np.max(np.abs(k - g)))
-    return k, err
+def gk_batched(f, n: int, tol: float, max_depth: int = 28) -> np.ndarray:
+    """Integrals over [0, 1] of n integrands, each to absolute tolerance tol,
+    by Kronrod-15 panels bisected breadth first (the vector form of
+    QUADPACK's qag).
 
-
-def gk_adaptive(f, a: float, b: float, tol: float, max_depth: int = 28):
-    """Adaptive bisection of Kronrod panels to absolute tolerance tol; f is
-    called once per panel, on an array of nodes (see _gk15)."""
-    val, err = _gk15(f, a, b)
-    if err <= tol or (b - a) < 1e-14:
-        return val
-    if max_depth == 0:
-        raise QuadratureError(f"Gauss-Kronrod panel stuck at err={err:.3e}")
-    m = 0.5 * (a + b)
-    return (gk_adaptive(f, a, m, 0.5 * tol, max_depth - 1)
-            + gk_adaptive(f, m, b, 0.5 * tol, max_depth - 1))
+    Each level makes one call f(idx, x): idx (panels,) the integrand of each
+    panel, x (panels, 15) its nodes; f returns the values with the panels
+    and nodes on the last two axes (a complex array of any leading shape).
+    A panel at depth d is accepted when its Kronrod-Gauss difference is at
+    most tol / 2^d or it is narrower than 1e-14; a panel still open at depth
+    max_depth raises QuadratureError.  Returns shape (n,) + leading shape,
+    each integral summed over its panels in the order recursive bisection
+    adds them: left half, then right half."""
+    idx = np.arange(n)
+    a, b = np.zeros(n), np.ones(n)
+    levels = []
+    for depth in range(max_depth + 1):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        fv = np.asarray(f(idx, mid[:, None] + half[:, None] * _X15), dtype=complex)
+        # one (rows, 15) product per rule, so each panel's sum rounds as a
+        # single panel's would
+        rows = fv.reshape(-1, 15)
+        k = half * (rows @ _W15).reshape(fv.shape[:-1])
+        g = half * (rows @ _G15).reshape(fv.shape[:-1])
+        err = np.max(np.abs(k - g), axis=tuple(range(k.ndim - 1)))
+        split = ~((err <= tol * 0.5 ** depth) | (b - a < 1e-14))
+        levels.append((np.moveaxis(k, -1, 0), split))
+        if not split.any():
+            break
+        if depth == max_depth:
+            raise QuadratureError(
+                f"Gauss-Kronrod panel stuck at err={err[split][0]:.3e}")
+        idx = np.repeat(idx[split], 2)
+        mid = mid[split]
+        a = np.stack([a[split], mid], axis=1).reshape(-1)
+        b = np.stack([mid, b[split]], axis=1).reshape(-1)
+    total = None
+    for k, split in reversed(levels):
+        if total is not None:
+            k[split] = total[0::2] + total[1::2]
+        total = k
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -179,12 +179,11 @@ def cmd_mesh(args) -> int:
     tag = _surface_tag(data.name, data.params)
     meshes = {"full": wst.mesh_sample(data)}
     if data.cover is not None:
-        # half of the full angular sweep: the fundamental piece the
-        # reflection group doubles
-        half = math.pi * data.cover.sheet_count
-        nth_full = data.default_mesh["nth"]
-        meshes["half"] = wst.mesh_sample(data, th1=half,
-                                         nth=max(8, nth_full // 2))
+        # half of the full angular sweep, the fundamental piece the
+        # reflection group doubles: its first nth/2 + 1 columns, which needs
+        # an even nth (every cover's default mesh has nth = 48)
+        full = meshes["full"]
+        meshes["half"] = wst.mesh_columns(full, (full.cols - 1) // 2 + 1)
     written = []
     for label in sorted(meshes):
         mesh = meshes[label]

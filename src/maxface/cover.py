@@ -80,14 +80,17 @@ class CoverSpec:
             return ((m + 1) / z + (2 * m) / (z - 1)) / (2 * m + 1)
         return genus_log_derivative(self.k, z)
 
+    def principal_root(self, z):
+        """rhs(z)^(1/n), n = sheet_count, for a scalar or an array of z."""
+        return np.power(self.rhs(z), 1.0 / self.sheet_count, dtype=complex)
+
     def fiber(self, z) -> np.ndarray:
         """All sheet_count roots w over z, a scalar or an array, along a new
-        last axis: shape np.shape(z) + (sheet_count,).  Root 0 is the
-        principal root rhs(z)^(1/n); all roots are 0 where rhs(z) = 0.
-        Ill-conditioned at branch points."""
-        n = self.sheet_count
-        principal = np.power(self.rhs(z), 1.0 / n, dtype=complex)
-        return np.multiply.outer(principal, _unit_roots(n))
+        last axis: shape np.shape(z) + (sheet_count,).  Root j is the
+        principal root times exp(2 pi i j / n); all roots are 0 where
+        rhs(z) = 0.  Ill-conditioned at branch points."""
+        return np.multiply.outer(self.principal_root(z),
+                                 _unit_roots(self.sheet_count))
 
     def genus(self) -> int:
         # Riemann-Hurwitz from the branching data; see genus_check.
@@ -243,72 +246,109 @@ def sanitize_path(spec: CoverSpec, vertices) -> tuple:
     return tuple(dedup)
 
 
-def _continue_segment(spec: CoverSpec, z0: complex, z1: complex, w: complex,
-                      record=None) -> complex:
-    """Nearest-root transport of w from z0 to z1, doubling the subdivision
-    until the chosen root is more than twice as close as any competitor."""
-    n = 4
-    while True:
-        ok = True
-        wcur = w
-        pts = [(0.0, w)]
-        for i in range(1, n + 1):
-            s = i / n
-            roots = spec.fiber(z0 + (z1 - z0) * s)
-            d = np.abs(roots - wcur)
-            order = np.argsort(d)
-            if len(roots) > 1 and not (d[order[1]] > 2.0 * d[order[0]]):
-                ok = False
-                break
-            wcur = complex(roots[order[0]])
-            pts.append((s, wcur))
-        if ok:
-            if record is not None:
-                record.extend(pts)
-            return wcur
-        n *= 2
+def route_legs(spec: CoverSpec, z) -> tuple[list, list]:
+    """The legs (za, zb) of the polyline z with every segment given its
+    branch-point detours (sanitize_path) on its own, and per vertex the
+    number of legs before it.  The segments are screened against the branch
+    points in one array pass and only those near one are sanitized; the
+    others are one leg (none if shorter than 1e-14)."""
+    ends, upto = [], [0]
+    for a, b, near in zip(z[:-1], z[1:], _near_branch_points(spec, z)):
+        if near:
+            seg = sanitize_path(spec, (a, b))
+        else:
+            a, b = complex(a), complex(b)
+            seg = (a, b) if abs(b - a) > 1e-14 else (a,)
+        ends.extend(zip(seg[:-1], seg[1:]))
+        upto.append(len(ends))
+    return ends, upto
+
+
+def continue_legs(spec: CoverSpec, legs, w0: complex) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-root transport of w0 along a chain of legs (za, zb), each
+    leaving from the fiber value the one before it reached.
+
+    Leg i is cut into steps[i] equal steps (4, doubled until every step's
+    chosen root is more than twice as close as any competitor; past 2^16
+    steps ContinuationError is raised).  Returns (steps, w): w[o_i + j] is
+    the fiber value at parameter j / steps[i] of leg i, o_i = sum(steps[:i]),
+    so w[0] = w0 and w[-1] is the value at the end of the chain.
+
+    All roots over a point z are p(z) times the n-th roots of unity, p the
+    principal root, so the root nearest p(z') units[s] is units[s] times the
+    root nearest p(z'): the pick and the separation test of a step depend
+    only on the principal roots at its two ends (w0 itself before the first
+    step).  Every step of every leg is decided in one array pass, the legs
+    that fail are decided again together, and the sheet index is the
+    cumulative sum of the picks mod n."""
+    steps = np.zeros(len(legs), dtype=int)
+    if not len(legs):
+        return steps, np.array([complex(w0)])
+    n_sheets = spec.sheet_count
+    units = _unit_roots(n_sheets)
+    za = np.array([a for a, _ in legs], dtype=complex)
+    dz = np.array([b for _, b in legs], dtype=complex) - za
+    # the value at a leg end (s = 1) is the path's fiber value there (a
+    # vertex, or where a detour joins), so it is rounded as a scalar fiber
+    # call rounds it
+    p_end = np.array([spec.principal_root(z) for z in (za + dz * 1.0).tolist()],
+                     dtype=complex)
+    # the value each leg's first step leaves from, up to a root of unity
+    p_start = np.concatenate([[complex(w0)], p_end[:-1]])
+    principal = [None] * len(legs)
+    picks = [None] * len(legs)
+    todo, n = np.arange(len(legs)), 4
+    while len(todo):
         if n > 1 << 16:
+            a, b = legs[todo[0]]
             raise ContinuationError(
-                f"fiber continuation stalled on segment {z0} -> {z1}"
-            )
+                f"fiber continuation stalled on segment {a} -> {b}")
+        s = np.arange(1, n) / n
+        p = np.empty((len(todo), n), dtype=complex)
+        p[:, :-1] = spec.principal_root(za[todo, None] + dz[todo, None] * s)
+        p[:, -1] = p_end[todo]
+        prev = np.concatenate([p_start[todo, None], p[:, :-1]], axis=1)
+        d = np.abs(p[..., None] * units - prev[..., None])
+        near = np.partition(d, 1, axis=-1)
+        ok = np.all(near[..., 1] > 2.0 * near[..., 0], axis=1)
+        pick = np.argmin(d, axis=-1)
+        for leg, pl, kl in zip(todo[ok], p[ok], pick[ok]):
+            principal[leg], picks[leg] = pl, kl
+        steps[todo[ok]] = n
+        todo, n = todo[~ok], 2 * n
+    sheet = np.cumsum(np.concatenate(picks)) % n_sheets
+    w = np.concatenate([[complex(w0)], np.concatenate(principal) * units[sheet]])
+    return steps, w
 
 
 class LiftedPath:
-    """A polyline lifted to the cover by nearest-root continuation of its
-    starting fiber value: the one continuation primitive.
+    """A polyline lifted to the cover: the legs of route_legs, along which
+    continue_legs transports the starting fiber value all at once.
 
-    Each input segment gets its branch-point detours (sanitize_path) on its
-    own; the segments are screened against the branch points in one array
-    pass and only those near one are sanitized, the others are one leg (none
-    if shorter than 1e-14).  So w_vertices[i] is the fiber value at input
-    vertex i and upto[i] the number of legs before it.  legs holds the
-    transported pieces (z0, z1, s_nodes, w_nodes) with their continuation
-    checkpoints, and w_at answers w at points along a leg (seed by
-    interpolation, snap to the nearest exact fiber root)."""
+    w_vertices[i] is the fiber value at input vertex i and upto[i] the
+    number of legs before it.  legs lists the transported pieces (z0, z1,
+    s_nodes, w_nodes) with their continuation checkpoints; leg_z0 and
+    leg_dz hold every leg's z0 and z1 - z0 as arrays.  w_at answers w at
+    points along legs (seed by interpolation, snap to the nearest exact
+    fiber root)."""
 
     def __init__(self, spec: CoverSpec, path: SurfacePath):
         if path.w0 is None:
             raise ValidationError("path carries no fiber value")
         self.spec = spec
         self.path = path
-        self.legs = []
-        w = path.w0
-        self.w_vertices = [w]
-        self.upto = [0]
-        z = path.z_vertices
-        for a, b, near in zip(z[:-1], z[1:], _near_branch_points(spec, z)):
-            if near:
-                seg = sanitize_path(spec, (a, b))
-            else:
-                a, b = complex(a), complex(b)
-                seg = (a, b) if abs(b - a) > 1e-14 else (a,)
-            for za, zb in zip(seg[:-1], seg[1:]):
-                rec: list = []
-                w = _continue_segment(spec, za, zb, w, record=rec)
-                self.legs.append((za, zb, np.array([s for s, _ in rec]),
-                                  np.array([wv for _, wv in rec])))
-            self.w_vertices.append(w)
-            self.upto.append(len(self.legs))
+        self._ends, self.upto = route_legs(spec, path.z_vertices)
+        self.steps, self._w = continue_legs(spec, self._ends, path.w0)
+        # chain index of every leg's first checkpoint
+        self._first = np.concatenate([[0], np.cumsum(self.steps)])
+        self.leg_z0 = np.array([a for a, _ in self._ends], dtype=complex)
+        self.leg_dz = np.array([b for _, b in self._ends], dtype=complex) - self.leg_z0
+        self.w_vertices = self._w[self._first[self.upto]].tolist()
+
+    @property
+    def legs(self) -> list:
+        return [(a, b, np.arange(n + 1) / n, self._w[o:o + n + 1])
+                for (a, b), n, o in zip(self._ends, self.steps, self._first)]
 
     @property
     def w_end(self) -> complex:
@@ -321,13 +361,16 @@ class LiftedPath:
         w0 = self.path.w0
         return abs(self.w_end - w0) <= tol * (1 + abs(w0))
 
-    def w_at(self, leg: int, s: np.ndarray) -> np.ndarray:
-        """w at the leg parameters s (an array in [0, 1])."""
-        z0, z1, s_nodes, w_nodes = self.legs[leg]
-        i = np.clip(np.searchsorted(s_nodes, s), 1, len(s_nodes) - 1)
-        t = (s - s_nodes[i - 1]) / (s_nodes[i] - s_nodes[i - 1])
-        seed = w_nodes[i - 1] * (1 - t) + w_nodes[i] * t
-        roots = self.spec.fiber(z0 + (z1 - z0) * s)
+    def w_at(self, leg, s: np.ndarray) -> np.ndarray:
+        """w at the parameters s (an array in [0, 1]) of leg, one leg index
+        or an array of them broadcasting against s."""
+        n = self.steps[leg]
+        # the checkpoint interval of s: s * n is exact, n a power of two
+        i = np.clip(np.ceil(s * n), 1, n).astype(int)
+        t = (s - (i - 1) / n) / (i / n - (i - 1) / n)
+        at = self._first[leg] + i
+        seed = self._w[at - 1] * (1 - t) + self._w[at] * t
+        roots = self.spec.fiber(self.leg_z0[leg] + self.leg_dz[leg] * s)
         pick = np.argmin(np.abs(roots - seed[..., None]), axis=-1)
         return np.take_along_axis(roots, pick[..., None], axis=-1)[..., 0]
 

@@ -114,36 +114,35 @@ _MEMO_CAP = 1 << 16
 # 1e-10); the rounding sits far below the sheet separation, so continuation
 # along different routes that reaches the same root shares the entry
 _PROPAGATORS: dict[tuple, np.ndarray] = {}
-# continued fiber value at the leg end, keyed by (k, a, b, w_a rounded); it is
-# an exact root over b, whichever start value in the basin reached it
-_SHEETS: dict[tuple, complex] = {}
+
+
+def clear_memos() -> None:
+    """Empty the process memos: leg propagators and reflection matrices."""
+    _PROPAGATORS.clear()
+    _RHO_TILDE.clear()
 
 
 def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
           detour: bool) -> tuple[list, list, tuple]:
-    """Split the path into legs (key, a, b, w_a, w_b), the start sheet of each
-    from nearest-root continuation.  Also returns, per path vertex, the
-    number of legs before it, and the transported polyline."""
+    """Split the path into legs (key, a, b, w_a, w_b), the sheets from
+    nearest-root continuation along all of them at once.  Also returns, per
+    path vertex, the number of legs before it, and the transported
+    polyline."""
     spec = pair.spec
     if path.w0 is None:
         raise ValidationError("the lift needs a fiber value at the start")
-    if len(_SHEETS) > _MEMO_CAP:
-        _SHEETS.clear()
-    w = path.w0
-    legs, upto, route = [], [0], [path.z_vertices[0]]
-    for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
-        seg = cov.sanitize_path(spec, (a, b)) if detour else (a, b)
-        for za, zb in zip(seg[:-1], seg[1:]):
-            sheet = (pair.k, za, zb,
-                     complex(round(w.real, 10), round(w.imag, 10)))
-            wb = _SHEETS.get(sheet)
-            if wb is None:
-                wb = _SHEETS[sheet] = cov._continue_segment(spec, za, zb, w)
-            legs.append(((pair.t, pair.c, rtol) + sheet, za, zb, w, wb))
-            route.append(zb)
-            w = wb
-        upto.append(len(legs))
-    return legs, upto, tuple(route)
+    z = path.z_vertices
+    if detour:
+        ends, upto = cov.route_legs(spec, z)
+    else:
+        ends, upto = list(zip(z[:-1], z[1:])), list(range(len(z)))
+    steps, w = cov.continue_legs(spec, ends, path.w0)
+    at_ends = w[np.concatenate([[0], np.cumsum(steps)])].tolist()
+    legs = [((pair.t, pair.c, rtol, pair.k, za, zb,
+              complex(round(wa.real, 10), round(wa.imag, 10))), za, zb, wa, wb)
+            for (za, zb), wa, wb in zip(ends, at_ends[:-1], at_ends[1:])]
+    route = (path.z_vertices[0],) + tuple(zb for _, zb in ends)
+    return legs, upto, route
 
 
 def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
@@ -200,7 +199,7 @@ def _propagators(rows: list, rtol: float) -> dict:
             new[key] = (pair, leg)
     if new:
         if len(_PROPAGATORS) + len(new) > _MEMO_CAP:
-            _PROPAGATORS.clear()
+            clear_memos()
         for key, phi in zip(new, _integrate_legs(list(new.values()), rtol)):
             _PROPAGATORS[key] = found[key] = phi
     return found
@@ -319,7 +318,7 @@ def _rho_tildes(pairs) -> list[dict]:
             table[j] = (values[0], max(float(np.max(np.abs(v - values[0])))
                                        for v in values[1:]))
     if len(_RHO_TILDE) + len(new) > _MEMO_CAP:
-        _RHO_TILDE.clear()
+        clear_memos()
     _RHO_TILDE.update((pair, tables[pair]) for pair in new)
     return [tables[pair] for pair in pairs]
 

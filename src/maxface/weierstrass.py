@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import cover as cov
-from .algebra import gk_adaptive
+from .algebra import gk_batched
 from .errors import ValidationError
 
 INF = complex(float("inf"), 0.0)
@@ -396,11 +396,12 @@ def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
 def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.LiftedPath,
                    form, tol: float = 1e-10) -> np.ndarray:
     """Integrals of form(z, w) dz from the start of a (lifted) polyline to
-    each of its vertices, with Gauss-Kronrod panels per leg: shape
-    (len(vertices),) + form shape, entry 0 zero.  form takes arrays of z and
-    w and returns its values along the last axis.  A path that is already a
-    LiftedPath is integrated as it stands, so a caller can reuse its lift
-    (end fiber value, closure check)."""
+    each of its vertices: shape (len(vertices),) + form shape, entry 0 zero.
+    Every leg is integrated by Gauss-Kronrod panels, all legs at once
+    (gk_batched), and the legs are summed in order.  form takes z and w of
+    shape (panels, 15) and returns its values with those two axes last.  A
+    path that is already a LiftedPath is integrated as it stands, so a
+    caller can reuse its lift (end fiber value, closure check)."""
     if isinstance(path, cov.LiftedPath):
         lp = path
     elif spec is not None and path.w0 is not None:
@@ -408,24 +409,19 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
     else:
         lp = None
     if lp is not None:
-        path, upto = lp.path, lp.upto
-        legs = [leg[:2] for leg in lp.legs]
+        z0, dz, upto = lp.leg_z0, lp.leg_dz, lp.upto
     else:
-        legs = list(zip(path.z_vertices[:-1], path.z_vertices[1:]))
-        upto = range(len(path.z_vertices))
-    w0 = None if lp is None else np.array([path.w0])
-    total = np.zeros(np.shape(form(np.array([path.start]), w0))[:-1], dtype=complex)
-    partial = [total]
-    for i, (a, b) in enumerate(legs):
-        delta = b - a
+        z = np.array(path.z_vertices, dtype=complex)
+        z0, dz, upto = z[:-1], z[1:] - z[:-1], range(len(z))
 
-        def f(s, a=a, delta=delta, i=i):
-            w = lp.w_at(i, s) if lp is not None else None
-            return form(a + delta * s, w) * delta
+    def f(leg, s):
+        w = lp.w_at(leg[:, None], s) if lp is not None else None
+        delta = dz[leg, None]
+        return form(z0[leg, None] + delta * s, w) * delta
 
-        total = total + gk_adaptive(f, 0.0, 1.0, tol)
-        partial.append(total)
-    return np.array([partial[n] for n in upto])
+    legs = gk_batched(f, len(z0), tol)
+    start = np.zeros((1,) + legs.shape[1:], dtype=complex)
+    return np.cumsum(np.concatenate([start, legs]), axis=0)[list(upto)]
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +438,28 @@ class MeshSample:
     cols: int = 0
 
 
+def _grid_faces(rows: int, cols: int) -> np.ndarray:
+    """The quads of a rows x cols vertex grid stored row by row."""
+    a = (np.arange(rows - 1)[:, None] * cols + np.arange(cols - 1)).reshape(-1)
+    return np.stack([a, a + 1, a + cols + 1, a + cols], axis=1)
+
+
+def mesh_columns(mesh: MeshSample, cols: int) -> MeshSample:
+    """The mesh of the first cols columns of mesh's grid."""
+    def first(values):
+        grid = values.reshape((mesh.rows, mesh.cols) + values.shape[1:])
+        return grid[:, :cols].reshape((-1,) + values.shape[1:])
+
+    return MeshSample(first(mesh.vertices), first(mesh.metric),
+                      _grid_faces(mesh.rows, cols), first(mesh.zs),
+                      rows=mesh.rows, cols=cols)
+
+
 def mesh_sample(data: WeierstrassData, nr: int | None = None,
-                nth: int | None = None, th1: float | None = None) -> MeshSample:
+                nth: int | None = None) -> MeshSample:
     """Sample the immersion on the log-polar grid of data.default_mesh about
-    z = 0: nr radii from r0 to r1, nth + 1 angles from 0 to th1.  On a cover
-    th1 defaults to the full sweep 2 pi sheet_count over all sheets.
+    z = 0: nr radii from r0 to r1, nth + 1 angles from 0 to 2 pi, over all
+    sheet_count sheets (0 to 2 pi sheet_count) on a cover.
 
     The spine (base point, then the first column) is lifted and integrated as
     one path, and each row as one path from its spine vertex, so the result
@@ -455,8 +468,7 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
     nr = nr if nr is not None else g["nr"]
     nth = nth if nth is not None else g["nth"]
     spec = data.cover
-    if th1 is None:
-        th1 = 2.0 * math.pi * (spec.sheet_count if spec is not None else 1)
+    th1 = 2.0 * math.pi * (spec.sheet_count if spec is not None else 1)
     radii = np.exp(np.linspace(math.log(g["r0"]), math.log(g["r1"]), nr))
     zs = radii[:, None] * np.exp(1j * np.linspace(0.0, th1, nth + 1))
 
@@ -474,12 +486,8 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
         if ws is not None:
             ws[i] = row.w_vertices
     mets = data.metric_factor(cov.SurfacePoint(zs, ws))
-
-    n_cols = nth + 1
-    a = (np.arange(nr - 1)[:, None] * n_cols + np.arange(n_cols - 1)).reshape(-1)
-    faces = np.stack([a, a + 1, a + n_cols + 1, a + n_cols], axis=1)
-    return MeshSample(xs.reshape(-1, 3), mets.reshape(-1), faces, zs.reshape(-1),
-                      rows=nr, cols=n_cols)
+    return MeshSample(xs.reshape(-1, 3), mets.reshape(-1), _grid_faces(nr, nth + 1),
+                      zs.reshape(-1), rows=nr, cols=nth + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxface import algebra as alg
-from maxface.errors import DegenerateError
+from maxface.errors import DegenerateError, QuadratureError
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -141,29 +141,54 @@ def test_tanh_sinh_beta_oracle(x, y):
 
 
 def test_gk_adaptive_oracles():
-    val = alg.gk_adaptive(np.exp, 0.0, 1.0, 1e-12)
-    assert complex(val).real == pytest.approx(math.e - 1.0, rel=1e-12)
-    val = alg.gk_adaptive(lambda s: np.exp(1j * s), 0.0, math.pi, 1e-12)
-    assert complex(val) == pytest.approx(2j, rel=1e-11)
+    """Two integrands at once: each row of the batch is its own integral."""
+    val = alg.gk_batched(lambda i, s: np.exp(s), 1, 1e-12)
+    assert complex(val[0]).real == pytest.approx(math.e - 1.0, rel=1e-12)
+    # exp(i pi s) pi over [0, 1] is exp(i x) over [0, pi]
+    val = alg.gk_batched(
+        lambda i, s: np.where(i[:, None] == 0, np.exp(s), np.exp(1j * math.pi * s) * math.pi),
+        2, 1e-12)
+    assert complex(val[0]).real == pytest.approx(math.e - 1.0, rel=1e-12)
+    assert complex(val[1]) == pytest.approx(2j, rel=1e-11)
 
 
 def test_gk15_degrees_of_exactness():
-    """One call of f per panel; the Kronrod-15 rule is exact through degree
-    22, its Gauss-7 part through degree 13, so the error estimate vanishes
-    for s^13 and not for s^14."""
+    """One call of f per level, on the 15 nodes of every panel; the
+    Kronrod-15 rule is exact through degree 22, its Gauss-7 part through
+    degree 13, so the error estimate vanishes for s^13 and not for s^14:
+    s^13 is accepted on one panel at tol 1e-15, s^14 is bisected at 1e-10."""
     calls = []
 
     def power(n):
-        def f(s):
+        def f(i, s):
             calls.append(np.shape(s))
             return s ** n
         return f
 
-    val, _ = alg._gk15(power(22), 0.0, 1.0)
-    assert calls == [(15,)]
-    assert complex(val) == pytest.approx(1.0 / 23.0, rel=1e-14)
-    assert alg._gk15(power(13), 0.0, 1.0)[1] < 1e-15
-    assert alg._gk15(power(14), 0.0, 1.0)[1] > 1e-10
+    val = alg.gk_batched(power(22), 1, math.inf)
+    assert calls == [(1, 15)]
+    assert complex(val[0]) == pytest.approx(1.0 / 23.0, rel=1e-14)
+    calls.clear()
+    alg.gk_batched(power(13), 1, 1e-15)
+    assert calls == [(1, 15)]
+    calls.clear()
+    alg.gk_batched(power(14), 1, 1e-10)
+    assert calls[:2] == [(1, 15), (2, 15)]
+
+
+def test_gk_batched_raises_at_depth():
+    """A panel still open at the depth limit raises QuadratureError; the
+    integrand with a jump is refined only where the jump is, one panel
+    pair per level."""
+    widths = []
+
+    def step(i, s):
+        widths.append(len(s))
+        return (s > 1.0 / 3.0).astype(float)
+
+    with pytest.raises(QuadratureError, match="stuck"):
+        alg.gk_batched(step, 1, 1e-12, max_depth=6)
+    assert widths == [1] + [2] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from maxface import algebra as alg
 from maxface import cover as cov
-from maxface.errors import ValidationError
+from maxface.errors import ContinuationError, ValidationError
+from nearest_root import walk_leg, walk_segments
 
 # ---------------------------------------------------------------------------
 # fibers
@@ -138,23 +139,13 @@ def test_sanitize_path_inserts_branch_detour():
     assert cov.on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
 
 
-def _legs_reference(spec, path):
-    """The legs of path with every segment sanitized on its own."""
-    legs, w = [], path.w0
-    for a, b in zip(path.z_vertices[:-1], path.z_vertices[1:]):
-        seg = cov.sanitize_path(spec, (a, b))
-        for za, zb in zip(seg[:-1], seg[1:]):
-            rec = []
-            w = cov._continue_segment(spec, za, zb, w, record=rec)
-            legs.append((za, zb, [s for s, _ in rec], [v for _, v in rec]))
-    return legs
-
-
 @pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
 def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
     """LiftedPath screens its segments against the branch points in one
-    array pass and sanitizes only those near one; its legs equal, bit for
-    bit, the legs of sanitizing every segment: on a path that ends inside a
+    array pass and sanitizes only those near one, and continues w along all
+    legs at once; its legs and vertex values equal, bit for bit, those of
+    sanitizing every segment and walking w to the nearest root one
+    checkpoint at a time: on a path that ends inside a
     clearance disc and leaves it, repeats a vertex,
     and passes z = 1 at the clearance radius, just inside it and just
     outside it."""
@@ -166,11 +157,12 @@ def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
              2.0 + clr * (1 - 1e-12) * 1j, 2.0 + clr * (1 + 1e-12) * 1j,
              0.5 + clr * (1 + 1e-12) * 1j, o.z)
     lp = cov.LiftedPath(spec, cov.SurfacePath(verts, o.w))
-    ref = _legs_reference(spec, lp.path)
+    ref, at_vertex = walk_segments(spec, verts, o.w)
     assert len(lp.legs) == len(ref) > len(verts)
     for (za, zb, s, w), (ra, rb, rs, rw) in zip(lp.legs, ref):
         assert (za, zb) == (ra, rb)
-        assert s.tolist() == rs and w.tolist() == rw
+        assert np.array_equal(s, rs) and np.array_equal(w, rw)
+    assert lp.w_vertices == at_vertex
     near = cov._near_branch_points(spec, verts)
     assert near.any() and not near.all()
 
@@ -204,6 +196,42 @@ def test_w_at_matches_pointwise_reference(k, reduced):
     s = np.concatenate([np.linspace(0.0, 1.0, 33), 0.5 + 0.5 * alg._X15])
     for leg in range(len(lp.legs)):
         assert np.array_equal(lp.w_at(leg, s), _w_at_reference(lp, leg, s))
+    # one call over every leg, a leg index per row
+    legs = np.arange(len(lp.legs))
+    assert np.array_equal(lp.w_at(legs[:, None], np.broadcast_to(s, (len(legs), len(s)))),
+                          [lp.w_at(leg, s) for leg in legs])
+
+
+@pytest.mark.parametrize("k, reduced", [(1, False), (2, False), (3, False),
+                                        (2, True), (4, True)])
+def test_continue_legs_matches_sequential_walk(k, reduced):
+    """On random chains of legs, some passing close to branch points, the
+    array continuation gives the subdivision and the fiber value at every
+    checkpoint of the one-checkpoint-at-a-time nearest-root walk, bit for
+    bit."""
+    spec = cov.CoverSpec(k, reduced=reduced)
+    rng = np.random.default_rng(k + 10 * reduced)
+    for _ in range(14):
+        z = rng.uniform(-2.0, 2.0, 5) + 1j * rng.uniform(-1.5, 1.5, 5)
+        legs = list(zip(z[:-1].tolist(), z[1:].tolist()))
+        w = spec.fiber(complex(z[0]))[int(rng.integers(spec.sheet_count))]
+        steps, got = cov.continue_legs(spec, legs, w)
+        at = 0
+        for (za, zb), n in zip(legs, steps):
+            s, ws = walk_leg(spec, za, zb, w)
+            assert n == len(s) - 1
+            assert np.array_equal(got[at:at + n + 1], ws)
+            at, w = at + n, ws[-1]
+        assert at == len(got) - 1
+
+
+def test_continuation_into_a_branch_point_stalls():
+    """All fiber roots coincide over z = 1, so no subdivision separates
+    them: the lift raises ContinuationError once 2^16 steps fail."""
+    spec = cov.CoverSpec(2)
+    o = cov.base_point(spec)
+    with pytest.raises(ContinuationError, match="stalled"):
+        cov.LiftedPath(spec, cov.SurfacePath((o.z, 1.0 + 0j), o.w))
 
 
 def test_winding_number_oracle():

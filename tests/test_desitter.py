@@ -119,12 +119,7 @@ def test_lift_composes_over_concatenation():
     assert np.max(np.abs(second.F[-1] - whole.F[-1])) < 1e-9
 
 
-def _empty_memos(monkeypatch):
-    for memo in ("_PROPAGATORS", "_SHEETS", "_RHO_TILDE"):
-        monkeypatch.setattr(ds, memo, {})
-
-
-def test_multi_pair_transport_matches_per_pair_calls(monkeypatch):
+def test_multi_pair_transport_matches_per_pair_calls():
     """One transport over pairs of k = 1 and k = 2 with +-t, each from its
     own frame, gives every path the frames and fiber values, bit for bit,
     that a transport of its pair alone gives: each row of the batched solve
@@ -140,7 +135,7 @@ def test_multi_pair_transport_matches_per_pair_calls(monkeypatch):
                                           cov.word_end_zero(pair.k)))]
 
     def lift(batch):
-        _empty_memos(monkeypatch)
+        ds.clear_memos()
         return ds.transport(batch, [frames[pair] for pair, _ in batch])
 
     together = lift([job for pair in pairs for job in jobs(pair)])
@@ -167,16 +162,16 @@ def test_batched_checks_solve_counts(monkeypatch):
         return dormand_prince(f, y0, *args, **kwargs)
 
     monkeypatch.setattr(ds, "dormand_prince", counted)
-    _empty_memos(monkeypatch)
+    ds.clear_memos()
     checks = verify_mod.criterion_9(verify_mod.VerifyConfig())
     assert all(check["pass"] for check in checks)
     assert len(solves) == 4
-    _empty_memos(monkeypatch)
+    ds.clear_memos()
     solves.clear()
     rows = ds.deformation_report(2, [0.013, -0.027])
     assert len(solves) == 2
     for t, row in zip((0.013, -0.027), rows):
-        _empty_memos(monkeypatch)
+        ds.clear_memos()
         assert ds.deformation_report(2, [t]) == [row]
 
 
@@ -546,13 +541,13 @@ def test_end_rays_share_one_solve(monkeypatch):
         return dormand_prince(f, y0, *args, **kwargs)
 
     monkeypatch.setattr(ds, "dormand_prince", counted)
-    _empty_memos(monkeypatch)
+    ds.clear_memos()
     both = ds.end_asymptotics(K1)
     assert len(solves) == 1
     assert [out["end"] for out in both] == ["zero", "infinity"]
     w0 = cov.base_point(K1.spec).w
     for out in both:
-        _empty_memos(monkeypatch)
+        ds.clear_memos()
         ray = cov.SurfacePath(ds._end_ray(out["end"]), w0)
         [alone] = ds.transport([(K1, ray)], detour=False)
         assert ds._end_fit(K1, out["end"], alone) == out

@@ -16,6 +16,7 @@ from maxface import cover as cov
 from maxface import periods as per
 from maxface import weierstrass as wst
 from maxface.errors import ValidationError
+from nearest_root import walk_segments
 
 # frozen oracle decimals (Beta-function route, 1e-10 quadrature)
 FROZEN = {
@@ -107,28 +108,35 @@ def test_generator_closure_at_ck(k):
 
 
 def test_period_vector_lifts_each_loop_once(monkeypatch):
-    """The closure check and the integral share one lift of the loop, and
-    nothing continues w outside it."""
+    """The closure check and the integral share one lift of the loop, whose
+    one continuation over all its legs gives the fiber values, bit for bit,
+    of walking w to the nearest root one checkpoint at a time; nothing
+    continues w outside it."""
     data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
-    built, legs, steps = [], [], []
-    init, step = cov.LiftedPath.__init__, cov._continue_segment
+    built, lifts, continued = [], [], []
+    init, continue_legs = cov.LiftedPath.__init__, cov.continue_legs
 
     def counting_init(self, spec, path):
         built.append(path.label)
         init(self, spec, path)
-        legs.append(len(self.legs))
+        lifts.append(self)
 
-    def counting_step(*args, **kwargs):
-        steps.append(args[1:3])
-        return step(*args, **kwargs)
+    def counting_continue(spec, legs, w0):
+        continued.append(len(legs))
+        return continue_legs(spec, legs, w0)
 
     monkeypatch.setattr(cov.LiftedPath, "__init__", counting_init)
-    monkeypatch.setattr(cov, "_continue_segment", counting_step)
+    monkeypatch.setattr(cov, "continue_legs", counting_continue)
     loops = cov.generator_loops(data.cover)
     for loop in loops:
         per.period_vector(data, loop)
     assert built == [loop.label for loop in loops]
-    assert len(steps) == sum(legs)
+    assert continued == [len(lp.legs) for lp in lifts]
+    for lp in lifts:
+        legs, at_vertex = walk_segments(lp.spec, lp.path.z_vertices, lp.path.w0)
+        assert [leg[:2] for leg in legs] == [leg[:2] for leg in lp.legs]
+        assert all(np.array_equal(ours[3], ref[3]) for ours, ref in zip(lp.legs, legs))
+        assert lp.w_vertices == at_vertex
 
 
 def test_period_vector_rejects_loop_that_permutes_sheets():

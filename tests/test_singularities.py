@@ -17,20 +17,15 @@ from maxface import periods as per
 from maxface import singularities as sng
 from maxface import weierstrass as wst
 from maxface.errors import DegenerateError
+from nearest_root import walk_segments
 
 # ---------------------------------------------------------------------------
 # lifting traced components to the cover
 # ---------------------------------------------------------------------------
 
 def _continue_vertexwise(spec, verts, w):
-    """w at every vertex, continued one sanitized 2-vertex segment at a time."""
-    out = [w]
-    for a, b in zip(verts[:-1], verts[1:]):
-        seg = cov.sanitize_path(spec, (complex(a), complex(b)))
-        for za, zb in zip(seg[:-1], seg[1:]):
-            w = cov._continue_segment(spec, za, zb, w)
-        out.append(w)
-    return out
+    """w at every vertex, walked one sanitized 2-vertex segment at a time."""
+    return walk_segments(spec, verts, w)[1]
 
 
 def _assert_lift_matches_reference(spec, verts):

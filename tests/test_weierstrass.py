@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxface import algebra as alg
 from maxface import cover as cov
 from maxface import periods as per
 from maxface import weierstrass as wst
@@ -220,6 +221,43 @@ def test_integrate_form_prefixes_are_exact():
         assert np.array_equal(whole[j], part[-1])
 
 
+def _gk_recursive(f, a, b, tol, depth=28):
+    """Depth-first bisection of Kronrod-15 panels, one f call per panel, the
+    halves added left then right; each panel's rule is the same row-by-row
+    product as gk_batched's."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    fv = np.asarray(f(mid + half * alg._X15), dtype=complex)
+    rows = fv.reshape(-1, 15)
+    k = half * (rows @ alg._W15).reshape(fv.shape[:-1])
+    g = half * (rows @ alg._G15).reshape(fv.shape[:-1])
+    if np.max(np.abs(k - g)) <= tol or b - a < 1e-14:
+        return k
+    assert depth > 0
+    return (_gk_recursive(f, a, mid, 0.5 * tol, depth - 1)
+            + _gk_recursive(f, mid, b, 0.5 * tol, depth - 1))
+
+
+def test_batched_quadrature_matches_recursive_reference():
+    """integrate_phi refines every leg of a path breadth first, in one form
+    call per level; its prefix integrals equal, bit for bit, integrating
+    each leg by recursive bisection and adding the legs in order, on a
+    genus_k k=2 path of many legs, detours included."""
+    data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+    o = data.base
+    lp = cov.LiftedPath(data.cover, cov.SurfacePath(
+        (o.z, 1.4 + 0.6j, 0.5 + 0.2j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j,
+         1.0 + 0.01j, 1.7 - 0.2j), o.w))
+    assert len(lp.legs) > 20
+    got = wst.integrate_phi(data, lp, 1e-9)
+    total, want = np.zeros(3, dtype=complex), [np.zeros(3, dtype=complex)]
+    for leg, (a, b, _, _) in enumerate(lp.legs):
+        def f(s, a=a, b=b, leg=leg):
+            return data.phi(cov.SurfacePoint(a + (b - a) * s, lp.w_at(leg, s))) * (b - a)
+        total = total + _gk_recursive(f, 0.0, 1.0, 1e-9)
+        want.append(total)
+    assert np.array_equal(got, np.array([want[n] for n in lp.upto]))
+
+
 # ---------------------------------------------------------------------------
 # mesh sampling
 # ---------------------------------------------------------------------------
@@ -293,6 +331,20 @@ def test_mesh_deterministic():
     m2 = wst.mesh_sample(data, nr=4, nth=10)
     assert np.array_equal(m1.vertices, m2.vertices)
     assert np.array_equal(m1.faces, m2.faces)
+
+
+def test_half_mesh_is_the_first_columns_of_the_full_mesh(genus1):
+    """mesh_columns keeps the first columns of every row, and its quads are
+    the full mesh's quads between those columns, in the same order."""
+    full = wst.mesh_sample(genus1, nr=4, nth=16)
+    half = wst.mesh_columns(full, 9)
+    assert (half.rows, half.cols) == (4, 9)
+    for got, want in ((half.vertices, full.vertices), (half.metric, full.metric),
+                      (half.zs, full.zs)):
+        grid = want.reshape((4, 17) + want.shape[1:])
+        assert np.array_equal(got, grid[:, :9].reshape(got.shape))
+    as_full = half.faces // 9 * 17 + half.faces % 9
+    assert np.array_equal(as_full, full.faces[full.faces[:, 0] % 17 < 8])
 
 
 def test_mesh_cover_polar_spans_all_sheets(genus1):
