@@ -4,7 +4,8 @@
 numeric workhorses used everywhere else: Moebius action, the SU(1,1)
 defect, double-exponential quadrature for endpoint-singular integrals,
 Gauss-Kronrod panels for path integrals, a finite-difference Schwarzian
-derivative, and a batched Dormand-Prince integrator.
+derivative, and a batched DOP853 integrator (Dormand-Prince 8(5,3)) for
+the de Sitter lift.
 """
 
 from __future__ import annotations
@@ -255,29 +256,93 @@ def schwarzian_fd(h, z, step=None):
 
 
 # ---------------------------------------------------------------------------
-# embedded Runge-Kutta (Dormand-Prince 5(4)) for complex vector fields
+# embedded Runge-Kutta (Dormand-Prince 8(5,3), DOP853) for complex vector fields
 # ---------------------------------------------------------------------------
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+# Hairer's DOP853 tableau (Hairer, Norsett & Wanner, Solving ODEs I, II.10;
+# Prince & Dormand 1981) as the nonzero (stage, weight) terms of each stage
+# sum, in tableau order.  Row 12 is the 8th-order weights b: stage 12 is
+# evaluated at the new solution and is the next step's stage 0 (FSAL).
+_D8_C = (0.0, 0.526001519587677318785587544488e-1,
+         0.789002279381515978178381316732e-1,
+         0.118350341907227396726757197510, 0.281649658092772603273242802490,
+         0.333333333333333333333333333333, 0.25,
+         0.307692307692307692307692307692, 0.651282051282051282051282051282,
+         0.6, 0.857142857142857142857142857142, 1.0, 1.0)
+_D8_B = ((0, 5.42937341165687622380535766363e-2),
+         (5, 4.45031289275240888144113950566),
+         (6, 1.89151789931450038304281599044),
+         (7, -5.8012039600105847814672114227),
+         (8, 3.1116436695781989440891606237e-1),
+         (9, -1.52160949662516078556178806805e-1),
+         (10, 2.01365400804030348374776537501e-1),
+         (11, 4.47106157277725905176885569043e-2))
+_D8_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2),
+     (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2),
+     (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1),
+     (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2),
+     (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2),
+     (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1),
+     (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1),
+     (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1),
+     (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1),
+     (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1),
+     (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1),
+     (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1),
+     (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1),
+     (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654),
+     (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1),
+     (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762),
+     (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449),
+     (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444),
+     (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1),
+     (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258),
+     (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    _D8_B,
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-# the nonzero (stage, weight) terms of each stage sum, the 5th-order update
-# and the error estimate, in tableau order
-_DP_TERMS = tuple(tuple((j, a) for j, a in enumerate(row) if a != 0.0)
-                  for row in _DP_A)
-_DP_Y5 = tuple((j, b) for j, b in enumerate(_DP_B5) if b != 0.0)
-_DP_ERR = tuple((j, b5 - b4) for j, (b5, b4) in enumerate(zip(_DP_B5, _DP_B4))
-                if b5 != b4)
+# the two embedded error estimates: the 5th-order one, and the 3rd-order
+# one, b less the weights bhh of a 3rd-order solution at stages 0, 8, 11
+_D8_E5 = ((0, 0.1312004499419488073250102996e-1),
+          (5, -0.1225156446376204440720569753e1),
+          (6, -0.4957589496572501915214079952),
+          (7, 0.1664377182454986536961530415e1),
+          (8, -0.3503288487499736816886487290),
+          (9, 0.3341791187130174790297318841),
+          (10, 0.8192320648511571246570742613e-1),
+          (11, -0.2235530786388629525884427845e-1))
+_D8_BHH = {0: 0.244094488188976377952755905512,
+           8: 0.733846688281611857341361741547,
+           11: 0.220588235294117647058823529412e-1}
+_D8_E3 = tuple((j, b - _D8_BHH.get(j, 0.0)) for j, b in _D8_B)
 
 
 def _weighted_sum(k: np.ndarray, terms, out: np.ndarray,
@@ -291,18 +356,21 @@ def _weighted_sum(k: np.ndarray, terms, out: np.ndarray,
     return out
 
 
-def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
-                   rtol: float = 1e-11, atol: float = 1e-13,
-                   max_steps: int = 200000) -> np.ndarray:
+def dop853(f, y0: np.ndarray, s0: float, s1: float,
+           rtol: float = 1e-11, atol: float = 1e-13,
+           max_steps: int = 200000) -> np.ndarray:
     """Integrate N independent complex systems y_i' = f(s, y)_i from s0 to s1.
 
-    y0 has shape (N, m).  Every row runs the classic 5(4) embedded pair with
-    PI-free step control on its own: its own s, step size and accept mask,
-    with the local error per step held below atol + rtol * |y| componentwise
-    in that row.  f(s, y, rows) is called with the rows still running: s of
-    shape (n,), y of shape (n, m) and their indices rows into y0; it returns
-    dy/ds of shape (n, m).  Finished rows drop out of the batch.  The stages
-    live in one (7, N, m) buffer whose leading n rows are the running ones."""
+    y0 has shape (N, m).  Every row runs Hairer's DOP853 on its own: its own
+    s, step size and accept mask.  With sc = atol + rtol * max(|y|, |y_new|)
+    componentwise, e5 and e3 the max norms of the two embedded error
+    estimates over sc, a step's error is err = |h| e5^2 / sqrt(e5^2 +
+    0.01 e3^2); it is accepted when err <= 1, and the next step is
+    h clip(0.9 err^(-1/8), 0.2, 10).  f(s, y, rows) is called with the rows
+    still running: s of shape (n,), y of shape (n, m) and their indices rows
+    into y0; it returns dy/ds of shape (n, m).  Finished rows drop out of the
+    batch.  The stages live in one (13, N, m) buffer whose leading n rows are
+    the running ones."""
     out = np.array(y0, dtype=complex)
     span = abs(s1 - s0)
     if span == 0.0 or len(out) == 0:
@@ -312,34 +380,35 @@ def dormand_prince(f, y0: np.ndarray, s0: float, s1: float,
     y = out
     s = np.full(len(out), float(s0))
     h = np.full(len(out), direction * min(0.1 * span + 1e-12, span))
-    stages = np.empty((7,) + out.shape, dtype=complex)
-    # the stage argument (then the 5th-order solution), a product, the error
-    work = np.empty((3,) + out.shape, dtype=complex)
+    stages = np.empty((13,) + out.shape, dtype=complex)
+    # the stage argument (then the new solution), a product, the two errors
+    work = np.empty((4,) + out.shape, dtype=complex)
     stages[0] = f(s, y, rows)
     for _ in range(max_steps):
         n = len(rows)
-        k, (acc, term, err) = stages[:, :n], work[:, :n]
+        k, (acc, term, e5, e3) = stages[:, :n], work[:, :n]
         h = np.where(np.abs(h) > np.abs(s1 - s), s1 - s, h)
         hc = h[:, None]
-        for i in range(1, 7):
-            _weighted_sum(k, _DP_TERMS[i], acc, term)
+        for i in range(1, 13):
+            _weighted_sum(k, _D8_A[i], acc, term)
             np.add(y, np.multiply(hc, acc, out=acc), out=acc)
-            k[i] = f(s + _DP_C[i] * h, acc, rows)
-        y5 = _weighted_sum(k, _DP_Y5, acc, term)
-        np.add(y, np.multiply(hc, y5, out=y5), out=y5)
-        np.multiply(hc, _weighted_sum(k, _DP_ERR, err, term), out=err)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        enorm = np.max(np.abs(err) / scale, axis=1)
-        ok = enorm <= 1.0
+            k[i] = f(s + _D8_C[i] * h, acc, rows)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(acc))
+        e5n = np.max(np.abs(_weighted_sum(k, _D8_E5, e5, term)) / scale, axis=1)
+        e3n = np.max(np.abs(_weighted_sum(k, _D8_E3, e3, term)) / scale, axis=1)
+        den = e5n * e5n + 0.01 * e3n * e3n
+        # den = 0 only where e5n = 0, and then the error is 0
+        err = np.abs(h) * e5n * e5n / np.sqrt(np.where(den > 0.0, den, 1.0))
+        ok = err <= 1.0
         # on rejection a row keeps its y, s and k[0]; only its step shrinks
-        y = np.where(ok[:, None], y5, y)
+        y = np.where(ok[:, None], acc, y)
         s = np.where(ok, s + h, s)
-        np.copyto(k[0], k[6], where=ok[:, None])  # FSAL
+        np.copyto(k[0], k[12], where=ok[:, None])  # FSAL
         done = ok & ((s == s1) | (np.abs(s1 - s) < 1e-15 * span))
         with np.errstate(divide="ignore"):
-            factor = 0.9 * enorm ** -0.2
-        # fmin/fmax drop a NaN error norm to the smallest factor
-        h = h * np.fmin(5.0, np.fmax(0.2, factor))
+            factor = 0.9 * err ** -0.125
+        # fmin/fmax drop a NaN error to the smallest factor
+        h = h * np.fmin(10.0, np.fmax(0.2, factor))
         if done.any():
             out[rows[done]] = ensure_finite(y[done], "ODE state")
             keep = ~done

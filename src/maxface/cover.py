@@ -246,44 +246,56 @@ def sanitize_path(spec: CoverSpec, vertices) -> tuple:
     return tuple(dedup)
 
 
-def route_legs(spec: CoverSpec, z) -> tuple[list, list]:
-    """The legs (za, zb) of the polyline z with every segment given its
+def route_legs(spec: CoverSpec, polylines) -> list[tuple[list, list]]:
+    """Per polyline z: its legs (za, zb), every segment given its
     branch-point detours (sanitize_path) on its own, and per vertex the
-    number of legs before it.  The segments are screened against the branch
-    points in one array pass and only those near one are sanitized; the
-    others are one leg (none if shorter than 1e-14)."""
-    ends, upto = [], [0]
-    for a, b, near in zip(z[:-1], z[1:], _near_branch_points(spec, z)):
-        if near:
-            seg = sanitize_path(spec, (a, b))
-        else:
-            a, b = complex(a), complex(b)
-            seg = (a, b) if abs(b - a) > 1e-14 else (a,)
-        ends.extend(zip(seg[:-1], seg[1:]))
-        upto.append(len(ends))
-    return ends, upto
+    number of legs before it.  The segments of all the polylines, laid end
+    to end, are screened against the branch points in one array pass (the
+    joins between polylines are screened too, and ignored); only those near
+    one are sanitized, the others are one leg (none if shorter than
+    1e-14)."""
+    near = iter(_near_branch_points(spec, [z for zs in polylines for z in zs]))
+    out = []
+    for z in polylines:
+        ends, upto = [], [0]
+        for a, b in zip(z[:-1], z[1:]):
+            if next(near):
+                seg = sanitize_path(spec, (a, b))
+            else:
+                a, b = complex(a), complex(b)
+                seg = (a, b) if abs(b - a) > 1e-14 else (a,)
+            ends.extend(zip(seg[:-1], seg[1:]))
+            upto.append(len(ends))
+        next(near, None)  # the join to the next polyline
+        out.append((ends, upto))
+    return out
 
 
-def continue_legs(spec: CoverSpec, legs, w0: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-root transport of w0 along a chain of legs (za, zb), each
-    leaving from the fiber value the one before it reached.
+def continue_legs(spec: CoverSpec, chains, w0s) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nearest-root transport along chains of legs (za, zb): chain c leaves
+    from the fiber value w0s[c], each of its legs from the value the one
+    before it reached.
 
     Leg i is cut into steps[i] equal steps (4, doubled until every step's
     chosen root is more than twice as close as any competitor; past 2^16
-    steps ContinuationError is raised).  Returns (steps, w): w[o_i + j] is
-    the fiber value at parameter j / steps[i] of leg i, o_i = sum(steps[:i]),
-    so w[0] = w0 and w[-1] is the value at the end of the chain.
+    steps ContinuationError is raised).  Returns (steps, w) per chain:
+    w[o_i + j] is the fiber value at parameter j / steps[i] of its leg i,
+    o_i = sum(steps[:i]), so w[0] = w0 and w[-1] is the value at the end of
+    the chain.
 
     All roots over a point z are p(z) times the n-th roots of unity, p the
     principal root, so the root nearest p(z') units[s] is units[s] times the
     root nearest p(z'): the pick and the separation test of a step depend
-    only on the principal roots at its two ends (w0 itself before the first
-    step).  Every step of every leg is decided in one array pass, the legs
-    that fail are decided again together, and the sheet index is the
-    cumulative sum of the picks mod n."""
+    only on the principal roots at its two ends (w0 itself before a chain's
+    first step).  Every step of every leg of every chain is decided in one
+    array pass, the legs that fail are decided again together, and the
+    sheet index is the cumulative sum of the picks mod n, restarted at each
+    chain; so a chain's result does not depend on the others."""
+    sizes = [len(chain) for chain in chains]
+    legs = [leg for chain in chains for leg in chain]
     steps = np.zeros(len(legs), dtype=int)
-    if not len(legs):
-        return steps, np.array([complex(w0)])
+    if not legs:
+        return [(steps[:0], np.array([complex(w0)])) for w0 in w0s]
     n_sheets = spec.sheet_count
     units = _unit_roots(n_sheets)
     za = np.array([a for a, _ in legs], dtype=complex)
@@ -294,7 +306,11 @@ def continue_legs(spec: CoverSpec, legs, w0: complex) -> tuple[np.ndarray, np.nd
     p_end = np.array([spec.principal_root(z) for z in (za + dz * 1.0).tolist()],
                      dtype=complex)
     # the value each leg's first step leaves from, up to a root of unity
-    p_start = np.concatenate([[complex(w0)], p_end[:-1]])
+    first = np.cumsum([0] + sizes[:-1])
+    p_start = np.concatenate([[0j], p_end[:-1]])
+    for leg, size, w0 in zip(first, sizes, w0s):
+        if size:
+            p_start[leg] = complex(w0)
     principal = [None] * len(legs)
     picks = [None] * len(legs)
     todo, n = np.arange(len(legs)), 4
@@ -316,14 +332,21 @@ def continue_legs(spec: CoverSpec, legs, w0: complex) -> tuple[np.ndarray, np.nd
             principal[leg], picks[leg] = pl, kl
         steps[todo[ok]] = n
         todo, n = todo[~ok], 2 * n
-    sheet = np.cumsum(np.concatenate(picks)) % n_sheets
-    w = np.concatenate([[complex(w0)], np.concatenate(principal) * units[sheet]])
-    return steps, w
+    # the checkpoints of chain c are total[c]:total[c + 1]; each chain's
+    # sheet sums its own picks
+    total = np.concatenate([[0], np.cumsum(steps)])[np.append(first, len(legs))]
+    summed = np.concatenate([[0], np.cumsum(np.concatenate(picks))])
+    sheet = (summed[1:] - np.repeat(summed[total[:-1]], np.diff(total))) % n_sheets
+    w = np.concatenate(principal) * units[sheet]
+    return [(steps[leg:leg + size],
+             np.concatenate([[complex(w0)], w[total[c]:total[c + 1]]]))
+            for c, (leg, size, w0) in enumerate(zip(first, sizes, w0s))]
 
 
 class LiftedPath:
     """A polyline lifted to the cover: the legs of route_legs, along which
-    continue_legs transports the starting fiber value all at once.
+    continue_legs transports the starting fiber value all at once (one
+    chain).
 
     w_vertices[i] is the fiber value at input vertex i and upto[i] the
     number of legs before it.  legs lists the transported pieces (z0, z1,
@@ -337,8 +360,8 @@ class LiftedPath:
             raise ValidationError("path carries no fiber value")
         self.spec = spec
         self.path = path
-        self._ends, self.upto = route_legs(spec, path.z_vertices)
-        self.steps, self._w = continue_legs(spec, self._ends, path.w0)
+        [(self._ends, self.upto)] = route_legs(spec, [path.z_vertices])
+        [(self.steps, self._w)] = continue_legs(spec, [self._ends], [path.w0])
         # chain index of every leg's first checkpoint
         self._first = np.concatenate([[0], np.cumsum(self.steps)])
         self.leg_z0 = np.array([a for a, _ in self._ends], dtype=complex)
@@ -484,6 +507,7 @@ def word_generator(j: int, with_kappa2: bool) -> DeckWord:
     return DeckWord((2, 1) * j + core + (1, 2) * j)
 
 
+@lru_cache(maxsize=None)
 def _word_is_identity(spec: CoverSpec, word: DeckWord) -> bool:
     rng = np.random.default_rng(7)
     for _ in range(3):

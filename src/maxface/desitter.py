@@ -31,7 +31,7 @@ import numpy as np
 from . import cover as cov
 from . import periods as per
 from . import weierstrass as wst
-from .algebra import (E3, EYE2, det2, dormand_prince, inv2, mat2,
+from .algebra import (E3, EYE2, det2, dop853, inv2, mat2,
                       moebius_apply, schwarzian_fd, su11_defect)
 from .errors import ContinuationError, NumericalError, ValidationError
 
@@ -122,32 +122,33 @@ def clear_memos() -> None:
     _RHO_TILDE.clear()
 
 
-def _legs(pair: AdmissiblePair, path: cov.SurfacePath, rtol: float,
-          detour: bool) -> tuple[list, list, tuple]:
-    """Split the path into legs (key, a, b, w_a, w_b), the sheets from
-    nearest-root continuation along all of them at once.  Also returns, per
-    path vertex, the number of legs before it, and the transported
-    polyline."""
-    spec = pair.spec
-    if path.w0 is None:
-        raise ValidationError("the lift needs a fiber value at the start")
-    z = path.z_vertices
+def _legs(spec: cov.CoverSpec, paths, detour: bool) -> list[tuple]:
+    """Per path (z vertices, w0) on the cover: its legs (key, a, b, w_a,
+    w_b), key = (k, a, b, w_a rounded to 1e-10), the number of legs before
+    each vertex, and the transported polyline.  Every segment of every path
+    is screened against the branch points in one pass (cov.route_legs), and
+    w is continued along all the paths in one cov.continue_legs call."""
     if detour:
-        ends, upto = cov.route_legs(spec, z)
+        routes = cov.route_legs(spec, [z for z, _ in paths])
     else:
-        ends, upto = list(zip(z[:-1], z[1:])), list(range(len(z)))
-    steps, w = cov.continue_legs(spec, ends, path.w0)
-    at_ends = w[np.concatenate([[0], np.cumsum(steps)])].tolist()
-    legs = [((pair.t, pair.c, rtol, pair.k, za, zb,
-              complex(round(wa.real, 10), round(wa.imag, 10))), za, zb, wa, wb)
-            for (za, zb), wa, wb in zip(ends, at_ends[:-1], at_ends[1:])]
-    route = (path.z_vertices[0],) + tuple(zb for _, zb in ends)
-    return legs, upto, route
+        routes = [(list(zip(z[:-1], z[1:])), list(range(len(z))))
+                  for z, _ in paths]
+    chains = cov.continue_legs(spec, [ends for ends, _ in routes],
+                               [w0 for _, w0 in paths])
+    out = []
+    for (z, _), (ends, upto), (steps, w) in zip(paths, routes, chains):
+        at_ends = w[np.concatenate([[0], np.cumsum(steps)])].tolist()
+        legs = [((spec.k, za, zb,
+                  complex(round(wa.real, 10), round(wa.imag, 10))),
+                 za, zb, wa, wb)
+                for (za, zb), wa, wb in zip(ends, at_ends[:-1], at_ends[1:])]
+        out.append((legs, upto, (z[0],) + tuple(zb for _, zb in ends)))
+    return out
 
 
 def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
     """Propagators of the legs of the rows (pair, (key, a, b, w_a, w_b)) from
-    F = e0, all in one batched Dormand-Prince call with w integrated jointly;
+    F = e0, all in one batched DOP853 call with w integrated jointly;
     each row reads its own t, c and k.  w must end on the continued root
     w_b."""
     za = np.array([leg[1] for _, leg in rows])
@@ -177,7 +178,7 @@ def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
         out[:, 4] = w * cov.genus_log_derivative(ks[live], z) * dz
         return out
 
-    y = dormand_prince(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
+    y = dop853(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
     for (pair, (_, a, b, _, wb)), w_end in zip(rows, y[:, 4]):
         roots = pair.spec.fiber(b)
         near = roots[int(np.argmin(np.abs(roots - w_end)))]
@@ -218,23 +219,30 @@ def transport(jobs, b=None, rtol: float = 1e-11,
 
     The ODE is linear in F, so the frame at the i-th leg end is the prefix
     product Phi_i ... Phi_1 b of memoized leg propagators; the legs not yet
-    memoized, of every pair, take one batched solve.  A path is split into
-    legs once per k, however many pairs lift it.  Each path segment gets the
+    memoized, of every pair, take one batched solve.  The distinct paths of
+    each k are split into legs, and w continued along them, in one pass,
+    however many pairs lift them.  Each path segment gets the
     counterclockwise branch-point detours of cov.sanitize_path; detour=False
     transports the segments straight, for rays that run radially into a
     branch point, where a detour would wind about it.  det F is monitored,
     never renormalized."""
     jobs = list(jobs)
-    split, lifts = {}, []
+    if any(path.w0 is None for _, path in jobs):
+        raise ValidationError("the lift needs a fiber value at the start")
+    # the legs, sheets and route depend on (k, path) only: the distinct
+    # paths of each k are split in one _legs call
+    paths = {}
     for pair, path in jobs:
-        # the legs, sheets and route depend on (k, path) only; each pair
-        # keys the legs' propagators by its own (t, c, rtol)
-        where = (pair.k, path.z_vertices, path.w0)
-        if where not in split:
-            split[where] = _legs(pair, path, rtol, detour)
-        legs, upto, route = split[where]
+        paths.setdefault(pair.k, {})[path.z_vertices, path.w0] = None
+    split = {(k, z, w0): lift for k, todo in paths.items()
+             for (z, w0), lift in zip(todo, _legs(cov.CoverSpec(k), list(todo),
+                                                  detour))}
+    lifts = []
+    for pair, path in jobs:
+        legs, upto, route = split[pair.k, path.z_vertices, path.w0]
+        # each pair keys the legs' propagators by its own (t, c, rtol)
         head = (pair.t, pair.c, rtol)
-        lifts.append(([(head + leg[0][3:],) + leg[1:] for leg in legs],
+        lifts.append(([(head + leg[0],) + leg[1:] for leg in legs],
                       upto, route))
     phis = _propagators([(pair, leg) for (pair, _), (legs, _, _)
                          in zip(jobs, lifts) for leg in legs], rtol)
@@ -507,10 +515,10 @@ def su11_certify(pairs) -> list[dict]:
     SU(1,1); one loop_monodromy call lifts the word loops of every pair."""
     pairs = list(pairs)
     iotas = [iota["iota1"] for iota in construct_iota(pairs)]
-    words = [[("gamma", cov.word_base_loop())]
-             + [(f"gen_k1^{j}{tag}", cov.word_generator(j, k2))
-                for j in range(pair.k + 1)
-                for k2, tag in ((False, ""), (True, "_k2"))]
+    # gen_k1^0 is the base loop gamma, so each distinct word is listed once
+    words = [[(f"gen_k1^{j}{tag}", cov.word_generator(j, k2))
+              for j in range(pair.k + 1)
+              for k2, tag in ((False, ""), (True, "_k2"))]
              + [("tau_0", cov.word_end_zero(pair.k)),
                 ("tau_inf", cov.word_end_infinity(pair.k))]
              for pair in pairs]

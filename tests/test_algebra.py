@@ -231,14 +231,13 @@ def test_schwarzian_flags_critical_point():
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince: closed-form linear ODEs, one system per row
+# Dormand-Prince 8(5,3): closed-form linear ODEs, one system per row
 # ---------------------------------------------------------------------------
 
 def _dp(f, y0, s0, s1, **tol):
     """One system through the batched solver; f(s, v) sees a single row."""
-    y = alg.dormand_prince(lambda s, y, rows: f(s[0], y[0])[None, :],
-                           np.asarray(y0, dtype=complex)[None, :], s0, s1,
-                           **tol)
+    y = alg.dop853(lambda s, y, rows: f(s[0], y[0])[None, :],
+                   np.asarray(y0, dtype=complex)[None, :], s0, s1, **tol)
     return y[0]
 
 
@@ -292,8 +291,7 @@ def test_dp_rows_step_independently():
         calls.append(len(rows))
         return lam[rows][:, None] * y
 
-    y = alg.dormand_prince(f, np.ones((4, 1)), 0.0, 2.0, rtol=1e-12,
-                           atol=1e-14)
+    y = alg.dop853(f, np.ones((4, 1)), 0.0, 2.0, rtol=1e-12, atol=1e-14)
     assert np.allclose(y[:, 0], np.exp(2.0 * lam), rtol=1e-10)
     assert calls[-1] < 4  # finished rows left the batch
     for i, li in enumerate(lam):

@@ -205,17 +205,23 @@ def test_w_at_matches_pointwise_reference(k, reduced):
 @pytest.mark.parametrize("k, reduced", [(1, False), (2, False), (3, False),
                                         (2, True), (4, True)])
 def test_continue_legs_matches_sequential_walk(k, reduced):
-    """On random chains of legs, some passing close to branch points, the
-    array continuation gives the subdivision and the fiber value at every
-    checkpoint of the one-checkpoint-at-a-time nearest-root walk, bit for
-    bit."""
+    """On random chains of legs, some passing close to branch points and one
+    empty, the array continuation of all chains in one call gives each the
+    subdivision and the fiber value at every checkpoint of the
+    one-checkpoint-at-a-time nearest-root walk, bit for bit, and the same
+    as continuing that chain alone."""
     spec = cov.CoverSpec(k, reduced=reduced)
     rng = np.random.default_rng(k + 10 * reduced)
-    for _ in range(14):
-        z = rng.uniform(-2.0, 2.0, 5) + 1j * rng.uniform(-1.5, 1.5, 5)
-        legs = list(zip(z[:-1].tolist(), z[1:].tolist()))
-        w = spec.fiber(complex(z[0]))[int(rng.integers(spec.sheet_count))]
-        steps, got = cov.continue_legs(spec, legs, w)
+    chains, w0s = [], []
+    for size in [4] * 7 + [0] + [4] * 7:
+        z = rng.uniform(-2.0, 2.0, size + 1) + 1j * rng.uniform(-1.5, 1.5, size + 1)
+        chains.append(list(zip(z[:-1].tolist(), z[1:].tolist())))
+        w0s.append(spec.fiber(complex(z[0]))[int(rng.integers(spec.sheet_count))])
+    together = cov.continue_legs(spec, chains, w0s)
+    for legs, w, (steps, got) in zip(chains, w0s, together):
+        [(alone_steps, alone)] = cov.continue_legs(spec, [legs], [w])
+        assert np.array_equal(steps, alone_steps)
+        assert np.array_equal(got, alone)
         at = 0
         for (za, zb), n in zip(legs, steps):
             s, ws = walk_leg(spec, za, zb, w)

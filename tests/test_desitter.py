@@ -18,6 +18,7 @@ from maxface import desitter as ds
 from maxface import verify as verify_mod
 from maxface import weierstrass as wst
 from maxface.errors import NumericalError, ValidationError
+from nearest_root import walk_segments
 
 K1 = ds.AdmissiblePair(1, 0.02)
 K1_ZERO = ds.AdmissiblePair(1, 0.0)
@@ -93,6 +94,17 @@ def test_lift_preserves_determinant():
                         1e-8)
 
 
+def test_word_loop_keeps_determinant():
+    """det F is a constant of motion and is never renormalized: around the
+    84-leg tau_0 word loop of k = 2, up to |t| near t_max, the lift keeps
+    it to 1e-12."""
+    pairs = [ds.AdmissiblePair(2, t) for t in (0.02, -0.1, 0.13)]
+    loop = cov.deck_word_path(pairs[0].spec, cov.word_end_zero(2))
+    for lift in ds.transport([(pair, loop) for pair in pairs]):
+        assert len(lift.route) == 85
+        assert lift.det_defect < 1e-12
+
+
 def test_lift_first_order_in_t():
     """d/dt F|_{t=0} = Int Psi_0 dz: for tiny t the lift is e0 + t Int + O(t^2)."""
     t = 1e-5
@@ -148,20 +160,48 @@ def test_multi_pair_transport_matches_per_pair_calls():
         assert mixed.det_defect == single.det_defect
 
 
+def _count_solves(monkeypatch) -> dict:
+    """Count the batched ODE solves of the de Sitter layer (their row counts)
+    and the right-hand side calls they make."""
+    counts = {"solves": [], "rhs_calls": 0}
+    dop853 = ds.dop853
+
+    def counted(f, y0, *args, **kwargs):
+        counts["solves"].append(len(y0))
+
+        def rhs(*a):
+            counts["rhs_calls"] += 1
+            return f(*a)
+        return dop853(rhs, y0, *args, **kwargs)
+
+    monkeypatch.setattr(ds, "dop853", counted)
+    return counts
+
+
+def test_legs_of_all_paths_match_sequential_walk():
+    """One _legs pass over a word loop and the reflection probe paths gives
+    every path the legs, the fiber values at their ends and the route of a
+    nearest-root walk along that path alone, bit for bit."""
+    spec = K1.spec
+    paths = [cov.deck_word_path(spec, cov.word_end_zero(1))] + [
+        path for j in (1, 2, 3) for path in ds._probe_paths(spec, j, ds._PROBES)]
+    split = ds._legs(spec, [(path.z_vertices, path.w0) for path in paths], True)
+    for path, (legs, upto, route) in zip(paths, split):
+        ref, at_vertex = walk_segments(spec, path.z_vertices, path.w0)
+        assert [leg[1:] for leg in legs] == [(za, zb, ws[0], ws[-1])
+                                            for za, zb, _, ws in ref]
+        assert route == (path.start,) + tuple(zb for _, zb, _, _ in ref)
+        assert [([path.w0] + [leg[4] for leg in legs])[n]
+                for n in upto] == at_vertex
+
+
 def test_batched_checks_solve_counts(monkeypatch):
     """On empty memos criterion 9 takes one batched ODE solve per stage:
     the probe paths and then the trace words of its eight (k, t) pairs, the
     +-h residue loops of both k and the probe paths of the six iota pairs.
     deformation_report over two t values takes two, the same rows as one
     report per t."""
-    solves = []
-    dormand_prince = ds.dormand_prince
-
-    def counted(f, y0, *args, **kwargs):
-        solves.append(len(y0))
-        return dormand_prince(f, y0, *args, **kwargs)
-
-    monkeypatch.setattr(ds, "dormand_prince", counted)
+    solves = _count_solves(monkeypatch)["solves"]
     ds.clear_memos()
     checks = verify_mod.criterion_9(verify_mod.VerifyConfig())
     assert all(check["pass"] for check in checks)
@@ -173,6 +213,18 @@ def test_batched_checks_solve_counts(monkeypatch):
     for t, row in zip((0.013, -0.027), rows):
         ds.clear_memos()
         assert ds.deformation_report(2, [t]) == [row]
+
+
+def test_gate_criteria_ode_work_ceiling(monkeypatch):
+    """On empty memos criteria 9-12 take 8 batched solves and at most 1,100
+    right-hand side calls: the eighth-order pair needs 6-19 steps a solve
+    at rtol 1e-11 where the 5(4) pair it replaced took 2,660 calls."""
+    counts = _count_solves(monkeypatch)
+    ds.clear_memos()
+    for cid in (9, 10, 11, 12):
+        assert verify_mod.run_criterion(cid)["pass"]
+    assert len(counts["solves"]) == 8
+    assert counts["rhs_calls"] <= 1100
 
 
 def test_checks_take_empty_pair_lists():
@@ -253,17 +305,17 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
     memoized leg propagators only where their paths share legs; corrupting a
     leg that lies on the word loop alone must make the routes disagree."""
     word = cov.word_end_zero(1)
-    loop_legs, _, _ = ds._legs(K1, cov.deck_word_path(K1.spec, word), 1e-11,
-                               True)
-    probe_keys = set()
-    for j in (1, 2, 3):
-        for path in ds._probe_paths(K1.spec, j, ds._PROBES):
-            legs, _, _ = ds._legs(K1, path, 1e-11, True)
-            probe_keys.update(leg[0] for leg in legs)
+    loop = cov.deck_word_path(K1.spec, word)
+    probes = [path for j in (1, 2, 3)
+              for path in ds._probe_paths(K1.spec, j, ds._PROBES)]
+    (loop_legs, _, _), *probe_lifts = ds._legs(
+        K1.spec, [(path.z_vertices, path.w0) for path in [loop] + probes],
+        True)
+    probe_keys = {leg[0] for legs, _, _ in probe_lifts for leg in legs}
     only_a = [leg[0] for leg in loop_legs if leg[0] not in probe_keys]
     assert only_a
     ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
-    key = only_a[len(only_a) // 2]
+    key = (K1.t, K1.c, 1e-11) + only_a[len(only_a) // 2]
     monkeypatch.setitem(ds._PROPAGATORS, key,
                         ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
     with pytest.raises(NumericalError):
@@ -293,17 +345,17 @@ def test_trace_identities_frozen():
 
 def test_word_loops_are_lifted_once():
     """trace_identity_check and su11_certify split each distinct word loop
-    into legs once: the loop monodromies share one transport, nothing lifts
-    a loop ahead of it, and a loop that two words realize (gamma and the
-    first generator) is split once."""
+    into legs once, all of a check's loops in one _legs pass: the loop
+    monodromies share one transport, nothing lifts a loop ahead of it, and
+    su11_certify lists each distinct word once (gen_k1^0 is gamma)."""
     pair = ds.AdmissiblePair(1, -0.015)
     ds.construct_iota([pair])  # lifts and caches the reflection probe paths
     calls = []
     legs = ds._legs
 
-    def counted(pair_, path, *args):
-        calls.append((path.z_vertices, path.w0))
-        return legs(pair_, path, *args)
+    def counted(spec, paths, *args):
+        calls.append(list(paths))
+        return legs(spec, paths, *args)
 
     def loops(words):
         return list(dict.fromkeys(
@@ -313,16 +365,19 @@ def test_word_loops_are_lifted_once():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ds, "_legs", counted)
         ds.trace_identity_check([pair])
-        assert calls == loops([cov.word_end_zero(1), cov.word_end_infinity(1)])
+        assert calls == [loops([cov.word_end_zero(1),
+                                cov.word_end_infinity(1)])]
         calls.clear()
-        ds.su11_certify([pair])
-    # gamma, two generators for each of the k+1 rotations, tau_0, tau_inf
-    words = ([cov.word_base_loop()]
-             + [cov.word_generator(j, k2) for j in range(pair.k + 1)
-                for k2 in (False, True)]
+        [cert] = ds.su11_certify([pair])
+    # two generators for each of the k+1 rotations, tau_0, tau_inf
+    words = ([cov.word_generator(j, k2) for j in range(pair.k + 1)
+              for k2 in (False, True)]
              + [cov.word_end_zero(1), cov.word_end_infinity(1)])
-    assert len(loops(words)) == len(words) - 1
-    assert calls == loops(words)
+    assert cov.word_generator(0, False) == cov.word_base_loop()
+    assert len(words) == len(loops(words)) == 6
+    assert calls == [loops(words)]
+    assert len([name for name in cert["words"]
+                if not name.startswith("rho~")]) == 6
 
 
 def test_word_sigma_product_identity_words():
@@ -483,7 +538,7 @@ def test_schwarzian_relation_one_solve_for_all_probes(monkeypatch):
     """Every stencil point of every probe is lifted by one transport, whose
     new legs take one batched ODE solve."""
     probes = (2.1 + 0.5j, 2.5 - 0.4j, 1.8 + 0.7j)
-    counts = {"transport": 0, "dormand_prince": 0}
+    counts = {"transport": 0, "dop853": 0}
     for name in counts:
         fn = getattr(ds, name)
 
@@ -493,7 +548,7 @@ def test_schwarzian_relation_one_solve_for_all_probes(monkeypatch):
         monkeypatch.setattr(ds, name, counted)
     monkeypatch.setattr(ds, "_PROPAGATORS", {})
     out = ds.schwarzian_relation(K1, probes)
-    assert counts == {"transport": 1, "dormand_prince": 1}
+    assert counts == {"transport": 1, "dop853": 1}
     monkeypatch.undo()
     for i, probe in enumerate(probes):
         s_g, s_G = _reference_schwarzian(K1, probe)
@@ -533,14 +588,7 @@ def test_end_rays_share_one_solve(monkeypatch):
     """On empty memos both end rays of criterion 11 are lifted in one
     batched ODE solve, and each end's fit equals the fit of its ray lifted
     alone by `transport`, bit for bit."""
-    solves = []
-    dormand_prince = ds.dormand_prince
-
-    def counted(f, y0, *args, **kwargs):
-        solves.append(len(y0))
-        return dormand_prince(f, y0, *args, **kwargs)
-
-    monkeypatch.setattr(ds, "dormand_prince", counted)
+    solves = _count_solves(monkeypatch)["solves"]
     ds.clear_memos()
     both = ds.end_asymptotics(K1)
     assert len(solves) == 1

@@ -121,9 +121,9 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
         init(self, spec, path)
         lifts.append(self)
 
-    def counting_continue(spec, legs, w0):
-        continued.append(len(legs))
-        return continue_legs(spec, legs, w0)
+    def counting_continue(spec, chains, w0s):
+        continued.append([len(legs) for legs in chains])
+        return continue_legs(spec, chains, w0s)
 
     monkeypatch.setattr(cov.LiftedPath, "__init__", counting_init)
     monkeypatch.setattr(cov, "continue_legs", counting_continue)
@@ -131,7 +131,7 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
     for loop in loops:
         per.period_vector(data, loop)
     assert built == [loop.label for loop in loops]
-    assert continued == [len(lp.legs) for lp in lifts]
+    assert continued == [[len(lp.legs)] for lp in lifts]
     for lp in lifts:
         legs, at_vertex = walk_segments(lp.spec, lp.path.z_vertices, lp.path.w0)
         assert [leg[:2] for leg in legs] == [leg[:2] for leg in lp.legs]
