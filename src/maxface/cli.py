@@ -4,6 +4,11 @@ Subcommands: gallery, mesh, singular, periods, cmc1, verify.  Every report is
 deterministic JSON (sorted keys, no timestamps); meshes and curve CSVs are the
 hand-off to external viewers.  Exit codes: 0 success, 2 validation error,
 3 numerical failure, 4 acceptance/tolerance failure.
+
+`main` settles every input before a command starts work: each option takes
+its flag, else the value of the same name in the --config file, else its
+built-in default; --jobs falls back to MAXFACE_JOBS before 1.  A file value
+passes the same type and choice check as its flag.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +29,12 @@ from . import schema as schema_mod
 from . import singularities as sng
 from . import verify as verify_mod
 from . import weierstrass as wst
-from .errors import (MaxfaceError, NumericalError, ToleranceError,
-                     ValidationError)
+from .errors import MaxfaceError, ToleranceError, ValidationError
 
+
+# _positive, _parse_krange and _parse_tlist also serve as argparse types:
+# argparse passes their ValidationError through, so a bad value exits 2 with
+# a JSON error whether it came from a flag or from the --config file.
 
 def _parse_params(items) -> dict:
     out = {}
@@ -88,36 +95,62 @@ def _parse_tlist(text: str) -> list[float]:
     return vals
 
 
-def _jobs_value(args) -> int:
-    """--jobs, else MAXFACE_JOBS, else 1; anything but a positive integer
-    is refused."""
-    jobs, source = getattr(args, "jobs", None), "--jobs"
+def _file_value(action: argparse.Action, value):
+    """A --config value through its flag's checks: a switch takes true or
+    false, any other option reads the value's text as its flag would."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+    else:
+        try:
+            out = action.type(str(value)) if action.type else str(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if action.choices is None or out in action.choices:
+                return out
+    raise ValidationError(f"config {action.dest}: {value!r} is not a valid "
+                          f"{action.option_strings[0]} value")
+
+
+def _settle(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """The parsed command line with every option settled: flag, then
+    --config file (a null value counts as unset), then built-in default.
+    The file's params come before any --param; --jobs falls back to
+    MAXFACE_JOBS, then 1, and must be a positive integer."""
+    args = parser.parse_args(argv)
+    cfg = {}
+    if args.config:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"--config {args.config}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValidationError("--config must hold a JSON object")
+        command = args.parser
+        command.set_defaults(**{
+            action.dest: _file_value(action, cfg[action.dest])
+            for action in command._actions if cfg.get(action.dest) is not None
+            and action.dest not in ("help", "config", "param")})
+        args = parser.parse_args(argv)
+    if "param" in args:
+        file_params = cfg.get("params") or {}
+        if not isinstance(file_params, dict):
+            raise ValidationError("config params must be a JSON object")
+        args.params = _parse_params(
+            [f"{key}={val}" for key, val in file_params.items()]
+            + (args.param or []))
+    jobs, source = args.jobs, "--jobs"
     if jobs is None:
         jobs, source = os.environ.get("MAXFACE_JOBS") or "1", "MAXFACE_JOBS"
     try:
-        value = int(jobs)
+        args.jobs = int(jobs)
     except ValueError:
-        value = 0
-    if value < 1:
+        args.jobs = 0
+    if args.jobs < 1:
         raise ValidationError(f"{source} must be a positive integer, got {jobs!r}")
-    return value
-
-
-def _load_config(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("--config must hold a JSON object")
-    return cfg
-
-
-def _merged(args, cfg: dict, key: str, default=None):
-    val = getattr(args, key, None)
-    if val not in (None, [], ""):
-        return val
-    return cfg.get(key, default)
+    return args
 
 
 def _emit(doc: dict, out: str | None, filename: str) -> None:
@@ -155,26 +188,20 @@ def _get_surface(name: str | None, params: dict) -> wst.WeierstrassData:
 # ---------------------------------------------------------------------------
 
 def cmd_gallery(args) -> int:
-    cfg = _load_config(args)
     ck_values = None
-    if _merged(args, cfg, "solve_ck"):
+    if args.solve_ck:
         ck_values = {k: per.compute_ck(k).c_k for k in (1, 2)}
     listing = wst.catalog_list(ck_values)
     doc = export.report_document("gallery", {"surfaces": listing},
                                  paper_anchor="catalog of Weierstrass data")
-    _emit(doc, _merged(args, cfg, "out"), "gallery.json")
+    _emit(doc, args.out, "gallery.json")
     return 0
 
 
 def cmd_mesh(args) -> int:
-    cfg = _load_config(args)
-    params = dict(cfg.get("params", {}))
-    params.update(_parse_params(args.param))
-    data = _get_surface(_merged(args, cfg, "surface"), params)
-    fmt = _merged(args, cfg, "format", "obj")
-    if fmt not in ("obj", "ply"):
-        raise ValidationError("mesh formats: obj, ply")
-    out = Path(_merged(args, cfg, "out", "."))
+    data = _get_surface(args.surface, args.params)
+    fmt = args.format
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     tag = _surface_tag(data.name, data.params)
     meshes = {"full": wst.mesh_sample(data)}
@@ -204,73 +231,45 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    cfg = _load_config(args)
-    params = dict(cfg.get("params", {}))
-    params.update(_parse_params(args.param))
-    data = _get_surface(_merged(args, cfg, "surface"), params)
-    eps = _merged(args, cfg, "tol_class")
-    if eps is not None:
-        eps = _positive(eps, "--tol-class")
+    data = _get_surface(args.surface, args.params)
     [comps] = sng.trace_singular_set(data)
-    report = sng.singular_report(data, comps) if eps is None else \
-        sng.singular_report(data, comps, eps_scale=eps)
+    report = sng.singular_report(data, comps) if args.tol_class is None else \
+        sng.singular_report(data, comps, eps_scale=args.tol_class)
     doc = export.report_document(
         "singular", report,
         paper_anchor="singular set |G| = 1; classification by alpha, beta")
-    out = _merged(args, cfg, "out")
-    fmt = _merged(args, cfg, "format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValidationError("singular formats: json, csv")
     tag = _surface_tag(data.name, data.params)
-    if out or fmt == "csv":
-        path = Path(out or ".")
-        path.mkdir(parents=True, exist_ok=True)
-        with open(path / f"{tag}_singular.csv", "w", encoding="utf-8") as fh:
+    out = args.out or ("." if args.format == "csv" else None)
+    _emit(doc, out, f"{tag}_singular.json")
+    if out:
+        with open(Path(out) / f"{tag}_singular.csv", "w", encoding="utf-8") as fh:
             export.write_singular_csv(comps, fh)
-        with open(path / f"{tag}_singular.json", "w", encoding="utf-8") as fh:
-            export.dump_json(doc, fh)
-    else:
-        export.dump_json(doc, sys.stdout)
     return 0
 
 
 def cmd_periods(args) -> int:
-    cfg = _load_config(args)
-    ks = _parse_krange(_merged(args, cfg, "k", "1-4"))
-    tol = _positive(_merged(args, cfg, "tol_closure", 1e-8), "--tol-closure")
-    jobs = _jobs_value(args)
-    if jobs > 1 and len(ks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ks))) as pool:
-            rows = list(pool.map(per.period_report, ks))
-    else:
-        rows = [per.period_report(k) for k in ks]
+    rows = [per.period_report(k) for k in args.k]
     for row in rows:
         row["closure_pass"] = bool(
-            max(row["residuals"].values()) <= tol)
+            max(row["residuals"].values()) <= args.tol_closure)
         row["rho_in_range"] = bool(0.0 < row["rho_k"] < 2.0)
         row["route_agreement_pass"] = bool(row["route_disagreement"] <= 1e-8)
-    body = {"k_values": ks, "tol_closure": tol, "rows": rows}
+    body = {"k_values": args.k, "tol_closure": args.tol_closure, "rows": rows}
     doc = export.report_document(
         "periods", body, paper_anchor="c_k = sqrt(B_k/(2 A_k)); Re closure")
-    out = _merged(args, cfg, "out")
-    fmt = _merged(args, cfg, "format", "json")
-    if fmt == "csv":
-        path = Path(out or ".")
-        path.mkdir(parents=True, exist_ok=True)
+    out = args.out or ("." if args.format == "csv" else None)
+    _emit(doc, out, "periods.json")
+    if args.format == "csv":
         for row in rows:
-            with open(path / f"periods_k{row['k']}.csv", "w",
+            with open(Path(out) / f"periods_k{row['k']}.csv", "w",
                       encoding="utf-8") as fh:
                 export.write_period_csv(row, fh)
-        _emit(doc, str(path), "periods.json")
-    else:
-        _emit(doc, out, "periods.json")
     return 0
 
 
-def _cmc1_rows(job) -> list[dict]:
+def _cmc1_rows(k: int, ts: list[float]) -> list[dict]:
     """The rows of (k, ts), in the order of ts; the nonzero t values share
     one deformation_report."""
-    k, ts = job
     reports = iter(ds.deformation_report(k, [t for t in ts if t != 0.0]))
     rows = []
     for t in ts:
@@ -288,66 +287,45 @@ def _cmc1_rows(job) -> list[dict]:
 
 
 def cmd_cmc1(args) -> int:
-    cfg = _load_config(args)
-    ks = _parse_krange(str(_merged(args, cfg, "k", "1")))
-    if len(ks) != 1:
-        raise ValidationError(f"cmc1 takes a single k, got {ks}")
-    k = ks[0]
-    ts = sorted(_parse_tlist(str(_merged(args, cfg, "t", "0.02"))))
-    jobs = _jobs_value(args)
-    if jobs > 1 and len(ts) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ts))) as pool:
-            rows = [row for part in pool.map(_cmc1_rows, [(k, [t]) for t in ts])
-                    for row in part]
-    else:
-        rows = _cmc1_rows((k, ts))
-    body = {"k": k, "t_values": ts, "rows": rows}
-    doc = export.report_document(
-        "cmc1", body,
-        paper_anchor="dF = t Psi_0 F dz; monodromy conjugated into SU(1,1)")
-    out = _merged(args, cfg, "out")
-    if getattr(args, "mesh", False):
-        t_mesh = next((t for t in ts if t != 0.0), None)
-        if t_mesh is None:
-            raise ValidationError("--mesh needs a nonzero t")
+    if len(args.k) != 1:
+        raise ValidationError(f"cmc1 takes a single k, got {args.k}")
+    [k] = args.k
+    ts = sorted(args.t)
+    t_mesh = next((t for t in ts if t != 0.0), None)
+    if args.mesh and t_mesh is None:
+        raise ValidationError("--mesh needs a nonzero t")
+    body = {"k": k, "t_values": ts, "rows": _cmc1_rows(k, ts)}
+    out = args.out or ("." if args.mesh else None)
+    if args.mesh:
         pair = ds.AdmissiblePair(k, t_mesh)
         grid = ds.desitter_grid(pair, b=ds.construct_iota([pair])[0]["iota1"])
-        path = Path(out or ".")
-        path.mkdir(parents=True, exist_ok=True)
+        Path(out).mkdir(parents=True, exist_ok=True)
         fname = f"cmc1_k{k}_t{f'{t_mesh:g}'.replace('.', 'p').replace('-', 'm')}.ply"
-        with open(path / fname, "w", encoding="utf-8") as fh:
+        with open(Path(out) / fname, "w", encoding="utf-8") as fh:
             export.write_desitter_ply(
                 grid["x"], grid["faces"], fh,
                 comment=f"k={k} t={t_mesh:g}; "
                         f"hyperboloid defect {grid['hyperboloid_defect']:.3e}")
         body["mesh_file"] = fname
-        doc = export.report_document(
-            "cmc1", body,
-            paper_anchor="dF = t Psi_0 F dz; monodromy conjugated into SU(1,1)")
-        _emit(doc, str(path), f"cmc1_k{k}.json")
-    else:
-        _emit(doc, out, f"cmc1_k{k}.json")
+    doc = export.report_document(
+        "cmc1", body,
+        paper_anchor="dF = t Psi_0 F dz; monodromy conjugated into SU(1,1)")
+    _emit(doc, out, f"cmc1_k{k}.json")
     return 0
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args)
-    ids = None
-    crit = _merged(args, cfg, "criteria")
-    if crit:
-        ids = _parse_krange(crit)
-        bad = [i for i in ids if i not in verify_mod.CRITERIA]
-        if bad:
-            raise ValidationError(f"unknown criteria {bad}")
-    perturb = float(_merged(args, cfg, "perturb_ck", 0.0) or 0.0)
-    result = verify_mod.run_all(ids=ids, perturb_ck=perturb,
-                                jobs=_jobs_value(args))
+    bad = [i for i in args.criteria or [] if i not in verify_mod.CRITERIA]
+    if bad:
+        raise ValidationError(f"unknown criteria {bad}")
+    result = verify_mod.run_all(ids=args.criteria, perturb_ck=args.perturb_ck,
+                                jobs=args.jobs)
     # wall times go to stderr only: the JSON report is deterministic
     runtimes = [row.pop("runtime_s") for row in result["criteria"]]
     doc = export.report_document("verify", result,
                                  paper_anchor="acceptance criteria 1-12")
     schema_mod.assert_valid(doc)
-    _emit(doc, _merged(args, cfg, "out"), "verify.json")
+    _emit(doc, args.out, "verify.json")
     for row, runtime in zip(result["criteria"], runtimes):
         status = "PASS" if row["pass"] else "FAIL"
         print(f"[{status}] criterion {row['id']:2d}: {row['title']} "
@@ -367,63 +345,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="maxfaces, their singularities, and CMC-1 deformation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, surface=False, kflag=False):
+    def command(name, fn, help, surface=False, k=None):
+        p = sub.add_parser(name, help=help)
+        # _settle turns the config file's values into p's defaults
+        p.set_defaults(fn=fn, parser=p)
         p.add_argument("--out", help="output directory (default: stdout/cwd)")
-        p.add_argument("--config", help="JSON config file (flags override)")
+        p.add_argument("--config",
+                       help="JSON config file keyed by option name "
+                            "(flags override it)")
         p.add_argument("--jobs", type=int,
-                       help="parallel workers (default: MAXFACE_JOBS or 1)")
+                       help="worker processes for verify's criteria "
+                            "(default: config jobs, MAXFACE_JOBS, or 1)")
         if surface:
             p.add_argument("--surface", help="catalog surface name")
             p.add_argument("--param", action="append", metavar="KEY=VAL",
                            help="surface parameter (repeatable)")
-        if kflag:
-            p.add_argument("--k", help="k values, e.g. '2' or '1-4' or '1,3'")
+        if k:
+            p.add_argument("--k", type=_parse_krange, default=k,
+                           help="k values, e.g. '2' or '1-4' or '1,3' "
+                                "(default %(default)s)")
+        return p
 
-    p = sub.add_parser("gallery", help="list the surface catalog")
-    common(p)
+    p = command("gallery", cmd_gallery, "list the surface catalog")
     p.add_argument("--solve-ck", action="store_true", dest="solve_ck",
                    help="echo solved period constants c_k")
-    p.set_defaults(fn=cmd_gallery)
 
-    p = sub.add_parser("mesh", help="sample an immersion mesh")
-    common(p, surface=True)
-    p.add_argument("--format", choices=("obj", "ply"))
-    p.set_defaults(fn=cmd_mesh)
+    p = command("mesh", cmd_mesh, "sample an immersion mesh", surface=True)
+    p.add_argument("--format", choices=("obj", "ply"), default="obj")
 
-    p = sub.add_parser("singular", help="trace and classify the singular set")
-    common(p, surface=True)
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--tol-class", type=float, dest="tol_class",
+    p = command("singular", cmd_singular,
+                "trace and classify the singular set", surface=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--tol-class", dest="tol_class",
+                   type=lambda v: _positive(v, "--tol-class"),
                    help="classification epsilon scale")
-    p.set_defaults(fn=cmd_singular)
 
-    p = sub.add_parser("periods", help="period constants and closure")
-    common(p, kflag=True)
-    p.add_argument("--format", choices=("json", "csv"))
-    p.add_argument("--tol-closure", type=float, dest="tol_closure",
+    p = command("periods", cmd_periods, "period constants and closure",
+                k="1-4")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--tol-closure", dest="tol_closure", default=1e-8,
+                   type=lambda v: _positive(v, "--tol-closure"),
                    help="closure residual gate (default 1e-8)")
-    p.set_defaults(fn=cmd_periods)
 
-    p = sub.add_parser("cmc1", help="CMC-1 deformation reports")
-    common(p, kflag=True)
-    p.add_argument("--t", help="deformation parameters, e.g. '0.02' or '0,0.01'")
+    p = command("cmc1", cmd_cmc1, "CMC-1 deformation reports", k="1")
+    p.add_argument("--t", type=_parse_tlist, default="0.02",
+                   help="deformation parameters, e.g. '0.02' or '0,0.01'")
     p.add_argument("--mesh", action="store_true",
                    help="write a de Sitter PLY sample at the first nonzero t")
-    p.set_defaults(fn=cmd_cmc1)
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
-    common(p)
-    p.add_argument("--criteria", help="subset, e.g. '1-3' or '9,10'")
-    p.add_argument("--perturb-ck", type=float, dest="perturb_ck",
+    p = command("verify", cmd_verify, "run the acceptance suite")
+    p.add_argument("--criteria", type=_parse_krange,
+                   help="subset, e.g. '1-3' or '9,10'")
+    p.add_argument("--perturb-ck", type=float, dest="perturb_ck", default=0.0,
                    help=argparse.SUPPRESS)
-    p.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _settle(build_parser(), argv)
         return args.fn(args)
     except ValidationError as exc:
         _error_json(exc)
@@ -431,10 +411,7 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         _error_json(exc)
         return 4
-    except NumericalError as exc:
-        _error_json(exc)
-        return 3
-    except MaxfaceError as exc:
+    except MaxfaceError as exc:  # NumericalError and the rest
         _error_json(exc)
         return 3
 

@@ -70,14 +70,6 @@ class AdmissiblePair:
     def spec(self) -> cov.CoverSpec:
         return cov.CoverSpec(self.k)
 
-    @property
-    def lam(self) -> float:
-        return math.pi / (self.k + 1)
-
-    @property
-    def psi(self) -> complex:
-        return cmath.exp(0.5j * self.k * self.lam)
-
     def psihat0(self, z: complex, w: complex) -> np.ndarray:
         c = self.c
         return mat2(1.0 / z, -c * w / (z * z), 1.0 / (c * w), -1.0 / z)
@@ -274,8 +266,7 @@ def sigma_matrices(k: int) -> dict[int, np.ndarray]:
     """Constant conjugation matrices of the three reflections: sigma_1 = e0,
     sigma_2 = diag(psi^-2, psi^2), sigma_3 = diag(psi^-1, psi); all satisfy
     conj(sigma) sigma = e0."""
-    lam = math.pi / (k + 1)
-    psi = cmath.exp(0.5j * k * lam)
+    psi = cov.CoverSpec(k).psi
     return {
         1: EYE2.copy(),
         2: np.diag([psi ** -2, psi ** 2]).astype(complex),
@@ -474,7 +465,7 @@ def construct_iota(pairs) -> list[dict]:
 
 def _iota(pair: AdmissiblePair, rho: dict) -> dict:
     k = pair.k
-    lam = pair.lam
+    lam = pair.spec.lam
     r2m = rho[2][0]
     cos_kl = math.cos(k * lam)
     u = -float(r2m[0, 0].imag)
@@ -624,14 +615,8 @@ def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None) -> dict:
                    for i, tr in enumerate(transport(
                        [(pair, path) for path in paths], b, 1e-10))])
     worst = max(desitter_defect(x) for x in xs.reshape(-1, 4))
-    faces = []
-    cols = nth + 1
-    for i in range(nr - 1):
-        for j in range(nth):
-            a = i * cols + j
-            faces.append((a, a + 1, a + cols + 1, a + cols))
-    return {"x": xs.reshape(-1, 4), "faces": np.array(faces, dtype=int),
-            "hyperboloid_defect": float(worst), "rows": nr, "cols": cols}
+    return {"x": xs.reshape(-1, 4), "faces": wst._grid_faces(nr, nth + 1),
+            "hyperboloid_defect": float(worst), "rows": nr, "cols": nth + 1}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 import cmath
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -505,6 +504,8 @@ def run_all(ids=None, perturb_ck: float = 0.0, jobs: int = 1) -> dict:
     ids = sorted(ids) if ids else sorted(CRITERIA)
     cfg = VerifyConfig(perturb_ck=perturb_ck)
     if jobs > 1 and len(ids) > 1:
+        # imported here: the criteria are the only work the CLI pools
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
             results = list(pool.map(_run_criterion_job,
                                     [(cid, cfg) for cid in ids]))

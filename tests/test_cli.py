@@ -194,6 +194,7 @@ def test_periods_csv_artifacts(tmp_path):
 
 
 def test_periods_parallel_matches_serial(capsys, monkeypatch):
+    """periods runs in one process; MAXFACE_JOBS leaves its report alone."""
     assert run(["periods", "--k", "1,2"]) == 0
     serial = capsys.readouterr().out
     monkeypatch.setenv("MAXFACE_JOBS", "2")
@@ -345,3 +346,115 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert run(["periods", "--config", str(cfg), "--k", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["k_values"] == [1]
+
+
+def _config(tmp_path, body) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(body if isinstance(body, str) else json.dumps(body))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["periods", "--k", "1"], {"format": "xml"}),
+    (["mesh", "--surface", "catenoid"], {"format": "json"}),
+    (["verify", "--criteria", "7"], {"perturb_ck": "abc"}),
+    (["periods", "--k", "1"], {"tol_closure": 0}),
+    (["cmc1"], {"k": "x"}),
+    (["cmc1"], {"mesh": "yes"}),
+    (["periods"], {"jobs": 0}),
+    (["gallery"], {"jobs": 1.5}),
+    (["singular", "--surface", "cone"], {"params": [2.5]}),
+    (["singular", "--surface", "cone"], {"params": {"a": "big"}}),
+    (["gallery"], [1]),
+    (["gallery"], "{not json"),
+])
+def test_config_value_takes_its_flags_check(argv, body, tmp_path, capsys):
+    """A config value that its flag would refuse exits 2 with a JSON
+    ValidationError, as do an unreadable file and one that holds no object."""
+    assert run(argv + ["--config", _config(tmp_path, body)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+
+
+def test_bad_config_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    def trace(*args, **kwargs):
+        raise AssertionError("traced before the config was checked")
+
+    monkeypatch.setattr(sng, "trace_singular_set", trace)
+    cfg = _config(tmp_path, {"format": "xml"})
+    assert run(["singular", "--surface", "cone", "--param", "a=2.5",
+                "--config", cfg]) == 2
+
+
+def test_cmc1_mesh_without_nonzero_t_fails_before_rows(monkeypatch, capsys):
+    def rows(*args):
+        raise AssertionError("rows computed before --mesh was checked")
+
+    monkeypatch.setattr(cli, "_cmc1_rows", rows)
+    assert run(["cmc1", "--k", "1", "--t", "0", "--mesh"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--surface", "catenoid", "--jobs", "0"],
+    ["gallery", "--jobs", "-3"],
+    ["singular", "--surface", "cone", "--jobs", "0"],
+    ["cmc1", "--jobs", "-1"],
+])
+def test_every_command_checks_jobs(argv, capsys):
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+
+
+def test_config_switch_turns_on(tmp_path):
+    """A switch set in the file acts like its flag: cmc1 writes the PLY."""
+    cfg = _config(tmp_path, {"mesh": True, "t": 0.02})
+    assert run(["cmc1", "--k", "1", "--config", cfg,
+                "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "cmc1_k1_t0p02.ply").is_file()
+    doc = json.loads((tmp_path / "cmc1_k1.json").read_text())
+    assert doc["mesh_file"] == "cmc1_k1_t0p02.ply"
+
+
+def test_config_null_counts_as_unset(tmp_path, capsys):
+    cfg = _config(tmp_path, {"out": None, "solve_ck": None, "jobs": None})
+    assert run(["gallery", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "gallery"
+
+
+def test_config_params_come_before_param_flags(tmp_path, capsys):
+    cfg = _config(tmp_path, {"surface": "cone", "params": {"a": 2.0}})
+    assert run(["singular", "--config", cfg, "--param", "a=2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["a"] == 2.5
+
+
+@pytest.mark.parametrize("flag, file, env, expected", [
+    (None, None, None, 1),
+    (None, None, "3", 3),
+    (None, 2, "3", 2),
+    ("1", 2, "3", 1),
+])
+def test_jobs_precedence(flag, file, env, expected, tmp_path, monkeypatch,
+                         capsys):
+    """--jobs is settled like any option: the flag, then the config file's
+    jobs, then MAXFACE_JOBS, then 1."""
+    seen = []
+    run_all = verify_mod.run_all
+
+    def recording(ids=None, perturb_ck=0.0, jobs=1):
+        seen.append(jobs)
+        return run_all(ids=ids, perturb_ck=perturb_ck, jobs=1)
+
+    monkeypatch.setattr(verify_mod, "run_all", recording)
+    monkeypatch.delenv("MAXFACE_JOBS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("MAXFACE_JOBS", env)
+    argv = ["verify", "--criteria", "7"]
+    if flag is not None:
+        argv += ["--jobs", flag]
+    if file is not None:
+        argv += ["--config", _config(tmp_path, {"jobs": file})]
+    assert run(argv) == 0
+    assert seen == [expected]

@@ -228,8 +228,7 @@ def test_gate_criteria_ode_work_ceiling(monkeypatch):
 
 
 def test_checks_take_empty_pair_lists():
-    """cmc1 with only t = 0 asks deformation_report for no rows; a worker of
-    cmc1 --jobs 2 can get such a list."""
+    """cmc1 with only t = 0 asks deformation_report for no rows."""
     assert ds.deformation_report(1, []) == []
     assert ds.su11_certify([]) == ds.desitter_sample([], (2.0 + 1j,)) == []
 
@@ -323,6 +322,33 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
     assert not verify_mod.run_criterion(12)["pass"]
 
 
+@pytest.mark.parametrize("j", [2, 3])
+def test_corrupted_probe_leg_breaks_route_agreement(j, monkeypatch):
+    """The negative control of route b: corrupting a leg that only the
+    reflected probe-0 path of rho~_j uses, off the word loop, must make the
+    routes disagree once the reflection matrices are recomputed."""
+    word = cov.word_end_zero(1)
+    loop = cov.deck_word_path(K1.spec, word)
+    probes = {(i, n): path for i in (1, 2, 3)
+              for n, path in enumerate(ds._probe_paths(K1.spec, i, ds._PROBES))}
+    split = ds._legs(K1.spec, [(path.z_vertices, path.w0) for path
+                               in [loop, *probes.values()]], True)
+    users = {}
+    for name, (legs, _, _) in zip(["loop", *probes], split):
+        for leg in legs:
+            users.setdefault(leg[0], set()).add(name)
+    # path 1 of a reflection's probe paths is P_j * (mu_j o c) at probe 0
+    [only] = [key for key, names in users.items() if names == {(j, 1)}]
+    ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
+    key = (K1.t, K1.c, 1e-11) + only
+    monkeypatch.setitem(ds._PROPAGATORS, key,
+                        ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
+    monkeypatch.setattr(ds, "_RHO_TILDE", {})
+    with pytest.raises(NumericalError, match="routes disagree"):
+        ds.loop_monodromy([(K1, word)])
+    assert not verify_mod.run_criterion(12)["pass"]
+
+
 def test_loop_monodromy_base_change_consistency():
     b = alg.mat2(1.1, 0.2 + 0.1j, -0.1j, 1.0)
     word = cov.word_end_zero(1)
@@ -400,7 +426,7 @@ def test_iota_t_zero_degeneracy():
     assert np.max(np.abs(out["iota1"] - alg.EYE2)) < 1e-10
     assert out["s"] == pytest.approx(1.0)
     # q at t=0 is psi^-1
-    assert out["q"] == pytest.approx(K1_ZERO.psi ** -1, abs=1e-10)
+    assert out["q"] == pytest.approx(K1_ZERO.spec.psi ** -1, abs=1e-10)
 
 
 def test_iota_form_and_reality():
