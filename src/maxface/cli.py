@@ -8,7 +8,8 @@ hand-off to external viewers.  Exit codes: 0 success, 2 validation error,
 `main` settles every input before a command starts work: each option takes
 its flag, else the value of the same name in the --config file, else its
 built-in default; --jobs falls back to MAXFACE_JOBS before 1.  A file value
-passes the same type and choice check as its flag.
+passes the same type and choice check as its flag, and a file key that
+names no option of any command is refused.
 """
 
 from __future__ import annotations
@@ -95,6 +96,15 @@ def _parse_tlist(text: str) -> list[float]:
     return vals
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors (a bad flag value, an unknown flag, a
+    missing argument) raised as ValidationError, so they exit 2 with the
+    JSON error; subparsers inherit the class.  --help still exits 0."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _file_value(action: argparse.Action, value):
     """A --config value through its flag's checks: a switch takes true or
     false, any other option reads the value's text as its flag would."""
@@ -113,6 +123,11 @@ def _file_value(action: argparse.Action, value):
                           f"{action.option_strings[0]} value")
 
 
+# options a config file cannot set: the file gives surface parameters
+# as its "params" object
+_NOT_IN_FILE = ("help", "config", "param")
+
+
 def _settle(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """The parsed command line with every option settled: flag, then
     --config file (a null value counts as unset), then built-in default.
@@ -128,11 +143,22 @@ def _settle(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
             raise ValidationError(f"--config {args.config}: {exc}") from None
         if not isinstance(cfg, dict):
             raise ValidationError("--config must hold a JSON object")
+        # one file may serve several commands, so a key is checked against
+        # the options of every command
+        [commands] = [a.choices for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        known = {action.dest for p in commands.values() for action in p._actions
+                 if action.dest not in _NOT_IN_FILE} | {"params"}
+        unknown = sorted(set(cfg) - known)
+        if unknown:
+            raise ValidationError(
+                f"--config {args.config}: {', '.join(map(repr, unknown))} "
+                "names no option of any command")
         command = args.parser
         command.set_defaults(**{
             action.dest: _file_value(action, cfg[action.dest])
             for action in command._actions if cfg.get(action.dest) is not None
-            and action.dest not in ("help", "config", "param")})
+            and action.dest not in _NOT_IN_FILE})
         args = parser.parse_args(argv)
     if "param" in args:
         file_params = cfg.get("params") or {}
@@ -340,7 +366,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="maxface",
         description="maxfaces, their singularities, and CMC-1 deformation")
     sub = parser.add_subparsers(dest="command", required=True)

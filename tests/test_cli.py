@@ -268,6 +268,20 @@ def test_cmc1_rejects_several_k(capsys):
     assert err["error"]["type"] == "ValidationError"
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "--criteria", "7", "--jobs", "two"], "invalid int value"),
+    (["mesh", "--surface", "catenoid", "--format", "xyz"], "invalid choice"),
+    (["mesh", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_is_json(argv, text, capsys):
+    """A value argparse itself refuses, or an unknown flag, exits 2 with
+    the JSON error on stderr, like a value the CLI's own checks refuse."""
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+    assert text in err["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -374,6 +388,28 @@ def test_config_value_takes_its_flags_check(argv, body, tmp_path, capsys):
     assert run(argv + ["--config", _config(tmp_path, body)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValidationError"
+
+
+def test_config_key_of_no_command_fails_before_any_work(tmp_path,
+                                                       monkeypatch, capsys):
+    """A misspelled key names no option of any command: exit 2 with a JSON
+    ValidationError that names it, before any period is computed."""
+    def report(*args):
+        raise AssertionError("periods computed before the config was checked")
+
+    monkeypatch.setattr(per, "period_report", report)
+    cfg = _config(tmp_path, {"tol_closer": 5, "k": "1"})
+    assert run(["periods", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+    assert "'tol_closer'" in err["error"]["message"]
+
+
+def test_config_key_of_another_command_passes(tmp_path):
+    """One file serves several commands: mesh ignores verify's criteria."""
+    cfg = _config(tmp_path, {"criteria": "1-3", "surface": "catenoid"})
+    assert run(["mesh", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "catenoid.obj").is_file()
 
 
 def test_bad_config_fails_before_any_work(tmp_path, monkeypatch, capsys):

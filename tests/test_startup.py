@@ -1,0 +1,108 @@
+"""Start-up: `import maxface.cli` runs only the CLI, each command runs only
+the modules it needs, and none imports numpy.random.  Each case runs in a
+fresh interpreter, since this process has loaded every module already."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import maxface
+
+SRC = str(Path(maxface.__file__).resolve().parents[1])
+LAZY = {"algebra", "cover", "desitter", "export", "periods", "schema",
+        "singularities", "verify", "weierstrass"}
+
+# After `cli.main(argv)` in a fresh process: the maxface modules in
+# sys.modules, those whose code has run (a module still waiting for its
+# first use is not a plain module), and whether numpy.random was imported.
+PROBE = """
+import json, sys, types
+import maxface, maxface.cli
+argv = sys.argv[1:]
+rc = maxface.cli.main(argv) if argv else None
+mods = {name[len("maxface."):]: mod for name, mod in sys.modules.items()
+        if name.startswith("maxface.")}
+print(json.dumps({
+    "rc": rc,
+    "registered": sorted(mods),
+    "executed": sorted(n for n, m in mods.items()
+                       if type(m) is types.ModuleType),
+    "attributes": all(vars(maxface)[n] is m for n, m in mods.items()),
+    "numpy_random": "numpy.random" in sys.modules}))
+"""
+
+
+def _python(args, cwd, *flags):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("MAXFACE_JOBS", None)
+    return subprocess.run([sys.executable, *flags, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _probe(argv, cwd):
+    proc = _python(["-c", PROBE, *argv], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_import_cli_runs_only_cli_and_errors(tmp_path):
+    doc = _probe([], tmp_path)
+    assert set(doc["registered"]) == LAZY | {"cli", "errors"}
+    assert doc["executed"] == ["cli", "errors"]
+    assert doc["attributes"]
+    assert not doc["numpy_random"]
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["mesh", "--surface", "genus_k", "--param", "k=1"],
+     {"desitter", "singularities", "verify", "schema"}),
+    (["singular", "--surface", "cone", "--param", "a=2.5", "--format", "csv"],
+     {"desitter", "periods", "verify", "schema"}),
+    (["cmc1", "--k", "1", "--t=0.013,-0.027"],
+     {"verify", "singularities", "weierstrass", "schema"}),
+    (["verify", "--criteria", "1-8"], {"desitter"}),
+    (["verify", "--criteria", "9-12"], {"singularities"}),
+], ids=["mesh", "singular", "cmc1", "verify-1-8", "verify-9-12"])
+def test_command_runs_only_what_it_needs(argv, skipped, tmp_path):
+    doc = _probe(argv + ["--jobs", "1", "--out", str(tmp_path)], tmp_path)
+    assert doc["rc"] == 0
+    assert not skipped & set(doc["executed"])
+    assert set(doc["registered"]) == LAZY | {"cli", "errors"}
+    assert not doc["numpy_random"]
+
+
+def test_run_as_main_without_warnings(tmp_path):
+    """python -m finds cli unloaded, so runpy does not warn about a second
+    import of it; --help still prints usage and exits 0."""
+    proc = _python(["-m", "maxface.cli", "--help"], tmp_path, "-W", "error")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: maxface")
+
+
+PATCH = """
+import json, sys, types
+import pytest
+import maxface.cli as cli
+from maxface import export, weierstrass
+assert type(export) is not types.ModuleType
+assert type(weierstrass) is not types.ModuleType
+docs = []
+setattr(export, "dump_json", lambda doc, fh: docs.append(doc))
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(weierstrass, "catalog_list", lambda ck=None: ["patched"])
+    assert cli.main(["gallery"]) == 0
+print(json.dumps(docs[0]["surfaces"]))
+"""
+
+
+def test_patch_before_first_use_takes_effect(tmp_path):
+    """An attribute set on a module before its code has run survives the
+    load, and monkeypatch.setattr (which reads the attribute first) patches
+    the loaded module."""
+    proc = _python(["-c", PATCH], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["patched"]
