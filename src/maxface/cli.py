@@ -21,8 +21,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import desitter as ds
 from . import export
 from . import periods as per
@@ -303,11 +301,8 @@ def _cmc1_rows(k: int, ts: list[float]) -> list[dict]:
             rows.append(next(reports))
             continue
         pair = ds.AdmissiblePair(k, 0.0)
-        sig = ds.sigma_matrices(k)
-        worst = max(float(np.max(np.abs(ds.rho_tilde(pair, j) - sig[j])))
-                    for j in (1, 2, 3))
         rows.append({"k": k, "t": 0.0, "c": pair.c,
-                     "degenerate_to_sigma": worst,
+                     "degenerate_to_sigma": ds.sigma_defect(pair),
                      "nu_0": float(k), "nu_inf": float(k)})
     return rows
 

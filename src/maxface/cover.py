@@ -4,7 +4,8 @@ W^(2m+1) = Z^(m+1) (Z-1)^(2m),  k = 2m.
 The cover carries four antiholomorphic reflections mu_1..mu_4 and the
 holomorphic automorphisms kappa_1 = mu_2 mu_1, kappa_2 = mu_3 mu_1.  Points
 are (z, w) pairs on the algebraic curve; paths are z-polylines together with
-the starting w, and w is transported by nearest-root continuation.  Even words
+the starting w, and w is continued along their straight legs in closed form,
+from the angle each leg subtends at the branch points.  Even words
 in the reflections that compose to the identity are realized as concrete
 closed polylines ("deck word paths"); the homology generators used by the
 period solver are kappa-images of one such loop.
@@ -271,107 +272,89 @@ def route_legs(spec: CoverSpec, polylines) -> list[tuple[list, list]]:
     return out
 
 
-def continue_legs(spec: CoverSpec, chains, w0s) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Nearest-root transport along chains of legs (za, zb): chain c leaves
-    from the fiber value w0s[c], each of its legs from the value the one
-    before it reached.
+def _sheet(spec: CoverSpec, za, z, w_a, p) -> tuple[np.ndarray, np.ndarray]:
+    """The sheet j (mod n) that w reaches from the value w_a at za along the
+    straight leg to z, p units[j] being that value (p the principal root at
+    z), and the ratios (z - c) / (za - c) per finite branch point c on a new
+    last axis.  A leg that misses c subtends the angle Arg ratio_c at c, and
+    the factor (z - c)^e of w^n turns by e Arg ratio_c, so
+    n Arg w_a + sum_c e_c Arg ratio_c = n Arg p + 2 pi j."""
+    bp = np.array(spec.finite_branch_points, dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (np.asarray(z)[..., None] - bp) / (np.asarray(za)[..., None] - bp)
+    # the power of (z - c) in rhs
+    e = (spec.m + 1, 2 * spec.m) if spec.reduced else (1, spec.k, spec.k)
+    n = spec.sheet_count
+    turn = n * (np.angle(w_a) - np.angle(p)) + np.angle(ratio) @ e
+    return np.rint(turn / (2.0 * math.pi)).astype(int) % n, ratio
 
-    Leg i is cut into steps[i] equal steps (4, doubled until every step's
-    chosen root is more than twice as close as any competitor; past 2^16
-    steps ContinuationError is raised).  Returns (steps, w) per chain:
-    w[o_i + j] is the fiber value at parameter j / steps[i] of its leg i,
-    o_i = sum(steps[:i]), so w[0] = w0 and w[-1] is the value at the end of
-    the chain.
 
-    All roots over a point z are p(z) times the n-th roots of unity, p the
-    principal root, so the root nearest p(z') units[s] is units[s] times the
-    root nearest p(z'): the pick and the separation test of a step depend
-    only on the principal roots at its two ends (w0 itself before a chain's
-    first step).  Every step of every leg of every chain is decided in one
-    array pass, the legs that fail are decided again together, and the
-    sheet index is the cumulative sum of the picks mod n, restarted at each
-    chain; so a chain's result does not depend on the others."""
+def continue_legs(spec: CoverSpec, chains, w0s) -> list[np.ndarray]:
+    """Analytic continuation of w along chains of straight legs (za, zb):
+    chain c leaves from the fiber value w0s[c], each of its legs from the
+    value the one before it reached.  Returns per chain the fiber value at
+    every leg end, w[0] = w0 and w[i + 1] at the end of leg i.
+
+    All roots over z are p(z) units[j], p the principal root, and the root
+    a leg reaches is fixed in closed form by the angle it subtends at each
+    branch point (_sheet); a leg that meets a branch point has no such
+    angle and raises ContinuationError.  Each leg's sheet shift, from the
+    principal roots at its two ends (w0 itself at a chain's start), comes
+    from one array pass, and the shifts are summed per chain mod n, so a
+    chain's result does not depend on the others."""
     sizes = [len(chain) for chain in chains]
     legs = [leg for chain in chains for leg in chain]
-    steps = np.zeros(len(legs), dtype=int)
-    if not legs:
-        return [(steps[:0], np.array([complex(w0)])) for w0 in w0s]
-    n_sheets = spec.sheet_count
-    units = _unit_roots(n_sheets)
     za = np.array([a for a, _ in legs], dtype=complex)
-    dz = np.array([b for _, b in legs], dtype=complex) - za
-    # the value at a leg end (s = 1) is the path's fiber value there (a
-    # vertex, or where a detour joins), so it is rounded as a scalar fiber
-    # call rounds it
-    p_end = np.array([spec.principal_root(z) for z in (za + dz * 1.0).tolist()],
-                     dtype=complex)
-    # the value each leg's first step leaves from, up to a root of unity
-    first = np.cumsum([0] + sizes[:-1])
-    p_start = np.concatenate([[0j], p_end[:-1]])
+    # a leg ends at za + (zb - za) * 1.0, as w_at's s = 1 does, and the
+    # path's fiber value there is rounded as a scalar fiber call rounds it
+    zb = za + (np.array([b for _, b in legs], dtype=complex) - za) * 1.0
+    p_end = np.array([spec.principal_root(z) for z in zb.tolist()], dtype=complex)
+    # leg i leaves from the end of leg i - 1, a chain's first leg from w0
+    first = np.cumsum([0] + sizes)[:-1]
+    p_start = np.roll(p_end, 1)
     for leg, size, w0 in zip(first, sizes, w0s):
         if size:
             p_start[leg] = complex(w0)
-    principal = [None] * len(legs)
-    picks = [None] * len(legs)
-    todo, n = np.arange(len(legs)), 4
-    while len(todo):
-        if n > 1 << 16:
-            a, b = legs[todo[0]]
-            raise ContinuationError(
-                f"fiber continuation stalled on segment {a} -> {b}")
-        s = np.arange(1, n) / n
-        p = np.empty((len(todo), n), dtype=complex)
-        p[:, :-1] = spec.principal_root(za[todo, None] + dz[todo, None] * s)
-        p[:, -1] = p_end[todo]
-        prev = np.concatenate([p_start[todo, None], p[:, :-1]], axis=1)
-        d = np.abs(p[..., None] * units - prev[..., None])
-        near = np.partition(d, 1, axis=-1)
-        ok = np.all(near[..., 1] > 2.0 * near[..., 0], axis=1)
-        pick = np.argmin(d, axis=-1)
-        for leg, pl, kl in zip(todo[ok], p[ok], pick[ok]):
-            principal[leg], picks[leg] = pl, kl
-        steps[todo[ok]] = n
-        todo, n = todo[~ok], 2 * n
-    # the checkpoints of chain c are total[c]:total[c + 1]; each chain's
-    # sheet sums its own picks
-    total = np.concatenate([[0], np.cumsum(steps)])[np.append(first, len(legs))]
-    summed = np.concatenate([[0], np.cumsum(np.concatenate(picks))])
-    sheet = (summed[1:] - np.repeat(summed[total[:-1]], np.diff(total))) % n_sheets
-    w = np.concatenate(principal) * units[sheet]
-    return [(steps[leg:leg + size],
-             np.concatenate([[complex(w0)], w[total[c]:total[c + 1]]]))
-            for c, (leg, size, w0) in enumerate(zip(first, sizes, w0s))]
+    shift, ratio = _sheet(spec, za, zb, p_start, p_end)
+    # a leg from or to c has a ratio of 0 or none, one through c a ratio on
+    # the negative real axis
+    meets = np.any((ratio == 0) | ~np.isfinite(ratio)
+                   | (np.abs(np.angle(ratio)) > math.pi - 1e-12), axis=-1)
+    if meets.any():
+        a, b = legs[int(np.argmax(meets))]
+        raise ContinuationError(
+            f"fiber continuation meets a branch point on segment {a} -> {b}")
+    # each chain's sheet sums its own shifts
+    summed = np.concatenate([[0], np.cumsum(shift)])
+    sheet = (summed[1:] - np.repeat(summed[first], sizes)) % spec.sheet_count
+    w = p_end * _unit_roots(spec.sheet_count)[sheet]
+    return [np.concatenate([[complex(w0)], w[leg:leg + size]])
+            for leg, size, w0 in zip(first, sizes, w0s)]
 
 
 class LiftedPath:
     """A polyline lifted to the cover: the legs of route_legs, along which
-    continue_legs transports the starting fiber value all at once (one
-    chain).
+    continue_legs continues the starting fiber value (one chain).
 
     w_vertices[i] is the fiber value at input vertex i and upto[i] the
-    number of legs before it.  legs lists the transported pieces (z0, z1,
-    s_nodes, w_nodes) with their continuation checkpoints; leg_z0 and
-    leg_dz hold every leg's z0 and z1 - z0 as arrays.  w_at answers w at
-    points along legs (seed by interpolation, snap to the nearest exact
-    fiber root)."""
+    number of legs before it.  legs lists every leg (z0, z1, w0, w1) with
+    the fiber values at its ends; leg_z0, leg_dz and leg_w hold every leg's
+    z0, z1 - z0 and w0 as arrays (leg_w[-1] is w at the end of the path).
+    w_at answers w at points along legs by the closed form of
+    continue_legs, from the leg's start value."""
 
     def __init__(self, spec: CoverSpec, path: SurfacePath):
         if path.w0 is None:
             raise ValidationError("path carries no fiber value")
         self.spec = spec
         self.path = path
-        [(self._ends, self.upto)] = route_legs(spec, [path.z_vertices])
-        [(self.steps, self._w)] = continue_legs(spec, [self._ends], [path.w0])
-        # chain index of every leg's first checkpoint
-        self._first = np.concatenate([[0], np.cumsum(self.steps)])
-        self.leg_z0 = np.array([a for a, _ in self._ends], dtype=complex)
-        self.leg_dz = np.array([b for _, b in self._ends], dtype=complex) - self.leg_z0
-        self.w_vertices = self._w[self._first[self.upto]].tolist()
-
-    @property
-    def legs(self) -> list:
-        return [(a, b, np.arange(n + 1) / n, self._w[o:o + n + 1])
-                for (a, b), n, o in zip(self._ends, self.steps, self._first)]
+        [(ends, self.upto)] = route_legs(spec, [path.z_vertices])
+        [self.leg_w] = continue_legs(spec, [ends], [path.w0])
+        w = self.leg_w.tolist()
+        self.legs = [(a, b, wa, wb) for (a, b), wa, wb in zip(ends, w, w[1:])]
+        self.leg_z0 = np.array([a for a, _ in ends], dtype=complex)
+        self.leg_dz = np.array([b for _, b in ends], dtype=complex) - self.leg_z0
+        self.w_vertices = [w[i] for i in self.upto]
 
     @property
     def w_end(self) -> complex:
@@ -387,15 +370,11 @@ class LiftedPath:
     def w_at(self, leg, s: np.ndarray) -> np.ndarray:
         """w at the parameters s (an array in [0, 1]) of leg, one leg index
         or an array of them broadcasting against s."""
-        n = self.steps[leg]
-        # the checkpoint interval of s: s * n is exact, n a power of two
-        i = np.clip(np.ceil(s * n), 1, n).astype(int)
-        t = (s - (i - 1) / n) / (i / n - (i - 1) / n)
-        at = self._first[leg] + i
-        seed = self._w[at - 1] * (1 - t) + self._w[at] * t
-        roots = self.spec.fiber(self.leg_z0[leg] + self.leg_dz[leg] * s)
-        pick = np.argmin(np.abs(roots - seed[..., None]), axis=-1)
-        return np.take_along_axis(roots, pick[..., None], axis=-1)[..., 0]
+        z0 = self.leg_z0[leg]
+        z = z0 + self.leg_dz[leg] * s
+        p = self.spec.principal_root(z)
+        sheet, _ = _sheet(self.spec, z0, z, self.leg_w[leg], p)
+        return p * _unit_roots(self.spec.sheet_count)[sheet]
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ def _legs(spec: cov.CoverSpec, paths, detour: bool) -> list[tuple]:
     chains = cov.continue_legs(spec, [ends for ends, _ in routes],
                                [w0 for _, w0 in paths])
     out = []
-    for (z, _), (ends, upto), (steps, w) in zip(paths, routes, chains):
-        at_ends = w[np.concatenate([[0], np.cumsum(steps)])].tolist()
+    for (z, _), (ends, upto), w in zip(paths, routes, chains):
+        at_ends = w.tolist()
         legs = [((spec.k, za, zb,
                   complex(round(wa.real, 10), round(wa.imag, 10))),
                  za, zb, wa, wb)
@@ -320,6 +320,14 @@ def _rho_tildes(pairs) -> list[dict]:
         clear_memos()
     _RHO_TILDE.update((pair, tables[pair]) for pair in new)
     return [tables[pair] for pair in pairs]
+
+
+def sigma_defect(pair: AdmissiblePair) -> float:
+    """The largest entry of rho~_j - sigma_j over the three reflections: 0
+    up to round-off at t = 0, where the flat connection is trivial."""
+    sig = sigma_matrices(pair.k)
+    return max(float(np.max(np.abs(rho_tilde(pair, j) - sig[j])))
+               for j in (1, 2, 3))
 
 
 def _at_frame(rho: np.ndarray, b) -> np.ndarray:

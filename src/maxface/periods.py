@@ -78,11 +78,6 @@ class CkSolution:
     Gamma_k: float    # arcsin(sqrt(rho_k)/2): angular half-width of the ovals
     lower_bound: float  # sqrt(s_k/2) bound (k>=2); 1.0 for k=1
 
-    def as_dict(self) -> dict:
-        return {"k": self.k, "A_k": self.A_k, "B_k": self.B_k, "c_k": self.c_k,
-                "rho_k": self.rho_k, "Gamma_k": self.Gamma_k,
-                "lower_bound": self.lower_bound}
-
 
 def _derived(k: int, A: float, B: float) -> CkSolution:
     c = math.sqrt(B / (2.0 * A))

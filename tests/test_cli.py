@@ -68,6 +68,13 @@ def test_mesh_deterministic_bytes(tmp_path):
     assert fa == fb
 
 
+def test_mesh_at_high_k_runs(tmp_path):
+    """The genus-9 mesh continues w along 1,244 legs of 10 sheets each
+    without landing one off its sheet."""
+    assert run(["mesh", "--surface", "genus_k", "--param", "k=9",
+                "--out", str(tmp_path)]) == 0
+
+
 def test_mesh_rejects_bad_format(capsys):
     assert run(["mesh", "--surface", "catenoid", "--format", "obj",
                 "--param", "oops"]) == 2
@@ -183,6 +190,16 @@ def test_periods_range_report(capsys):
         assert row["route_agreement_pass"] is True
         assert row["rho_in_range"] is True
     assert doc["rows"][0]["c_k"] == pytest.approx(1.0460496201, abs=1e-8)
+
+
+def test_periods_at_high_k_closes(capsys):
+    """At k = 20 the root spacing is small against how far w turns on the
+    period loops' longest legs; every leg still lands on its sheet, so the
+    closure check passes instead of the quadrature stalling on a jump."""
+    assert run(["periods", "--k", "20"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["closure_pass"] is True
+    assert row["route_agreement_pass"] is True
 
 
 def test_periods_csv_artifacts(tmp_path):

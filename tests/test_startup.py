@@ -1,5 +1,5 @@
-"""Start-up: `import maxface.cli` runs only the CLI, each command runs only
-the modules it needs, and none imports numpy.random.  Each case runs in a
+"""Start-up: `import maxface.cli` runs only the CLI and imports no numpy,
+each command runs only the modules it needs, and none imports numpy.random.  Each case runs in a
 fresh interpreter, since this process has loaded every module already."""
 
 import json
@@ -18,7 +18,8 @@ LAZY = {"algebra", "cover", "desitter", "export", "periods", "schema",
 
 # After `cli.main(argv)` in a fresh process: the maxface modules in
 # sys.modules, those whose code has run (a module still waiting for its
-# first use is not a plain module), and whether numpy.random was imported.
+# first use is not a plain module), and whether numpy and numpy.random were
+# imported.
 PROBE = """
 import json, sys, types
 import maxface, maxface.cli
@@ -32,12 +33,13 @@ print(json.dumps({
     "executed": sorted(n for n, m in mods.items()
                        if type(m) is types.ModuleType),
     "attributes": all(vars(maxface)[n] is m for n, m in mods.items()),
+    "numpy": "numpy" in sys.modules,
     "numpy_random": "numpy.random" in sys.modules}))
 """
 
 
-def _python(args, cwd, *flags):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _python(args, cwd, *flags, path=(SRC,)):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     env.pop("MAXFACE_JOBS", None)
     return subprocess.run([sys.executable, *flags, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
@@ -54,7 +56,7 @@ def test_import_cli_runs_only_cli_and_errors(tmp_path):
     assert set(doc["registered"]) == LAZY | {"cli", "errors"}
     assert doc["executed"] == ["cli", "errors"]
     assert doc["attributes"]
-    assert not doc["numpy_random"]
+    assert not doc["numpy"]
 
 
 @pytest.mark.parametrize("argv, skipped", [
@@ -106,3 +108,42 @@ def test_patch_before_first_use_takes_effect(tmp_path):
     proc = _python(["-c", PATCH], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == ["patched"]
+
+
+def _numpy_blocked(tmp_path):
+    """A PYTHONPATH on which `import numpy` raises ImportError."""
+    blocker = tmp_path / "block" / "numpy"
+    blocker.mkdir(parents=True)
+    (blocker / "__init__.py").write_text('raise ImportError("numpy is blocked")\n')
+    return (str(tmp_path / "block"), SRC)
+
+
+def test_help_runs_without_numpy(tmp_path):
+    proc = _python(["-m", "maxface.cli", "--help"], tmp_path, "-W", "error",
+                   path=_numpy_blocked(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: maxface")
+
+
+FAILED_LOAD = """
+import json
+from maxface import algebra, cover
+errors = []
+for module, name in [(algebra, "EYE2"), (algebra, "EYE2"), (cover, "CoverSpec"),
+                     (cover, "CoverSpec"), (algebra, "dop853")]:
+    try:
+        getattr(module, name)
+        errors.append(None)
+    except Exception as exc:
+        errors.append([type(exc).__name__, str(exc)])
+print(json.dumps(errors))
+"""
+
+
+def test_module_whose_load_raises_raises_at_every_use(tmp_path):
+    """A module whose code raises on its first use is left unloaded, not
+    half-run, so every later use raises the same ImportError instead of an
+    AttributeError for a name the module never reached."""
+    proc = _python(["-c", FAILED_LOAD], tmp_path, path=_numpy_blocked(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["ImportError", "numpy is blocked"]] * 5
