@@ -69,6 +69,11 @@ class CoverSpec:
     def finite_branch_points(self) -> tuple[complex, ...]:
         return (0j, 1 + 0j) if self.reduced else (0j, 1 + 0j, -1 + 0j)
 
+    @property
+    def branch_exponents(self) -> tuple[int, ...]:
+        """The power of (z - c) in rhs, per c of finite_branch_points."""
+        return (self.m + 1, 2 * self.m) if self.reduced else (1, self.k, self.k)
+
     def rhs(self, z):
         if self.reduced:
             return z ** (self.m + 1) * (z - 1) ** (2 * self.m)
@@ -282,10 +287,8 @@ def _sheet(spec: CoverSpec, za, z, w_a, p) -> tuple[np.ndarray, np.ndarray]:
     bp = np.array(spec.finite_branch_points, dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (np.asarray(z)[..., None] - bp) / (np.asarray(za)[..., None] - bp)
-    # the power of (z - c) in rhs
-    e = (spec.m + 1, 2 * spec.m) if spec.reduced else (1, spec.k, spec.k)
     n = spec.sheet_count
-    turn = n * (np.angle(w_a) - np.angle(p)) + np.angle(ratio) @ e
+    turn = n * (np.angle(w_a) - np.angle(p)) + np.angle(ratio) @ spec.branch_exponents
     return np.rint(turn / (2.0 * math.pi)).astype(int) % n, ratio
 
 

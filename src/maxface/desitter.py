@@ -129,11 +129,10 @@ def _legs(spec: cov.CoverSpec, paths, detour: bool) -> list[tuple]:
                                [w0 for _, w0 in paths])
     out = []
     for (z, _), (ends, upto), w in zip(paths, routes, chains):
-        at_ends = w.tolist()
         legs = [((spec.k, za, zb,
                   complex(round(wa.real, 10), round(wa.imag, 10))),
                  za, zb, wa, wb)
-                for (za, zb), wa, wb in zip(ends, at_ends[:-1], at_ends[1:])]
+                for (za, zb), wa, wb in zip(ends, w[:-1].tolist(), w[1:].tolist())]
         out.append((legs, upto, (z[0],) + tuple(zb for _, zb in ends)))
     return out
 

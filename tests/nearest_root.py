@@ -25,9 +25,9 @@ def dense_steps(spec, za, zb):
     return max(STEPS, math.ceil(turn / (0.5 * math.pi)))
 
 
-def walk_leg(spec, za, zb, w, steps=None):
-    """Continue w from za to zb through steps (default dense_steps) equal
-    steps, each time to the nearest root of the fiber.  The fibers of the
+def walk_leg(spec, za, zb, w):
+    """Continue w from za to zb through dense_steps equal steps, each time
+    to the nearest root of the fiber.  The fibers of the
     interior points come from one array call, the one at the leg end from a
     scalar call, as a path's fiber value at a vertex is rounded.  Returns w
     at zb.
@@ -37,7 +37,7 @@ def walk_leg(spec, za, zb, w, steps=None):
     roots[z', 0]: each step's pick is taken against the previous principal
     root (against w itself at the first step), and the walk ends on the
     root whose index is the sum of the picks mod n."""
-    steps = steps or dense_steps(spec, za, zb)
+    steps = dense_steps(spec, za, zb)
     z = za + (zb - za) * (np.arange(1, steps + 1) / steps)
     roots = spec.fiber(z)
     roots[-1] = spec.fiber(complex(z[-1]))
