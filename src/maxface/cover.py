@@ -147,16 +147,6 @@ class SurfacePath:
         return self.z_vertices[-1]
 
 
-def fiber_residual(spec: CoverSpec, p: SurfacePoint) -> float:
-    if p.w is None:
-        raise ValidationError("point has no fiber value")
-    return abs(p.w ** spec.sheet_count - spec.rhs(p.z))
-
-
-def on_cover(spec: CoverSpec, p: SurfacePoint, tol: float = 1e-8) -> bool:
-    return fiber_residual(spec, p) <= tol * (1.0 + abs(p.z)) ** 3
-
-
 def solve_fiber(spec: CoverSpec, z: complex, near: complex | None = None) -> SurfacePoint:
     roots = spec.fiber(z)
     if near is None:

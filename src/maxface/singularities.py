@@ -13,8 +13,8 @@ with the scale-aware threshold eps = 1e-7 (1 + |alpha| + |beta|):
     degenerate          anything else pointwise
 
 Curves are traced in a Moebius chart zhat (so components through z = infinity
-become bounded) by predictor-corrector walks on phi = log|G|, all components
-marched in lockstep; the chart gradient of phi is conj(H') with
+become bounded) by predictor-corrector walks on phi = log|G|, one seed at a
+time on Python scalars; the chart gradient of phi is conj(H') with
 H' = (G'/G) dz/dzhat.  Components on a branched cover are lifted by analytic
 continuation of w along one z-circuit; a circuit that permutes the sheets
 closes only after several circuits, the first one rotated by the deck group
@@ -38,6 +38,7 @@ from . import weierstrass as wst
 from .errors import DegenerateError, NumericalError
 
 _CLASS_EPS = 1e-7
+_NAN = complex("nan")
 _MAX_STEPS = 40000  # predictor-corrector steps per traced component
 
 
@@ -151,213 +152,131 @@ class _Profile:
         out = np.where(out == np.inf, np.nan, out)
         return float(out) if out.ndim == 0 else out
 
-    def phi_grad(self, zh: np.ndarray):
-        """phi_hat and its chart gradient conj(H' dz/dzhat) at a 1-d array
-        of chart points, from one call each of fiber, G and G'."""
-        chart = self.chart
-        with np.errstate(all="ignore"):
-            p = self._pt(chart.to_z(zh))
+    def phi_grad(self, zh: complex) -> tuple[float, complex]:
+        """phi_hat and its chart gradient conj(H' dz/dzhat) at one chart
+        point, a Python complex, in Python arithmetic: one call each of the
+        principal root rhs(z)^(1/n), G and G'.  Both are NaN where the chart
+        or G is undefined (a division by zero, the log of |G| = 0) or |G| is
+        infinite."""
+        chart, spec = self.chart, self.spec
+        try:
+            z = chart.to_z(zh)
+            w = None if spec is None else spec.rhs(z) ** (1.0 / spec.sheet_count)
+            p = cov.SurfacePoint(z, w)
             g = self.data.G(p)
-            phi = np.log(np.abs(g))
+            phi = math.log(abs(g))
             grad = (self.data.dG(p) / g * chart.dz_dzhat(zh)).conjugate()
-        return np.where(phi == np.inf, np.nan, phi), grad
+        except (ZeroDivisionError, ValueError, OverflowError):
+            return math.nan, _NAN
+        if phi == math.inf:
+            return math.nan, _NAN
+        return phi, grad
 
 
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
 
-def _project(prof: _Profile, zh: np.ndarray, tol: float = 1e-13, max_iter: int = 40):
-    """Project the chart points zh (a 1-d array) onto {phi = 0} by Newton
-    steps along the chart gradient.  Each row steps on its own and leaves
-    the batch once |phi_hat| < tol, or fails: at an undefined phi_hat, a
-    vanishing gradient or after max_iter steps.  Returns (points, gradients,
-    ok), each gradient the one evaluated at its returned point (one
-    phi_grad call per iterate) and NaN on a failed row."""
-    cur = np.array(zh, dtype=complex)
-    out = cur.copy()
-    grads = np.full(len(out), complex("nan"))
-    ok = np.zeros(len(out), dtype=bool)
-    rows = np.arange(len(out))
+def _correct(prof: _Profile, zh: complex, tol: float = 1e-13,
+             max_iter: int = 40) -> tuple[complex, complex, bool]:
+    """Project the chart point zh onto {phi = 0} by Newton steps along the
+    chart gradient, in Python arithmetic.  Stops once |phi_hat| < tol, or
+    fails: at an undefined phi_hat, a vanishing gradient or after max_iter
+    steps.  Returns (point, gradient, ok), the gradient the one evaluated at
+    the returned point (one phi_grad call per iterate), NaN on a failure."""
     for _ in range(max_iter):
-        v, grad = prof.phi_grad(cur)
-        g2 = np.abs(grad) ** 2
-        av = np.abs(v)
-        # NaN fails here, -inf (G = 0) on the next iterate
-        busy = (av >= tol) & (g2 >= 1e-24)
-        if not busy.all():
-            done = av < tol
-            ok[rows[done]] = True
-            grads[rows[done]] = grad[done]
-            out[rows] = cur
-            rows, cur, v, grad, g2 = rows[busy], cur[busy], v[busy], grad[busy], g2[busy]
-            if len(rows) == 0:
-                return out, grads, ok
-        cur = cur - v * grad / g2
-    out[rows] = cur
-    return out, grads, ok
+        v, grad = prof.phi_grad(zh)
+        av = abs(v)
+        if av < tol:
+            return zh, grad, True
+        g2 = abs(grad) ** 2
+        if not (av >= tol and g2 >= 1e-24):    # NaN phi_hat or no gradient
+            break
+        zh = zh - v * grad / g2
+    return zh, _NAN, False
 
 
-class _Walk:
-    """One level curve marched from its seed: a row of the lockstep march.
+def _walk(prof: _Profile, seed: complex, step: float, bound: float):
+    """March one level curve from its seed.
 
     The walk corrects its seed, then steps h along the unit tangent and
     corrects; a failed correction or a turn sharper than 0.45 rad halves h
     (14 halvings end the walk as partial) and an accepted step lets h relax
     back by 1.25.  It closes on returning within 0.9 h of its start after
     moving away, and ends as partial outside the bound or after _MAX_STEPS
-    steps.  A seed that cannot be corrected, a vertex with a vanishing
-    gradient or an end before 8 vertices drops the walk."""
-
-    def __init__(self, seed: complex, step: float):
-        self.seed, self.step = seed, step
-        self.pts: list[complex] = []       # vertices, never repeating pts[0]
-        self.h = 0.0
-        self.direction = 0j                # unit tangent at pts[-1], along the walk
-        self.moved_away = False
-        self.tries = 0                     # halvings of the pending step
-        self.done = False
-        self.result = None                 # (vertices, closed) unless dropped
-
-    def target(self) -> complex:
-        """The point to correct next."""
-        if not self.pts:
-            return self.seed
-        return self.pts[-1] + self.h * self.direction
-
-    def advance(self, nxt: complex, grad: complex, ok: bool, bound: float) -> None:
-        """Take the correction nxt of target() (gradient grad there; ok
-        False if the correction failed)."""
-        a = abs(grad) if ok else 0.0
-        if ok and a < 1e-12 or not (ok or self.pts):
-            self.done = True               # no tangent, or an uncorrectable seed
-            return
-        if not self.pts:
-            self.pts.append(nxt)
-            self.h = self.step * (1.0 + abs(nxt))
-            self.direction = 1j * grad / a
-            return
-        cur, t = self.pts[-1], self.direction
+    steps.  Returns (vertices, closed), vertices never repeating the first;
+    None drops the walk: a seed that cannot be corrected, a vertex with a
+    vanishing gradient or an end before 8 vertices."""
+    cur, grad, ok = _correct(prof, seed)
+    a = abs(grad)
+    if not (ok and a >= 1e-12):
+        return None
+    pts = [cur]
+    h = step * (1.0 + abs(cur))
+    t = 1j * grad / a                    # unit tangent at pts[-1], along the walk
+    moved_away = False
+    tries = 0                            # halvings of the pending step
+    while True:
+        nxt, grad, ok = _correct(prof, cur + h * t)
         if ok:
+            a = abs(grad)
+            if a < 1e-12:
+                return None
             t_new = 1j * grad / a
             if (t_new.real * t.real + t_new.imag * t.imag) < 0:
                 t_new = -t_new
             cosang = max(-1.0, min(1.0, t.real * t_new.real + t.imag * t_new.imag))
-            ok = not (math.acos(cosang) > 0.45 and self.h > 1e-6 * (1 + abs(cur)))
+            ok = not (math.acos(cosang) > 0.45 and h > 1e-6 * (1 + abs(cur)))
         if not ok:
-            self.h *= 0.5
-            self.tries += 1
-            if self.tries == 14:
-                self._end(closed=False)
-            return
-        self.tries = 0
-        self.direction = t_new
-        n = len(self.pts) - 1              # steps accepted before this one
-        d0 = abs(nxt - self.pts[0])
-        if self.moved_away and n >= 8 and d0 < 0.9 * self.h:
-            self._end(closed=True)
-            return
-        if d0 > 3.0 * self.h:
-            self.moved_away = True
-        self.pts.append(nxt)
-        self.h = min(self.h * 1.25, self.step * (1.0 + abs(nxt)))
+            h *= 0.5
+            tries += 1
+            if tries == 14:
+                closed = False
+                break
+            continue
+        tries = 0
+        t = t_new
+        n = len(pts) - 1                 # steps accepted before this one
+        d0 = abs(nxt - pts[0])
+        if moved_away and n >= 8 and d0 < 0.9 * h:
+            closed = True
+            break
+        if d0 > 3.0 * h:
+            moved_away = True
+        pts.append(nxt)
+        cur = nxt
+        h = min(h * 1.25, step * (1.0 + abs(nxt)))
         if abs(nxt.real) > bound or abs(nxt.imag) > bound or n + 1 == _MAX_STEPS:
-            self._end(closed=False)
-
-    def _end(self, closed: bool) -> None:
-        self.done = True
-        if len(self.pts) >= 8:
-            self.result = (np.array(self.pts), closed)
+            closed = False
+            break
+    return (np.array(pts), closed) if len(pts) >= 8 else None
 
 
-def _speculate(pending: list[int], groups: np.ndarray, live: set) -> list[int]:
-    """Seeds to start ahead of their turn: the first pending seed of every
-    predicted component (groups) that has no live walk."""
-    out, seen = [], set(live)
-    for j in pending:
-        if groups[j] not in seen:
-            seen.add(groups[j])
-            out.append(j)
+def _march(prof: _Profile, seeds: list[complex], steps: tuple,
+           bound: float) -> list[list[tuple]]:
+    """Per step size, the kept (vertices, closed) in seed order.  The seeds
+    are taken in _grid_seeds order: a seed within 2.5 step (1 + |seed|) of
+    a component already kept is skipped, any other is walked to its end and
+    kept unless the walk is dropped."""
+    points = np.array(seeds, dtype=complex)
+    out = []
+    for step in steps:
+        near = np.array([2.5 * step * (1.0 + abs(s)) for s in seeds])
+        covered = np.zeros(len(seeds), dtype=bool)
+        kept = []
+        for i, seed in enumerate(seeds):
+            if covered[i]:
+                continue
+            result = _walk(prof, seed, step, bound)
+            if result is None:
+                continue
+            kept.append(result)
+            verts = result[0]
+            for lo in range(i + 1, len(seeds), 64):
+                dist = np.min(np.abs(verts[:, None] - points[None, lo:lo + 64]), axis=0)
+                covered[lo:lo + 64] |= dist < near[lo:lo + 64]
+        out.append(kept)
     return out
-
-
-class _Lane:
-    """The seeds of one step size, resolved in _grid_seeds order.  A seed
-    within 2.5 step (1 + |seed|) of a component already kept is skipped;
-    any other is traced, and kept unless its walk is dropped.  Walks of
-    later seeds may run ahead; a walk whose seed turns out to be skipped is
-    discarded, so the kept components do not depend on which seeds run
-    ahead."""
-
-    def __init__(self, seeds: list[complex], step: float):
-        self.seeds, self.step = seeds, step
-        self.points = np.array(seeds, dtype=complex)
-        self.near = np.array([2.5 * step * (1.0 + abs(s)) for s in seeds])
-        self.covered = np.zeros(len(seeds), dtype=bool)
-        self.next = 0                      # the first seed not yet resolved
-        self.walks: dict[int, _Walk] = {}  # seed index -> walk, unresolved seeds only
-        self.kept: list[tuple] = []        # (vertices, closed)
-
-    def resolve(self) -> None:
-        while self.next < len(self.seeds):
-            i = self.next
-            if not self.covered[i]:
-                walk = self.walks.get(i)
-                if walk is None or not walk.done:
-                    return
-                if walk.result:
-                    self._keep(walk.result)
-            self.walks.pop(i, None)
-            self.next += 1
-
-    def _keep(self, result: tuple) -> None:
-        self.kept.append(result)
-        verts = result[0]
-        for lo in range(self.next + 1, len(self.seeds), 64):
-            block = self.points[lo:lo + 64]
-            dist = np.min(np.abs(verts[:, None] - block[None, :]), axis=0)
-            self.covered[lo:lo + 64] |= dist < self.near[lo:lo + 64]
-        for i in [i for i in self.walks if self.covered[i]]:
-            del self.walks[i]
-
-    def running(self) -> list[_Walk]:
-        """The walks to advance this round."""
-        return [w for w in self.walks.values() if not w.done]
-
-    def start(self, groups: np.ndarray) -> None:
-        """Start the walk of the next seed and the speculative ones."""
-        if self.next == len(self.seeds):
-            return
-        if self.next not in self.walks:
-            self.walks[self.next] = _Walk(self.seeds[self.next], self.step)
-        live = {groups[i] for i, w in self.walks.items() if w.result or not w.done}
-        pending = [j for j in range(self.next + 1, len(self.seeds))
-                   if not self.covered[j] and j not in self.walks]
-        for j in _speculate(pending, groups, live):
-            self.walks[j] = _Walk(self.seeds[j], self.step)
-
-
-def _march(prof: _Profile, seeds: list[complex], groups: np.ndarray,
-           steps: tuple, bound: float) -> list[list[tuple]]:
-    """Trace the components of every step size in one lockstep march: each
-    round corrects the pending point of every live walk in one _project
-    call.  Returns, per step size, the kept (vertices, closed) in seed
-    order."""
-    lanes = [_Lane(seeds, step) for step in steps]
-    changed = True
-    while True:
-        if changed:
-            for lane in lanes:
-                lane.resolve()
-                lane.start(groups)
-        walks = [w for lane in lanes for w in lane.running()]
-        if not walks:
-            return [lane.kept for lane in lanes]
-        pts, grads, ok = _project(prof, np.array([w.target() for w in walks]))
-        changed = False
-        for w, z, g, good in zip(walks, pts.tolist(), grads.tolist(), ok.tolist()):
-            w.advance(z, g, good, bound)
-            changed = changed or w.done
 
 
 def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
@@ -387,25 +306,7 @@ def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
     return 0.5 * (za[kept] + zb[kept]), kept
 
 
-def _cell_groups(cells: np.ndarray) -> np.ndarray:
-    """Connected labels of edges that each join two grid cells (rows of
-    cells): the level curve runs from cell to cell across its sign-change
-    edges, so edges of one label are predicted to lie on one component."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in cells.tolist():
-        parent[find(a)] = find(b)
-    return np.array([find(a) for a in cells[:, 0].tolist()], dtype=int)
-
-
-def _grid_seeds(prof: _Profile, window: tuple,
-                grid_n: int) -> tuple[list[complex], np.ndarray]:
+def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     """Sign changes of phi_hat on a chart grid, plus a dense sweep of the real
     axis (components of conjugation-symmetric data always cross it).
 
@@ -414,9 +315,7 @@ def _grid_seeds(prof: _Profile, window: tuple,
     them are bisected together.  Seed order: horizontal edges row-major,
     vertical edges column-major, then the sweep; the tracer starts each
     component at its first seed, so the order fixes its start vertex and
-    vertex count.  Returns the seeds and, per seed, a predicted component
-    label from the cell connectivity of the sign-change edges (a sweep seed
-    takes the cell it lies in)."""
+    vertex count."""
     x0, x1, y0, y1 = window
     grid = np.empty((grid_n, grid_n), dtype=complex)
     grid.real = np.linspace(x0, x1, grid_n)
@@ -427,26 +326,13 @@ def _grid_seeds(prof: _Profile, window: tuple,
 
     def crossings(za, zb, fa, fb):
         m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
-        return za[m], zb[m], fa[m], np.nonzero(m)
+        return za[m], zb[m], fa[m]
 
-    (za, zb, fa, (r, c)), (zav, zbv, fav, (cv, rv)), (zas, zbs, fas, (i,)) = (
-        crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
-        crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
-        crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
-    # cell (r, c) is numbered r m + c; a grid edge joins the cells on its
-    # two sides (one on the border), a sweep edge the cell it lies in
-    m = grid_n - 1
-    row0 = min(max(int(-y0 / (y1 - y0) * m), 0), m - 1)
-    col = np.clip(((line[i].real + line[i + 1].real) / 2 - x0) / (x1 - x0) * m,
-                  0, m - 1).astype(int)
-    cells = np.concatenate([
-        np.stack([np.maximum(r - 1, 0) * m + c, np.minimum(r, m - 1) * m + c], 1),
-        np.stack([rv * m + np.maximum(cv - 1, 0), rv * m + np.minimum(cv, m - 1)], 1),
-        np.stack([row0 * m + col] * 2, 1)])
-    seeds, kept = _bisect_edges(prof, np.concatenate([za, zav, zas]),
-                                np.concatenate([zb, zbv, zbs]),
-                                np.concatenate([fa, fav, fas]))
-    return [complex(z) for z in seeds], _cell_groups(cells)[kept]
+    edges = (crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
+             crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
+             crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
+    seeds, _ = _bisect_edges(prof, *(np.concatenate(col) for col in zip(*edges)))
+    return seeds.tolist()
 
 
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
@@ -478,13 +364,12 @@ def trace_singular_set(data: wst.WeierstrassData, *,
                        steps: tuple | None = None) -> list[list[SingularComponent]]:
     """All singular components of the catalog surface inside the chart
     window: one component list per step size of steps (default
-    (data.trace_step,)), all traced in one lockstep march from the same
-    seeds."""
+    (data.trace_step,)), all traced from the same seeds."""
     prof = _Profile(data)
     win = data.window
     bound = 1.6 * max(abs(win[0]), abs(win[1]), abs(win[2]), abs(win[3]))
-    seeds, groups = _grid_seeds(prof, win, data.grid_n)
-    marched = _march(prof, seeds, groups, steps or (data.trace_step,), bound)
+    seeds = _grid_seeds(prof, win, data.grid_n)
+    marched = _march(prof, seeds, steps or (data.trace_step,), bound)
     return [_components(data, traces) for traces in marched]
 
 
@@ -543,10 +428,13 @@ def _refine_crossings(data: wst.WeierstrassData, prof: _Profile, za: np.ndarray,
     chart, spec = data.chart, data.cover
 
     def value(rows, zh):
-        zh, _, ok = _project(prof, zh)
-        if not ok.all():
-            raise NumericalError(f"corrector failed at zhat={zh[~ok][0]}")
-        z = chart.to_z(zh)
+        on_curve = []
+        for start in zh.tolist():
+            zc, _, ok = _correct(prof, start)
+            if not ok:
+                raise NumericalError(f"corrector failed at zhat={zc}")
+            on_curve.append(zc)
+        z = chart.to_z(np.array(on_curve))
         w = None
         if spec is not None:
             roots = spec.fiber(z)

@@ -38,8 +38,12 @@ class RationalFunction:
     Evaluation switches to the reversed polynomials in 1/z for |z| > 1, so
     values stay accurate out to z = infinity (useful for Moebius-chart
     tracing through the point at infinity).  The polynomials are evaluated
-    by Horner's rule on Python-complex coefficients in np.polyval's order,
-    which gives np.polyval's values bit for bit at finite points.
+    by Horner's rule on Python-complex coefficients in np.polyval's order.
+    On an array this gives np.polyval's values bit for bit at finite
+    points.  A Python number runs the same recurrences in Python complex
+    arithmetic, which rounds a product differently from numpy's vectorized
+    one, so a scalar value agrees with np.polyval to rounding only; a scalar
+    at a pole gives INF.
     """
 
     def __init__(self, num, den=(1.0,)):
@@ -69,7 +73,23 @@ class RationalFunction:
         u = 1.0 / z
         return self._horner(num, u) / self._horner(den, u) * u ** self._shift
 
+    def _scalar_value(self, z: complex) -> complex:
+        near = abs(z) <= 1.0
+        num, den = self._near if near else self._far
+        x = z if near else 1.0 / z
+        p, q = num[0], den[0]
+        for c in num[1:]:
+            p = p * x + c
+        for c in den[1:]:
+            q = q * x + c
+        try:
+            return p / q if near else p / q * x ** self._shift
+        except (ZeroDivisionError, OverflowError):
+            return INF
+
     def __call__(self, z):
+        if isinstance(z, (complex, float, int)):
+            return self._scalar_value(complex(z))
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
@@ -146,15 +166,6 @@ class WeierstrassData:
     def metric_factor(self, p: cov.SurfacePoint) -> float:
         g = abs(self.G(p))
         return (1.0 - g * g) ** 2 * abs(self.eta(p)) ** 2
-
-
-def phi_null_residual(data: WeierstrassData, p: cov.SurfacePoint) -> float:
-    """|<Phi,Phi>_L| / |Phi|^2 with <,> the Lorentz form -x0^2+x1^2+x2^2:
-    identically zero for Weierstrass data (relative tolerance check)."""
-    v = data.phi(p)
-    lorentz = -v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
-    scale = np.sum(np.abs(v) ** 2)
-    return float(abs(lorentz) / scale) if scale > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ cover.continue_legs (and everything lifted through it) against.  It shares
 nothing with the closed form but the fiber: it cuts a leg into many equal
 steps and moves to the nearest root at each, with no separation check.
 All roots over a point share their modulus, so a step lands on the right
-root whenever it turns w by less than half the root spacing 2 pi / n."""
+root whenever it turns w by less than half the root spacing 2 pi / n.
+
+fiber_residual and on_cover check that a point lies on the cover."""
 
 import math
 
@@ -58,3 +60,13 @@ def walk_segments(spec, vertices, w):
             w = wb
         at_vertex.append(w)
     return legs, at_vertex
+
+
+def fiber_residual(spec, p) -> float:
+    """|w^n - rhs(z)| at the surface point p."""
+    return abs(p.w ** spec.sheet_count - spec.rhs(p.z))
+
+
+def on_cover(spec, p, tol: float = 1e-8) -> bool:
+    """Whether p lies on the cover: a fiber residual within tol (1 + |z|)^3."""
+    return fiber_residual(spec, p) <= tol * (1.0 + abs(p.z)) ** 3

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from maxface import algebra as alg
 from maxface import cover as cov
 from maxface.errors import ContinuationError, ValidationError
-from nearest_root import walk_leg, walk_segments
+from nearest_root import fiber_residual, on_cover, walk_leg, walk_segments
 
 # ---------------------------------------------------------------------------
 # fibers
@@ -41,8 +41,8 @@ def test_solve_fiber_residual(re, im, k):
     if min(abs(z - b) for b in spec.finite_branch_points) < 1e-3:
         return
     p = cov.solve_fiber(spec, z)
-    assert cov.fiber_residual(spec, p) < 1e-8 * (1 + abs(p.w)) ** (k + 1)
-    assert cov.on_cover(spec, p)
+    assert fiber_residual(spec, p) < 1e-8 * (1 + abs(p.w)) ** (k + 1)
+    assert on_cover(spec, p)
 
 
 @pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True), (4, True)])
@@ -78,7 +78,7 @@ def test_base_point_is_on_curve():
         spec = cov.CoverSpec(k)
         o = cov.base_point(spec)
         assert o.z == 2.0
-        assert cov.on_cover(spec, o)
+        assert on_cover(spec, o)
         assert o.w.real > 0 and abs(o.w.imag) < 1e-12  # positive real branch
 
 
@@ -136,7 +136,7 @@ def test_sanitize_path_inserts_branch_detour():
     # the detour respects homotopy: continuation along it is well-defined
     p0 = cov.solve_fiber(spec, clean[0])
     lifted = cov.LiftedPath(spec, cov.SurfacePath(clean, p0.w))
-    assert cov.on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
+    assert on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
 
 
 @pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
@@ -274,7 +274,7 @@ def test_reflections_preserve_curve(k):
     p = cov.solve_fiber(spec, 0.6 + 0.45j)
     for j in (1, 2, 3):
         q = cov.reflection_apply(spec, j, p)
-        assert cov.on_cover(spec, q, 1e-8)
+        assert on_cover(spec, q, 1e-8)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

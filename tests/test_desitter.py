@@ -18,7 +18,7 @@ from maxface import desitter as ds
 from maxface import verify as verify_mod
 from maxface import weierstrass as wst
 from maxface.errors import NumericalError, ValidationError
-from nearest_root import walk_segments
+from nearest_root import on_cover, walk_segments
 
 K1 = ds.AdmissiblePair(1, 0.02)
 K1_ZERO = ds.AdmissiblePair(1, 0.0)
@@ -90,7 +90,7 @@ def test_lift_preserves_determinant():
     assert lift.det_defect < 1e-11
     assert alg.det2(lift.F[-1]) == pytest.approx(1.0, abs=1e-11)
     # the w-component rides along on the curve
-    assert cov.on_cover(spec, cov.SurfacePoint(lift.route[-1], lift.w[-1]),
+    assert on_cover(spec, cov.SurfacePoint(lift.route[-1], lift.w[-1]),
                         1e-8)
 
 

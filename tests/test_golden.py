@@ -1,16 +1,21 @@
 """Fresh `maxface singular` outputs against the golden store
 (tests/golden/singular/, written by tests/make_golden.py).
 
-Integers, strings and flags must match exactly.  A float b matches its
+Integers, strings and flags must match exactly.  A value b matches its
 stored value a when |a - b| <= 1e-12 max(1, |a|): relative above 1 and
 absolute below, so round-off on coordinates near 0 is not reported as drift.
+The CSV's coordinates are complex numbers written as (re, im) columns, and
+each pair is compared as one complex value, |a| its modulus: a component of
+a large complex number carries that number's round-off.  On the cone's
+inverted chart z = 1 + 1/zhat, so at |z| = 655 the real part of z is a
+cancellation near 0 whose last bits move by about |z|^2 ulp(zhat).
 """
 
+import cmath
 import csv
 import gzip
 import io
 import json
-import math
 
 import pytest
 
@@ -19,9 +24,10 @@ from make_golden import CASES, STORE, run_case
 _TOL = 1e-12
 
 
-def _float_close(a: float, b: float) -> bool:
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
+def _close(a, b) -> bool:
+    """b matches the stored a (floats or complex numbers)."""
+    if cmath.isnan(a) or cmath.isnan(b):
+        return cmath.isnan(a) and cmath.isnan(b)
     return abs(a - b) <= _TOL * max(1.0, abs(a))
 
 
@@ -36,7 +42,7 @@ def _compare_json(ref, got, where="$"):
         for i, (a, b) in enumerate(zip(ref, got)):
             _compare_json(a, b, f"{where}[{i}]")
     elif isinstance(ref, float):
-        assert _float_close(ref, got), f"{where}: {got!r} against stored {ref!r}"
+        assert _close(ref, got), f"{where}: {got!r} against stored {ref!r}"
     else:
         assert got == ref, f"{where}: {got!r} against stored {ref!r}"
 
@@ -47,15 +53,25 @@ def _compare_csv(ref: str, got: str, name: str):
     header = ref_rows[0]
     assert got_rows[0] == header
     assert len(got_rows) == len(ref_rows), f"{name}: row count differs"
-    # coordinate columns are floats; the rest are labels, indices and flags
-    is_float = [col.endswith(("_re", "_im")) for col in header]
+    # an X_re column followed by X_im holds one complex coordinate; the
+    # other columns are labels, indices and flags
+    pairs = [j for j, col in enumerate(header)
+             if col.endswith("_re") and header[j + 1] == col[:-3] + "_im"]
+    exact = [j for j in range(len(header)) if j not in pairs and j - 1 not in pairs]
+    assert len(exact) + 2 * len(pairs) == len(header)
     for line, (a_row, b_row) in enumerate(zip(ref_rows[1:], got_rows[1:]), 2):
-        for col, flt, a, b in zip(header, is_float, a_row, b_row):
-            if flt and a != "":
-                assert b != "" and _float_close(float(a), float(b)), \
-                    f"{name}:{line} {col}: {b} against stored {a}"
-            else:
-                assert b == a, f"{name}:{line} {col}: {b!r} against stored {a!r}"
+        for j in exact:
+            assert b_row[j] == a_row[j], \
+                f"{name}:{line} {header[j]}: {b_row[j]!r} against stored {a_row[j]!r}"
+        for j in pairs:
+            a, b = a_row[j:j + 2], b_row[j:j + 2]
+            if a == ["", ""]:
+                assert b == a, f"{name}:{line} {header[j]}: {b!r} where none is stored"
+                continue
+            za = complex(float(a[0]), float(a[1]))
+            zb = complex(float(b[0]), float(b[1]))
+            assert _close(za, zb), \
+                f"{name}:{line} {header[j][:-3]}: {zb!r} against stored {za!r}"
 
 
 @pytest.mark.parametrize("surface, param", CASES,

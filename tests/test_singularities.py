@@ -17,7 +17,7 @@ from maxface import periods as per
 from maxface import singularities as sng
 from maxface import weierstrass as wst
 from maxface.errors import DegenerateError
-from nearest_root import walk_segments
+from nearest_root import on_cover, walk_segments
 
 # ---------------------------------------------------------------------------
 # lifting traced components to the cover
@@ -238,7 +238,7 @@ def test_components_carry_cover_lift(genus1):
         assert comp.w_vertices is not None
         spec = genus1.cover
         for z, w in list(zip(comp.z_vertices, comp.w_vertices))[::50]:
-            assert cov.on_cover(spec, cov.SurfacePoint(complex(z), complex(w)),
+            assert on_cover(spec, cov.SurfacePoint(complex(z), complex(w)),
                                 1e-6)
 
 
@@ -347,11 +347,11 @@ def test_array_seeds_match_scalar_reference(name, params):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     ref = _scalar_seeds(data, 21)
-    got, groups = sng._grid_seeds(sng._Profile(data), data.window, 21)
+    got = sng._grid_seeds(sng._Profile(data), data.window, 21)
     assert len(ref) > 0
     assert len(got) == len(ref)
+    assert all(type(z) is complex for z in got)
     assert max(abs(a - b) for a, b in zip(got, ref)) < 1e-12
-    assert groups.shape == (len(got),)
 
 
 def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
@@ -376,26 +376,8 @@ def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
 
 
 # ---------------------------------------------------------------------------
-# Newton projection: one (G, G') evaluation per iterate
+# Newton correction: one (G, G') evaluation per iterate
 # ---------------------------------------------------------------------------
-
-def _project_two_calls(prof, zh, tol=1e-13, max_iter=40):
-    """The projector with phi_hat and the gradient from separate calls,
-    the gradient on the rows still stepping."""
-    out = np.array(zh, dtype=complex, ndmin=1)
-    rows = np.arange(len(out))
-    cur = out
-    for _ in range(max_iter):
-        v = prof.phi_hat(cur)
-        busy = np.abs(v) >= tol
-        rows, cur, v = rows[busy], cur[busy], v[busy]
-        if len(rows) == 0:
-            return out
-        grad = prof.phi_grad(cur)[1]
-        cur = cur - v * grad / np.abs(grad) ** 2
-        out[rows] = cur
-    raise AssertionError("reference projector stalled")
-
 
 @pytest.mark.parametrize("name, params", [
     ("cone", {"a": 2.5}),
@@ -403,44 +385,43 @@ def _project_two_calls(prof, zh, tol=1e-13, max_iter=40):
     ("genus_k_reduced", {"k": 2}),
 ])
 def test_project_returns_points_and_their_gradients(name, params):
-    """_project moves the same points as the two-call projector, and each
-    returned gradient equals phi_grad at its returned point.  A row that
-    fails (undefined phi_hat, or out of steps) is reported with a NaN
-    gradient and leaves the other rows as they are."""
+    """The corrector returns a point on the curve and the gradient phi_grad
+    gives at that point, bit for bit.  A NaN start, and a start off the
+    curve given one iterate, fail without raising: ok False and a NaN
+    gradient; a start already on the curve passes in one iterate."""
     if name.startswith("genus"):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     prof = sng._Profile(data)
     comp = sng.trace_singular_set(data)[0][0]
-    zh = comp.zhat_vertices[::5] + 1e-3 * (1 + 1j) * (1 + np.abs(comp.zhat_vertices[::5]))
-    pts, grads, ok = sng._project(prof, zh)
-    assert ok.all()
-    np.testing.assert_array_equal(pts, _project_two_calls(prof, zh))
-    np.testing.assert_array_equal(grads, prof.phi_grad(pts)[1])
-    assert np.all(np.abs(prof.phi_hat(pts)) < 1e-13)
-    pts2, grads2, ok2 = sng._project(prof, np.insert(zh, 1, complex("nan")))
-    assert ok2.tolist() == [True, False] + [True] * (len(zh) - 1)
-    assert np.isnan(grads2[1])
-    np.testing.assert_array_equal(np.delete(pts2, 1), pts)
-    np.testing.assert_array_equal(np.delete(grads2, 1), grads)
-    # one iterate: the rows already on the curve stay, the others run out
-    pts3, grads3, ok3 = sng._project(prof, np.append(pts[:3], zh[3:]), max_iter=1)
-    assert ok3.tolist() == [True] * 3 + [False] * (len(zh) - 3)
-    np.testing.assert_array_equal(pts3[:3], pts[:3])
-    assert np.isnan(grads3[3:]).all()
+    verts = comp.zhat_vertices[::5]
+    starts = (verts + 1e-3 * (1 + 1j) * (1 + np.abs(verts))).tolist()
+    assert len(starts) >= 6
+    for start in starts:
+        pt, grad, ok = sng._correct(prof, start)
+        assert ok and type(pt) is complex and pt != start
+        v, at_pt = prof.phi_grad(pt)
+        assert abs(v) < 1e-13
+        assert np.array([grad]).tobytes() == np.array([at_pt]).tobytes()
+        assert sng._correct(prof, pt, max_iter=1) == (pt, grad, True)
+        off, off_grad, off_ok = sng._correct(prof, start, max_iter=1)
+        assert not off_ok and cmath.isnan(off_grad)
+    pt, grad, ok = sng._correct(prof, complex("nan"))
+    assert not ok and cmath.isnan(grad)
 
 
 def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
     """Tracing genus_k k=1 evaluates (G, G') once per Newton iterate: every
-    phi_grad call is made by _project, makes one call each of fiber, G and
-    G', and feeds the next iterate; no gradient is evaluated outside
-    _project."""
+    phi_grad call is made by the corrector, makes one call each of the
+    principal root (rhs), G and G' and none of fiber, and its iterate minus
+    v grad / |grad|^2 is the next iterate; no G' is evaluated outside the
+    corrector."""
     data = dataclasses.replace(genus1)
-    calls = []        # (inside _project, zh, phi, grad, fiber/G/dG calls)
-    evals = {"fiber": 0, "G": 0, "dG": 0}
-    outside = []      # evaluations made outside _project
+    calls = []        # (inside the corrector, zh, phi, grad, evaluations)
+    evals = {"rhs": 0, "fiber": 0, "G": 0, "dG": 0}
+    outside = []      # evaluations made outside the corrector
     depth = [0]
-    runs = []         # phi_grad calls of each _project call that returned
+    runs = []         # (phi_grad calls, ok) of each corrector call
 
     def counting(key, fn):
         def wrapper(*args):
@@ -450,27 +431,28 @@ def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
             return fn(*args)
         return wrapper
 
-    phi_grad, project = sng._Profile.phi_grad, sng._project
+    phi_grad, correct = sng._Profile.phi_grad, sng._correct
 
     def counted_phi_grad(self, zh):
         before = dict(evals)
         v, grad = phi_grad(self, zh)
-        calls.append((depth[0], np.array(zh), v, grad,
+        calls.append((depth[0], zh, v, grad,
                       {k: evals[k] - before[k] for k in evals}))
         return v, grad
 
-    def counted_project(prof, zh):
+    def counted_correct(prof, zh):
         depth[0] += 1
         start = len(calls)
         try:
-            out = project(prof, zh)
+            out = correct(prof, zh)
         finally:
             depth[0] -= 1
-        runs.append(calls[start:])
+        runs.append((calls[start:], out[2]))
         return out
 
     monkeypatch.setattr(sng._Profile, "phi_grad", counted_phi_grad)
-    monkeypatch.setattr(sng, "_project", counted_project)
+    monkeypatch.setattr(sng, "_correct", counted_correct)
+    monkeypatch.setattr(cov.CoverSpec, "rhs", counting("rhs", cov.CoverSpec.rhs))
     monkeypatch.setattr(cov.CoverSpec, "fiber", counting("fiber", cov.CoverSpec.fiber))
     data.G, data.dG = counting("G", data.G), counting("dG", data.dG)
 
@@ -478,13 +460,52 @@ def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
     assert len(comps) == 2 and len(runs) > 60
     assert all(inside for inside, *_ in calls)
     assert "dG" not in outside
-    assert all(c[4] == {"fiber": 1, "G": 1, "dG": 1} for c in calls)
-    for run in runs:
+    assert all(c[4] == {"rhs": 1, "fiber": 0, "G": 1, "dG": 1} for c in calls)
+    assert sum(ok for _, ok in runs) > 60
+    for run, ok in runs:
         for (_, zh, v, grad, _), (_, nxt, *_rest) in zip(run, run[1:]):
-            busy = np.abs(v) >= 1e-13
-            step = v[busy] * grad[busy] / np.abs(grad[busy]) ** 2
-            np.testing.assert_array_equal(nxt, zh[busy] - step)
-        assert np.all(np.abs(run[-1][2]) < 1e-13)
+            assert abs(v) >= 1e-13
+            assert nxt == zh - v * grad / abs(grad) ** 2
+        assert (abs(run[-1][2]) < 1e-13) == ok
+
+
+def test_corrector_fails_without_raising(cone25, monkeypatch):
+    """Where Python arithmetic would raise (zhat = 0 on the cone's inverted
+    chart, z = 0 on the genus_k k=1 cover, a pole of G) the corrector
+    returns ok False with a NaN gradient.  A walk from a seed that cannot be
+    corrected is dropped; a walk whose later correction fails halves its
+    step."""
+    genus = wst.catalog_get("genus_k", k=1)
+    trinoid = wst.catalog_get("trinoid1")
+    cases = [(cone25, 0j), (genus, 0j), (trinoid, 0j),
+             (cone25, -0.5 + 0j)]          # z = 1 + 1/zhat = -1, a pole of G
+    for data, zh in cases:
+        prof = sng._Profile(data)
+        v, grad = prof.phi_grad(zh)
+        assert math.isnan(v) and cmath.isnan(grad)
+        pt, grad, ok = sng._correct(prof, zh)
+        assert not ok and cmath.isnan(grad)
+        assert sng._walk(prof, zh, data.trace_step, 100.0) is None
+    # fail the fifth correction of a walk once: the sixth starts half as far
+    prof = sng._Profile(cone25)
+    comp = sng.trace_singular_set(cone25)[0][0]
+    starts, returned = [], []
+    correct = sng._correct
+
+    def failing_once(prof, zh):
+        starts.append(zh)
+        out = correct(prof, zh)
+        if len(starts) == 5:
+            out = (zh, complex("nan"), False)
+        returned.append(out[0])
+        return out
+
+    monkeypatch.setattr(sng, "_correct", failing_once)
+    verts, closed = sng._walk(prof, complex(comp.zhat_vertices[0]),
+                              cone25.trace_step, 100.0)
+    assert closed and len(verts) > 8
+    cur = returned[3]
+    assert abs((starts[5] - cur) - 0.5 * (starts[4] - cur)) < 1e-15 * (1 + abs(cur))
 
 
 class _LineProfile:
@@ -526,7 +547,7 @@ def _scalar_newton(prof, zh, tol=1e-13, max_iter=40):
         assert math.isfinite(v)
         if abs(v) < tol:
             return zh
-        grad = complex(prof.phi_grad(np.array([zh]))[1][0])
+        grad = prof.phi_grad(zh)[1]
         zh = zh - v * grad / abs(grad) ** 2
     raise AssertionError(f"scalar Newton stalled at zhat={zh}")
 
@@ -623,8 +644,9 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     """Every crossing of a component refined in one batch equals the same
     crossing refined alone, bit for bit.  No row takes more iterates than
     bisection's worst case n_1/2 + n0 (n_1/2 the halvings down to the width
-    stop 1e-14 (1 + |zm|), n0 = 1), a batch takes as many as its slowest row,
-    and the vertex edges converge superlinearly."""
+    stop 1e-14 (1 + |zm|), n0 = 1), the batch corrects each row's two ends
+    and its iterates and nothing more, and the vertex edges converge
+    superlinearly."""
     data = request.getfixturevalue(fixture)
     comp = sng.trace_singular_set(data)[0][0]
     zh, p, alpha = sng._alpha_along(data, comp)
@@ -653,12 +675,11 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     imag = np.append(imag, [imag[0]] * 4)
     wa = None if wa is None else np.append(wa, [w0] * 4)
     calls = []
-    project = sng._project
-    monkeypatch.setattr(sng, "_project",
-                        lambda prof, zh: calls.append(len(zh)) or project(prof, zh))
+    correct = sng._correct
+    monkeypatch.setattr(sng, "_correct",
+                        lambda prof, zh: calls.append(zh) or correct(prof, zh))
     batch = sng._refine_crossings(data, prof, za, zb, wa, imag)
-    assert calls[:2] == [len(za)] * 2 and calls[2] == len(za) - 1
-    batch_iterates = len(calls) - 2
+    batch_calls = len(calls)
     iterates = []
     for j in range(len(za)):
         one = slice(j, j + 1)
@@ -674,7 +695,7 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     n_half = np.ceil(np.log2(width[width > 0] / (1e-14 * (1 + np.abs(za + 0.5 * chord)[width > 0]))))
     assert np.all(np.array(iterates)[width > 0] <= n_half + 1)
     assert iterates[-2] == 0
-    assert batch_iterates == max(iterates)
+    assert batch_calls == 2 * len(za) + sum(iterates)
     # bisection takes about 42 halvings on a vertex edge
     assert max(iterates[:edges]) <= 12
 
@@ -713,38 +734,42 @@ def _assert_same_components(got, ref):
     ("genus_k_reduced", {"k": 2}),
     ("cone", {"a": 2.5}),
 ])
-def test_lockstep_march_is_independent_of_speculation(name, params, monkeypatch):
-    """The components are bit-identical whether only the next seed to
-    resolve marches (one seed per round), every unresolved seed marches
-    from the start, or one walk starts per predicted component (the
-    default, in fewer rounds than one seed at a time); two step sizes
-    marched together equal each step size traced alone."""
+def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
+    """Seeds are walked in seed order, each to its end: a seed within
+    2.5 step (1 + |seed|) of a component kept before it starts no walk and
+    every other seed starts one.  Two step sizes traced together equal each
+    step size traced alone."""
     if name.startswith("genus"):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     h = data.trace_step
-    rounds = []
-    project = sng._project
-    monkeypatch.setattr(sng, "_project",
-                        lambda prof, zh: rounds.append(len(zh)) or project(prof, zh))
-    comps = {}
-    default = sng._speculate
-    for mode, speculate in (("components", default),
-                            ("one", lambda pending, groups, live: []),
-                            ("every", lambda pending, groups, live: pending)):
-        monkeypatch.setattr(sng, "_speculate", speculate)
-        rounds.clear()
-        [comps[mode]] = sng.trace_singular_set(data)
-        comps[mode + " rounds"] = len(rounds)
-    assert len(comps["one"]) == (3 if name == "cone" else 2 if name == "genus_k" else 1)
-    _assert_same_components(comps["components"], comps["one"])
-    _assert_same_components(comps["every"], comps["one"])
-    assert comps["components rounds"] <= comps["one rounds"]
-    if name == "cone":
-        assert comps["components rounds"] < comps["one rounds"]
-    monkeypatch.setattr(sng, "_speculate", default)
+    walked = []
+    walk = sng._walk
+
+    def recorded(prof, seed, step, bound):
+        result = walk(prof, seed, step, bound)
+        walked.append((seed, result))
+        return result
+
+    monkeypatch.setattr(sng, "_walk", recorded)
+    [comps] = sng.trace_singular_set(data)
+    monkeypatch.setattr(sng, "_walk", walk)
+    assert len(comps) == (3 if name == "cone" else 2 if name == "genus_k" else 1)
+    walks = iter(walked)
+    kept, skipped = [], 0
+    for seed in sng._grid_seeds(sng._Profile(data), data.window, data.grid_n):
+        near = 2.5 * h * (1.0 + abs(seed))
+        if any(np.min(np.abs(verts - seed)) < near for verts in kept):
+            skipped += 1
+            continue
+        got, result = next(walks)
+        assert got == seed
+        if result is not None:
+            kept.append(result[0])
+    assert next(walks, None) is None
+    assert len(kept) == len(comps) and skipped > len(walked)
     coarse, fine = sng.trace_singular_set(data, steps=(h, h / 2))
-    _assert_same_components(coarse, comps["one"])
+    _assert_same_components(coarse, comps)
     _assert_same_components(fine, sng.trace_singular_set(data, steps=(h / 2,))[0])
 
 
@@ -764,5 +789,5 @@ def test_traversal_spans_all_circuits(genus1):
     assert len(tv) == comp.circuits * comp.vertex_count
     # the traversal is on-curve throughout
     for zh, z, w in tv[:: max(1, len(tv) // 25)]:
-        assert cov.on_cover(genus1.cover,
+        assert on_cover(genus1.cover,
                             cov.SurfacePoint(complex(z), complex(w)), 1e-6)
