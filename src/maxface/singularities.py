@@ -214,7 +214,7 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
     pts = [cur]
     h = step * (1.0 + abs(cur))
     t = 1j * grad / a                    # unit tangent at pts[-1], along the walk
-    moved_away = False
+    moved_away = closed = False
     tries = 0                            # halvings of the pending step
     while True:
         nxt, grad, ok = _correct(prof, cur + h * t)
@@ -231,7 +231,6 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
             h *= 0.5
             tries += 1
             if tries == 14:
-                closed = False
                 break
             continue
         tries = 0
@@ -247,7 +246,6 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
         cur = nxt
         h = min(h * 1.25, step * (1.0 + abs(nxt)))
         if abs(nxt.real) > bound or abs(nxt.imag) > bound or n + 1 == _MAX_STEPS:
-            closed = False
             break
     return (np.array(pts), closed) if len(pts) >= 8 else None
 
