@@ -278,11 +278,11 @@ def _march(prof: _Profile, seeds: list[complex], steps: tuple,
 
 
 def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
-                  fa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                  fa: np.ndarray) -> np.ndarray:
     """Bisect the sign change of phi_hat on every edge [za, zb] at once
     (fa = phi_hat(za)) by 50 halvings.  An edge is dropped when a midpoint
     is not finite and stops halving at an exact zero.  Returns the final
-    midpoints of the kept edges, in edge order, and the kept mask."""
+    midpoints of the kept edges, in edge order."""
     za, zb, fa = za.copy(), zb.copy(), fa.copy()
     kept = np.ones(len(za), dtype=bool)
     busy = kept.copy()
@@ -301,7 +301,7 @@ def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
         zb[idx[to_b]] = zm[to_b]
         za[idx[to_a]] = zm[to_a]
         fa[idx[to_a]] = fm[to_a]
-    return 0.5 * (za[kept] + zb[kept]), kept
+    return 0.5 * (za[kept] + zb[kept])
 
 
 def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
@@ -329,8 +329,7 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     edges = (crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
              crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
              crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
-    seeds, _ = _bisect_edges(prof, *(np.concatenate(col) for col in zip(*edges)))
-    return seeds.tolist()
+    return _bisect_edges(prof, *(np.concatenate(col) for col in zip(*edges))).tolist()
 
 
 def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
