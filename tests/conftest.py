@@ -1,5 +1,6 @@
 import pytest
 
+from make_golden import VERIFY_ARGV, run_case
 from maxface import periods as per
 from maxface import weierstrass as wst
 
@@ -18,3 +19,11 @@ def genus2_reduced():
 @pytest.fixture(scope="session")
 def cone25():
     return wst.catalog_get("cone", a=2.5)
+
+
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    """`maxface verify --jobs 1`, run once per session: its exit code and
+    the bytes of verify.json.  The acceptance tests and the golden test
+    share it."""
+    return run_case(VERIFY_ARGV, tmp_path_factory.mktemp("verify"))

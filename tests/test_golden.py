@@ -1,14 +1,15 @@
-"""Fresh `maxface singular` outputs against the golden store
-(tests/golden/singular/, written by tests/make_golden.py).
+"""Fresh `maxface` outputs against the golden store (tests/golden/, written
+by tests/make_golden.py).
 
-Integers, strings and flags must match exactly.  A value b matches its
+Integers, strings, flags and OBJ face lines must match exactly.  A value b matches its
 stored value a when |a - b| <= 1e-12 max(1, |a|): relative above 1 and
 absolute below, so round-off on coordinates near 0 is not reported as drift.
 The CSV's coordinates are complex numbers written as (re, im) columns, and
 each pair is compared as one complex value, |a| its modulus: a component of
 a large complex number carries that number's round-off.  On the cone's
 inverted chart z = 1 + 1/zhat, so at |z| = 655 the real part of z is a
-cancellation near 0 whose last bits move by about |z|^2 ulp(zhat).
+cancellation near 0 whose last bits move by about |z|^2 ulp(zhat).  An OBJ
+vertex line is compared coordinate by coordinate.
 """
 
 import cmath
@@ -19,7 +20,7 @@ import json
 
 import pytest
 
-from make_golden import CASES, STORE, run_case
+from make_golden import CASES, GOLDEN, run_case
 
 _TOL = 1e-12
 
@@ -74,18 +75,60 @@ def _compare_csv(ref: str, got: str, name: str):
                 f"{name}:{line} {header[j][:-3]}: {zb!r} against stored {za!r}"
 
 
-@pytest.mark.parametrize("surface, param", CASES,
-                         ids=[f"{s}-{p}" if p else s for s, p in CASES])
-def test_singular_outputs_match_golden(surface, param, tmp_path):
-    got = run_case(surface, param, tmp_path)
-    names = sorted(got)
-    assert len(names) == 2
-    for name in names:
-        stored = STORE / (name + ".gz")
-        assert stored.exists(), f"no stored output {stored.name}"
+def _compare_obj(ref: str, got: str, name: str):
+    ref_lines, got_lines = ref.splitlines(), got.splitlines()
+    assert len(got_lines) == len(ref_lines), f"{name}: line count differs"
+    for line, (a, b) in enumerate(zip(ref_lines, got_lines), 1):
+        if not a.startswith("v "):
+            assert b == a, f"{name}:{line}: {b!r} against stored {a!r}"
+            continue
+        a_vals, b_vals = a.split()[1:], b.split()
+        assert b_vals[0] == "v" and len(b_vals) == len(a_vals) + 1, \
+            f"{name}:{line}: {b!r} against stored {a!r}"
+        assert all(_close(float(x), float(y)) for x, y in zip(a_vals, b_vals[1:])), \
+            f"{name}:{line}: {b!r} against stored {a!r}"
+
+
+def _compare_files(slice_: str, got: dict):
+    store = GOLDEN / slice_
+    for name in sorted(got):
+        stored = store / (name + ".gz")
+        assert stored.exists(), f"no stored output {slice_}/{stored.name}"
         ref = gzip.decompress(stored.read_bytes()).decode("utf-8")
         text = got[name].decode("utf-8")
         if name.endswith(".json"):
             _compare_json(json.loads(ref), json.loads(text))
-        else:
+        elif name.endswith(".csv"):
             _compare_csv(ref, text, name)
+        else:
+            _compare_obj(ref, text, name)
+
+
+def _cases(slices):
+    chosen = [case for case in CASES if case[0] in slices]
+    return pytest.mark.parametrize("slice_, argv", [(s, a) for s, _, a in chosen],
+                                   ids=[case for _, case, _ in chosen])
+
+
+@_cases({"singular"})
+def test_singular_outputs_match_golden(slice_, argv, tmp_path):
+    rc, got = run_case(argv, tmp_path)
+    assert rc == 0
+    assert len(got) == 2
+    _compare_files(slice_, got)
+
+
+@_cases({"periods", "cmc1", "mesh"})
+def test_outputs_match_golden(slice_, argv, tmp_path):
+    rc, got = run_case(argv, tmp_path)
+    assert rc == 0
+    # a mesh run writes the full and the half OBJ and the mesh JSON
+    assert len(got) == (3 if slice_ == "mesh" else 1)
+    _compare_files(slice_, got)
+
+
+def test_verify_report_matches_golden(verify_run):
+    rc, got = verify_run
+    assert rc == 0
+    assert sorted(got) == ["verify.json"]
+    _compare_files("verify", got)
