@@ -357,8 +357,7 @@ def _weighted_sum(k: np.ndarray, terms, out: np.ndarray,
 
 
 def dop853(f, y0: np.ndarray, s0: float, s1: float,
-           rtol: float = 1e-11, atol: float = 1e-13,
-           max_steps: int = 200000) -> np.ndarray:
+           rtol: float = 1e-11, atol: float = 1e-13) -> np.ndarray:
     """Integrate N independent complex systems y_i' = f(s, y)_i from s0 to s1.
 
     y0 has shape (N, m).  Every row runs Hairer's DOP853 on its own: its own
@@ -370,7 +369,7 @@ def dop853(f, y0: np.ndarray, s0: float, s1: float,
     still running: s of shape (n,), y of shape (n, m) and their indices rows
     into y0; it returns dy/ds of shape (n, m).  Finished rows drop out of the
     batch.  The stages live in one (13, N, m) buffer whose leading n rows are
-    the running ones."""
+    the running ones.  It raises NumericalError after 200000 batched steps."""
     out = np.array(y0, dtype=complex)
     span = abs(s1 - s0)
     if span == 0.0 or len(out) == 0:
@@ -384,7 +383,7 @@ def dop853(f, y0: np.ndarray, s0: float, s1: float,
     # the stage argument (then the new solution), a product, the two errors
     work = np.empty((4,) + out.shape, dtype=complex)
     stages[0] = f(s, y, rows)
-    for _ in range(max_steps):
+    for _ in range(200000):
         n = len(rows)
         k, (acc, term, e5, e3) = stages[:, :n], work[:, :n]
         h = np.where(np.abs(h) > np.abs(s1 - s), s1 - s, h)

@@ -405,9 +405,9 @@ def reflection_zmap(j: int):
     raise ValidationError(f"reflection index must be 1..4, got {j}")
 
 
-def kappa1_apply(spec: CoverSpec, p: SurfacePoint, j: int = 1) -> SurfacePoint:
-    """kappa_1^j = (mu_2 mu_1)^j : (z, w) -> (z, e^{2jk i lam} w)."""
-    ph = cmath.exp(1j * (2 * j * spec.k * spec.lam))
+def kappa1_apply(spec: CoverSpec, p: SurfacePoint) -> SurfacePoint:
+    """kappa_1 = mu_2 mu_1 : (z, w) -> (z, e^{2k i lam} w)."""
+    ph = cmath.exp(1j * (2 * spec.k * spec.lam))
     return SurfacePoint(p.z, ph * p.w if p.w is not None else None)
 
 

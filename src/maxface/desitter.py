@@ -71,6 +71,8 @@ class AdmissiblePair:
         return cov.CoverSpec(self.k)
 
     def psihat0(self, z: complex, w: complex) -> np.ndarray:
+        """PsiHat_0(z, w) of the lift equation; z and w may be arrays, and
+        the matrix axes come first."""
         c = self.c
         return mat2(1.0 / z, -c * w / (z * z), 1.0 / (c * w), -1.0 / z)
 
@@ -329,17 +331,14 @@ def sigma_defect(pair: AdmissiblePair) -> float:
                for j in (1, 2, 3))
 
 
-def _at_frame(rho: np.ndarray, b) -> np.ndarray:
+def _at_frame(rho: np.ndarray, b: np.ndarray) -> np.ndarray:
     """A reflection matrix at e0 moved to the initial frame b:
-    rho~_j(b) = conj(b)^{-1} rho~_j b (b = None keeps e0)."""
-    if b is None:
-        return rho
-    b = np.asarray(b, dtype=complex)
+    rho~_j(b) = conj(b)^{-1} rho~_j b.  At b = e0 the conjugation is exact:
+    every product is by 1 or 0."""
     return inv2(b.conj()) @ rho @ b
 
 
-def rho_tilde(pair: AdmissiblePair, j: int,
-              b: np.ndarray | None = None) -> np.ndarray:
+def rho_tilde(pair: AdmissiblePair, j: int, b: np.ndarray = EYE2) -> np.ndarray:
     """rho~_j at initial frame b (computed once at e0, then conjugated)."""
     return _at_frame(_rho_tildes([pair])[0][j][0], b)
 
@@ -380,14 +379,11 @@ def loop_monodromy(jobs, b=None) -> list[dict]:
         rho_a = inv2(lift.F[-1]) @ b0
         acc = EYE2.copy()
         for pos, idx in enumerate(word.indices):
-            m = _at_frame(table[idx][0], None if b is None else b0)
+            m = _at_frame(table[idx][0], b0)
             acc = acc @ (m.conj() if pos % 2 == 0 else m)
         sig = word_sigma_product(pair.k, word)
-        if b is None:
-            rho_b = acc @ inv2(sig)
-        else:
-            # F_end = Sigma b Pi(e0)^{-1}  =>  rho(b) = Pi(b) b^{-1} Sigma^{-1} b
-            rho_b = acc @ inv2(b0) @ inv2(sig) @ b0
+        # F_end = Sigma b Pi(e0)^{-1}  =>  rho(b) = Pi(b) b^{-1} Sigma^{-1} b
+        rho_b = acc @ inv2(b0) @ inv2(sig) @ b0
         disagreement = float(np.max(np.abs(rho_a - rho_b)))
         if disagreement > 1e-8:
             raise NumericalError(
@@ -439,9 +435,7 @@ def residue_derivative(ks) -> list[dict]:
         fwd, back = next(ends), next(ends)
         d_fd = (fwd - back) / (2.0 * h)
         contour = wst.integrate_form(
-            cov.CoverSpec(k), loop,
-            lambda z, w: np.array([[1.0 / z, -c * w / (z * z)],
-                                   [1.0 / (c * w), -1.0 / z]]))[-1]
+            cov.CoverSpec(k), loop, AdmissiblePair(k, 0.0, c).psihat0)[-1]
         target = 2.0 * (k + 1) * math.pi * 1j * np.diag([1.0, -1.0])
         out.append({
             "fd": d_fd,
@@ -639,23 +633,6 @@ def _via_probe(pair: AdmissiblePair, probes, points) -> list[Transport]:
     return transport([
         (pair, cov.SurfacePath((o.z, complex(probe), complex(z)), o.w))
         for probe, row in zip(probes, points) for z in row])
-
-
-def quotient_check(pair: AdmissiblePair, probe: complex) -> dict:
-    """g from the two column quotients of M = F^{-1} dF, with dF a centred
-    difference of step 1e-5 (they must agree with the Moebius form):
-    g = M11/M21 = M12/M22."""
-    h = 1e-5
-    probe = complex(probe)
-    fwd, back = _via_probe(pair, [probe], [(probe + h, probe - h)])
-    base_F = fwd.F[1]
-    g0 = complex(moebius_apply(inv2(base_F), pair.c * fwd.w[1] / probe))
-    dF = (fwd.F[2] - back.F[2]) / (2.0 * h)
-    m = inv2(base_F) @ dF
-    q1 = complex(m[0, 0] / m[1, 0])
-    q2 = complex(m[0, 1] / m[1, 1])
-    return {"g": g0, "quotient_1": q1, "quotient_2": q2,
-            "residual": max(abs(q1 - g0), abs(q2 - g0))}
 
 
 def _hopf_shift(pair: AdmissiblePair, z: complex) -> complex:

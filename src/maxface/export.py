@@ -156,22 +156,17 @@ def write_singular_csv(components, fh) -> None:
     fh.write("component,circuit,index,chart,zhat_re,zhat_im,z_re,z_im,"
              "w_re,w_im,closed,partial\n")
     for comp in components:
-        n = comp.vertex_count
-        for c in range(comp.circuits):
-            for i in range(n):
-                zh = comp.zhat_vertices[i]
-                z = comp.z_vertices[i]
-                w = comp.w_vertices[c * n + i] if comp.w_vertices is not None \
-                    else None
-                wre = fmt_float(w.real) if w is not None else ""
-                wim = fmt_float(w.imag) if w is not None else ""
-                fh.write(",".join([
-                    comp.label, str(c), str(i), comp.chart_name,
-                    fmt_float(zh.real), fmt_float(zh.imag),
-                    fmt_float(z.real), fmt_float(z.imag),
-                    wre, wim,
-                    "1" if comp.closed else "0",
-                    "1" if comp.partial else "0"]) + "\n")
+        for j, (zh, z, w) in enumerate(comp.traversal()):
+            c, i = divmod(j, comp.vertex_count)
+            wre = fmt_float(w.real) if w is not None else ""
+            wim = fmt_float(w.imag) if w is not None else ""
+            fh.write(",".join([
+                comp.label, str(c), str(i), comp.chart_name,
+                fmt_float(zh.real), fmt_float(zh.imag),
+                fmt_float(z.real), fmt_float(z.imag),
+                wre, wim,
+                "1" if comp.closed else "0",
+                "1" if comp.partial else "0"]) + "\n")
 
 
 def write_period_csv(report: dict, fh) -> None:

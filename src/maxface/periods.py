@@ -40,8 +40,8 @@ def _log_beta(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
 
-def compute_AkBk(k: int, tol: float = 1e-10) -> tuple[float, float]:
-    """A_k and B_k by tanh-sinh quadrature, cross-checked against the Beta
+def compute_AkBk(k: int) -> tuple[float, float]:
+    """A_k and B_k by tanh-sinh quadrature to 1e-10, checked against the Beta
     closed forms A_k = B((k+2)/(2k+2), k/(k+1))/2, B_k = B(k/(2k+2), 1/(k+1))/2."""
     if k < 1:
         raise ValidationError("k >= 1")
@@ -56,8 +56,8 @@ def compute_AkBk(k: int, tol: float = 1e-10) -> tuple[float, float]:
     def fb(a, b):
         return math.exp(-(math.log(a) + k * (math.log(b) + math.log(2.0 - b))) / n)
 
-    A = quad_singular(fa, tol).real
-    B = quad_singular(fb, tol).real
+    A = quad_singular(fa, 1e-10).real
+    B = quad_singular(fb, 1e-10).real
     A_beta = 0.5 * math.exp(_log_beta((k + 2) / (2 * n), k / n))
     B_beta = 0.5 * math.exp(_log_beta(k / (2 * n), 1.0 / n))
     if abs(A - A_beta) > 1e-9 * (1 + A_beta) or abs(B - B_beta) > 1e-9 * (1 + B_beta):
@@ -107,23 +107,21 @@ def compute_ck(k: int) -> CkSolution:
 # direct loop periods on the cover
 # ---------------------------------------------------------------------------
 
-def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath,
-                  tol: float = 1e-10) -> np.ndarray:
-    """oint Phi over a closed lifted loop (complex 3-vector); raises if the
-    loop does not close on the cover."""
+def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath) -> np.ndarray:
+    """oint Phi over a closed lifted loop (complex 3-vector), to integrate_phi's
+    tolerance 1e-10; raises if the loop does not close on the cover."""
     if abs(loop.start - loop.end) > 1e-12:
         raise ValidationError("period_vector needs a closed z-polyline")
     if data.cover is None:
-        return wst.integrate_phi(data, loop, tol)[-1]
+        return wst.integrate_phi(data, loop)[-1]
     lifted = cov.LiftedPath(data.cover, loop)
     if not lifted.is_closed():
         raise ValidationError(f"loop {loop.label!r} does not close on the cover")
-    return wst.integrate_phi(data, lifted, tol)[-1]
+    return wst.integrate_phi(data, lifted)[-1]
 
 
-def closure_residual(data: wst.WeierstrassData, loop: cov.SurfacePath,
-                     tol: float = 1e-10) -> float:
-    return float(np.max(np.abs(period_vector(data, loop, tol).real)))
+def closure_residual(data: wst.WeierstrassData, loop: cov.SurfacePath) -> float:
+    return float(np.max(np.abs(period_vector(data, loop).real)))
 
 
 @lru_cache(maxsize=32)
@@ -137,10 +135,10 @@ def _gamma_raw_integrals(k: int) -> tuple[complex, complex]:
     return complex(E), complex(J)
 
 
-def solve_ck_by_root(k: int, bracket: tuple[float, float] = (0.2, 5.0),
-                     tol: float = 1e-12) -> float:
+def solve_ck_by_root(k: int) -> float:
     """Root-find c > 0 closing the gamma loop, by bisection on the signed
-    scalar residual Im( oint eta + conj(oint G^2 eta) ).
+    scalar residual Im( oint eta + conj(oint G^2 eta) ) over [0.2, 5], to an
+    interval of width 1e-12.
 
     The contour integrals are evaluated directly on the realized loop (the
     independent route; no Beta-function identities involved)."""
@@ -150,18 +148,18 @@ def solve_ck_by_root(k: int, bracket: tuple[float, float] = (0.2, 5.0),
         s = E + (c * c * J).conjugate()
         return s.imag
 
-    lo, hi = bracket
+    lo, hi = 0.2, 5.0
     flo, fhi = residual(lo), residual(hi)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
-        raise NumericalError(f"closure residual does not change sign on {bracket}")
+        raise NumericalError("closure residual does not change sign on (0.2, 5.0)")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = residual(mid)
-        if fm == 0.0 or (hi - lo) < tol:
+        if fm == 0.0 or (hi - lo) < 1e-12:
             return mid
         if flo * fm < 0:
             hi, fhi = mid, fm
@@ -179,8 +177,7 @@ def _rot_block(phi: float) -> np.ndarray:
     return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
 
 
-def symmetry_reduction_check(k: int, c: float | None = None, n_samples: int = 50,
-                             seed: int = 11) -> dict:
+def symmetry_reduction_check(k: int, n_samples: int = 50) -> dict:
     """Verify the pullback identities that reduce all generators to gamma:
 
         Phi o kappa_1 = R(2 k lam) Phi,     Phi o kappa_2 = R(k lam) Phi,
@@ -188,11 +185,10 @@ def symmetry_reduction_check(k: int, c: float | None = None, n_samples: int = 50
     where R(phi) rotates the (x1, x2) components and fixes x0.  (With the
     transposed rotation convention the second angle reads -k lam; the identity
     checked here is the numerically literal one.)  Returns the max residual
-    over random cover points."""
-    sol_c = c if c is not None else compute_ck(k).c_k
-    data = wst.catalog_get("genus_k", k=k, c=sol_c)
+    over cover points drawn from a fixed-seed generator, at c = c_k."""
+    data = wst.catalog_get("genus_k", k=k, c=compute_ck(k).c_k)
     spec = data.cover
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     r1 = _rot_block(2 * k * spec.lam)
     r2 = _rot_block(k * spec.lam)
     worst = 0.0
@@ -219,7 +215,7 @@ def symmetry_reduction_check(k: int, c: float | None = None, n_samples: int = 50
 # reports
 # ---------------------------------------------------------------------------
 
-def period_report(k: int, loop_tol: float = 1e-10) -> dict:
+def period_report(k: int) -> dict:
     """Full period diagnostics for one k: constants, dual-route agreement,
     and the closure residuals of all 2(k+1) generator loops at c = c_k."""
     sol = compute_ck(k)
@@ -228,8 +224,8 @@ def period_report(k: int, loop_tol: float = 1e-10) -> dict:
     spec = data.cover
     residuals = {}
     for loop in cov.generator_loops(spec):
-        residuals[loop.label] = closure_residual(data, loop, loop_tol)
-    sym = symmetry_reduction_check(k, c=sol.c_k, n_samples=20)
+        residuals[loop.label] = closure_residual(data, loop)
+    sym = symmetry_reduction_check(k, n_samples=20)
     return {
         "k": k,
         "A_k": sol.A_k,

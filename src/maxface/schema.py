@@ -25,9 +25,9 @@ _TYPES = {
 }
 
 
-def load_schema(name: str = "report") -> dict:
-    path = SCHEMA_DIR / f"{name}.schema.json"
-    with open(path, encoding="utf-8") as fh:
+def load_schema() -> dict:
+    """The report schema, schemas/report.schema.json."""
+    with open(SCHEMA_DIR / "report.schema.json", encoding="utf-8") as fh:
         return json.load(fh)
 
 
@@ -66,9 +66,8 @@ def validate(instance, schema: dict, path: str = "$") -> list[str]:
     return problems
 
 
-def assert_valid(instance, schema: dict | None = None) -> None:
-    schema = schema if schema is not None else load_schema()
-    problems = validate(instance, schema)
+def assert_valid(instance) -> None:
+    problems = validate(instance, load_schema())
     if problems:
         raise ValidationError(
             "report does not match the schema: " + "; ".join(problems[:5]))

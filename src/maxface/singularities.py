@@ -80,10 +80,10 @@ def _classify(alpha: complex, beta: complex, eps_scale: float) -> dict:
     return {"kind": kind, "alpha": alpha, "beta": beta, "eps": eps}
 
 
-def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint,
-                   eps_scale: float = _CLASS_EPS) -> dict:
-    """Classify one singular point; caller is responsible for |G| = 1."""
-    return _classify(*alpha_beta(data, p), eps_scale)
+def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint) -> dict:
+    """Classify one singular point at the default epsilon scale; caller is
+    responsible for |G| = 1."""
+    return _classify(*alpha_beta(data, p), _CLASS_EPS)
 
 
 @dataclass(frozen=True)
@@ -98,14 +98,20 @@ class SingularPointRecord:
 
 @dataclass
 class SingularComponent:
+    """One traced singular curve.  A closed trace is a full circuit of the
+    chart; an open one (its walk left the trace bound, stalled or ran out of
+    steps) is partial."""
     label: str
     zhat_vertices: np.ndarray          # one chart circuit, no repeated endpoint
     z_vertices: np.ndarray             # same circuit in the z coordinate
     w_vertices: np.ndarray | None      # full lifted traversal (circuits x n)
     circuits: int                      # z-circuits needed to close on the cover
     closed: bool
-    partial: bool
     chart_name: str = "identity"
+
+    @property
+    def partial(self) -> bool:
+        return not self.closed
 
     @property
     def vertex_count(self) -> int:
@@ -177,20 +183,20 @@ class _Profile:
 # tracing
 # ---------------------------------------------------------------------------
 
-def _correct(prof: _Profile, zh: complex, tol: float = 1e-13,
+def _correct(prof: _Profile, zh: complex,
              max_iter: int = 40) -> tuple[complex, complex, bool]:
     """Project the chart point zh onto {phi = 0} by Newton steps along the
-    chart gradient, in Python arithmetic.  Stops once |phi_hat| < tol, or
+    chart gradient, in Python arithmetic.  Stops once |phi_hat| < 1e-13, or
     fails: at an undefined phi_hat, a vanishing gradient or after max_iter
     steps.  Returns (point, gradient, ok), the gradient the one evaluated at
     the returned point (one phi_grad call per iterate), NaN on a failure."""
     for _ in range(max_iter):
         v, grad = prof.phi_grad(zh)
         av = abs(v)
-        if av < tol:
+        if av < 1e-13:
             return zh, grad, True
         g2 = abs(grad) ** 2
-        if not (av >= tol and g2 >= 1e-24):    # NaN phi_hat or no gradient
+        if not (av >= 1e-13 and g2 >= 1e-24):    # NaN phi_hat or no gradient
             break
         zh = zh - v * grad / g2
     return zh, _NAN, False
@@ -386,7 +392,7 @@ def _components(data: wst.WeierstrassData, traces: list[tuple]) -> list[Singular
         comps.append(SingularComponent(
             label=f"component_{len(comps)}", zhat_vertices=verts,
             z_vertices=verts_z, w_vertices=w_all, circuits=circuits,
-            closed=closed, partial=not closed, chart_name=chart.name))
+            closed=closed, chart_name=chart.name))
     comps.sort(key=lambda c: (-c.vertex_count * c.circuits, c.label))
     for i, c in enumerate(comps):
         c.label = f"component_{i}"
@@ -549,13 +555,13 @@ def count_singularities(data: wst.WeierstrassData, comps: list[SingularComponent
     return out
 
 
-def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
-                     tol: float = 1e-8) -> dict:
-    """Component-level criteria.
+def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent) -> dict:
+    """Component-level criteria, on a closed component only.
 
-    cone-like:      alpha real and bounded away from 0 along the curve, the
-                    Gauss map winds once around the unit circle, and eta_hat
-                    (chart values) is bounded away from 0.
+    cone-like:      alpha real (to 1e-8 relative) and bounded away from 0
+                    along the curve, the Gauss map winds once around the
+                    unit circle, and eta_hat (chart values) is bounded away
+                    from 0.
     fold candidate: same with alpha purely imaginary."""
     zh, p, alphas = _alpha_along(data, comp)
     a_scale = float(np.max(np.abs(alphas)))
@@ -573,13 +579,13 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent,
     eta_min, eta_max = float(np.min(eta_vals)), float(np.max(eta_vals))
     w_int = int(round(winding)) if math.isfinite(winding) else 0
     winding_ok = math.isfinite(winding) and abs(winding - w_int) < 1e-6 and abs(w_int) == 1
-    base = (comp.closed and not comp.partial
+    base = (comp.closed
             and min_abs > 1e-6 * (1.0 + a_scale)
             and winding_ok
             and eta_min > 1e-6 * eta_max)
     return {
-        "cone_like": bool(base and max_im <= tol * (1.0 + a_scale)),
-        "fold_candidate": bool(base and max_re <= tol * (1.0 + a_scale)),
+        "cone_like": bool(base and max_im <= 1e-8 * (1.0 + a_scale)),
+        "fold_candidate": bool(base and max_re <= 1e-8 * (1.0 + a_scale)),
         "max_im_alpha": max_im,
         "max_re_alpha": max_re,
         "min_abs_alpha": min_abs,

@@ -259,7 +259,8 @@ def criterion_6(cfg: VerifyConfig) -> list[dict]:
 
 
 def criterion_7(cfg: VerifyConfig) -> list[dict]:
-    """Slope-fitted vanishing orders equal the reference table exactly."""
+    """Slope-fitted vanishing orders equal the reference table exactly, and
+    by the same table both ends are complete and nonsingular."""
     checks = []
     for k in (1, 2, 3):
         data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
@@ -275,6 +276,14 @@ def criterion_7(cfg: VerifyConfig) -> list[dict]:
             f"order table k={k}", mismatches or "all match", "exact",
             not mismatches and table.max_residual < 0.1,
             "orders of G, eta, G eta, G^2 eta, Q at the special points"))
+        # ds ~ max(|eta|, |G^2 eta|) near an end
+        ends = {label: {"G": row["G"]["order"],
+                        "ds": min(row["eta"]["order"], row["G^2*eta"]["order"])}
+                for label, row in table.rows.items() if label in ("zero", "infinity")}
+        checks.append(_check(
+            f"complete nonsingular ends k={k}", ends, "G != 0, ds <= -1",
+            all(end["G"] != 0 and end["ds"] <= -1 for end in ends.values()),
+            "ds has a pole and G a zero or a pole at both ends"))
     return checks
 
 

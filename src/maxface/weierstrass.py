@@ -502,78 +502,8 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# ends: completeness and order bookkeeping
+# ends: order bookkeeping
 # ---------------------------------------------------------------------------
-
-def _local_samples(data: WeierstrassData, puncture, radii, angle=0.37):
-    """Log-moduli of (G, eta, G eta, G^2 eta, Q) in a local coordinate zeta
-    at the puncture (planar data only; cover data use order_table)."""
-    rows = []
-    for r in radii:
-        zeta = r * cmath.exp(1j * angle)
-        if puncture == INF or (isinstance(puncture, complex) and cmath.isinf(puncture.real)):
-            z = 1.0 / zeta
-            dz = -1.0 / zeta ** 2
-        else:
-            z = puncture + zeta
-            dz = 1.0 + 0j
-        p = cov.SurfacePoint(z, None)
-        g = data.G(p)
-        e = data.eta(p) * dz
-        q = data.eta(p) * data.dG(p) * dz * dz
-        rows.append([math.log(abs(g)), math.log(abs(e)), math.log(abs(g * e)),
-                     math.log(abs(g * g * e)), math.log(abs(q))])
-    return np.array(rows)
-
-
-def _slope(logr, logv):
-    return float(np.polyfit(logr, logv, 1)[0])
-
-
-def completeness_report(data: WeierstrassData, radii=None) -> dict:
-    """Per-end report: |G| limit behaviour and whether the end is complete and
-    nonsingular (|G| limit != 1)."""
-    radii = radii if radii is not None else [1e-3, 5e-4, 2.5e-4, 1.25e-4]
-    logr = np.log(radii)
-    ends = []
-    if data.cover is None:
-        punctures = data.punctures
-        for pu in punctures:
-            m = _local_samples(data, pu, radii)
-            slope_g = _slope(logr, m[:, 0])
-            if abs(slope_g) < 0.05:
-                glim = math.exp(float(np.mean(m[:, 0])))
-                g_desc = glim
-            else:
-                g_desc = float("inf") if slope_g < 0 else 0.0
-                glim = g_desc
-            # ds ~ max(|eta|, |G^2 eta|) near the end; complete iff pole order >= 1
-            ds_slope = min(_slope(logr, m[:, 1]), _slope(logr, m[:, 3]))
-            ends.append({
-                "puncture": "inf" if pu == INF else [pu.real, pu.imag],
-                "abs_G_limit": glim,
-                "metric_slope": ds_slope,
-                "complete": bool(ds_slope <= -1.0 + 0.05),
-                "nonsingular_end": bool(not (abs(glim - 1.0) < 1e-6)),
-            })
-    else:
-        tab = order_table(data)  # cover fits use the order-table radii
-        for label in ("zero", "infinity"):
-            row = tab.rows[label]
-            g_ord = row["G"]["order"]
-            glim = float("inf") if g_ord < 0 else (0.0 if g_ord > 0 else 1.0)
-            ds_ord = min(row["eta"]["order"], row["G^2*eta"]["order"])
-            ends.append({
-                "puncture": label,
-                "abs_G_limit": glim,
-                "metric_slope": float(ds_ord),
-                "complete": bool(ds_ord <= -1),
-                "nonsingular_end": bool(g_ord != 0),
-            })
-    return {"surface": data.name, "ends": ends,
-            "all_complete": all(e["complete"] for e in ends),
-            "all_nonsingular": all(e["nonsingular_end"] for e in ends)}
-
 
 @dataclass
 class OrderTable:
@@ -581,18 +511,21 @@ class OrderTable:
     max_residual: float
 
 
-def order_table(data: WeierstrassData, radii=None) -> OrderTable:
+def order_table(data: WeierstrassData) -> OrderTable:
     """Vanishing orders of G, eta, G eta, G^2 eta, Q in the distinguished local
-    coordinates of the genus-k cover, by log-log slope fitting.
+    coordinates of the genus-k cover, by log-log slope fitting over the local
+    radii 1e-2, 5e-3, 2.5e-3 and 1.25e-3 (cover family only).
 
     Points: the two punctures, the branch points over +-1 (full cover; over 1
     for the reduced curve), and the regular points over +-i (full) where Q has
-    its simple zeros."""
+    its simple zeros.  At the punctures the orders also decide the ends: an
+    end is complete when min(order eta, order G^2 eta) <= -1 and nonsingular
+    when G has a zero or a pole there."""
     if data.cover is None:
         raise ValidationError("order_table applies to the cover family")
     spec = data.cover
     c = data.params["c"]
-    radii = radii if radii is not None else [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+    radii = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
     logr = np.log(radii)
     n = spec.sheet_count
     k = spec.k
@@ -642,7 +575,7 @@ def order_table(data: WeierstrassData, radii=None) -> OrderTable:
         samples = np.array(samples)
         row = {}
         for qi, qname in enumerate(("G", "eta", "G*eta", "G^2*eta", "Q")):
-            s = _slope(logr, samples[:, qi])
+            s = float(np.polyfit(logr, samples[:, qi], 1)[0])
             order = int(round(s))
             res = abs(s - order)
             max_res = max(max_res, res)
@@ -674,14 +607,14 @@ def expected_orders(spec: cov.CoverSpec) -> dict:
 # degree of the Gauss map and the Osserman-type count
 # ---------------------------------------------------------------------------
 
-def gauss_degree(data: WeierstrassData, probe: complex = 0.37 + 0.21j) -> dict:
-    """Number of preimages of a generic value under G (continuation-free root
-    count of the preimage polynomial)."""
+def gauss_degree(data: WeierstrassData) -> dict:
+    """Number of preimages of the generic value v = 0.37 + 0.21i under G
+    (continuation-free root count of the preimage polynomial)."""
     if data.cover is None:
         raise ValidationError("gauss_degree applies to the cover family")
     spec = data.cover
     c = data.params["c"]
-    v = probe
+    v = 0.37 + 0.21j
     if spec.reduced:
         m = spec.m
         # G = v on the curve <=> (v/c)^(2m+1) Z^m = (Z-1)^(2m)
@@ -710,18 +643,13 @@ def _binom_pow(base, n: int) -> np.ndarray:
     return out
 
 
-def osserman_check(data: WeierstrassData, degree: int | None = None) -> dict:
-    """2 deg G >= -chi(M) + #ends, with equality detection."""
-    if data.cover is None:
-        genus = 0
-        ends = len(data.punctures)
-        if degree is None:
-            raise ValidationError("pass the computed degree for planar data")
-        deg = degree
-    else:
-        genus = data.cover.genus()
-        ends = 2
-        deg = degree if degree is not None else gauss_degree(data)["degree"]
+def osserman_check(data: WeierstrassData) -> dict:
+    """2 deg G >= -chi(M) + #ends, with equality detection, on a surface of
+    the cover family (two ends; deg G from gauss_degree, which refuses
+    planar data)."""
+    deg = gauss_degree(data)["degree"]
+    genus = data.cover.genus()
+    ends = 2
     chi = 2 - 2 * genus - ends
     lhs = 2 * deg
     rhs = -chi + ends

@@ -524,11 +524,6 @@ def test_desitter_grid_mesh():
 # secondary Gauss map and the Schwarzian relation
 # ---------------------------------------------------------------------------
 
-def test_quotient_check_two_routes():
-    out = ds.quotient_check(K1, 2.1 + 0.4j)
-    assert out["residual"] < 1e-6
-
-
 def test_schwarzian_relation_at_safe_point():
     out = ds.schwarzian_relation(K1, [2.3 + 0.55j])
     assert out["rel_residual"][0] < 1e-5

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from maxface import algebra as alg
 from maxface import cover as cov
 from maxface import periods as per
+from maxface import verify as verify_mod
 from maxface import weierstrass as wst
 from maxface.errors import ValidationError
 
@@ -412,6 +413,33 @@ def test_order_table_matches_expected(k):
     assert table.max_residual < 0.1
 
 
+@pytest.mark.parametrize("zero_end", [{"eta": 0, "G^2*eta": 1}, {"G": 0}],
+                         ids=["incomplete", "singular"])
+def test_criterion_7_fails_on_a_bad_end(zero_end, monkeypatch):
+    """An order table and reference altered alike at the zero end, so that
+    ds has no pole there or G neither a zero nor a pole, fail criterion 7's
+    ends check and nothing else."""
+    order_table, expected_orders = wst.order_table, wst.expected_orders
+
+    def altered_table(data):
+        table = order_table(data)
+        for qname, order in zero_end.items():
+            table.rows["zero"][qname]["order"] = order
+        return table
+
+    def altered_expected(spec):
+        want = expected_orders(spec)
+        want["zero"].update(zero_end)
+        return want
+
+    monkeypatch.setattr(wst, "order_table", altered_table)
+    monkeypatch.setattr(wst, "expected_orders", altered_expected)
+    checks = verify_mod.criterion_7(verify_mod.VerifyConfig())
+    assert {c["name"] for c in checks if not c["pass"]} == \
+        {f"complete nonsingular ends k={k}" for k in (1, 2, 3)}
+    assert len(checks) == 6
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gauss_degree_full_curve(k):
     data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
@@ -427,16 +455,6 @@ def test_osserman_bound(k):
         assert rep["equality"]
 
 
-def test_completeness_report_catenoid():
-    rep = wst.completeness_report(wst.catalog_get("catenoid"))
-    assert rep["all_complete"] and rep["all_nonsingular"]
-    assert len(rep["ends"]) == 2
-    # both catenoid ends carry the metric growth |eta| ~ r^-2
-    for end in rep["ends"]:
-        assert end["metric_slope"] == pytest.approx(-2.0, abs=1e-6)
-
-
-def test_completeness_report_genus_family(genus1):
-    rep = wst.completeness_report(genus1)
-    assert rep["all_complete"]
-    assert len(rep["ends"]) == 2
+def test_osserman_check_refuses_planar_data():
+    with pytest.raises(ValidationError, match="cover family"):
+        wst.osserman_check(wst.catalog_get("catenoid"))
