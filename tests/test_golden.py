@@ -82,10 +82,10 @@ def _compare_obj(ref: str, got: str, name: str):
         if not a.startswith("v "):
             assert b == a, f"{name}:{line}: {b!r} against stored {a!r}"
             continue
-        a_vals, b_vals = a.split()[1:], b.split()
-        assert b_vals[0] == "v" and len(b_vals) == len(a_vals) + 1, \
-            f"{name}:{line}: {b!r} against stored {a!r}"
-        assert all(_close(float(x), float(y)) for x, y in zip(a_vals, b_vals[1:])), \
+        a_vals, b_vals = a.split(), b.split()
+        assert (b_vals[0] == "v" and len(b_vals) == len(a_vals)
+                and all(_close(float(x), float(y))
+                        for x, y in zip(a_vals[1:], b_vals[1:]))), \
             f"{name}:{line}: {b!r} against stored {a!r}"
 
 
