@@ -54,7 +54,11 @@ def compute_AkBk(k: int) -> tuple[float, float]:
         return math.exp((math.log(a) - math.log(b) - math.log(2.0 - b)) / n)
 
     def fb(a, b):
-        return math.exp(-(math.log(a) + k * (math.log(b) + math.log(2.0 - b))) / n)
+        # B_k after 1 - t = v^n: (1-t)^(-k/n) dt = n dv exactly, and what is
+        # left, t^(-1/n) (1+t)^(-k/n), is mild at v = 1; there t = 1 - (1-b)^n
+        # is formed without cancellation (v = a, 1 - v = b)
+        t = -math.expm1(n * math.log1p(-b)) if b < 0.5 else 1.0 - a ** n
+        return n * math.exp(-(math.log(t) + k * math.log1p(t)) / n)
 
     A = quad_singular(fa, 1e-10).real
     B = quad_singular(fb, 1e-10).real

@@ -2,9 +2,16 @@
 
 Each criterion re-derives its targets from closed forms or counts stated as
 self-contained formulas (see the `anchor` strings) and checks the library
-against them at fixed tolerances.  `run_all` executes any subset, optionally
-in parallel processes, and reports one pass/fail record per criterion with
-the individual checks inside.
+against them at fixed tolerances.  `run_all` executes any subset and reports
+one pass/fail record per criterion with the individual checks inside.
+
+With jobs > 1, `pack_shards` splits the criteria into at most `jobs` shards
+of about equal cost (Graham's longest-processing-time rule over `COST_MS`),
+keeping the de Sitter criteria 9, 10 and 12 in one shard so the memos they
+share are built once.  The loaded parent forks one child per shard and runs
+none itself; each child sends its rows back through a pipe.  A child that
+dies fails every criterion of its shard with its exit status as the error.
+Where `os.fork` does not exist the criteria run serially.
 
 The hidden `perturb_ck` knob injects a relative error into the solved period
 constant before the closure criterion runs — the gate must go red under it;
@@ -15,6 +22,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -517,25 +526,106 @@ def run_criterion(cid: int, cfg: VerifyConfig | None = None) -> dict:
     return out
 
 
-def _run_criterion_job(args) -> dict:
-    cid, cfg = args
-    return run_criterion(cid, cfg)
+# the criteria that read the de Sitter memos (leg propagators, reflection
+# matrices of the pairs (k, +-0.02)) criterion 9 builds; a shard keeps them
+# together so the memos are built once.  Criterion 11's end rays share no leg.
+_DESITTER_UNIT = (9, 10, 12)
+
+# cost of each criterion in ms: median of 5 in-process runs with the modules
+# loaded, in id order so that 10 and 12 read 9's memos.  It only balances
+# the shards; no result depends on it.
+COST_MS = {1: 13, 2: 31, 3: 1, 4: 139, 5: 48, 6: 17, 7: 4, 8: 3, 9: 119,
+           10: 63, 11: 20, 12: 7}
+
+
+def pack_shards(ids, jobs: int) -> list[list[int]]:
+    """Split criteria `ids` into at most `jobs` non-empty shards of about
+    equal cost: the selected de Sitter criteria form one unit and every
+    other criterion a unit of its own; largest unit first (ties to the
+    lowest id), each goes to the lightest shard (ties to the first)."""
+    ids = sorted(ids)
+    shared = [cid for cid in ids if cid in _DESITTER_UNIT]
+    units = [[cid] for cid in ids if cid not in _DESITTER_UNIT]
+    if shared:
+        units.append(shared)
+    units.sort(key=lambda unit: (-sum(COST_MS[c] for c in unit), unit[0]))
+    shards = [[] for _ in range(min(jobs, len(units)))]
+    loads = [0] * len(shards)
+    for unit in units:
+        i = loads.index(min(loads))
+        shards[i] += unit
+        loads[i] += sum(COST_MS[c] for c in unit)
+    return [sorted(shard) for shard in shards]
+
+
+def _run_shard_child(shard, cfg, fd: int):
+    """In a forked child: run the shard, write its pickled rows to `fd`
+    and leave without returning into the caller's stack."""
+    code = 1
+    try:
+        rows = [run_criterion(cid, cfg) for cid in shard]
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(rows, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _shard_rows(shard, payload: bytes, status: int) -> list[dict]:
+    """The rows a child wrote, or one failed row per criterion of its shard
+    when it died: a non-zero exit, a signal or a short payload."""
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        try:
+            return pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):
+            reason = "wrote a short payload (exit status 0)"
+    elif code < 0:
+        reason = f"was killed by signal {-code}"
+    else:
+        reason = f"exited with status {code}"
+    return [{"id": cid, "title": CRITERIA[cid][0], "pass": False,
+             "runtime_s": 0.0, "checks": [], "error": f"worker {reason}"}
+            for cid in shard]
+
+
+def _run_shards(shards, cfg) -> list[dict]:
+    """Fork one child per shard and collect its rows; the parent runs no
+    criterion, and every child is reaped whatever happens."""
+    # the children share the modules loaded here; reading an attribute runs
+    # a module still waiting for its first use, which each child would
+    # otherwise do again
+    for module in (cov, ds, per, sng, wst):
+        vars(module)
+    children = []  # (shard, pid, read end of its pipe)
+    try:
+        for shard in shards:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _run_shard_child(shard, cfg, w)
+            os.close(w)
+            children.append((shard, pid, os.fdopen(r, "rb")))
+        payloads = [fh.read() for _, _, fh in children]
+    finally:
+        statuses = []
+        for _, pid, fh in children:
+            fh.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    rows = [row for (shard, _, _), payload, status
+            in zip(children, payloads, statuses)
+            for row in _shard_rows(shard, payload, status)]
+    return sorted(rows, key=lambda row: row["id"])
 
 
 def run_all(ids=None, perturb_ck: float = 0.0, jobs: int = 1) -> dict:
     ids = sorted(ids) if ids else sorted(CRITERIA)
     cfg = VerifyConfig(perturb_ck=perturb_ck)
-    if jobs > 1 and len(ids) > 1:
-        # imported here: the criteria are the only work the CLI pools
-        from concurrent.futures import ProcessPoolExecutor
-        # the forked workers share the modules loaded here; reading an
-        # attribute runs a module still waiting for its first use, which
-        # each worker would otherwise do again
-        for module in (cov, ds, per, sng, wst):
-            vars(module)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ids))) as pool:
-            results = list(pool.map(_run_criterion_job,
-                                    [(cid, cfg) for cid in ids]))
+    shards = pack_shards(ids, jobs) if jobs > 1 and hasattr(os, "fork") \
+        else [ids]
+    if len(shards) > 1:
+        results = _run_shards(shards, cfg)
     else:
         results = [run_criterion(cid, cfg) for cid in ids]
     return {

@@ -202,6 +202,15 @@ def test_periods_at_high_k_closes(capsys):
     assert row["route_agreement_pass"] is True
 
 
+def test_periods_at_k40_closes(capsys):
+    """Past k = 30 the tanh-sinh nodes of B_k's old integrand stopped short
+    of its endpoint singularity and periods exited 3."""
+    assert run(["periods", "--k", "40"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert row["closure_pass"] is True
+    assert row["route_agreement_pass"] is True
+
+
 def test_periods_csv_artifacts(tmp_path):
     assert run(["periods", "--k", "1", "--format", "csv",
                 "--out", str(tmp_path)]) == 0

@@ -37,7 +37,7 @@ def beta_lgamma(x, y):
 # the Beta-integral route
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 30, 40, 100])
 def test_AkBk_against_lgamma(k):
     """A_k = (1/2) B((k+2)/(2k+2), k/(k+1)); B_k = (1/2) B(k/(2k+2), 1/(k+1))."""
     A, B = per.compute_AkBk(k)
@@ -94,6 +94,12 @@ def test_dual_route_agreement(k):
     direct = per.compute_ck(k).c_k
     by_root = per.solve_ck_by_root(k)
     assert abs(direct - by_root) < 1e-8
+
+
+def test_dual_route_agreement_at_k30():
+    """B_k's endpoint substitution keeps the Beta route exact at large k,
+    so the routes agree to the root route's bisection width."""
+    assert abs(per.compute_ck(30).c_k - per.solve_ck_by_root(30)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
