@@ -257,8 +257,7 @@ def cmd_mesh(args) -> int:
 def cmd_singular(args) -> int:
     data = _get_surface(args.surface, args.params)
     [comps] = sng.trace_singular_set(data)
-    report = sng.singular_report(data, comps) if args.tol_class is None else \
-        sng.singular_report(data, comps, eps_scale=args.tol_class)
+    report = sng.singular_report(data, comps)
     doc = export.report_document(
         "singular", report,
         paper_anchor="singular set |G| = 1; classification by alpha, beta")
@@ -397,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("singular", cmd_singular,
                 "trace and classify the singular set", surface=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--tol-class", dest="tol_class",
-                   type=lambda v: _positive(v, "--tol-class"),
-                   help="classification epsilon scale")
 
     p = command("periods", cmd_periods, "period constants and closure",
                 k="1-4")

@@ -86,6 +86,12 @@ class CoverSpec:
             return ((m + 1) / z + (2 * m) / (z - 1)) / (2 * m + 1)
         return genus_log_derivative(self.k, z)
 
+    def dlog_derivative(self, z):
+        """(w'/w)', the derivative of log_derivative, from the branch data:
+        -sum_c e_c / (z - c)^2 / n."""
+        branch = zip(self.finite_branch_points, self.branch_exponents)
+        return -sum(e / (z - c) ** 2 for c, e in branch) / self.sheet_count
+
     def principal_root(self, z):
         """rhs(z)^(1/n), n = sheet_count, for a scalar or an array of z."""
         return np.power(self.rhs(z), 1.0 / self.sheet_count, dtype=complex)
@@ -556,18 +562,12 @@ def winding_number(vertices, z0: complex) -> float:
 
 def genus_check(spec: CoverSpec) -> dict:
     """Riemann-Hurwitz bookkeeping for the cover (degree, total branching,
-    genus), from the local ramification structure."""
-    if spec.reduced:
-        deg = 2 * spec.m + 1
-        # Z=0: gcd(m+1, 2m+1)=1 -> one point, ram 2m; Z=1: gcd(2m,2m+1)=1 -> 2m;
-        # Z=inf: full ramification again
-        branching = 3 * (deg - 1)
-        n_branch = 3
-    else:
-        deg = spec.k + 1
-        # z=0 and z=inf: full ramification (k); z=+-1: gcd(k, k+1)=1 -> full (k)
-        branching = 4 * spec.k
-        n_branch = 4
-    genus = (branching - 2 * deg + 2) // 2
-    return {"degree": deg, "branch_points": n_branch,
-            "total_branching": branching, "genus": genus}
+    genus) from its branch data: over a point where w^n has order e there
+    lie gcd(e, n) points, so it contributes n - gcd(e, n) to the branching;
+    w^n has order deg rhs = sum e_c at infinity."""
+    n = spec.sheet_count
+    exps = spec.branch_exponents + (sum(spec.branch_exponents),)
+    ram = [n - math.gcd(e, n) for e in exps]
+    branching = sum(ram)
+    return {"degree": n, "branch_points": sum(1 for r in ram if r),
+            "total_branching": branching, "genus": (branching - 2 * n + 2) // 2}

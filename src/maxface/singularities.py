@@ -66,9 +66,9 @@ def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
     return alpha, beta
 
 
-def _classify(alpha: complex, beta: complex, eps_scale: float) -> dict:
+def _classify(alpha: complex, beta: complex) -> dict:
     b_ok = not (math.isnan(beta.real) or math.isnan(beta.imag))
-    eps = eps_scale * (1.0 + abs(alpha) + (abs(beta) if b_ok else 0.0))
+    eps = _CLASS_EPS * (1.0 + abs(alpha) + (abs(beta) if b_ok else 0.0))
     if abs(alpha.imag) < eps and abs(alpha) > eps and b_ok and abs(beta.real) > eps:
         kind = "swallowtail"
     elif abs(alpha.real) < eps and abs(alpha) > eps and b_ok and abs(beta.imag) > eps:
@@ -81,9 +81,9 @@ def _classify(alpha: complex, beta: complex, eps_scale: float) -> dict:
 
 
 def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint) -> dict:
-    """Classify one singular point at the default epsilon scale; caller is
-    responsible for |G| = 1."""
-    return _classify(*alpha_beta(data, p), _CLASS_EPS)
+    """Classify one singular point at the epsilon scale _CLASS_EPS; caller
+    is responsible for |G| = 1."""
+    return _classify(*alpha_beta(data, p))
 
 
 @dataclass(frozen=True)
@@ -510,8 +510,8 @@ def _crossings(data: wst.WeierstrassData, comp: SingularComponent):
     return zh[i0[e]], zh[i1[e]], wa, np.concatenate(imag)
 
 
-def count_singularities(data: wst.WeierstrassData, comps: list[SingularComponent],
-                        eps_scale: float = _CLASS_EPS) -> list[dict]:
+def count_singularities(data: wst.WeierstrassData,
+                        comps: list[SingularComponent]) -> list[dict]:
     """Classified singular points of each component, located by sign
     changes of Im alpha (swallowtails) and Re alpha (cross caps) along its
     full lifted traversal; the crossings of all components are refined in
@@ -526,7 +526,7 @@ def count_singularities(data: wst.WeierstrassData, comps: list[SingularComponent
         pts = _refine_crossings(data, _Profile(data), za, zb, wa, imag)
         alphas, betas = alpha_beta(data, pts)
         for j, use_imag in enumerate(imag):
-            cls = _classify(complex(alphas[j]), complex(betas[j]), eps_scale)
+            cls = _classify(complex(alphas[j]), complex(betas[j]))
             target = "swallowtail" if use_imag else "cuspidal_cross_cap"
             z = complex(pts.z[j])
             records[owner[j]].append(SingularPointRecord(
@@ -599,12 +599,11 @@ def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent) -> dict
 # ---------------------------------------------------------------------------
 
 def singular_report(data: wst.WeierstrassData,
-                    comps: list[SingularComponent], *,
-                    eps_scale: float = _CLASS_EPS) -> dict:
+                    comps: list[SingularComponent]) -> dict:
     """Per-component classification of the singular set.  comps are the
     components of one list of trace_singular_set(data)."""
     rows = []
-    for comp, counts in zip(comps, count_singularities(data, comps, eps_scale)):
+    for comp, counts in zip(comps, count_singularities(data, comps)):
         cone = detect_cone_like(data, comp)
         rows.append({
             "label": comp.label,

@@ -48,6 +48,11 @@ def _check(name: str, value, tolerance, ok: bool, anchor: str = "") -> dict:
             "pass": bool(ok), "paper_anchor": anchor}
 
 
+def _within(name: str, value, tol, anchor: str = "") -> dict:
+    """A check that passes when value <= tol, reporting tol as its tolerance."""
+    return _check(name, value, tol, value <= tol, anchor)
+
+
 def _lgamma_beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
@@ -62,12 +67,10 @@ def criterion_1(cfg: VerifyConfig) -> list[dict]:
     sol = per.compute_ck(1)
     a_oracle = 0.5 * _lgamma_beta(0.75, 0.5)
     b_oracle = 0.5 * _lgamma_beta(0.25, 0.5)
-    checks.append(_check("A_1 vs Beta oracle", abs(sol.A_k - a_oracle), 1e-9,
-                         abs(sol.A_k - a_oracle) <= 1e-9,
-                         "A_1 = B(3/4, 1/2)/2"))
-    checks.append(_check("B_1 vs Beta oracle", abs(sol.B_k - b_oracle), 1e-9,
-                         abs(sol.B_k - b_oracle) <= 1e-9,
-                         "B_1 = B(1/4, 1/2)/2"))
+    checks.append(_within("A_1 vs Beta oracle", abs(sol.A_k - a_oracle), 1e-9,
+                          "A_1 = B(3/4, 1/2)/2"))
+    checks.append(_within("B_1 vs Beta oracle", abs(sol.B_k - b_oracle), 1e-9,
+                          "B_1 = B(1/4, 1/2)/2"))
     # the reference display values are 5-decimal prints with their own
     # rounding slop (~6e-5); the oracles above carry the 1e-9 burden
     for name, got, disp in (("A_1", sol.A_k, 1.19814),
@@ -81,9 +84,8 @@ def criterion_1(cfg: VerifyConfig) -> list[dict]:
     for k in range(1, 7):
         ck = per.compute_ck(k).c_k
         cr = per.solve_ck_by_root(k)
-        checks.append(_check(f"dual route c_{k}", abs(ck - cr), 1e-8,
-                             abs(ck - cr) <= 1e-8,
-                             "quadrature c_k == root of Im(period sum)"))
+        checks.append(_within(f"dual route c_{k}", abs(ck - cr), 1e-8,
+                              "quadrature c_k == root of Im(period sum)"))
     return checks
 
 
@@ -96,9 +98,8 @@ def criterion_2(cfg: VerifyConfig) -> list[dict]:
         worst = 0.0
         for loop in cov.generator_loops(data.cover):
             worst = max(worst, per.closure_residual(data, loop))
-        checks.append(_check(f"max closure residual k={k}", worst, 1e-8,
-                             worst <= 1e-8,
-                             "Re contour(Phi) = 0 over all 2(k+1) generators"))
+        checks.append(_within(f"max closure residual k={k}", worst, 1e-8,
+                              "Re contour(Phi) = 0 over all 2(k+1) generators"))
     data = wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k * 1.01)
     gamma = cov.generator_loops(data.cover)[0]
     res = per.closure_residual(data, gamma)
@@ -158,9 +159,8 @@ def criterion_4(cfg: VerifyConfig) -> list[dict]:
             len(comps) == n_expected,
             "singular set = 2 ovals on M_k, 1 on the reduced M'_k"))
         worst_oval = max(_oval_residual(c, sol.rho_k, reduced) for c in comps)
-        checks.append(_check(
+        checks.append(_within(
             f"{name} k={k}: oval identity", worst_oval, 1e-8,
-            worst_oval <= 1e-8,
             "r^2 + 1/r^2 - 2 cos 2theta = rho_k on the singular set"))
         per_comp = 2 * (k + 1)
         sw = cc = dg = 0
@@ -218,9 +218,8 @@ def criterion_5(cfg: VerifyConfig) -> list[dict]:
                          "alpha real, nonvanishing; G winds once; eta-hat != 0"))
     if found:
         comp, cone = axis
-        checks.append(_check("cone axis: max|Im alpha|", cone["max_im_alpha"],
-                             1e-10, cone["max_im_alpha"] < 1e-10,
-                             "alpha real on the cone-like axis"))
+        checks.append(_within("cone axis: max|Im alpha|", cone["max_im_alpha"],
+                              1e-10, "alpha real on the cone-like axis"))
         checks.append(_check("cone axis: min|alpha|", cone["min_abs_alpha"],
                              "> 0.1", cone["min_abs_alpha"] > 0.1,
                              "alpha bounded away from zero"))
@@ -343,14 +342,13 @@ def criterion_9(cfg: VerifyConfig) -> list[dict]:
         r2 = ds.rho_tilde(pair, 2)
         powres = float(np.max(np.abs(
             np.linalg.matrix_power(r2, k + 1) - (-1.0) ** k * EYE2)))
-        checks.append(_check(
+        checks.append(_within(
             f"rho~_2^(k+1) = (-1)^k e0, k={k} t={t:+}", powres, 1e-8,
-            powres <= 1e-8, "(rho_2)^(k+1) = (-1)^k e0"))
+            "(rho_2)^(k+1) = (-1)^k e0"))
         for lbl in ("tau_0", "tau_inf"):
             res = traces[lbl]["residual"]
-            checks.append(_check(
+            checks.append(_within(
                 f"trace rho({lbl}), k={k} t={t:+}", res, 1e-6,
-                res <= 1e-6,
                 "trace rho(tau) = (-1)^k 2 cos(pi nu), nu = k sqrt(1 +- 4t(k+1)/k)"))
     h = 1e-3
     q_pairs = [ds.AdmissiblePair(k, tt) for k in (1, 2) for tt in (-h, 0.0, h)]
@@ -358,13 +356,11 @@ def criterion_9(cfg: VerifyConfig) -> list[dict]:
     for k, rd, q3 in zip((1, 2), ds.residue_derivative((1, 2)),
                          (qs[:3], qs[3:])):
         scale = 2.0 * (k + 1) * math.pi
-        checks.append(_check(
+        checks.append(_within(
             f"d/dt rho(tau_0)^-1 at 0, k={k} (FD)", rd["fd_residual"] / scale,
-            1e-4, rd["fd_residual"] / scale <= 1e-4,
-            "d/dt rho(tau_0)^{-1}|_0 = 2(k+1) pi i diag(1,-1)"))
-        checks.append(_check(
+            1e-4, "d/dt rho(tau_0)^{-1}|_0 = 2(k+1) pi i diag(1,-1)"))
+        checks.append(_within(
             f"contour integral of Psi_0, k={k}", rd["contour_residual"], 1e-9,
-            rd["contour_residual"] <= 1e-9,
             "contour(Psi_0) over tau_0 = 2 pi i diag(k+1, -(k+1))"))
         d2 = (q3[0] - 2.0 * q3[1] + q3[2]) / (h * h)
         target = 4.0 * (k + 1) * math.pi / k * math.tan(
@@ -391,14 +387,12 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
                                  b=[cert["iota1"] for cert in certs])
     for pair, cert, sample in zip(pairs, certs, samples):
         k, t = pair.k, pair.t
-        checks.append(_check(
+        checks.append(_within(
             f"SU(1,1) at iota_1, k={k} t={t:+}", cert["worst_defect"],
-            1e-8, cert["worst_defect"] < 1e-8,
-            "all reflection and loop monodromies lie in SU(1,1)"))
-        checks.append(_check(
+            1e-8, "all reflection and loop monodromies lie in SU(1,1)"))
+        checks.append(_within(
             f"hyperboloid constraint, k={k} t={t:+}",
             sample["hyperboloid_defect"], 1e-9,
-            sample["hyperboloid_defect"] <= 1e-9,
             "f = F e3 F^* satisfies -x0^2+x1^2+x2^2+x3^2 = 1"))
     # ring at distance >= 0.75 from the Hopf poles {0, +-1}: the FD
     # Schwarzian truncation grows like (step/dist)^4 near the poles
@@ -406,8 +400,8 @@ def criterion_10(cfg: VerifyConfig) -> list[dict]:
             for i in range(20)]
     worst = float(np.max(ds.schwarzian_relation(
         ds.AdmissiblePair(1, 0.02), ring)["rel_residual"]))
-    checks.append(_check(
-        "Schwarzian relation at 20 points", worst, 1e-5, worst <= 1e-5,
+    checks.append(_within(
+        "Schwarzian relation at 20 points", worst, 1e-5,
         "S(g) - S(G) = 2 Q_t = (2tk/(k+1)) (z^2+1)/(z^2(z^2-1))"))
     return checks
 
@@ -449,9 +443,8 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
         sig = ds.sigma_matrices(k)
         worst = max(float(np.max(np.abs(s.conj() @ s - EYE2)))
                     for s in sig.values())
-        checks.append(_check(f"conj(sigma_j) sigma_j = e0, k={k}", worst,
-                             1e-14, worst <= 1e-14,
-                             "the sigma_j are anti-involutions"))
+        checks.append(_within(f"conj(sigma_j) sigma_j = e0, k={k}", worst,
+                              1e-14, "the sigma_j are anti-involutions"))
     pairs = [ds.AdmissiblePair(k, 0.02) for k in (1, 2)]
     monodromies = iter(ds.loop_monodromy(
         [(pair, word) for pair in pairs
@@ -459,10 +452,9 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
                       cov.word_end_infinity(pair.k))]))
     for k in (1, 2):
         for lbl, res in zip(("tau_0", "tau_inf"), monodromies):
-            checks.append(_check(
+            checks.append(_within(
                 f"word vs ODE monodromy {lbl}, k={k}",
                 res["route_disagreement"], 1e-8,
-                res["route_disagreement"] <= 1e-8,
                 "alternating word composition equals direct integration"))
     for k, probes in zip((1, 2, 3), _WORD_PROBES):
         spec = cov.CoverSpec(k)
@@ -473,8 +465,8 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
             for _ in range(k + 1):
                 q = cov.reflection_apply(spec, 2, cov.reflection_apply(spec, 1, q))
             worst = max(worst, abs(q.z - p.z) + abs(q.w - p.w))
-        checks.append(_check(
-            f"(mu_2 mu_1)^(k+1) = id, k={k}", worst, 1e-10, worst <= 1e-10,
+        checks.append(_within(
+            f"(mu_2 mu_1)^(k+1) = id, k={k}", worst, 1e-10,
             "(mu~_2 mu~_1)^(k+1) is the trivial deck transformation"))
         tau0 = cov.deck_word_path(spec, cov.word_end_zero(k))
         closed = cov.LiftedPath(spec, tau0).is_closed()

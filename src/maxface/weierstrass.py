@@ -193,23 +193,8 @@ def _planar(name, params, G_rat, eta_rat, punctures, base_z, constraints, anchor
 
 def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
     spec = cov.CoverSpec(k, reduced=reduced)
-    L = spec.log_derivative
-    if reduced:
-        m = spec.m
-
-        def dL(z):
-            return (-(m + 1) / z ** 2 - (2 * m) / (z - 1) ** 2) / (2 * m + 1)
-
-        eta_scale = 0.5
-    else:
-        def dL(z):
-            p = (2 * k + 1) * z * z - 1
-            q = (k + 1) * (z ** 3 - z)
-            dp = 2 * (2 * k + 1) * z
-            dq = (k + 1) * (3 * z * z - 1)
-            return (dp * q - p * dq) / (q * q)
-
-        eta_scale = 1.0
+    L, dL = spec.log_derivative, spec.dlog_derivative
+    eta_scale = 0.5 if reduced else 1.0
 
     def G(p):
         return c * p.w / p.z
@@ -511,66 +496,55 @@ class OrderTable:
     max_residual: float
 
 
+# the order-table label of a chart about a finite branch point
+_POINT_LABELS = {0j: "zero", 1 + 0j: "one", -1 + 0j: "minus_one"}
+
+
 def order_table(data: WeierstrassData) -> OrderTable:
     """Vanishing orders of G, eta, G eta, G^2 eta, Q in the distinguished local
     coordinates of the genus-k cover, by log-log slope fitting over the local
     radii 1e-2, 5e-3, 2.5e-3 and 1.25e-3 (cover family only).
 
-    Points: the two punctures, the branch points over +-1 (full cover; over 1
-    for the reduced curve), and the regular points over +-i (full) where Q has
-    its simple zeros.  At the punctures the orders also decide the ends: an
-    end is complete when min(order eta, order G^2 eta) <= -1 and nonsingular
-    when G has a zero or a pole there."""
+    Points: every finite branch point (the puncture z = 0 among them), the
+    puncture at infinity, and on the full cover the regular point over i,
+    where Q has its simple zeros (so does -i, by symmetry).  The chart is
+    z = z0 + zeta^p, p = n = sheet_count about a branch point z0, z0 = 0 and
+    p = -n at infinity, p = 1 at i; z - z0 is zeta^p exactly, and log|w|
+    and L = w'/w are summed one branch factor (z - c)^e at a time, so
+    neither loses zeta^p to rounding nor overflows for large n.  The
+    constants c and the eta scale shift a log by a constant, no slope, and
+    are left out.  At the punctures the orders also decide the ends: an
+    end is complete when min(order eta, order G^2 eta) <= -1 and
+    nonsingular when G has a zero or a pole there."""
     if data.cover is None:
         raise ValidationError("order_table applies to the cover family")
     spec = data.cover
-    c = data.params["c"]
+    n = spec.sheet_count
+    branch = list(zip(spec.finite_branch_points, spec.branch_exponents))
+    charts = {_POINT_LABELS[c]: (c, n) for c, _ in branch}
+    charts["infinity"] = (0j, -n)
+    if not spec.reduced:
+        charts["pm_i"] = (1j, 1)
     radii = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
     logr = np.log(radii)
-    n = spec.sheet_count
-    k = spec.k
-
-    if spec.reduced:
-        m = spec.m
-        points = {
-            "zero": lambda zeta: (zeta ** n, n * zeta ** (n - 1)),
-            "infinity": lambda zeta: (zeta ** (-n), -n * zeta ** (-n - 1)),
-            "one": lambda zeta: (1 + zeta ** n, n * zeta ** (n - 1)),
-        }
-
-        def log_absw(z):
-            return ((m + 1) * cmath.log(z) + 2 * m * cmath.log(z - 1)).real / n
-
-        eta_scale = 0.5
-    else:
-        points = {
-            "zero": lambda zeta: (zeta ** n, n * zeta ** (n - 1)),
-            "infinity": lambda zeta: (zeta ** (-n), -n * zeta ** (-n - 1)),
-            "one": lambda zeta: (1 + zeta ** n, n * zeta ** (n - 1)),
-            "minus_one": lambda zeta: (-1 + zeta ** n, n * zeta ** (n - 1)),
-            "pm_i": lambda zeta: (1j + zeta, 1.0 + 0j),
-        }
-
-        def log_absw(z):
-            return (cmath.log(z) + k * cmath.log(z - 1) + k * cmath.log(z + 1)).real / n
-
-        eta_scale = 1.0
 
     rows = {}
     max_res = 0.0
-    for label, chart in points.items():
+    for label, (z0, p) in charts.items():
         samples = []
-        for r in radii:
-            zeta = r * cmath.exp(0.37j)
-            z, dz = chart(zeta)
-            lw = log_absw(z)
-            labs_z = math.log(abs(z))
-            labs_dz = math.log(abs(dz))
-            lG = math.log(c) + lw - labs_z
-            lEta = math.log(eta_scale) - lw + labs_dz
-            # |Q_zeta| = |eta_z| * |dG/dz| * |dz/dzeta|^2 with dG/dz = G(L - 1/z)
-            l_dG = lG + math.log(abs(spec.log_derivative(z) - 1.0 / z))
-            lQ = (lEta - labs_dz) + l_dG + 2 * labs_dz
+        for r, lr in zip(radii, logr):
+            h = (r * cmath.exp(0.37j)) ** p
+            z = z0 + h
+            diffs = [h if c == z0 else z - c for c, _ in branch]
+            lw = sum(e * math.log(abs(d)) for (_, e), d in zip(branch, diffs)) / n
+            L = sum(e / d for (_, e), d in zip(branch, diffs)) / n
+            labs_dz = math.log(abs(p)) + (p - 1) * lr
+            # G = c w/z, eta = dz/w up to constants; in zeta, eta_zeta =
+            # eta_z dz/dzeta and Q_zeta = eta_z dG/dz (dz/dzeta)^2 with
+            # dG/dz = G (L - 1/z)
+            lG = lw - math.log(abs(z))
+            lEta = labs_dz - lw
+            lQ = lEta + lG + math.log(abs(L - 1.0 / z)) + labs_dz
             samples.append([lG, lEta, lG + lEta, 2 * lG + lEta, lQ])
         samples = np.array(samples)
         row = {}
@@ -609,38 +583,20 @@ def expected_orders(spec: cov.CoverSpec) -> dict:
 
 def gauss_degree(data: WeierstrassData) -> dict:
     """Number of preimages of the generic value v = 0.37 + 0.21i under G
-    (continuation-free root count of the preimage polynomial)."""
+    (continuation-free root count of the preimage polynomial).  On
+    w^n = z^e0 prod_{c != 0} (z - c)^e_c, G = c w/z = v exactly where
+    (v/c)^n z^(n - e0) = prod_{c != 0} (z - c)^e_c."""
     if data.cover is None:
         raise ValidationError("gauss_degree applies to the cover family")
     spec = data.cover
-    c = data.params["c"]
     v = 0.37 + 0.21j
-    if spec.reduced:
-        m = spec.m
-        # G = v on the curve <=> (v/c)^(2m+1) Z^m = (Z-1)^(2m)
-        lead = (v / c) ** (2 * m + 1)
-        poly = np.polysub(_monomial(lead, m, 2 * m), _binom_pow([1, -1], 2 * m))
-    else:
-        k = spec.k
-        lead = (v / c) ** (k + 1)
-        poly = np.polysub(_monomial(lead, k, 2 * k), _binom_pow([1, 0, -1], k))
+    n = spec.sheet_count
+    exps = dict(zip(spec.finite_branch_points, spec.branch_exponents))
+    lead = (v / data.params["c"]) ** n * np.poly(np.zeros(n - exps.pop(0j)))
+    poly = np.polysub(lead, np.poly(np.repeat(list(exps), list(exps.values()))))
     roots = np.roots(poly)
     return {"surface": data.name, "probe": v, "degree": int(len(roots)),
             "roots": roots}
-
-
-def _monomial(coeff: complex, power: int, total_deg: int) -> np.ndarray:
-    p = np.zeros(total_deg + 1, dtype=complex)
-    p[total_deg - power] = coeff
-    return p
-
-
-def _binom_pow(base, n: int) -> np.ndarray:
-    out = np.array([1.0 + 0j])
-    b = np.asarray(base, dtype=complex)
-    for _ in range(n):
-        out = np.polymul(out, b)
-    return out
 
 
 def osserman_check(data: WeierstrassData) -> dict:

@@ -107,14 +107,13 @@ def test_mesh_rejects_unchecked_parameter(surface, param, capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["singular", "--surface", "genus_k", "--tol-class", "0"],
-    ["singular", "--surface", "genus_k", "--tol-class", "nan"],
+    ["periods", "--k", "1", "--tol-closure", "0"],
+    ["periods", "--k", "1", "--tol-closure", "nan"],
     ["periods", "--k", "1", "--tol-closure=-1e-8"],
     ["periods", "--k", "1", "--tol-closure", "inf"],
 ])
 def test_rejects_nonpositive_tolerance(args, capsys):
-    """A classification or closure tolerance must be finite and > 0 (at
-    --tol-class 0 every singular point would read as degenerate)."""
+    """A closure tolerance must be finite and > 0."""
     assert run(args) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValidationError"
@@ -429,6 +428,14 @@ def test_config_key_of_no_command_fails_before_any_work(tmp_path,
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "ValidationError"
     assert "'tol_closer'" in err["error"]["message"]
+
+
+def test_config_tol_class_is_unknown(tmp_path, capsys):
+    """singular has no classification tolerance option: a tol_class key
+    names no option and is refused like any misspelling."""
+    cfg = _config(tmp_path, {"tol_class": 1e-7})
+    assert run(["singular", "--surface", "cone", "--config", cfg]) == 2
+    assert "'tol_class'" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
 def test_config_key_of_another_command_passes(tmp_path):

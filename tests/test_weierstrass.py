@@ -413,6 +413,30 @@ def test_order_table_matches_expected(k):
     assert table.max_residual < 0.1
 
 
+def test_curve_derivations_sweep_k():
+    """Over k = 1..60 on the full cover and even k = 2..60 on the reduced
+    one, the derived order table matches the reference within criterion 7's
+    residual gate, deg G is 2k (full) or k (reduced), and the genus is k or
+    k/2.  The orders do not depend on c, so c = 1.  At large k, zeta^n at
+    the chart radii is below the rounding of 1 + zeta^n, and z^3 overflows
+    on the chart at infinity."""
+    bad = []
+    for name, ks, deg_per_k, genus_per_k in (("genus_k", range(1, 61), 2, 1),
+                                             ("genus_k_reduced", range(2, 61, 2), 1, 0.5)):
+        for k in ks:
+            data = wst.catalog_get(name, k=k, c=1.0)
+            table = wst.order_table(data)
+            expected = wst.expected_orders(data.cover)
+            got = {label: {q: table.rows[label][q]["order"] for q in row}
+                   for label, row in expected.items()}
+            found = (got, table.max_residual < 0.1,
+                     wst.gauss_degree(data)["degree"], data.cover.genus())
+            want = (expected, True, deg_per_k * k, genus_per_k * k)
+            if found != want:
+                bad.append((name, k, table.max_residual))
+    assert not bad
+
+
 @pytest.mark.parametrize("zero_end", [{"eta": 0, "G^2*eta": 1}, {"G": 0}],
                          ids=["incomplete", "singular"])
 def test_criterion_7_fails_on_a_bad_end(zero_end, monkeypatch):
