@@ -15,7 +15,8 @@ whose positive root is c_k = sqrt(B_k / (2 A_k)) with
 Two independent routes are kept: compute_ck evaluates A_k, B_k by
 double-exponential quadrature (cross-checked against the Euler Beta closed
 forms), while solve_ck_by_root integrates eta and G^2 eta over the realized
-loop on the cover and bisects the signed closure residual in c.
+loop on the cover and solves the signed closure residual, quadratic in c,
+for its positive root.
 """
 
 from __future__ import annotations
@@ -140,36 +141,18 @@ def _gamma_raw_integrals(k: int) -> tuple[complex, complex]:
 
 
 def solve_ck_by_root(k: int) -> float:
-    """Root-find c > 0 closing the gamma loop, by bisection on the signed
-    scalar residual Im( oint eta + conj(oint G^2 eta) ) over [0.2, 5], to an
-    interval of width 1e-12.
+    """The root c > 0 closing the gamma loop: the signed scalar residual
+    Im( oint eta + conj(oint G^2 eta) ) = Im E - c^2 Im J is quadratic in c,
+    so c = sqrt(Im E / Im J); raises NumericalError unless that ratio is
+    finite and positive.
 
     The contour integrals are evaluated directly on the realized loop (the
     independent route; no Beta-function identities involved)."""
     E, J = _gamma_raw_integrals(k)
-
-    def residual(c: float) -> float:
-        s = E + (c * c * J).conjugate()
-        return s.imag
-
-    lo, hi = 0.2, 5.0
-    flo, fhi = residual(lo), residual(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NumericalError("closure residual does not change sign on (0.2, 5.0)")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = residual(mid)
-        if fm == 0.0 or (hi - lo) < 1e-12:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    ratio = E.imag / J.imag if J.imag != 0 else math.nan
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise NumericalError(f"closure residual has no positive root: Im E / Im J = {ratio}")
+    return math.sqrt(ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -40,18 +40,17 @@ from .errors import DegenerateError, NumericalError
 _CLASS_EPS = 1e-7
 _NAN = complex("nan")
 _MAX_STEPS = 40000  # predictor-corrector steps per traced component
+_NEWTON_ROUNDS = 16  # Newton rounds per refined crossing
 
 
 # ---------------------------------------------------------------------------
 # pointwise invariants
 # ---------------------------------------------------------------------------
 
-def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
-    """The classification pair (alpha, beta) at a surface point.  p.z (and
-    p.w on a cover) may be arrays: then alpha and beta are arrays of their
-    shape, evaluated in one call of each Weierstrass function; a scalar
-    point gives complex scalars.  Raises DegenerateError if G^2 eta vanishes
-    at any point; beta is NaN where G' vanishes."""
+def _alpha_terms(data: wst.WeierstrassData, p: cov.SurfacePoint):
+    """G, G', alpha and alpha' = d alpha/dz at p (arrays), from one call each
+    of G, G', G'', eta and eta'.  Raises DegenerateError if G^2 eta vanishes
+    at any point."""
     g, dg, d2g, e, de = (np.asarray(f(p), dtype=complex)
                          for f in (data.G, data.dG, data.d2G, data.eta, data.deta))
     denom = g * g * e
@@ -59,6 +58,16 @@ def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
         raise DegenerateError("alpha undefined: G^2 eta vanishes")
     alpha = dg / denom
     dalpha = (d2g - alpha * (2.0 * g * dg * e + g * g * de)) / denom
+    return g, dg, alpha, dalpha
+
+
+def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
+    """The classification pair (alpha, beta) at a surface point.  p.z (and
+    p.w on a cover) may be arrays: then alpha and beta are arrays of their
+    shape, evaluated in one call of each Weierstrass function; a scalar
+    point gives complex scalars.  Raises DegenerateError if G^2 eta vanishes
+    at any point; beta is NaN where G' vanishes."""
+    g, dg, alpha, dalpha = _alpha_terms(data, p)
     with np.errstate(divide="ignore", invalid="ignore"):
         beta = np.where(dg != 0, g * dalpha / dg, complex("nan"))
     if alpha.ndim == 0:
@@ -411,77 +420,66 @@ def _alpha_along(data: wst.WeierstrassData, comp: SingularComponent):
     return zh, p, alpha_beta(data, p)[0]
 
 
-def _refine_crossings(data: wst.WeierstrassData, prof: _Profile, za: np.ndarray,
-                      zb: np.ndarray, wa: np.ndarray | None,
-                      imag: np.ndarray) -> cov.SurfacePoint:
-    """Locate Im alpha = 0 (rows where imag) or Re alpha = 0 (the other
-    rows) on the chord from za to zb (traversal vertices, chart
-    coordinates), all rows at once, by ITP on the chord parameter s
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020): a regula falsi point,
-    truncated towards the midpoint by max(0.2 w^2, eps) for a bracket of
-    width w, so that a row converging from one side steps across its root,
-    and kept within the minmax radius of the midpoint.  Every iterate is
-    projected onto the curve and takes the fiber root nearest its row's wa.
-    A row stops at an exact zero, once its bracket is narrower than
-    1e-14 (1 + |zm|) in the chart (zm the chord midpoint, 2 eps in s), or
-    after n + 1 iterates, n the halvings bisection needs for that width, at
-    most 60; it yields its last iterate.  A row whose ends carry the same
-    sign yields the end nearer to zero.  Returns the refined points, z and
-    w as arrays; raises NumericalError if a projection fails."""
+def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
+                      wa: np.ndarray | None, imag: np.ndarray) -> cov.SurfacePoint:
+    """Locate the point of the singular curve where Im alpha = 0 (rows where
+    imag, s = 1) or Re alpha = Im(i alpha) = 0 (the other rows, s = i) near
+    the chord from za to zb (traversal vertices, chart coordinates), all
+    rows at once, by Newton's method on F = (log|G|, Im(s alpha)) in zhat.
+
+    Both are real parts of holomorphic functions up to sign, so the step d
+    solves Re(h d) = -log|G| and Im(s alpha' dz/dzhat d) = -Im(s alpha),
+    h = (G'/G) dz/dzhat: with beta = G alpha'/G', h d = -log|G| + i y and
+    y Re(s beta) = log|G| Im(s beta) - Im(s alpha).  One evaluation of G,
+    G', G'', eta and eta' per round serves both equations.  The Jacobian is
+    singular exactly where Re(s beta) = 0, the beta condition of the point's
+    class; near such a point Newton converges only linearly (on the cone at
+    a = 3, where two swallowtails are born).
+
+    Each row starts at its chord midpoint and takes the fiber root nearest
+    its row's wa.  It stops, and yields its iterate, once its step is at
+    most 1e-14 (1 + |zhat|) or |Re(s beta)| <= _CLASS_EPS (1 + |alpha| +
+    |beta|), where _classify calls the point degenerate; a row's result
+    does not depend on the rest of the batch.  Returns the refined points,
+    z and w as arrays; raises NumericalError at a non-finite step (G' = 0
+    makes the Jacobian singular), at an iterate farther than |zb - za| from
+    its chord midpoint, or when a row is still moving after _NEWTON_ROUNDS."""
     chart, spec = data.chart, data.cover
-
-    def value(rows, zh):
-        on_curve = []
-        for start in zh.tolist():
-            zc, _, ok = _correct(prof, start)
-            if not ok:
-                raise NumericalError(f"corrector failed at zhat={zc}")
-            on_curve.append(zc)
-        z = chart.to_z(np.array(on_curve))
-        w = None
+    mid = 0.5 * (za + zb)
+    zh = mid.copy()
+    z = np.empty_like(zh)
+    w = None if spec is None else np.empty_like(zh)
+    busy = np.arange(len(zh))
+    for _ in range(_NEWTON_ROUNDS):
+        with np.errstate(all="ignore"):
+            zr = chart.to_z(zh[busy])
+            wr = None
+            if spec is not None:
+                roots = spec.fiber(zr)
+                pick = np.argmin(np.abs(roots - wa[busy, None]), axis=1)
+                wr = roots[np.arange(len(busy)), pick]
+            g, dg, alpha, dalpha = _alpha_terms(data, cov.SurfacePoint(zr, wr))
+            h = dg / g * chart.dz_dzhat(zh[busy])
+            beta = g * dalpha / dg
+            im = imag[busy]
+            f0, f1 = np.log(np.abs(g)), np.where(im, alpha.imag, alpha.real)
+            re_sb = np.where(im, beta.real, -beta.imag)
+            im_sb = np.where(im, beta.imag, beta.real)
+            step = (1j * ((f0 * im_sb - f1) / re_sb) - f0) / h
+            degenerate = np.abs(re_sb) <= _CLASS_EPS * (1 + np.abs(alpha) + np.abs(beta))
+        done = degenerate | (np.abs(step) <= 1e-14 * (1 + np.abs(zh[busy])))
+        if not np.all(np.isfinite(step[~done])):
+            raise NumericalError("crossing refinement met a non-finite Newton step")
+        z[busy[done]] = zr[done]
         if spec is not None:
-            roots = spec.fiber(z)
-            pick = np.argmin(np.abs(roots - wa[rows, None]), axis=1)
-            w = roots[np.arange(len(rows)), pick]
-        p = cov.SurfacePoint(z, w)
-        alpha, _ = alpha_beta(data, p)
-        return p, np.where(imag[rows], alpha.imag, alpha.real)
-
-    rows = np.arange(len(za))
-    chord = zb - za
-    best, fa = value(rows, za)
-    pb, fb = value(rows, zb)
-    busy = (fa < 0) != (fb < 0)
-    take_b = ~busy & ~(np.abs(fa) < np.abs(fb))
-    best.z[take_b] = pb.z[take_b]
-    if spec is not None:
-        best.w[take_b] = pb.w[take_b]
-    with np.errstate(divide="ignore"):
-        eps = 0.5e-14 * (1 + np.abs(za + 0.5 * chord)) / np.abs(chord)
-        n_max = np.minimum(np.ceil(np.log2(0.5 / eps)) + 1, 60)
-    a, b = np.zeros(len(za)), np.ones(len(za))
-    for j in range(60):
-        idx = np.flatnonzero(busy)
-        if len(idx) == 0:
-            break
-        lo, hi, flo, fhi, e = a[idx], b[idx], fa[idx], fb[idx], eps[idx]
-        mid = 0.5 * (lo + hi)
-        r = e * 2.0 ** (n_max[idx] - j) - 0.5 * (hi - lo)
-        delta = np.maximum(0.2 * (hi - lo) ** 2, e)
-        xf = (fhi * lo - flo * hi) / (fhi - flo)
-        sigma = np.sign(mid - xf)
-        xt = np.where(delta <= np.abs(mid - xf), xf + sigma * delta, mid)
-        x = np.where(np.abs(xt - mid) <= r, xt, mid - sigma * r)
-        pm, fm = value(idx, za[idx] + x * chord[idx])
-        best.z[idx] = pm.z
-        if spec is not None:
-            best.w[idx] = pm.w
-        to_b = (flo < 0) != (fm < 0)
-        b[idx[to_b]], fb[idx[to_b]] = x[to_b], fm[to_b]
-        a[idx[~to_b]], fa[idx[~to_b]] = x[~to_b], fm[~to_b]
-        stop = (fm == 0.0) | (b[idx] - a[idx] <= 2 * e) | (j + 1 >= n_max[idx])
-        busy[idx[stop]] = False
-    return best
+            w[busy[done]] = wr[done]
+        busy, step = busy[~done], step[~done]
+        if len(busy) == 0:
+            return cov.SurfacePoint(z, w)
+        zh[busy] += step
+        if np.any(np.abs(zh[busy] - mid[busy]) > np.abs(zb[busy] - za[busy])):
+            raise NumericalError("crossing refinement left its chord")
+    raise NumericalError(f"crossing refinement did not converge in {_NEWTON_ROUNDS} rounds")
 
 
 def _crossings(data: wst.WeierstrassData, comp: SingularComponent):
@@ -523,7 +521,7 @@ def count_singularities(data: wst.WeierstrassData,
     if len(owner):
         za, zb, wa, imag = (None if col[0] is None else np.concatenate(col)
                             for col in zip(*parts))
-        pts = _refine_crossings(data, _Profile(data), za, zb, wa, imag)
+        pts = _refine_crossings(data, za, zb, wa, imag)
         alphas, betas = alpha_beta(data, pts)
         for j, use_imag in enumerate(imag):
             cls = _classify(complex(alphas[j]), complex(betas[j]))

@@ -526,7 +526,7 @@ _DESITTER_UNIT = (9, 10, 12)
 # cost of each criterion in ms: median of 5 in-process runs with the modules
 # loaded, in id order so that 10 and 12 read 9's memos.  It only balances
 # the shards; no result depends on it.
-COST_MS = {1: 13, 2: 31, 3: 1, 4: 139, 5: 48, 6: 17, 7: 4, 8: 3, 9: 119,
+COST_MS = {1: 13, 2: 31, 3: 1, 4: 98, 5: 54, 6: 15, 7: 4, 8: 3, 9: 119,
            10: 63, 11: 20, 12: 7}
 
 

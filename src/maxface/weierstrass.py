@@ -506,10 +506,13 @@ def order_table(data: WeierstrassData) -> OrderTable:
     radii 1e-2, 5e-3, 2.5e-3 and 1.25e-3 (cover family only).
 
     Points: every finite branch point (the puncture z = 0 among them), the
-    puncture at infinity, and on the full cover the regular point over i,
-    where Q has its simple zeros (so does -i, by symmetry).  The chart is
-    z = z0 + zeta^p, p = n = sheet_count about a branch point z0, z0 = 0 and
-    p = -n at infinity, p = 1 at i; z - z0 is zeta^p exactly, and log|w|
+    puncture at infinity, and the regular zero of Q = eta dG/dz (dz)^2 in
+    the closed upper half-plane (its conjugate is one too): a root of
+    L - 1/z, i.e. of sum_c e_c z prod_{c' != c} (z - c') - n prod_c (z - c),
+    away from the branch points; i on the full cover and -1 on the reduced
+    one.  The chart is z = z0 + zeta^p, p = n = sheet_count about a branch
+    point z0, z0 = 0 and p = -n at infinity, p = 1 at the regular zero;
+    z - z0 is zeta^p exactly, and log|w|
     and L = w'/w are summed one branch factor (z - c)^e at a time, so
     neither loses zeta^p to rounding nor overflows for large n.  The
     constants c and the eta scale shift a log by a constant, no slope, and
@@ -523,8 +526,13 @@ def order_table(data: WeierstrassData) -> OrderTable:
     branch = list(zip(spec.finite_branch_points, spec.branch_exponents))
     charts = {_POINT_LABELS[c]: (c, n) for c, _ in branch}
     charts["infinity"] = (0j, -n)
-    if not spec.reduced:
-        charts["pm_i"] = (1j, 1)
+    pts = list(spec.finite_branch_points)
+    q_poly = -n * np.poly(pts)
+    for c, e in branch:
+        q_poly = np.polyadd(q_poly, e * np.poly([0j] + [b for b in pts if b != c]))
+    for z0 in np.roots(q_poly):
+        if z0.imag > -1e-9 and min(abs(z0 - b) for b in pts) > 1e-6:
+            charts["q_zero"] = (complex(z0), 1)
     radii = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
     logr = np.log(radii)
 
@@ -567,13 +575,14 @@ def expected_orders(spec: cov.CoverSpec) -> dict:
             "zero": {"G": -m, "eta": m - 1, "G*eta": -1, "G^2*eta": -(m + 1), "Q": -2},
             "infinity": {"G": -m, "eta": m - 1, "G*eta": -1, "G^2*eta": -(m + 1), "Q": -2},
             "one": {"G": 2 * m, "eta": 0, "G*eta": 2 * m, "G^2*eta": 4 * m, "Q": 2 * m - 1},
+            "q_zero": {"G": 0, "eta": 0, "G*eta": 0, "G^2*eta": 0, "Q": 1},
         }
     return {
         "zero": {"G": -k, "eta": k - 1, "G*eta": -1, "G^2*eta": -(k + 1), "Q": -2},
         "infinity": {"G": -k, "eta": k - 1, "G*eta": -1, "G^2*eta": -(k + 1), "Q": -2},
         "one": {"G": k, "eta": 0, "G*eta": k, "G^2*eta": 2 * k, "Q": k - 1},
         "minus_one": {"G": k, "eta": 0, "G*eta": k, "G^2*eta": 2 * k, "Q": k - 1},
-        "pm_i": {"G": 0, "eta": 0, "G*eta": 0, "G^2*eta": 0, "Q": 1},
+        "q_zero": {"G": 0, "eta": 0, "G*eta": 0, "G^2*eta": 0, "Q": 1},
     }
 
 

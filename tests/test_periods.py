@@ -15,7 +15,7 @@ import pytest
 from maxface import cover as cov
 from maxface import periods as per
 from maxface import weierstrass as wst
-from maxface.errors import ValidationError
+from maxface.errors import NumericalError, ValidationError
 from nearest_root import walk_segments
 
 # frozen oracle decimals (Beta-function route, 1e-10 quadrature)
@@ -96,10 +96,21 @@ def test_dual_route_agreement(k):
     assert abs(direct - by_root) < 1e-8
 
 
-def test_dual_route_agreement_at_k30():
-    """B_k's endpoint substitution keeps the Beta route exact at large k,
-    so the routes agree to the root route's bisection width."""
-    assert abs(per.compute_ck(30).c_k - per.solve_ck_by_root(30)) < 1e-12
+@pytest.mark.parametrize("k", [30, 100, 150])
+def test_dual_route_agreement_at_large_k(k):
+    """B_k's endpoint substitution keeps the Beta route exact at large k and
+    the root route solves its quadratic residual exactly, with no bracket:
+    the routes agree to 1e-12 relative past c_k = 5 (k = 100, 150)."""
+    direct = per.compute_ck(k).c_k
+    assert abs(direct - per.solve_ck_by_root(k)) < 1e-12 * direct
+
+
+@pytest.mark.parametrize("E, J", [(1j, 0j), (1j, -1j), (0j, 1j), (1j, complex("nan"))])
+def test_root_route_refuses_no_positive_root(E, J, monkeypatch):
+    """Im E / Im J that is not finite and positive has no root c > 0."""
+    monkeypatch.setattr(per, "_gamma_raw_integrals", lambda k: (E, J))
+    with pytest.raises(NumericalError):
+        per.solve_ck_by_root(1)
 
 
 # ---------------------------------------------------------------------------

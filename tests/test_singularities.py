@@ -16,7 +16,7 @@ from maxface import cover as cov
 from maxface import periods as per
 from maxface import singularities as sng
 from maxface import weierstrass as wst
-from maxface.errors import DegenerateError
+from maxface.errors import DegenerateError, NumericalError
 from nearest_root import on_cover, walk_segments
 
 # ---------------------------------------------------------------------------
@@ -618,10 +618,12 @@ def _close(a, b, rel):
     ("genus_k_reduced", {"k": 2}),
 ])
 def test_batched_classification_matches_scalar_reference(name, params):
-    """One array call of alpha_beta per traversal and one batched bisection
-    per component reproduce the vertex-by-vertex scalar classifier: the same
-    records, kinds and order.  Degenerate records are compared by kind only:
-    on the cone at a = 3 they bisect an Im alpha that is rounding noise."""
+    """One array call of alpha_beta per traversal and one batched Newton
+    solve per component reproduce the vertex-by-vertex scalar classifier:
+    the same records, kinds and order.  Degenerate records are compared by
+    kind only: on the cone at a = 3 they sit on a multiple zero of Im alpha,
+    which bisection locates only to its rounding-noise floor and Newton's
+    method only to where the beta condition fails."""
     if name.startswith("genus"):
         params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
@@ -638,13 +640,14 @@ def test_batched_classification_matches_scalar_reference(name, params):
 
 
 @pytest.mark.parametrize("fixture", ["cone25", "genus1"])
-def test_refine_rows_stop_independently(fixture, request, monkeypatch):
-    """Every crossing of a component refined in one batch equals the same
-    crossing refined alone, bit for bit.  No row takes more iterates than
-    bisection's worst case n_1/2 + n0 (n_1/2 the halvings down to the width
-    stop 1e-14 (1 + |zm|), n0 = 1), the batch corrects each row's two ends
-    and its iterates and nothing more, and the vertex edges converge
-    superlinearly."""
+def test_newton_refinement(fixture, request, monkeypatch):
+    """Every crossing of a component, refined in one batch, equals the same
+    crossing refined alone, bit for bit.  Rows 2e-6 and 2e-10 wide about
+    the first crossing, and a row from a vertex to just past it, reach that
+    crossing.  Each row stops within the round cap (the vertex edges within
+    6 rounds, where bisection takes about 42 halvings), every refined point
+    lies on |G| = 1 to 1e-13, and the corrector is never called.  A chord
+    that holds no crossing raises."""
     data = request.getfixturevalue(fixture)
     comp = sng.trace_singular_set(data)[0][0]
     zh, p, alpha = sng._alpha_along(data, comp)
@@ -659,43 +662,51 @@ def test_refine_rows_stop_independently(fixture, request, monkeypatch):
     assert len(rows) >= 4
     za, zb = zh[i0[rows]], zh[i1[rows]]
     wa = None if p.w is None else p.w[i0[rows]]
-    prof = sng._Profile(data)
     edges = len(za)
-    # add rows 2e-6 and 2e-10 wide about the first crossing, one whose ends
-    # coincide, which never iterates, and one from the crossing itself to a
-    # vertex, which converges from one side under plain regula falsi
     w0 = None if wa is None else wa[0]
     part = (lambda a: a.imag) if imag[0] else (lambda a: a.real)
-    zc = data.chart.from_z(_scalar_refine(data, prof, za[0], zb[0], w0, part).z)
+    zc = data.chart.from_z(_scalar_refine(data, sng._Profile(data), za[0], zb[0], w0, part).z)
     u = (zb[0] - za[0]) / abs(zb[0] - za[0])
-    za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0], za[0]])
-    zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, za[0], zc + 1e-9 * u])
-    imag = np.append(imag, [imag[0]] * 4)
-    wa = None if wa is None else np.append(wa, [w0] * 4)
-    calls = []
-    correct = sng._correct
-    monkeypatch.setattr(sng, "_correct",
-                        lambda prof, zh: calls.append(zh) or correct(prof, zh))
-    batch = sng._refine_crossings(data, prof, za, zb, wa, imag)
-    batch_calls = len(calls)
-    iterates = []
+    za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0]])
+    zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, zc + 1e-9 * u])
+    imag = np.append(imag, [imag[0]] * 3)
+    wa = None if wa is None else np.append(wa, [w0] * 3)
+
+    def no_corrector(*args):
+        raise AssertionError("_refine_crossings called the corrector")
+
+    rounds = [0]
+    terms = sng._alpha_terms
+
+    def counted_terms(*args):
+        rounds[0] += 1
+        return terms(*args)
+
+    monkeypatch.setattr(sng, "_correct", no_corrector)
+    monkeypatch.setattr(sng, "_alpha_terms", counted_terms)
+    batch = sng._refine_crossings(data, za, zb, wa, imag)
+    per_row = []
     for j in range(len(za)):
         one = slice(j, j + 1)
-        calls.clear()
-        alone = sng._refine_crossings(data, prof, za[one], zb[one],
+        rounds[0] = 0
+        alone = sng._refine_crossings(data, za[one], zb[one],
                                       None if wa is None else wa[one], imag[one])
-        iterates.append(len(calls) - 2)
+        per_row.append(rounds[0])
         assert complex(alone.z[0]) == complex(batch.z[j])
         if wa is not None:
             assert complex(alone.w[0]) == complex(batch.w[j])
-    chord = zb - za
-    width = np.abs(chord)
-    n_half = np.ceil(np.log2(width[width > 0] / (1e-14 * (1 + np.abs(za + 0.5 * chord)[width > 0]))))
-    assert np.all(np.array(iterates)[width > 0] <= n_half + 1)
-    assert iterates[-2] == 0
-    assert batch_calls == 2 * len(za) + sum(iterates)
-    # bisection takes about 42 halvings on a vertex edge
-    assert max(iterates[:edges]) <= 12
+    assert max(per_row) <= sng._NEWTON_ROUNDS
+    assert max(per_row[:edges]) <= 6
+    assert np.all(np.abs(np.log(np.abs(data.G(batch)))) < 1e-13)
+    zc = complex(data.chart.to_z(zc))
+    for j in (0, edges, edges + 1, edges + 2):
+        assert abs(batch.z[j] - zc) < 1e-13 * (1 + abs(zc))
+    # a chord at the largest |Im alpha| (or |Re alpha|) of the traversal
+    i = int(np.argmax(np.abs(part(alpha))))
+    far = slice(i, i + 1)
+    with pytest.raises(NumericalError):
+        sng._refine_crossings(data, zh[far], zh[(i + 1) % len(zh):][:1],
+                              None if p.w is None else p.w[far], imag[:1])
 
 
 # ---------------------------------------------------------------------------
