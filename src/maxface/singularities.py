@@ -48,9 +48,9 @@ _NEWTON_ROUNDS = 16  # Newton rounds per refined crossing
 # ---------------------------------------------------------------------------
 
 def _alpha_terms(data: wst.WeierstrassData, p: cov.SurfacePoint):
-    """G, G', alpha and alpha' = d alpha/dz at p (arrays), from one call each
-    of G, G', G'', eta and eta'.  Raises DegenerateError if G^2 eta vanishes
-    at any point."""
+    """G, G', eta, alpha and alpha' = d alpha/dz at p (arrays), from one
+    call each of G, G', G'', eta and eta'.  Raises DegenerateError if
+    G^2 eta vanishes at any point."""
     g, dg, d2g, e, de = (np.asarray(f(p), dtype=complex)
                          for f in (data.G, data.dG, data.d2G, data.eta, data.deta))
     denom = g * g * e
@@ -58,7 +58,13 @@ def _alpha_terms(data: wst.WeierstrassData, p: cov.SurfacePoint):
         raise DegenerateError("alpha undefined: G^2 eta vanishes")
     alpha = dg / denom
     dalpha = (d2g - alpha * (2.0 * g * dg * e + g * g * de)) / denom
-    return g, dg, alpha, dalpha
+    return g, dg, e, alpha, dalpha
+
+
+def _beta(g, dg, dalpha):
+    """beta = G alpha' / G' from _alpha_terms' values, NaN where G' = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(dg != 0, g * dalpha / dg, _NAN)
 
 
 def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
@@ -67,32 +73,41 @@ def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
     shape, evaluated in one call of each Weierstrass function; a scalar
     point gives complex scalars.  Raises DegenerateError if G^2 eta vanishes
     at any point; beta is NaN where G' vanishes."""
-    g, dg, alpha, dalpha = _alpha_terms(data, p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        beta = np.where(dg != 0, g * dalpha / dg, complex("nan"))
+    g, dg, _, alpha, dalpha = _alpha_terms(data, p)
+    beta = _beta(g, dg, dalpha)
     if alpha.ndim == 0:
         return complex(alpha), complex(beta)
     return alpha, beta
 
 
-def _classify(alpha: complex, beta: complex) -> dict:
-    b_ok = not (math.isnan(beta.real) or math.isnan(beta.imag))
-    eps = _CLASS_EPS * (1.0 + abs(alpha) + (abs(beta) if b_ok else 0.0))
-    if abs(alpha.imag) < eps and abs(alpha) > eps and b_ok and abs(beta.real) > eps:
-        kind = "swallowtail"
-    elif abs(alpha.real) < eps and abs(alpha) > eps and b_ok and abs(beta.imag) > eps:
-        kind = "cuspidal_cross_cap"
-    elif abs(alpha.imag) > eps and abs(alpha.real) > eps:
-        kind = "cuspidal_edge"
-    else:
-        kind = "degenerate"
-    return {"kind": kind, "alpha": alpha, "beta": beta, "eps": eps}
+def _eps(alpha, beta):
+    """The classification scale _CLASS_EPS (1 + |alpha| + |beta|), |beta|
+    taken as 0 where beta is NaN; elementwise on arrays."""
+    b = np.where(np.isnan(beta), 0.0, np.abs(beta))
+    return _CLASS_EPS * (1.0 + np.abs(alpha) + b)
+
+
+def _classify(alpha, beta) -> np.ndarray:
+    """The kind of the singular point with invariants (alpha, beta), by the
+    rule of the module docstring at eps = _eps(alpha, beta): an array of
+    kind strings of the inputs' shape (0-d for scalars).  A NaN beta fails
+    both beta conditions."""
+    alpha, beta = np.asarray(alpha, dtype=complex), np.asarray(beta, dtype=complex)
+    eps = _eps(alpha, beta)
+    im_a, re_a = np.abs(alpha.imag), np.abs(alpha.real)
+    live = (np.abs(alpha) > eps) & ~np.isnan(beta)
+    return np.select([(im_a < eps) & live & (np.abs(beta.real) > eps),
+                      (re_a < eps) & live & (np.abs(beta.imag) > eps),
+                      (im_a > eps) & (re_a > eps)],
+                     ["swallowtail", "cuspidal_cross_cap", "cuspidal_edge"],
+                     "degenerate")
 
 
 def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint) -> dict:
     """Classify one singular point at the epsilon scale _CLASS_EPS; caller
     is responsible for |G| = 1."""
-    return _classify(*alpha_beta(data, p))
+    alpha, beta = alpha_beta(data, p)
+    return {"kind": str(_classify(alpha, beta)), "alpha": alpha, "beta": beta}
 
 
 @dataclass(frozen=True)
@@ -151,11 +166,6 @@ class _Profile:
         self.spec = data.cover
         self.chart = data.chart
 
-    def _pt(self, z) -> cov.SurfacePoint:
-        if self.spec is None:
-            return cov.SurfacePoint(z, None)
-        return cov.SurfacePoint(z, self.spec.fiber(z)[..., 0])
-
     def phi_hat(self, zh):
         """log|G| at chart points zh: a float for a scalar, else an array of
         zh's shape.  NaN where the chart or G is undefined (zh = 0 on an
@@ -163,7 +173,8 @@ class _Profile:
         vanishes."""
         with np.errstate(all="ignore"):
             z = self.chart.to_z(np.asarray(zh, dtype=complex))
-            out = np.log(np.abs(self.data.G(self._pt(z))))
+            w = None if self.spec is None else self.spec.principal_root(z)
+            out = np.log(np.abs(self.data.G(cov.SurfacePoint(z, w))))
         out = np.where(out == np.inf, np.nan, out)
         return float(out) if out.ndim == 0 else out
 
@@ -356,7 +367,7 @@ def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.n
     loop = tuple(verts_z) + (verts_z[0],)
     n = spec.sheet_count
     units = cov._unit_roots(n)
-    w0 = spec.fiber(complex(loop[0]))[0]
+    w0 = spec.principal_root(complex(loop[0]))
     lifted = cov.LiftedPath(spec, cov.SurfacePath(loop, w0))
     ratio = lifted.w_end / w0
     s = int(np.argmin(np.abs(units - ratio)))
@@ -368,7 +379,7 @@ def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.n
 
 
 def _lift_open(spec: cov.CoverSpec, verts_z: np.ndarray) -> np.ndarray:
-    w = spec.fiber(complex(verts_z[0]))[0]
+    w = spec.principal_root(complex(verts_z[0]))
     return np.array(cov.LiftedPath(spec, cov.SurfacePath(verts_z, w)).w_vertices)
 
 
@@ -412,16 +423,8 @@ def _components(data: wst.WeierstrassData, traces: list[tuple]) -> list[Singular
 # counting and component-level detection
 # ---------------------------------------------------------------------------
 
-def _alpha_along(data: wst.WeierstrassData, comp: SingularComponent):
-    """Chart points, surface points and alpha over the full lifted
-    traversal, each an array, alpha from one call of alpha_beta."""
-    zh = np.tile(comp.zhat_vertices, comp.circuits)
-    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
-    return zh, p, alpha_beta(data, p)[0]
-
-
 def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
-                      wa: np.ndarray | None, imag: np.ndarray) -> cov.SurfacePoint:
+                      wa: np.ndarray | None, imag: np.ndarray):
     """Locate the point of the singular curve where Im alpha = 0 (rows where
     imag, s = 1) or Re alpha = Im(i alpha) = 0 (the other rows, s = i) near
     the chord from za to zb (traversal vertices, chart coordinates), all
@@ -438,16 +441,17 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
 
     Each row starts at its chord midpoint and takes the fiber root nearest
     its row's wa.  It stops, and yields its iterate, once its step is at
-    most 1e-14 (1 + |zhat|) or |Re(s beta)| <= _CLASS_EPS (1 + |alpha| +
-    |beta|), where _classify calls the point degenerate; a row's result
-    does not depend on the rest of the batch.  Returns the refined points,
-    z and w as arrays; raises NumericalError at a non-finite step (G' = 0
-    makes the Jacobian singular), at an iterate farther than |zb - za| from
-    its chord midpoint, or when a row is still moving after _NEWTON_ROUNDS."""
+    most 1e-14 (1 + |zhat|) or |Re(s beta)| <= _eps(alpha, beta), where
+    _classify calls the point degenerate; a row's result does not depend
+    on the rest of the batch.  Returns the refined points (z and w as
+    arrays) and alpha and beta at them, from the round that stopped each
+    row.  Raises NumericalError at a non-finite step (G' = 0 makes the
+    Jacobian singular), at an iterate farther than |zb - za| from its
+    chord midpoint, or when a row is still moving after _NEWTON_ROUNDS."""
     chart, spec = data.chart, data.cover
     mid = 0.5 * (za + zb)
     zh = mid.copy()
-    z = np.empty_like(zh)
+    z, alphas, betas = np.empty_like(zh), np.empty_like(zh), np.empty_like(zh)
     w = None if spec is None else np.empty_like(zh)
     busy = np.arange(len(zh))
     for _ in range(_NEWTON_ROUNDS):
@@ -458,82 +462,121 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
                 roots = spec.fiber(zr)
                 pick = np.argmin(np.abs(roots - wa[busy, None]), axis=1)
                 wr = roots[np.arange(len(busy)), pick]
-            g, dg, alpha, dalpha = _alpha_terms(data, cov.SurfacePoint(zr, wr))
+            g, dg, _, alpha, dalpha = _alpha_terms(data, cov.SurfacePoint(zr, wr))
+            beta = _beta(g, dg, dalpha)
             h = dg / g * chart.dz_dzhat(zh[busy])
-            beta = g * dalpha / dg
             im = imag[busy]
             f0, f1 = np.log(np.abs(g)), np.where(im, alpha.imag, alpha.real)
             re_sb = np.where(im, beta.real, -beta.imag)
             im_sb = np.where(im, beta.imag, beta.real)
             step = (1j * ((f0 * im_sb - f1) / re_sb) - f0) / h
-            degenerate = np.abs(re_sb) <= _CLASS_EPS * (1 + np.abs(alpha) + np.abs(beta))
+            degenerate = np.abs(re_sb) <= _eps(alpha, beta)
         done = degenerate | (np.abs(step) <= 1e-14 * (1 + np.abs(zh[busy])))
         if not np.all(np.isfinite(step[~done])):
             raise NumericalError("crossing refinement met a non-finite Newton step")
-        z[busy[done]] = zr[done]
+        stop = busy[done]
+        z[stop], alphas[stop], betas[stop] = zr[done], alpha[done], beta[done]
         if spec is not None:
-            w[busy[done]] = wr[done]
+            w[stop] = wr[done]
         busy, step = busy[~done], step[~done]
         if len(busy) == 0:
-            return cov.SurfacePoint(z, w)
+            return cov.SurfacePoint(z, w), alphas, betas
         zh[busy] += step
         if np.any(np.abs(zh[busy] - mid[busy]) > np.abs(zb[busy] - za[busy])):
             raise NumericalError("crossing refinement left its chord")
     raise NumericalError(f"crossing refinement did not converge in {_NEWTON_ROUNDS} rounds")
 
 
-def _crossings(data: wst.WeierstrassData, comp: SingularComponent):
-    """Traversal edges of comp across which Im alpha (imag True) or Re alpha
-    changes sign: (chart ends za, zb, w at za or None, imag)."""
-    zh, p, alpha = _alpha_along(data, comp)
+def _traversal_pass(data: wst.WeierstrassData, comp: SingularComponent):
+    """One _alpha_terms call over the full lifted traversal of comp and all
+    that is read from it: a dict of the component-level criteria and the
+    kind of every traversal vertex ("vertex_kinds"), and the traversal
+    edges across which Im alpha (imag True) or Re alpha changes sign
+    (chart ends za, zb, w at za or None, imag).
+
+    cone-like:      alpha real (to 1e-8 relative) and bounded away from 0
+                    along the curve, the Gauss map winds once around the
+                    unit circle, and eta_hat (chart values) is bounded away
+                    from 0; on a closed component only.
+    fold candidate: same with alpha purely imaginary."""
+    zh = np.tile(comp.zhat_vertices, comp.circuits)
+    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
+    g, dg, eta, alpha, dalpha = _alpha_terms(data, p)
+    abs_alpha = np.abs(alpha)
+    a_scale = float(np.max(abs_alpha))
+    max_im = float(np.max(np.abs(alpha.imag)))
+    max_re = float(np.max(np.abs(alpha.real)))
     i0 = np.arange(len(zh) if comp.closed else len(zh) - 1)
     i1 = (i0 + 1) % len(zh)
-    a_scale = float(np.max(np.abs(alpha)))
     edges, imag = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=bool)]
-    for use_imag in (True, False):
-        vals = alpha.imag if use_imag else alpha.real
-        vmax = float(np.max(np.abs(vals)))
+    for use_imag, vals, vmax in ((True, alpha.imag, max_im),
+                                 (False, alpha.real, max_re)):
         # alpha-relative floor: a component with Im alpha (or Re alpha)
         # identically zero carries only rounding noise in vals
-        floor = 1e-8 * vmax + 1e-11 * a_scale
         if vmax <= 1e-10 * a_scale:
             continue
+        floor = 1e-8 * vmax + 1e-11 * a_scale
         v0, v1 = vals[i0], vals[i1]
         hit = np.flatnonzero(((v0 < 0) != (v1 < 0))
                              & (np.maximum(np.abs(v0), np.abs(v1)) > floor))
         edges.append(hit)
         imag.append(np.full(len(hit), use_imag))
     e = np.concatenate(edges)
-    wa = p.w[i0[e]] if p.w is not None else None
-    return zh[i0[e]], zh[i1[e]], wa, np.concatenate(imag)
+    wa = None if p.w is None else p.w[i0[e]]
+    crossings = (zh[i0[e]], zh[i1[e]], wa, np.concatenate(imag))
+
+    winding = None                     # the Gauss map's winding, if +-1
+    if comp.closed:
+        turns = float(np.sum(np.angle(np.roll(g, -1) / g)) / (2 * math.pi))
+        if math.isfinite(turns) and abs(turns - round(turns)) < 1e-6 \
+                and abs(round(turns)) == 1:
+            winding = round(turns)
+    eta_hat = np.abs(eta * data.chart.dz_dzhat(zh))
+    eta_min = float(np.min(eta_hat))
+    min_abs = float(np.min(abs_alpha))
+    base = (winding is not None
+            and min_abs > 1e-6 * (1.0 + a_scale)
+            and eta_min > 1e-6 * float(np.max(eta_hat)))
+    level = {
+        "cone_like": bool(base and max_im <= 1e-8 * (1.0 + a_scale)),
+        "fold_candidate": bool(base and max_re <= 1e-8 * (1.0 + a_scale)),
+        "max_im_alpha": max_im,
+        "max_re_alpha": max_re,
+        "min_abs_alpha": min_abs,
+        "gauss_winding": winding,
+        "eta_chart_min": eta_min,
+        "vertex_kinds": _classify(alpha, _beta(g, dg, dalpha)),
+    }
+    return level, crossings
 
 
 def count_singularities(data: wst.WeierstrassData,
                         comps: list[SingularComponent]) -> list[dict]:
-    """Classified singular points of each component, located by sign
-    changes of Im alpha (swallowtails) and Re alpha (cross caps) along its
-    full lifted traversal; the crossings of all components are refined in
-    one _refine_crossings call.  One dict of counts and records per
-    component."""
-    parts = [_crossings(data, comp) for comp in comps]
-    owner = np.repeat(np.arange(len(parts)), [len(part[0]) for part in parts])
+    """Classification of each component from one _traversal_pass: its
+    singular points, located by sign changes of Im alpha (swallowtails)
+    and Re alpha (cross caps) along its full lifted traversal, the
+    crossings of all components refined in one _refine_crossings call and
+    classified from the alpha and beta it returns.  One dict per component:
+    the counts and records of its singular points, plus _traversal_pass's
+    component-level criteria and vertex kinds."""
+    passes = [_traversal_pass(data, comp) for comp in comps]
+    owner = np.repeat(np.arange(len(comps)), [len(part[0]) for _, part in passes])
     records: list[list[SingularPointRecord]] = [[] for _ in comps]
     if len(owner):
         za, zb, wa, imag = (None if col[0] is None else np.concatenate(col)
-                            for col in zip(*parts))
-        pts = _refine_crossings(data, za, zb, wa, imag)
-        alphas, betas = alpha_beta(data, pts)
+                            for col in zip(*(part for _, part in passes)))
+        pts, alphas, betas = _refine_crossings(data, za, zb, wa, imag)
+        kinds = _classify(alphas, betas)
         for j, use_imag in enumerate(imag):
-            cls = _classify(complex(alphas[j]), complex(betas[j]))
             target = "swallowtail" if use_imag else "cuspidal_cross_cap"
             z = complex(pts.z[j])
             records[owner[j]].append(SingularPointRecord(
-                kind=cls["kind"] if cls["kind"] == target else f"degenerate_{target}",
+                kind=target if kinds[j] == target else f"degenerate_{target}",
                 zhat=complex(data.chart.from_z(z)), z=z,
                 w=complex(pts.w[j]) if pts.w is not None else None,
-                alpha=cls["alpha"], beta=cls["beta"]))
+                alpha=complex(alphas[j]), beta=complex(betas[j])))
     out = []
-    for recs in records:
+    for (level, _), recs in zip(passes, records):
         # merge duplicates from noisy double crossings
         unique: list[SingularPointRecord] = []
         for r in recs:
@@ -544,52 +587,13 @@ def count_singularities(data: wst.WeierstrassData,
                 for u in unique)
             if not dup:
                 unique.append(r)
-        out.append({
-            "swallowtails": sum(1 for r in unique if r.kind == "swallowtail"),
-            "cross_caps": sum(1 for r in unique if r.kind == "cuspidal_cross_cap"),
-            "degenerate": sum(1 for r in unique if r.kind.startswith("degenerate")),
-            "records": unique,
-        })
+        out.append(dict(
+            level,
+            swallowtails=sum(1 for r in unique if r.kind == "swallowtail"),
+            cross_caps=sum(1 for r in unique if r.kind == "cuspidal_cross_cap"),
+            degenerate=sum(1 for r in unique if r.kind.startswith("degenerate")),
+            records=unique))
     return out
-
-
-def detect_cone_like(data: wst.WeierstrassData, comp: SingularComponent) -> dict:
-    """Component-level criteria, on a closed component only.
-
-    cone-like:      alpha real (to 1e-8 relative) and bounded away from 0
-                    along the curve, the Gauss map winds once around the
-                    unit circle, and eta_hat (chart values) is bounded away
-                    from 0.
-    fold candidate: same with alpha purely imaginary."""
-    zh, p, alphas = _alpha_along(data, comp)
-    a_scale = float(np.max(np.abs(alphas)))
-    max_im = float(np.max(np.abs(alphas.imag)))
-    max_re = float(np.max(np.abs(alphas.real)))
-    min_abs = float(np.min(np.abs(alphas)))
-    # winding of G and chart-eta floor over the traversal
-    g_vals = np.asarray(data.G(p), dtype=complex)
-    eta_vals = np.abs(data.eta(p) * data.chart.dz_dzhat(zh))
-    if comp.closed:
-        rolled = np.roll(g_vals, -1)
-        winding = float(np.sum(np.angle(rolled / g_vals)) / (2 * math.pi))
-    else:
-        winding = math.nan
-    eta_min, eta_max = float(np.min(eta_vals)), float(np.max(eta_vals))
-    w_int = int(round(winding)) if math.isfinite(winding) else 0
-    winding_ok = math.isfinite(winding) and abs(winding - w_int) < 1e-6 and abs(w_int) == 1
-    base = (comp.closed
-            and min_abs > 1e-6 * (1.0 + a_scale)
-            and winding_ok
-            and eta_min > 1e-6 * eta_max)
-    return {
-        "cone_like": bool(base and max_im <= 1e-8 * (1.0 + a_scale)),
-        "fold_candidate": bool(base and max_re <= 1e-8 * (1.0 + a_scale)),
-        "max_im_alpha": max_im,
-        "max_re_alpha": max_re,
-        "min_abs_alpha": min_abs,
-        "gauss_winding": w_int if winding_ok else None,
-        "eta_chart_min": eta_min,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -600,22 +604,12 @@ def singular_report(data: wst.WeierstrassData,
                     comps: list[SingularComponent]) -> dict:
     """Per-component classification of the singular set.  comps are the
     components of one list of trace_singular_set(data)."""
-    rows = []
-    for comp, counts in zip(comps, count_singularities(data, comps)):
-        cone = detect_cone_like(data, comp)
-        rows.append({
-            "label": comp.label,
-            "closed": comp.closed,
-            "partial": comp.partial,
-            "circuits": comp.circuits,
-            "vertex_count": comp.vertex_count,
-            "swallowtails": counts["swallowtails"],
-            "cross_caps": counts["cross_caps"],
-            "degenerate": counts["degenerate"],
-            "cone_like": cone["cone_like"],
-            "fold_candidate": cone["fold_candidate"],
-            "gauss_winding": cone["gauss_winding"],
-        })
+    keys = ("swallowtails", "cross_caps", "degenerate", "cone_like",
+            "fold_candidate", "gauss_winding")
+    rows = [{"label": comp.label, "closed": comp.closed, "partial": comp.partial,
+             "circuits": comp.circuits, "vertex_count": comp.vertex_count,
+             **{key: cls[key] for key in keys}}
+            for comp, cls in zip(comps, count_singularities(data, comps))]
     return {
         "surface": data.name,
         "params": dict(data.params),

@@ -207,40 +207,35 @@ def criterion_5(cfg: VerifyConfig) -> list[dict]:
                          "axis circle plus two ovals in the 1/(z-1) chart"))
     axis = None
     others = []
-    for comp in comps:
-        cone = sng.detect_cone_like(data, comp)
-        if cone["cone_like"]:
-            axis = (comp, cone)
+    for comp, cls in zip(comps, sng.count_singularities(data, comps)):
+        if cls["cone_like"]:
+            axis = cls
         else:
-            others.append((comp, cone))
+            others.append((comp, cls))
     found = axis is not None
     checks.append(_check("cone: axis is cone-like", found, True, found,
                          "alpha real, nonvanishing; G winds once; eta-hat != 0"))
     if found:
-        comp, cone = axis
-        checks.append(_within("cone axis: max|Im alpha|", cone["max_im_alpha"],
+        checks.append(_within("cone axis: max|Im alpha|", axis["max_im_alpha"],
                               1e-10, "alpha real on the cone-like axis"))
-        checks.append(_check("cone axis: min|alpha|", cone["min_abs_alpha"],
-                             "> 0.1", cone["min_abs_alpha"] > 0.1,
+        checks.append(_check("cone axis: min|alpha|", axis["min_abs_alpha"],
+                             "> 0.1", axis["min_abs_alpha"] > 0.1,
                              "alpha bounded away from zero"))
-        checks.append(_check("cone axis: G-winding", cone["gauss_winding"],
-                             "+-1", cone["gauss_winding"] in (1, -1),
+        checks.append(_check("cone axis: G-winding", axis["gauss_winding"],
+                             "+-1", axis["gauss_winding"] in (1, -1),
                              "deg(G restricted to the axis) = 1"))
-        checks.append(_check("cone axis: eta-hat floor", cone["eta_chart_min"],
-                             "> 0", cone["eta_chart_min"] > 0.0,
+        checks.append(_check("cone axis: eta-hat floor", axis["eta_chart_min"],
+                             "> 0", axis["eta_chart_min"] > 0.0,
                              "eta-hat nonvanishing along the axis"))
-    counts_all = sng.count_singularities(data, [comp for comp, _ in others])
-    for (comp, cone), counts in zip(others, counts_all):
+    for comp, cls in others:
         n = comp.vertex_count
-        kinds = {sng.classify_point(data, cov.SurfacePoint(z, None))["kind"]
-                 for z in comp.z_vertices[:: max(1, n // 12)]}
-        ok = (counts["swallowtails"] > 0 and counts["cross_caps"] > 0
-              and "cuspidal_edge" in kinds)
+        has_edges = "cuspidal_edge" in cls["vertex_kinds"][:n:max(1, n // 12)]
+        ok = cls["swallowtails"] > 0 and cls["cross_caps"] > 0 and has_edges
         checks.append(_check(
             f"cone {comp.label}: edges + swallowtails + cross caps",
-            {"swallowtails": counts["swallowtails"],
-             "cross_caps": counts["cross_caps"],
-             "has_edges": "cuspidal_edge" in kinds},
+            {"swallowtails": cls["swallowtails"],
+             "cross_caps": cls["cross_caps"],
+             "has_edges": has_edges},
             "> 0", ok,
             "the non-axis ovals mix all three singularity types"))
     return checks
@@ -251,12 +246,10 @@ def criterion_6(cfg: VerifyConfig) -> list[dict]:
     checks = []
     data = wst.catalog_get("trinoid1", a=3.67)
     [comps] = sng.trace_singular_set(data)
-    sw = cc = 0
-    any_cone = False
-    for comp, counts in zip(comps, sng.count_singularities(data, comps)):
-        sw += counts["swallowtails"]
-        cc += counts["cross_caps"]
-        any_cone = any_cone or sng.detect_cone_like(data, comp)["cone_like"]
+    classes = sng.count_singularities(data, comps)
+    sw = sum(cls["swallowtails"] for cls in classes)
+    cc = sum(cls["cross_caps"] for cls in classes)
+    any_cone = any(cls["cone_like"] for cls in classes)
     checks.append(_check("trinoid: swallowtails", sw, 8, sw == 8,
                          "eight swallowtails on the two singular ovals"))
     checks.append(_check("trinoid: cross caps", cc, 0, cc == 0,
@@ -523,11 +516,12 @@ def run_criterion(cid: int, cfg: VerifyConfig | None = None) -> dict:
 # together so the memos are built once.  Criterion 11's end rays share no leg.
 _DESITTER_UNIT = (9, 10, 12)
 
-# cost of each criterion in ms: median of 5 in-process runs with the modules
-# loaded, in id order so that 10 and 12 read 9's memos.  It only balances
-# the shards; no result depends on it.
-COST_MS = {1: 13, 2: 31, 3: 1, 4: 98, 5: 54, 6: 15, 7: 4, 8: 3, 9: 119,
-           10: 63, 11: 20, 12: 7}
+# cost of each criterion in ms on a shared 2-vCPU host: median of 7 runs,
+# each in a fresh process with the modules loaded, in id order so that 10
+# and 12 read 9's memos.  It only balances the shards; no result depends
+# on it.
+COST_MS = {1: 14, 2: 31, 3: 1, 4: 102, 5: 56, 6: 15, 7: 7, 8: 5, 9: 156,
+           10: 75, 11: 28, 12: 11}
 
 
 def pack_shards(ids, jobs: int) -> list[list[int]]:

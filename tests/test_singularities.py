@@ -131,6 +131,63 @@ def test_classify_point_kinds():
     assert out_h["kind"] in ("cuspidal_edge", "degenerate")
 
 
+def _scalar_kind(alpha: complex, beta: complex) -> str:
+    """The rule of the singularities module docstring at one point."""
+    b_ok = not (math.isnan(beta.real) or math.isnan(beta.imag))
+    eps = 1e-7 * (1.0 + abs(alpha) + (abs(beta) if b_ok else 0.0))
+    if abs(alpha.imag) < eps and abs(alpha) > eps and b_ok and abs(beta.real) > eps:
+        return "swallowtail"
+    if abs(alpha.real) < eps and abs(alpha) > eps and b_ok and abs(beta.imag) > eps:
+        return "cuspidal_cross_cap"
+    if abs(alpha.imag) > eps and abs(alpha.real) > eps:
+        return "cuspidal_edge"
+    return "degenerate"
+
+
+def test_array_classify_matches_scalar_rule():
+    """The array classifier gives the scalar rule's kind just below and just
+    above each eps threshold (|Im alpha|, |Re alpha|, |alpha|, |Re beta|,
+    |Im beta|), with NaN and infinite beta, and on random pairs whose parts
+    straddle eps; a scalar pair gives a 0-d array."""
+    nan = complex("nan")
+    cases = []
+    for side in (1 - 1e-6, 1 + 1e-6):
+        e = 1e-7 * (2.0 + math.sqrt(2.0))          # eps at alpha = 1, |beta| = sqrt 2
+        cases += [(complex(1.0, side * e), 1 + 1j),
+                  (complex(side * e, 1.0), 1 + 1j)]
+        e = 1e-7 * (3.0 + side * 1e-7)              # eps at alpha = 1, |beta| ~ 1
+        cases += [(1 + 0j, complex(side * e, 1.0)), (1j, complex(1.0, side * e))]
+        # alpha = r e^(i pi/4): |alpha| > eps decides swallowtail or degenerate
+        r = side * 1e-7 * (1.0 + math.sqrt(2.0)) / (1.0 - 1e-7)
+        cases += [(r * cmath.exp(0.25j * math.pi), 1 + 1j)]
+        # NaN beta: eps = 1e-7 (1 + |alpha|), both beta conditions fail
+        r = side * 1e-7 / (1.0 - 1e-7)
+        cases += [(complex(r, 0.0), nan), (complex(1.0, side * 1e-7 * 2.0), nan),
+                  (complex(1.0, 1e-9), complex(1.0, math.nan)),
+                  (complex(1e-9, 1.0), complex(math.nan, 1.0))]
+    cases += [(1 + 1e-9j, complex(math.inf, 1.0)), (0j, 1 + 1j), (nan, 1 + 1j)]
+    rng = np.random.default_rng(7)
+    pool = np.array([0.0, 1e-9, 1e-7, 2.5e-7, 3.5e-7, 1e-6, 0.3, 1.0, 4.0])
+    parts = rng.choice(pool, (4000, 4)) * rng.choice([-1.0, 1.0], (4000, 4))
+    cases += [(complex(a, b), complex(c, d)) for a, b, c, d in parts]
+    alpha = np.array([a for a, _ in cases])
+    beta = np.array([b for _, b in cases])
+    got = sng._classify(alpha, beta)
+    want = [_scalar_kind(complex(a), complex(b)) for a, b in cases]
+    assert got.shape == alpha.shape
+    assert got.tolist() == want
+    assert set(want) == {"swallowtail", "cuspidal_cross_cap", "cuspidal_edge",
+                         "degenerate"}
+    # the threshold cases, just below and then just above eps
+    assert want[:18] == [
+        "swallowtail", "cuspidal_cross_cap", "degenerate", "degenerate",
+        "degenerate", "degenerate", "degenerate", "degenerate", "degenerate",
+        "cuspidal_edge", "cuspidal_edge", "swallowtail", "cuspidal_cross_cap",
+        "swallowtail", "degenerate", "cuspidal_edge", "degenerate", "degenerate"]
+    one = sng._classify(complex(1.0, 1e-9), 1 + 1j)
+    assert one.ndim == 0 and str(one) == "swallowtail"
+
+
 def test_associated_family_generic_edge():
     """Strictly between the conjugate pair the edge points are generic."""
     data = wst.catalog_get("associated", phase=0.6)
@@ -249,20 +306,19 @@ def test_components_carry_cover_lift(genus1):
 def test_cone_structure(cone25):
     [comps] = sng.trace_singular_set(cone25)
     assert len(comps) == 3
-    cones = []
-    generic = []
-    for comp in comps:
-        det = sng.detect_cone_like(cone25, comp)
-        (cones if det["cone_like"] else generic).append((comp, det))
+    classes = sng.count_singularities(cone25, comps)
+    cones = [cls for cls in classes if cls["cone_like"]]
+    generic = [cls for cls in classes if not cls["cone_like"]]
     assert len(cones) == 1
     assert len(generic) == 2
-    comp, det = cones[0]
+    [det] = cones
     assert det["max_im_alpha"] < 1e-8
     assert det["min_abs_alpha"] > 0.01
     assert det["gauss_winding"] in (1, -1)
-    for counts in sng.count_singularities(cone25, [comp for comp, _ in generic]):
-        assert counts["swallowtails"] > 0
-        assert counts["cross_caps"] > 0
+    for cls in generic:
+        assert cls["swallowtails"] > 0
+        assert cls["cross_caps"] > 0
+        assert "cuspidal_edge" in cls["vertex_kinds"]
 
 
 def test_trinoid_counts():
@@ -273,8 +329,7 @@ def test_trinoid_counts():
     cc = sum(c["cross_caps"] for c in counts)
     assert sw == 8
     assert cc == 0
-    for comp in comps:
-        assert not sng.detect_cone_like(data, comp)["cone_like"]
+    assert not any(c["cone_like"] for c in counts)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +701,14 @@ def test_newton_refinement(fixture, request, monkeypatch):
     the first crossing, and a row from a vertex to just past it, reach that
     crossing.  Each row stops within the round cap (the vertex edges within
     6 rounds, where bisection takes about 42 halvings), every refined point
-    lies on |G| = 1 to 1e-13, and the corrector is never called.  A chord
-    that holds no crossing raises."""
+    lies on |G| = 1 to 1e-13 with the alpha and beta alpha_beta gives
+    there, and the corrector is never called.  A chord that holds no
+    crossing raises."""
     data = request.getfixturevalue(fixture)
     comp = sng.trace_singular_set(data)[0][0]
-    zh, p, alpha = sng._alpha_along(data, comp)
+    zh = np.tile(comp.zhat_vertices, comp.circuits)
+    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
+    alpha = sng.alpha_beta(data, p)[0]
     i0 = np.arange(len(zh))
     i1 = (i0 + 1) % len(zh)
     rows, imag = [], []
@@ -684,13 +742,13 @@ def test_newton_refinement(fixture, request, monkeypatch):
 
     monkeypatch.setattr(sng, "_correct", no_corrector)
     monkeypatch.setattr(sng, "_alpha_terms", counted_terms)
-    batch = sng._refine_crossings(data, za, zb, wa, imag)
+    batch, b_alpha, b_beta = sng._refine_crossings(data, za, zb, wa, imag)
     per_row = []
     for j in range(len(za)):
         one = slice(j, j + 1)
         rounds[0] = 0
         alone = sng._refine_crossings(data, za[one], zb[one],
-                                      None if wa is None else wa[one], imag[one])
+                                      None if wa is None else wa[one], imag[one])[0]
         per_row.append(rounds[0])
         assert complex(alone.z[0]) == complex(batch.z[j])
         if wa is not None:
@@ -698,6 +756,10 @@ def test_newton_refinement(fixture, request, monkeypatch):
     assert max(per_row) <= sng._NEWTON_ROUNDS
     assert max(per_row[:edges]) <= 6
     assert np.all(np.abs(np.log(np.abs(data.G(batch)))) < 1e-13)
+    # alpha and beta come from the round that stopped each row, as
+    # alpha_beta gives them at the refined points
+    np.testing.assert_array_equal(np.stack([b_alpha, b_beta]),
+                                  np.stack(sng.alpha_beta(data, batch)))
     zc = complex(data.chart.to_z(zc))
     for j in (0, edges, edges + 1, edges + 2):
         assert abs(batch.z[j] - zc) < 1e-13 * (1 + abs(zc))
@@ -789,6 +851,57 @@ def test_singular_report_shape(cone25):
     labels = {row["label"] for row in rep["components"]}
     assert len(labels) == 3
     assert sum(row["cone_like"] for row in rep["components"]) == 1
+
+
+@pytest.mark.parametrize("fixture", ["cone25", "genus1"])
+def test_singular_report_evaluates_each_traversal_once(fixture, request,
+                                                        monkeypatch):
+    """singular_report evaluates the Weierstrass data once per component,
+    over its whole lifted traversal in one _alpha_terms call, and once per
+    Newton round of the crossing refinement (the busy rows in one call, a
+    batch that never grows); G and eta are evaluated by those calls only,
+    and alpha_beta is never called."""
+    data = dataclasses.replace(request.getfixturevalue(fixture))
+    [comps] = sng.trace_singular_set(data)
+    calls = []           # (inside the refinement, points evaluated)
+    evals = {"G": 0, "eta": 0}
+    depth = [0]
+    terms, refine = sng._alpha_terms, sng._refine_crossings
+
+    def counted_terms(data_, p):
+        calls.append((depth[0] > 0, np.size(p.z)))
+        return terms(data_, p)
+
+    def counted_refine(*args):
+        depth[0] += 1
+        try:
+            return refine(*args)
+        finally:
+            depth[0] -= 1
+
+    def no_alpha_beta(*args):
+        raise AssertionError("singular_report called alpha_beta")
+
+    def counting(key, fn):
+        def wrapper(p):
+            evals[key] += 1
+            return fn(p)
+        return wrapper
+
+    monkeypatch.setattr(sng, "_alpha_terms", counted_terms)
+    monkeypatch.setattr(sng, "_refine_crossings", counted_refine)
+    monkeypatch.setattr(sng, "alpha_beta", no_alpha_beta)
+    data.G, data.eta = counting("G", data.G), counting("eta", data.eta)
+    rep = sng.singular_report(data, comps)
+    traversals = [n for inside, n in calls if not inside]
+    rounds = [n for inside, n in calls if inside]
+    assert traversals == [c.circuits * c.vertex_count for c in comps]
+    points = sum(row["swallowtails"] + row["cross_caps"] + row["degenerate"]
+                 for row in rep["components"])
+    assert points >= 4 and rounds[0] >= points
+    assert all(a >= b for a, b in zip(rounds, rounds[1:]))
+    assert 2 <= len(rounds) <= sng._NEWTON_ROUNDS
+    assert evals == {"G": len(calls), "eta": len(calls)}
 
 
 def test_traversal_spans_all_circuits(genus1):
