@@ -178,9 +178,10 @@ def gk_batched(f, n: int, tol: float, max_depth: int = 28) -> np.ndarray:
     and nodes on the last two axes (a complex array of any leading shape).
     A panel at depth d is accepted when its Kronrod-Gauss difference is at
     most tol / 2^d or it is narrower than 1e-14; a panel still open at depth
-    max_depth raises QuadratureError.  Returns shape (n,) + leading shape,
-    each integral summed over its panels in the order recursive bisection
-    adds them: left half, then right half."""
+    max_depth, or one whose difference is not finite (bisection cannot mend
+    a NaN or an infinity), raises QuadratureError.  Returns shape (n,) +
+    leading shape, each integral summed over its panels in the order
+    recursive bisection adds them: left half, then right half."""
     idx = np.arange(n)
     a, b = np.zeros(n), np.ones(n)
     levels = []
@@ -193,6 +194,9 @@ def gk_batched(f, n: int, tol: float, max_depth: int = 28) -> np.ndarray:
         k = half * (rows @ _W15).reshape(fv.shape[:-1])
         g = half * (rows @ _G15).reshape(fv.shape[:-1])
         err = np.max(np.abs(k - g), axis=tuple(range(k.ndim - 1)))
+        if not np.isfinite(err).all():
+            raise QuadratureError(
+                f"Gauss-Kronrod panel is not finite at depth {depth}")
         split = ~((err <= tol * 0.5 ** depth) | (b - a < 1e-14))
         levels.append((np.moveaxis(k, -1, 0), split))
         if not split.any():

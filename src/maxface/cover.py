@@ -1,14 +1,19 @@
 """Branched covers  w^(k+1) = z (z^2-1)^k  and their even-k reductions
 W^(2m+1) = Z^(m+1) (Z-1)^(2m),  k = 2m.
 
-The cover carries four antiholomorphic reflections mu_1..mu_4 and the
-holomorphic automorphisms kappa_1 = mu_2 mu_1, kappa_2 = mu_3 mu_1.  Points
-are (z, w) pairs on the algebraic curve; paths are z-polylines together with
-the starting w, and w is continued along their straight legs in closed form,
-from the angle each leg subtends at the branch points.  Even words
-in the reflections that compose to the identity are realized as concrete
-closed polylines ("deck word paths"); the homology generators used by the
-period solver are kappa-images of one such loop.
+Points are (z, w) pairs on the algebraic curve; paths are z-polylines
+together with the starting w, and w is continued along their straight legs
+in closed form, from the angle each leg subtends at the branch points.
+
+The full cover carries three antiholomorphic reflections, written once as
+exact data (_reflection): mu_j sends z to conj(z), conj(z) and -conj(z) and
+w to e^(i m lam) conj(w) with m = 0, 2k and -1.  The holomorphic
+automorphisms kappa_1 = mu_2 mu_1 and kappa_2 = mu_3 mu_1 are their
+compositions.  A word in the reflections composes in integers (a sign, a
+conjugation flag, m mod 2(k+1)); an even word that composes to the identity
+is realized as a concrete closed polyline ("deck word path"), and the
+homology generators used by the period solver are kappa-images of one such
+loop.
 
 Conventions: lam = pi/(k+1), psi = exp(i k lam / 2), base point o = (2, w0)
 with w0 the positive real fiber root over z = 2.
@@ -380,46 +385,34 @@ class LiftedPath:
 # reflections and automorphisms
 # ---------------------------------------------------------------------------
 
-def reflection_apply(spec: CoverSpec, j: int, p: SurfacePoint) -> SurfacePoint:
-    """The antiholomorphic reflections mu_1..mu_4 of the full cover."""
+def _reflection(spec: CoverSpec, j: int) -> tuple[bool, int]:
+    """The reflection mu_j of the full cover as exact data (negate, m):
+    z -> -conj(z) if negate else conj(z), and w -> e^(i m lam) conj(w).
+    mu_1, mu_2 and mu_3 have m = 0, 2k and -1."""
     if spec.reduced:
         raise ValidationError("reflections are defined on the full cover")
-    z, w = p.z, p.w
-    k, lam = spec.k, spec.lam
-    zb, wb = z.conjugate(), (w.conjugate() if w is not None else None)
-    if j == 1:
-        return SurfacePoint(zb, wb)
-    if j == 2:
-        return SurfacePoint(zb, cmath.exp(1j * (2 * k * lam)) * wb if wb is not None else None)
-    if j == 3:
-        return SurfacePoint(-zb, cmath.exp(-1j * lam) * wb if wb is not None else None)
-    if j == 4:
-        if z == 0:
-            raise ValidationError("mu_4 undefined over z=0")
-        return SurfacePoint(1.0 / zb,
-                            cmath.exp(1j * k * lam) * wb / zb ** 2 if wb is not None else None)
-    raise ValidationError(f"reflection index must be 1..4, got {j}")
+    if j not in (1, 2, 3):
+        raise ValidationError(f"reflection index must be 1..3, got {j}")
+    return j == 3, (0, 2 * spec.k, -1)[j - 1]
 
 
-def reflection_zmap(j: int):
-    if j in (1, 2):
-        return lambda z: z.conjugate()
-    if j == 3:
-        return lambda z: -z.conjugate()
-    if j == 4:
-        return lambda z: 1.0 / z.conjugate()
-    raise ValidationError(f"reflection index must be 1..4, got {j}")
+def _z_image(z: complex, negate: bool, conjugate: bool) -> complex:
+    # unary minus and conjugate() flip signs only: exact, signed zeros too
+    z = z.conjugate() if conjugate else z
+    return -z if negate else z
 
 
-def kappa1_apply(spec: CoverSpec, p: SurfacePoint) -> SurfacePoint:
-    """kappa_1 = mu_2 mu_1 : (z, w) -> (z, e^{2k i lam} w)."""
-    ph = cmath.exp(1j * (2 * spec.k * spec.lam))
-    return SurfacePoint(p.z, ph * p.w if p.w is not None else None)
-
-
-def kappa2_apply(spec: CoverSpec, p: SurfacePoint) -> SurfacePoint:
-    """kappa_2 = mu_3 mu_1 : (z, w) -> (-z, e^{-i lam} w)."""
-    return SurfacePoint(-p.z, cmath.exp(-1j * spec.lam) * p.w if p.w is not None else None)
+def reflection_apply(spec: CoverSpec, j: int, p: SurfacePoint) -> SurfacePoint:
+    """The antiholomorphic reflection mu_j (j = 1..3) of the full cover.  The
+    automorphisms kappa_1 = mu_2 mu_1 : (z, w) -> (z, e^(2k i lam) w) and
+    kappa_2 = mu_3 mu_1 : (z, w) -> (-z, e^(-i lam) w) are compositions."""
+    negate, m = _reflection(spec, j)
+    w = p.w.conjugate() if p.w is not None else None
+    # m = 0 multiplies by nothing: a product by 1 + 0j can flip the sign of
+    # a zero imaginary part, which cmath.phase reads
+    if w is not None and m:
+        w = cmath.exp(1j * (m * spec.lam)) * w
+    return SurfacePoint(_z_image(p.z, negate, True), w)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def base_connectors(spec: CoverSpec) -> dict:
 
     P_1 is constant (o is mu_1-fixed).  P_2 winds once counterclockwise about
     z=1, crossing the slit (0,1) at z=1/2; P_3 crosses the imaginary axis at
-    z=1.6i on its way to -2.  P_4 is not needed by the word calculus.
+    z=1.6i on its way to -2.
     """
     if spec.reduced:
         raise ValidationError("connectors live on the full cover")
@@ -485,23 +478,23 @@ def word_generator(j: int, with_kappa2: bool) -> DeckWord:
     return DeckWord((2, 1) * j + core + (1, 2) * j)
 
 
-# three probe points in 1.5 < Re z < 2.5, 0.2 < Im z < 0.8 (first drawn
-# from numpy's default_rng(7), kept as literals)
-_IDENTITY_PROBES = ((2.125095466604667+0.7383282805817455j),
-                    (2.2756856902451936+0.33512431399435516j),
-                    (1.8001662849112254+0.7241320672377571j))
+def _word_maps(spec: CoverSpec, word: DeckWord):
+    """The prefix compositions mu_{i1} ... mu_{ij} of the word, j = 0..len,
+    each as exact data (negate, conjugate, m): z -> +-z or +-conj(z), and
+    w -> e^(i m lam) w or e^(i m lam) conj(w)."""
+    negate, conjugate, m = False, False, 0
+    yield negate, conjugate, m
+    for idx in word.indices:
+        neg, m_idx = _reflection(spec, idx)
+        # composing with an antiholomorphic map conjugates its phase
+        m = m - m_idx if conjugate else m + m_idx
+        negate, conjugate = negate != neg, not conjugate
+        yield negate, conjugate, m
 
 
-@lru_cache(maxsize=None)
 def _word_is_identity(spec: CoverSpec, word: DeckWord) -> bool:
-    for z in _IDENTITY_PROBES:
-        p = solve_fiber(spec, z)
-        q = p
-        for i in reversed(word.indices):  # innermost map acts first
-            q = reflection_apply(spec, i, q)
-        if not q.close_to(p, 1e-10):
-            return False
-    return True
+    *_, (negate, conjugate, m) = _word_maps(spec, word)
+    return not negate and not conjugate and m % (2 * (spec.k + 1)) == 0
 
 
 def deck_word_path(spec: CoverSpec, word: DeckWord) -> SurfacePath:
@@ -517,21 +510,12 @@ def deck_word_path(spec: CoverSpec, word: DeckWord) -> SurfacePath:
     o = base_point(spec)
     conns = base_connectors(spec)
     verts: list[complex] = [o.z]
-    # cumulative z-map of mu_{i1} ... mu_{i_{j-1}}
-    maps: list = []
-
-    def apply_maps(z: complex) -> complex:
-        for f in reversed(maps):
-            z = f(z)
-        return z
-
-    for idx in word.indices:
-        leg = conns[idx]
-        img = [apply_maps(z) for z in leg.z_vertices]
+    # the z-map of mu_{i1} ... mu_{i(j-1)} moves the connector of letter j
+    for idx, (negate, conjugate, _) in zip(word.indices, _word_maps(spec, word)):
+        img = [_z_image(z, negate, conjugate) for z in conns[idx].z_vertices]
         if abs(img[0] - verts[-1]) > 1e-12:
             raise ValidationError("deck word legs do not chain")
         verts.extend(img[1:])
-        maps.append(reflection_zmap(idx))
     if abs(verts[-1] - verts[0]) > 1e-12:
         raise ValidationError("deck word path failed to close in z")
     return SurfacePath(tuple(verts), o.w, label="word:" + "".join(map(str, word.indices)))

@@ -279,9 +279,9 @@ def _reflected_probe_path(spec: cov.CoverSpec, j: int, probe: complex) -> cov.Su
     """P_j * (mu_j o c) for the straight probe path c."""
     conns = cov.base_connectors(spec)
     pj = conns[j]
-    zmap = cov.reflection_zmap(j)
     o = cov.base_point(spec)
-    tail = [zmap(z) for z in (o.z, complex(probe))]
+    tail = [cov.reflection_apply(spec, j, cov.SurfacePoint(z)).z
+            for z in (o.z, complex(probe))]
     if abs(tail[0] - pj.z_vertices[-1]) > 1e-12:
         raise NumericalError("connector does not chain with the reflected path")
     verts = tuple(pj.z_vertices) + tuple(tail[1:])
@@ -377,9 +377,10 @@ def loop_monodromy(jobs, b=None) -> list[dict]:
     out = []
     for (pair, word), table, lift, b0 in zip(jobs, tables, lifts, frames):
         rho_a = inv2(lift.F[-1]) @ b0
+        at_b0 = {j: _at_frame(table[j][0], b0) for j in (1, 2, 3)}
         acc = EYE2.copy()
         for pos, idx in enumerate(word.indices):
-            m = _at_frame(table[idx][0], b0)
+            m = at_b0[idx]
             acc = acc @ (m.conj() if pos % 2 == 0 else m)
         sig = word_sigma_product(pair.k, word)
         # F_end = Sigma b Pi(e0)^{-1}  =>  rho(b) = Pi(b) b^{-1} Sigma^{-1} b

@@ -188,10 +188,10 @@ def symmetry_reduction_check(k: int, n_samples: int = 50) -> dict:
         p = cov.SurfacePoint(z, w)
         phi_p = data.phi(p)
         # kappa_1 fixes z so the form pullback needs no dz factor
-        q1 = cov.kappa1_apply(spec, p)
+        q1 = cov.reflection_apply(spec, 2, cov.reflection_apply(spec, 1, p))
         res1 = np.max(np.abs(data.phi(q1) - r1 @ phi_p))
         # kappa_2 sends z -> -z; pullback multiplies the dz-coefficient by -1
-        q2 = cov.kappa2_apply(spec, p)
+        q2 = cov.reflection_apply(spec, 3, cov.reflection_apply(spec, 1, p))
         res2 = np.max(np.abs(-data.phi(q2) - r2 @ phi_p))
         worst = max(worst, float(res1), float(res2))
     return {"k": k, "max_residual": worst, "rotation_angles": [2 * k * spec.lam,

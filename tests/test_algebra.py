@@ -191,6 +191,22 @@ def test_gk_batched_raises_at_depth():
     assert widths == [1] + [2] * 6
 
 
+def test_gk_batched_raises_on_a_non_finite_panel():
+    """A NaN at one node of one integrand raises after the first call of f,
+    instead of bisecting that panel to the depth limit."""
+    calls = []
+
+    def f(i, s):
+        calls.append(np.shape(s))
+        vals = np.exp(s)
+        vals[1, 7] = np.nan
+        return vals
+
+    with pytest.raises(QuadratureError, match="not finite"):
+        alg.gk_batched(f, 3, 1e-12)
+    assert calls == [(3, 15)]
+
+
 # ---------------------------------------------------------------------------
 # Schwarzian derivative: closed-form oracles
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 reflection symmetries, and deck-transformation words."""
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -298,15 +299,26 @@ def test_mu2_mu1_has_order_k_plus_1(k):
         assert abs(q.w - p.w) > 1e-3
 
 
-def test_kappa1_matches_word():
-    """kappa1 = z -> e^(2 i lam) z rotation composed from mu2 mu1."""
-    spec = cov.CoverSpec(2)
-    p = cov.solve_fiber(spec, 1.3 + 0.7j)
-    via_word = cov.reflection_apply(spec, 2, cov.reflection_apply(spec, 1, p))
-    direct = cov.kappa1_apply(spec, p)
-    # kappa1 is one of the two composition orders
-    alt = cov.reflection_apply(spec, 1, cov.reflection_apply(spec, 2, p))
-    assert direct.close_to(via_word, 1e-9) or direct.close_to(alt, 1e-9)
+def test_kappa_maps_are_reflection_compositions():
+    """mu_2 mu_1 and mu_3 mu_1 equal the closed forms kappa_1 : (z, w) ->
+    (z, e^(2k i lam) w) and kappa_2 : (z, w) -> (-z, e^(-i lam) w) bit for
+    bit, signs of zero included, on random fiber points and on points of
+    the real and imaginary axes."""
+    rng = np.random.default_rng(5)
+    for k in range(1, 30):
+        spec = cov.CoverSpec(k)
+        z = rng.uniform(-2.5, 2.5, 200) + 1j * rng.uniform(-2.5, 2.5, 200)
+        z[:4] = [1.5, -0.5j, complex(0.5, -0.0), complex(-0.0, 0.7)]
+        sheets = rng.integers(0, k + 1, 200)
+        w = spec.fiber(z)[np.arange(200), sheets]
+        w[:4] = [complex(0.7, -0.0), complex(-0.0, 0.3), -1.0, 0j]
+        for p in map(cov.SurfacePoint, z.tolist(), w.tolist()):
+            kappa1 = cov.SurfacePoint(
+                p.z, cmath.exp(1j * (2 * spec.k * spec.lam)) * p.w)
+            kappa2 = cov.SurfacePoint(-p.z, cmath.exp(-1j * spec.lam) * p.w)
+            for j, ref in ((2, kappa1), (3, kappa2)):
+                q = cov.reflection_apply(spec, j, cov.reflection_apply(spec, 1, p))
+                assert (repr(q.z), repr(q.w)) == (repr(ref.z), repr(ref.w))
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +337,82 @@ def test_end_words_are_identity_loops(k):
 def test_deck_word_rejects_odd_word():
     with pytest.raises(ValidationError):
         cov.DeckWord((1, 2, 3))
+
+
+@pytest.mark.parametrize("word", [(1, 2), (3, 2, 3, 2)])
+def test_deck_word_path_rejects_a_non_identity_word(word):
+    """At k = 1 both words fix z and multiply w by -1, so only the phase
+    part of the identity rule rejects them."""
+    with pytest.raises(ValidationError, match="not an identity deck word"):
+        cov.deck_word_path(cov.CoverSpec(1), cov.DeckWord(word))
+
+
+# the z-maps of mu_1..mu_3, one function per reflection
+_Z_MAPS = {1: lambda z: z.conjugate(), 2: lambda z: z.conjugate(),
+           3: lambda z: -z.conjugate()}
+
+
+def _word_vertices_by_fold(word) -> list:
+    """The reference realization of a word: every connector vertex is sent
+    through the z-map of each earlier letter in turn, innermost first.  The
+    connectors' z-vertices do not depend on k.  Returns the reprs."""
+    conns = cov.base_connectors(cov.CoverSpec(1))
+    verts, maps = [cov.BASE_Z], []
+    for idx in word:
+        img = []
+        for z in conns[idx].z_vertices:
+            for f in reversed(maps):
+                z = f(z)
+            img.append(z)
+        verts.extend(img[1:])
+        maps.append(_Z_MAPS[idx])
+    return [repr(z) for z in verts]
+
+
+def test_deck_word_path_matches_sequential_fold():
+    """deck_word_path's vertices equal the reference fold's bit for bit,
+    signs of zero included, for every word built at k = 1..40: both end
+    words, the base loop and every generator word."""
+    reference = {}
+    for k in range(1, 41):
+        spec = cov.CoverSpec(k)
+        words = [cov.word_end_zero(k), cov.word_end_infinity(k),
+                 cov.word_base_loop()] + [cov.word_generator(j, k2)
+                                          for j in range(k + 1)
+                                          for k2 in (False, True)]
+        for word in words:
+            if word.indices not in reference:
+                reference[word.indices] = _word_vertices_by_fold(word.indices)
+            got = cov.deck_word_path(spec, word).z_vertices
+            assert [repr(z) for z in got] == reference[word.indices]
+
+
+# three probe points in 1.5 < Re z < 2.5, 0.2 < Im z < 0.8, where no map
+# z -> -z or z -> +-conj(z) has a fixed point
+_IDENTITY_PROBES = ((2.125095466604667+0.7383282805817455j),
+                    (2.2756856902451936+0.33512431399435516j),
+                    (1.8001662849112254+0.7241320672377571j))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_word_identity_rule_matches_probe_test(k):
+    """The integer identity rule agrees with the numeric test that applies
+    the word's reflections to three fiber points, on every word of length
+    2, 4 and 6."""
+    spec = cov.CoverSpec(k)
+    probes = [cov.solve_fiber(spec, z) for z in _IDENTITY_PROBES]
+    identities = 0
+    for length in (2, 4, 6):
+        for indices in itertools.product((1, 2, 3), repeat=length):
+            fixed = True
+            for p in probes:
+                q = p
+                for i in reversed(indices):  # innermost map acts first
+                    q = cov.reflection_apply(spec, i, q)
+                fixed = fixed and q.close_to(p, 1e-10)
+            assert cov._word_is_identity(spec, cov.DeckWord(indices)) == fixed
+            identities += fixed
+    assert 0 < identities < 3 ** 2 + 3 ** 4 + 3 ** 6
 
 
 @pytest.mark.parametrize("k", [1, 2])
