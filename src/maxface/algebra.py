@@ -117,7 +117,8 @@ def quad_singular(f, tol: float) -> complex:
     The integrand is called as f(a, b) where a is the distance to 0 (= t) and
     b the distance to 1 (= 1-t), both formed without cancellation so that
     endpoint powers as strong as t^-0.95 stay accurate in float64.  Raises
-    QuadratureError if _TS_MAX_LEVEL refinements do not reach tol.
+    QuadratureError at the first level whose sum is not finite, or if
+    _TS_MAX_LEVEL refinements do not reach tol.
     """
     total = 0.0 + 0.0j
     prev = None
@@ -130,10 +131,12 @@ def quad_singular(f, tol: float) -> complex:
             total = acc
         else:
             total = 0.5 * total + acc  # halving h: old nodes keep half weight
+        if not np.isfinite(total):
+            raise QuadratureError(f"tanh-sinh sum is not finite at level {level}")
         if prev is not None:
             err = abs(total - prev)
             if err <= max(tol, 1e-15 * abs(total)) and level >= 3:
-                return ensure_finite(total, "quadrature result")
+                return total
         prev = total
     raise QuadratureError(
         f"tanh-sinh did not reach tol={tol} in {_TS_MAX_LEVEL} levels"
@@ -373,7 +376,8 @@ def dop853(f, y0: np.ndarray, s0: float, s1: float,
     still running: s of shape (n,), y of shape (n, m) and their indices rows
     into y0; it returns dy/ds of shape (n, m).  Finished rows drop out of the
     batch.  The stages live in one (13, N, m) buffer whose leading n rows are
-    the running ones.  It raises NumericalError after 200000 batched steps."""
+    the running ones.  It raises NumericalError at the first error norm that
+    is not finite, and after 200000 batched steps."""
     out = np.array(y0, dtype=complex)
     span = abs(s1 - s0)
     if span == 0.0 or len(out) == 0:
@@ -399,6 +403,8 @@ def dop853(f, y0: np.ndarray, s0: float, s1: float,
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(acc))
         e5n = np.max(np.abs(_weighted_sum(k, _D8_E5, e5, term)) / scale, axis=1)
         e3n = np.max(np.abs(_weighted_sum(k, _D8_E3, e3, term)) / scale, axis=1)
+        if not (np.isfinite(e5n).all() and np.isfinite(e3n).all()):
+            raise NumericalError(f"ODE error norm is not finite at s={s.min()}")
         den = e5n * e5n + 0.01 * e3n * e3n
         # den = 0 only where e5n = 0, and then the error is 0
         err = np.abs(h) * e5n * e5n / np.sqrt(np.where(den > 0.0, den, 1.0))

@@ -253,31 +253,6 @@ def sanitize_path(spec: CoverSpec, vertices) -> tuple:
     return tuple(dedup)
 
 
-def route_legs(spec: CoverSpec, polylines) -> list[tuple[list, list]]:
-    """Per polyline z: its legs (za, zb), every segment given its
-    branch-point detours (sanitize_path) on its own, and per vertex the
-    number of legs before it.  The segments of all the polylines, laid end
-    to end, are screened against the branch points in one array pass (the
-    joins between polylines are screened too, and ignored); only those near
-    one are sanitized, the others are one leg (none if shorter than
-    1e-14)."""
-    near = iter(_near_branch_points(spec, [z for zs in polylines for z in zs]))
-    out = []
-    for z in polylines:
-        ends, upto = [], [0]
-        for a, b in zip(z[:-1], z[1:]):
-            if next(near):
-                seg = sanitize_path(spec, (a, b))
-            else:
-                a, b = complex(a), complex(b)
-                seg = (a, b) if abs(b - a) > 1e-14 else (a,)
-            ends.extend(zip(seg[:-1], seg[1:]))
-            upto.append(len(ends))
-        next(near, None)  # the join to the next polyline
-        out.append((ends, upto))
-    return out
-
-
 def _sheet(spec: CoverSpec, za, z, w_a, p) -> tuple[np.ndarray, np.ndarray]:
     """The sheet j (mod n) that w reaches from the value w_a at za along the
     straight leg to z, p units[j] being that value (p the principal root at
@@ -309,10 +284,13 @@ def continue_legs(spec: CoverSpec, chains, w0s) -> list[np.ndarray]:
     sizes = [len(chain) for chain in chains]
     legs = [leg for chain in chains for leg in chain]
     za = np.array([a for a, _ in legs], dtype=complex)
-    # a leg ends at za + (zb - za) * 1.0, as w_at's s = 1 does, and the
-    # path's fiber value there is rounded as a scalar fiber call rounds it
+    # a leg ends at za + (zb - za) * 1.0, as w_at's s = 1 does; rhs there is
+    # formed in Python arithmetic as a scalar fiber call forms it (numpy's
+    # integer power of a complex array may round differently), and the n-th
+    # roots taken in one np.power call, which rounds each as a scalar call
     zb = za + (np.array([b for _, b in legs], dtype=complex) - za) * 1.0
-    p_end = np.array([spec.principal_root(z) for z in zb.tolist()], dtype=complex)
+    p_end = np.power(np.array([spec.rhs(z) for z in zb.tolist()], dtype=complex),
+                     1.0 / spec.sheet_count, dtype=complex)
     # leg i leaves from the end of leg i - 1, a chain's first leg from w0
     first = np.cumsum([0] + sizes)[:-1]
     p_start = np.roll(p_end, 1)
@@ -337,28 +315,28 @@ def continue_legs(spec: CoverSpec, chains, w0s) -> list[np.ndarray]:
 
 
 class LiftedPath:
-    """A polyline lifted to the cover: the legs of route_legs, along which
-    continue_legs continues the starting fiber value (one chain).
+    """A polyline lifted to the cover, as lift builds it.
 
-    w_vertices[i] is the fiber value at input vertex i and upto[i] the
-    number of legs before it.  legs lists every leg (z0, z1, w0, w1) with
-    the fiber values at its ends; leg_z0, leg_dz and leg_w hold every leg's
-    z0, z1 - z0 and w0 as arrays (leg_w[-1] is w at the end of the path).
-    w_at answers w at points along legs by the closed form of
+    route is the polyline w is continued along, branch-point detours
+    included.  w_vertices[i] is the fiber value at input vertex i and
+    upto[i] the number of legs before it.  legs lists every leg (z0, z1, w0,
+    w1) with the fiber values at its ends; leg_z0, leg_dz and leg_w hold
+    every leg's z0, z1 - z0 and w0 as arrays (leg_w[-1] is w at the end of
+    the path).  w_at answers w at points along legs by the closed form of
     continue_legs, from the leg's start value."""
 
-    def __init__(self, spec: CoverSpec, path: SurfacePath):
-        if path.w0 is None:
-            raise ValidationError("path carries no fiber value")
+    def __init__(self, spec: CoverSpec, path: SurfacePath, ends: list,
+                 upto: list, leg_w: np.ndarray):
         self.spec = spec
         self.path = path
-        [(ends, self.upto)] = route_legs(spec, [path.z_vertices])
-        [self.leg_w] = continue_legs(spec, [ends], [path.w0])
-        w = self.leg_w.tolist()
+        self.upto = upto
+        self.leg_w = leg_w
+        w = leg_w.tolist()
         self.legs = [(a, b, wa, wb) for (a, b), wa, wb in zip(ends, w, w[1:])]
+        self.route = (path.start,) + tuple(b for _, b in ends)
         self.leg_z0 = np.array([a for a, _ in ends], dtype=complex)
         self.leg_dz = np.array([b for _, b in ends], dtype=complex) - self.leg_z0
-        self.w_vertices = [w[i] for i in self.upto]
+        self.w_vertices = [w[i] for i in upto]
 
     @property
     def w_end(self) -> complex:
@@ -379,6 +357,38 @@ class LiftedPath:
         p = self.spec.principal_root(z)
         sheet, _ = _sheet(self.spec, z0, z, self.leg_w[leg], p)
         return p * _unit_roots(self.spec.sheet_count)[sheet]
+
+
+def lift(spec: CoverSpec, paths, detour: bool = True) -> list[LiftedPath]:
+    """Lift every path (a SurfacePath with its fiber value w0) to the cover:
+    the segments of all paths, laid end to end, are screened against the
+    branch points in one array pass (the joins are ignored), those near one
+    get its detour (sanitize_path), the others are one leg (none if shorter
+    than 1e-14), and w is continued along all legs in one continue_legs
+    call.  detour=False keeps every segment as one leg, for rays that run
+    radially into a branch point, where a detour would wind about it."""
+    paths = list(paths)
+    if any(path.w0 is None for path in paths):
+        raise ValidationError("path carries no fiber value")
+    flat = [z for path in paths for z in path.z_vertices]
+    near = iter(_near_branch_points(spec, flat) if detour else ())
+    routes = []
+    for path in paths:
+        z = path.z_vertices
+        ends, upto = [], [0]
+        for a, b in zip(z[:-1], z[1:]):
+            if detour and next(near):
+                seg = sanitize_path(spec, (a, b))
+            else:
+                seg = (a, b) if not detour or abs(b - a) > 1e-14 else (a,)
+            ends.extend(zip(seg[:-1], seg[1:]))
+            upto.append(len(ends))
+        next(near, None)  # the join to the next path
+        routes.append((ends, upto))
+    chains = continue_legs(spec, [ends for ends, _ in routes],
+                           [path.w0 for path in paths])
+    return [LiftedPath(spec, path, ends, upto, w)
+            for path, (ends, upto), w in zip(paths, routes, chains)]
 
 
 # ---------------------------------------------------------------------------

@@ -116,27 +116,11 @@ def clear_memos() -> None:
     _RHO_TILDE.clear()
 
 
-def _legs(spec: cov.CoverSpec, paths, detour: bool) -> list[tuple]:
-    """Per path (z vertices, w0) on the cover: its legs (key, a, b, w_a,
-    w_b), key = (k, a, b, w_a rounded to 1e-10), the number of legs before
-    each vertex, and the transported polyline.  Every segment of every path
-    is screened against the branch points in one pass (cov.route_legs), and
-    w is continued along all the paths in one cov.continue_legs call."""
-    if detour:
-        routes = cov.route_legs(spec, [z for z, _ in paths])
-    else:
-        routes = [(list(zip(z[:-1], z[1:])), list(range(len(z))))
-                  for z, _ in paths]
-    chains = cov.continue_legs(spec, [ends for ends, _ in routes],
-                               [w0 for _, w0 in paths])
-    out = []
-    for (z, _), (ends, upto), w in zip(paths, routes, chains):
-        legs = [((spec.k, za, zb,
-                  complex(round(wa.real, 10), round(wa.imag, 10))),
-                 za, zb, wa, wb)
-                for (za, zb), wa, wb in zip(ends, w[:-1].tolist(), w[1:].tolist())]
-        out.append((legs, upto, (z[0],) + tuple(zb for _, zb in ends)))
-    return out
+def _leg_keys(k: int, lp: cov.LiftedPath) -> list[tuple]:
+    """The memo keys of the legs (z0, z1, w0, w1) of lp, lifted on the cover
+    of k: (k, z0, z1, w0 rounded to 1e-10)."""
+    return [(k, za, zb, complex(round(wa.real, 10), round(wa.imag, 10)))
+            for za, zb, wa, _ in lp.legs]
 
 
 def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
@@ -213,43 +197,38 @@ def transport(jobs, b=None, rtol: float = 1e-11,
     The ODE is linear in F, so the frame at the i-th leg end is the prefix
     product Phi_i ... Phi_1 b of memoized leg propagators; the legs not yet
     memoized, of every pair, take one batched solve.  The distinct paths of
-    each k are split into legs, and w continued along them, in one pass,
-    however many pairs lift them.  Each path segment gets the
-    counterclockwise branch-point detours of cov.sanitize_path; detour=False
-    transports the segments straight, for rays that run radially into a
-    branch point, where a detour would wind about it.  det F is monitored,
-    never renormalized."""
+    each k are lifted to the cover in one cov.lift call, however many pairs
+    transport them; detour passes through to it (False transports the
+    segments straight, for rays that run radially into a branch point).
+    det F is monitored, never renormalized."""
     jobs = list(jobs)
-    if any(path.w0 is None for _, path in jobs):
-        raise ValidationError("the lift needs a fiber value at the start")
-    # the legs, sheets and route depend on (k, path) only: the distinct
-    # paths of each k are split in one _legs call
+    # the legs, sheets and route depend on (k, path) only
     paths = {}
     for pair, path in jobs:
-        paths.setdefault(pair.k, {})[path.z_vertices, path.w0] = None
-    split = {(k, z, w0): lift for k, todo in paths.items()
-             for (z, w0), lift in zip(todo, _legs(cov.CoverSpec(k), list(todo),
-                                                  detour))}
+        paths.setdefault(pair.k, {})[path.z_vertices, path.w0] = path
+    split = {}
+    for k, todo in paths.items():
+        for key, lp in zip(todo, cov.lift(cov.CoverSpec(k), todo.values(),
+                                          detour)):
+            split[(k,) + key] = lp, _leg_keys(k, lp)
     lifts = []
     for pair, path in jobs:
-        legs, upto, route = split[pair.k, path.z_vertices, path.w0]
+        lp, keys = split[pair.k, path.z_vertices, path.w0]
         # each pair keys the legs' propagators by its own (t, c, rtol)
         head = (pair.t, pair.c, rtol)
-        lifts.append(([(head + leg[0],) + leg[1:] for leg in legs],
-                      upto, route))
-    phis = _propagators([(pair, leg) for (pair, _), (legs, _, _)
+        lifts.append((lp, [(head + key,) + leg
+                           for key, leg in zip(keys, lp.legs)]))
+    phis = _propagators([(pair, leg) for (pair, _), (_, legs)
                          in zip(jobs, lifts) for leg in legs], rtol)
     out = []
-    for (_, path), (legs, upto, route), b0 in zip(jobs, lifts,
-                                                  _frames(b, len(jobs))):
+    for (lp, legs), b0 in zip(lifts, _frames(b, len(jobs))):
         frames = [b0]
         for leg in legs:
             frames.append(phis[leg[0]] @ frames[-1])
-        F = np.array([frames[n] for n in upto])
-        ws = [path.w0] + [leg[4] for leg in legs]
+        F = np.array([frames[n] for n in lp.upto])
         det0 = det2(b0)
         defect = max(abs(det2(f) - det0) for f in F)
-        out.append(Transport(route=route, w=[ws[n] for n in upto], F=F,
+        out.append(Transport(route=lp.route, w=lp.w_vertices, F=F,
                              det_defect=float(defect)))
     return out
 
@@ -347,15 +326,20 @@ def rho_tilde(pair: AdmissiblePair, j: int, b: np.ndarray = EYE2) -> np.ndarray:
 # loop monodromy, two routes
 # ---------------------------------------------------------------------------
 
+def _alternating_product(mats, word: cov.DeckWord) -> np.ndarray:
+    """conj(M_{i1}) M_{i2} conj(M_{i3}) ... over the word's indices, with
+    mats[i] = M_i, multiplied left to right."""
+    acc = EYE2.copy()
+    for pos, idx in enumerate(word.indices):
+        m = mats[idx]
+        acc = acc @ (m.conj() if pos % 2 == 0 else m)
+    return acc
+
+
 def word_sigma_product(k: int, word: cov.DeckWord) -> np.ndarray:
     """Sigma = conj(sigma_{i1}) sigma_{i2} conj(sigma_{i3}) ... (+-e0 for the
     realized identity words)."""
-    sig = sigma_matrices(k)
-    acc = EYE2.copy()
-    for pos, idx in enumerate(word.indices):
-        m = sig[idx]
-        acc = acc @ (m.conj() if pos % 2 == 0 else m)
-    return acc
+    return _alternating_product(sigma_matrices(k), word)
 
 
 def loop_monodromy(jobs, b=None) -> list[dict]:
@@ -377,14 +361,11 @@ def loop_monodromy(jobs, b=None) -> list[dict]:
     out = []
     for (pair, word), table, lift, b0 in zip(jobs, tables, lifts, frames):
         rho_a = inv2(lift.F[-1]) @ b0
-        at_b0 = {j: _at_frame(table[j][0], b0) for j in (1, 2, 3)}
-        acc = EYE2.copy()
-        for pos, idx in enumerate(word.indices):
-            m = at_b0[idx]
-            acc = acc @ (m.conj() if pos % 2 == 0 else m)
+        pi = _alternating_product(
+            {j: _at_frame(table[j][0], b0) for j in (1, 2, 3)}, word)
         sig = word_sigma_product(pair.k, word)
         # F_end = Sigma b Pi(e0)^{-1}  =>  rho(b) = Pi(b) b^{-1} Sigma^{-1} b
-        rho_b = acc @ inv2(b0) @ inv2(sig) @ b0
+        rho_b = pi @ inv2(b0) @ inv2(sig) @ b0
         disagreement = float(np.max(np.abs(rho_a - rho_b)))
         if disagreement > 1e-8:
             raise NumericalError(

@@ -119,7 +119,7 @@ def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath) -> np.ndarra
         raise ValidationError("period_vector needs a closed z-polyline")
     if data.cover is None:
         return wst.integrate_phi(data, loop)[-1]
-    lifted = cov.LiftedPath(data.cover, loop)
+    [lifted] = cov.lift(data.cover, [loop])
     if not lifted.is_closed():
         raise ValidationError(f"loop {loop.label!r} does not close on the cover")
     return wst.integrate_phi(data, lifted)[-1]

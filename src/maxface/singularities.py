@@ -358,29 +358,33 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     return _bisect_edges(prof, *(np.concatenate(col) for col in zip(*edges))).tolist()
 
 
-def _lift_component(spec: cov.CoverSpec, verts_z: np.ndarray) -> tuple[int, np.ndarray]:
-    """Lift the closed z-circuit once.  w -> zeta w, zeta an n-th root of
-    unity, is a deck transformation of the cover, so if the circuit ends at
-    zeta^s w0, circuit j is circuit 0 times zeta^(s j) and the lift closes
-    after n / gcd(s, n) circuits.  Returns (circuits, w at every vertex of
-    the full traversal)."""
-    loop = tuple(verts_z) + (verts_z[0],)
+def _lift_traces(spec: cov.CoverSpec, traces) -> list[tuple[int, np.ndarray]]:
+    """Lift every trace (z vertices, closed) from the principal root at its
+    first vertex, all in one cov.lift call: per trace (circuits, w at every
+    vertex of the traversal).  An open trace is one circuit.  A closed one
+    is lifted once round: w -> zeta w, zeta an n-th root of unity, is a deck
+    transformation of the cover, so if the circuit ends at zeta^s w0,
+    circuit j is circuit 0 times zeta^(s j) and the lift closes after
+    n / gcd(s, n) circuits."""
     n = spec.sheet_count
     units = cov._unit_roots(n)
-    w0 = spec.principal_root(complex(loop[0]))
-    lifted = cov.LiftedPath(spec, cov.SurfacePath(loop, w0))
-    ratio = lifted.w_end / w0
-    s = int(np.argmin(np.abs(units - ratio)))
-    if not abs(ratio - units[s]) < 1e-8:
-        raise NumericalError("singular-curve lift failed to close on the cover")
-    circuits = n // math.gcd(s, n)
-    w = np.array(lifted.w_vertices[:-1])
-    return circuits, np.concatenate([w * units[(s * j) % n] for j in range(circuits)])
-
-
-def _lift_open(spec: cov.CoverSpec, verts_z: np.ndarray) -> np.ndarray:
-    w = spec.principal_root(complex(verts_z[0]))
-    return np.array(cov.LiftedPath(spec, cov.SurfacePath(verts_z, w)).w_vertices)
+    w0s = [spec.principal_root(complex(verts[0])) for verts, _ in traces]
+    paths = [cov.SurfacePath(tuple(verts) + (verts[0],) if closed else verts, w0)
+             for (verts, closed), w0 in zip(traces, w0s)]
+    out = []
+    for (_, closed), w0, lifted in zip(traces, w0s, cov.lift(spec, paths)):
+        if not closed:
+            out.append((1, np.array(lifted.w_vertices)))
+            continue
+        ratio = lifted.w_end / w0
+        s = int(np.argmin(np.abs(units - ratio)))
+        if not abs(ratio - units[s]) < 1e-8:
+            raise NumericalError("singular-curve lift failed to close on the cover")
+        circuits = n // math.gcd(s, n)
+        w = np.array(lifted.w_vertices[:-1])
+        out.append((circuits, np.concatenate([w * units[(s * j) % n]
+                                              for j in range(circuits)])))
+    return out
 
 
 def trace_singular_set(data: wst.WeierstrassData, *,
@@ -397,22 +401,18 @@ def trace_singular_set(data: wst.WeierstrassData, *,
 
 
 def _components(data: wst.WeierstrassData, traces: list[tuple]) -> list[SingularComponent]:
-    """Components from traced (vertices, closed), lifted to the cover,
-    largest traversal first; an open trace is partial."""
-    chart = data.chart
+    """Components from traced (vertices, closed), all lifted to the cover
+    together, largest traversal first; an open trace is partial."""
+    zs = [(np.array([data.chart.to_z(zh) for zh in verts]), closed)
+          for verts, closed in traces]
+    lifts = ([(1, None)] * len(zs) if data.cover is None
+             else _lift_traces(data.cover, zs))
     comps: list[SingularComponent] = []
-    for verts, closed in traces:
-        verts_z = np.array([chart.to_z(zh) for zh in verts])
-        circuits, w_all = 1, None
-        if data.cover is not None:
-            if closed:
-                circuits, w_all = _lift_component(data.cover, verts_z)
-            else:
-                w_all = _lift_open(data.cover, verts_z)
+    for (verts, closed), (verts_z, _), (circuits, w_all) in zip(traces, zs, lifts):
         comps.append(SingularComponent(
             label=f"component_{len(comps)}", zhat_vertices=verts,
             z_vertices=verts_z, w_vertices=w_all, circuits=circuits,
-            closed=closed, chart_name=chart.name))
+            closed=closed, chart_name=data.chart.name))
     comps.sort(key=lambda c: (-c.vertex_count * c.circuits, c.label))
     for i, c in enumerate(comps):
         c.label = f"component_{i}"

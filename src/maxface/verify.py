@@ -462,7 +462,8 @@ def criterion_12(cfg: VerifyConfig) -> list[dict]:
             f"(mu_2 mu_1)^(k+1) = id, k={k}", worst, 1e-10,
             "(mu~_2 mu~_1)^(k+1) is the trivial deck transformation"))
         tau0 = cov.deck_word_path(spec, cov.word_end_zero(k))
-        closed = cov.LiftedPath(spec, tau0).is_closed()
+        [lifted] = cov.lift(spec, [tau0])
+        closed = lifted.is_closed()
         checks.append(_check(
             f"tau_0 realization closes on the cover, k={k}", closed, True,
             closed, "tau_0 = (mu~_3 mu~_2)^(2(k+1)) as a continuation fact"))

@@ -401,7 +401,7 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
     if isinstance(path, cov.LiftedPath):
         lp = path
     elif spec is not None and path.w0 is not None:
-        lp = cov.LiftedPath(spec, path)
+        [lp] = cov.lift(spec, [path])
     else:
         lp = None
     if lp is not None:
@@ -459,7 +459,8 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
 
     The spine (base point, then the first column) is lifted and integrated as
     one path, and each row as one path from its spine vertex, so the result
-    is deterministic and watertight in the parameter grid."""
+    is deterministic and watertight in the parameter grid; the rows are
+    lifted together, in one cov.lift call."""
     g = data.default_mesh
     nr = nr if nr is not None else g["nr"]
     nth = nth if nth is not None else g["nth"]
@@ -468,19 +469,18 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
     radii = np.exp(np.linspace(math.log(g["r0"]), math.log(g["r1"]), nr))
     zs = radii[:, None] * np.exp(1j * np.linspace(0.0, th1, nth + 1))
 
-    def lift(z_vertices, w0):
-        path = cov.SurfacePath(z_vertices, w0)
-        return path if spec is None else cov.LiftedPath(spec, path)
-
-    spine = lift((data.base.z, *zs[:, 0]), data.base.w)
+    spine = cov.SurfacePath((data.base.z, *zs[:, 0]), data.base.w)
+    if spec is None:
+        rows = [cov.SurfacePath(z, None) for z in zs]
+    else:
+        [spine] = cov.lift(spec, [spine])
+        rows = cov.lift(spec, [cov.SurfacePath(z, w0)
+                               for z, w0 in zip(zs, spine.w_vertices[1:])])
     x_col = integrate_phi(data, spine, 1e-9).real
     xs = np.empty(zs.shape + (3,))
-    ws = np.empty(zs.shape, dtype=complex) if spec is not None else None
-    for i in range(nr):
-        row = lift(zs[i], spine.w_vertices[i + 1] if ws is not None else None)
+    for i, row in enumerate(rows):
         xs[i] = x_col[i + 1] + integrate_phi(data, row, 1e-9).real
-        if ws is not None:
-            ws[i] = row.w_vertices
+    ws = None if spec is None else np.array([row.w_vertices for row in rows])
     mets = data.metric_factor(cov.SurfacePoint(zs, ws))
     return MeshSample(xs.reshape(-1, 3), mets.reshape(-1), _grid_faces(nr, nth + 1),
                       zs.reshape(-1), rows=nr, cols=nth + 1)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxface import algebra as alg
-from maxface.errors import DegenerateError, QuadratureError
+from maxface.errors import DegenerateError, NumericalError, QuadratureError
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -138,6 +138,21 @@ def test_tanh_sinh_beta_oracle(x, y):
         lambda a, b: a ** (x - 1.0) * b ** (y - 1.0), 1e-12)
     assert complex(val).real == pytest.approx(beta_lgamma(x, y), rel=1e-11)
     assert abs(complex(val).imag) < 1e-12
+
+
+def test_tanh_sinh_fails_fast_on_nan():
+    """An integrand that is NaN near 0 raises QuadratureError at the first
+    level, whose nodes reach it, instead of refining all 12 levels (49,849
+    calls) towards a tolerance a NaN sum cannot meet."""
+    calls = []
+
+    def f(a, b):
+        calls.append(a)
+        return float("nan") if a < 1e-3 else 1.0
+
+    with pytest.raises(QuadratureError, match="not finite at level 1"):
+        alg.quad_singular(f, 1e-10)
+    assert len(calls) < 30
 
 
 def test_gk_adaptive_oracles():
@@ -314,6 +329,21 @@ def test_dp_rows_step_independently():
         alone = _dp(lambda s, v, li=li: li * v, [1.0], 0.0, 2.0,
                     rtol=1e-12, atol=1e-14)
         assert complex(alone[0]) == complex(y[i, 0])
+
+
+def test_dp_fails_fast_on_nan():
+    """A right-hand side that turns NaN past s = 0.3 raises NumericalError at
+    the first step whose error norm is NaN, instead of shrinking the step
+    until it underflows (1,369 calls)."""
+    calls = []
+
+    def f(s, y, rows):
+        calls.append(s)
+        return np.where(s[:, None] > 0.3, np.nan, 1.0) * y
+
+    with pytest.raises(NumericalError, match="error norm is not finite"):
+        alg.dop853(f, np.ones((1, 1)), 0.0, 1.0)
+    assert len(calls) < 40
 
 
 def test_ensure_finite_catches_nan():

@@ -93,7 +93,7 @@ def test_continuation_round_trip_trivial_loop():
     # a small loop encircling no branch point must come back on-sheet
     loop = [2.0 + 0.3 * cmath.exp(2j * math.pi * i / 24) for i in range(25)]
     path = cov.SurfacePath(tuple(loop), p0.w)
-    end = cov.SurfacePoint(path.end, cov.LiftedPath(spec, path).w_end)
+    end = cov.SurfacePoint(path.end, cov.lift(spec, [path])[0].w_end)
     assert end.close_to(p0, 1e-9)
 
 
@@ -115,7 +115,7 @@ def test_branch_loop_permutes_then_returns(k):
         return cov.SurfacePath(tuple(pts), o.w)
 
     def end(path):
-        return cov.SurfacePoint(path.end, cov.LiftedPath(spec, path).w_end)
+        return cov.SurfacePoint(path.end, cov.lift(spec, [path])[0].w_end)
 
     once = end(circle(1))
     assert abs(once.z - o.z) < 1e-12
@@ -136,13 +136,13 @@ def test_sanitize_path_inserts_branch_detour():
             assert cov._seg_point_dist(a, b, bp) > 0.5 * clr
     # the detour respects homotopy: continuation along it is well-defined
     p0 = cov.solve_fiber(spec, clean[0])
-    lifted = cov.LiftedPath(spec, cov.SurfacePath(clean, p0.w))
+    [lifted] = cov.lift(spec, [cov.SurfacePath(clean, p0.w)])
     assert on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
 
 
 @pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
 def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
-    """LiftedPath screens its segments against the branch points in one
+    """lift screens the segments against the branch points in one
     array pass and sanitizes only those near one, and continues w along all
     legs at once; its legs and the fiber values at their ends and at the
     vertices equal, bit for bit, those of sanitizing every segment and
@@ -156,13 +156,62 @@ def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
              2.0 + clr * 1j, 0.5 + clr * 1j, 0.5 + clr * (1 - 1e-12) * 1j,
              2.0 + clr * (1 - 1e-12) * 1j, 2.0 + clr * (1 + 1e-12) * 1j,
              0.5 + clr * (1 + 1e-12) * 1j, o.z)
-    lp = cov.LiftedPath(spec, cov.SurfacePath(verts, o.w))
+    [lp] = cov.lift(spec, [cov.SurfacePath(verts, o.w)])
     ref, at_vertex = walk_segments(spec, verts, o.w)
     assert len(ref) > len(verts)
     assert lp.legs == ref
     assert lp.w_vertices == at_vertex
     near = cov._near_branch_points(spec, verts)
     assert near.any() and not near.all()
+    assert lp.route == (o.z,) + tuple(zb for _, zb, _, _ in ref)
+
+
+@pytest.mark.parametrize("detour", [True, False])
+@pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
+def test_lift_of_many_paths_matches_each_alone(k, reduced, detour):
+    """One lift of several paths gives each, bit for bit, the legs, the
+    fiber values at its vertices and the route of lifting it alone: a path
+    with a zero-length segment and one that passes z = 1 inside the
+    clearance radius, a one-vertex path, and the same z-polyline from
+    another sheet.  With detours the passing segment becomes several legs
+    and the zero-length one none; without, every segment is one leg."""
+    spec = cov.CoverSpec(k, reduced=reduced)
+    o = cov.base_point(spec)
+    bump = 0.5j * cov.clearance(spec)
+    verts = (o.z, 1.3 + bump, 1.3 + bump, 0.7 + bump, 0.4 + 0.9j)
+    paths = [cov.SurfacePath(verts, o.w), cov.SurfacePath((o.z,), o.w),
+             cov.SurfacePath(verts, spec.fiber(o.z)[1]),
+             cov.SurfacePath((0.4 + 0.9j, -0.5 + 0.4j, 1.5 - 0.3j), o.w)]
+    together = cov.lift(spec, paths, detour)
+    assert len(together) == len(paths)
+    for path, lp in zip(paths, together):
+        [alone] = cov.lift(spec, [path], detour)
+        assert lp.path is path
+        assert lp.legs == alone.legs
+        assert np.array_equal(lp.leg_w, alone.leg_w)
+        assert lp.w_vertices == alone.w_vertices
+        assert lp.route == alone.route
+        assert lp.upto == alone.upto
+    first = together[0]
+    assert first.route[0] == o.z and first.route[-1] == verts[-1]
+    if detour:
+        assert first.upto[1] == first.upto[2] and len(first.legs) > 4
+    else:
+        assert list(first.upto) == [0, 1, 2, 3, 4]
+        assert first.route == verts
+    assert together[1].legs == [] and together[1].w_vertices == [o.w]
+    assert cov.lift(spec, []) == []
+
+
+def test_lift_needs_a_fiber_value():
+    """A path without a starting fiber value cannot be lifted, whatever the
+    other paths of the call carry."""
+    spec = cov.CoverSpec(1)
+    o = cov.base_point(spec)
+    paths = [cov.SurfacePath((o.z, 1.5 + 0.5j), o.w),
+             cov.SurfacePath((o.z, 1.5 + 0.5j), None)]
+    with pytest.raises(ValidationError, match="no fiber value"):
+        cov.lift(spec, paths)
 
 
 def _w_at_reference(lp, leg, s):
@@ -185,7 +234,7 @@ def test_w_at_matches_pointwise_reference(k, reduced):
     o = cov.base_point(spec)
     bump = 0.5j * cov.clearance(spec)
     verts = (o.z, 1.3 + bump, 0.7 + bump, 0.7 + 3 * bump, 1.3 + 3 * bump)
-    lp = cov.LiftedPath(spec, cov.SurfacePath(verts, o.w))
+    [lp] = cov.lift(spec, [cov.SurfacePath(verts, o.w)])
     assert len(lp.legs) > 2
     s = np.concatenate([np.linspace(0.0, 1.0, 33), 0.5 + 0.5 * alg._X15])
     for leg in range(len(lp.legs)):
@@ -231,7 +280,7 @@ def test_continue_legs_does_not_alias_at_high_k():
     does."""
     spec = cov.CoverSpec(20)
     o = cov.base_point(spec)
-    w0 = cov.LiftedPath(spec, cov.SurfacePath((o.z, 1.4 + 1.1j), o.w)).w_end
+    w0 = cov.lift(spec, [cov.SurfacePath((o.z, 1.4 + 1.1j), o.w)])[0].w_end
     [w] = cov.continue_legs(spec, [[(1.4 + 1.1j, 0.6 + 1.5j)]], [w0])
     assert w[1] == walk_leg(spec, 1.4 + 1.1j, 0.6 + 1.5j, w0)
 
@@ -247,7 +296,7 @@ def test_continuation_into_a_branch_point_stalls():
         with pytest.raises(ContinuationError, match="meets a branch point"):
             cov.continue_legs(spec, [[leg]], [o.w])
     with pytest.raises(ContinuationError, match="meets a branch point"):
-        cov.LiftedPath(spec, cov.SurfacePath((o.z, 1.0 + 0j), o.w))
+        cov.lift(spec, [cov.SurfacePath((o.z, 1.0 + 0j), o.w)])
 
 
 def test_winding_number_oracle():
@@ -328,10 +377,11 @@ def test_kappa_maps_are_reflection_compositions():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_end_words_are_identity_loops(k):
     spec = cov.CoverSpec(k)
-    for word in (cov.word_end_zero(k), cov.word_end_infinity(k),
-                 cov.word_base_loop()):
-        path = cov.deck_word_path(spec, word)
-        assert cov.LiftedPath(spec, path).is_closed(1e-9)
+    paths = [cov.deck_word_path(spec, word)
+             for word in (cov.word_end_zero(k), cov.word_end_infinity(k),
+                          cov.word_base_loop())]
+    for lp in cov.lift(spec, paths):
+        assert lp.is_closed(1e-9)
 
 
 def test_deck_word_rejects_odd_word():
@@ -420,8 +470,8 @@ def test_generator_loops_close(k):
     spec = cov.CoverSpec(k)
     loops = cov.generator_loops(spec)
     assert len(loops) == 2 * (k + 1)
-    for loop in loops:
-        assert cov.LiftedPath(spec, loop).is_closed(1e-9)
+    for lp in cov.lift(spec, loops):
+        assert lp.is_closed(1e-9)
 
 
 def test_generator_loop_labels():

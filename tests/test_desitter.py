@@ -179,19 +179,29 @@ def _count_solves(monkeypatch) -> dict:
 
 
 def test_legs_of_all_paths_match_sequential_walk():
-    """One _legs pass over a word loop and the reflection probe paths gives
-    every path the legs, the fiber values at their ends and the route of a
-    dense nearest-root walk along that path alone, bit for bit."""
+    """One lift of a word loop and the reflection probe paths, as transport
+    lifts them, gives every path the legs, the fiber values at their ends
+    and the route of a dense nearest-root walk along that path alone, bit
+    for bit; the transport of those paths reports that route and those
+    fiber values."""
     spec = K1.spec
     paths = [cov.deck_word_path(spec, cov.word_end_zero(1))] + [
         path for j in (1, 2, 3) for path in ds._probe_paths(spec, j, ds._PROBES)]
-    split = ds._legs(spec, [(path.z_vertices, path.w0) for path in paths], True)
-    for path, (legs, upto, route) in zip(paths, split):
+    lifts = cov.lift(spec, paths)
+    for path, lp, tr in zip(paths, lifts,
+                            ds.transport([(K1, path) for path in paths])):
         ref, at_vertex = walk_segments(spec, path.z_vertices, path.w0)
-        assert [leg[1:] for leg in legs] == ref
-        assert route == (path.start,) + tuple(zb for _, zb, _, _ in ref)
-        assert [([path.w0] + [leg[4] for leg in legs])[n]
-                for n in upto] == at_vertex
+        assert lp.legs == ref
+        assert lp.route == (path.start,) + tuple(zb for _, zb, _, _ in ref)
+        assert lp.w_vertices == at_vertex
+        assert tr.route == lp.route and tr.w == lp.w_vertices
+
+
+def test_transport_needs_a_fiber_value():
+    """A path without a starting fiber value cannot be lifted."""
+    path = cov.SurfacePath((2.0, 1.5 + 0.5j), None)
+    with pytest.raises(ValidationError, match="no fiber value"):
+        ds.transport([(K1, path)])
 
 
 def test_batched_checks_solve_counts(monkeypatch):
@@ -306,11 +316,9 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
     loop = cov.deck_word_path(K1.spec, word)
     probes = [path for j in (1, 2, 3)
               for path in ds._probe_paths(K1.spec, j, ds._PROBES)]
-    (loop_legs, _, _), *probe_lifts = ds._legs(
-        K1.spec, [(path.z_vertices, path.w0) for path in [loop] + probes],
-        True)
-    probe_keys = {leg[0] for legs, _, _ in probe_lifts for leg in legs}
-    only_a = [leg[0] for leg in loop_legs if leg[0] not in probe_keys]
+    loop_lift, *probe_lifts = cov.lift(K1.spec, [loop] + probes)
+    probe_keys = {key for lp in probe_lifts for key in ds._leg_keys(1, lp)}
+    only_a = [key for key in ds._leg_keys(1, loop_lift) if key not in probe_keys]
     assert only_a
     ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
     key = (K1.t, K1.c, 1e-11) + only_a[len(only_a) // 2]
@@ -330,12 +338,11 @@ def test_corrupted_probe_leg_breaks_route_agreement(j, monkeypatch):
     loop = cov.deck_word_path(K1.spec, word)
     probes = {(i, n): path for i in (1, 2, 3)
               for n, path in enumerate(ds._probe_paths(K1.spec, i, ds._PROBES))}
-    split = ds._legs(K1.spec, [(path.z_vertices, path.w0) for path
-                               in [loop, *probes.values()]], True)
+    split = cov.lift(K1.spec, [loop, *probes.values()])
     users = {}
-    for name, (legs, _, _) in zip(["loop", *probes], split):
-        for leg in legs:
-            users.setdefault(leg[0], set()).add(name)
+    for name, lp in zip(["loop", *probes], split):
+        for key in ds._leg_keys(1, lp):
+            users.setdefault(key, set()).add(name)
     # path 1 of a reflection's probe paths is P_j * (mu_j o c) at probe 0
     [only] = [key for key, names in users.items() if names == {(j, 1)}]
     ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
@@ -370,17 +377,18 @@ def test_trace_identities_frozen():
 
 def test_word_loops_are_lifted_once():
     """trace_identity_check and su11_certify split each distinct word loop
-    into legs once, all of a check's loops in one _legs pass: the loop
+    into legs once, all of a check's loops in one cov.lift call: the loop
     monodromies share one transport, nothing lifts a loop ahead of it, and
     su11_certify lists each distinct word once (gen_k1^0 is gamma)."""
     pair = ds.AdmissiblePair(1, -0.015)
     ds.construct_iota([pair])  # lifts and caches the reflection probe paths
     calls = []
-    legs = ds._legs
+    lift = cov.lift
 
     def counted(spec, paths, *args):
-        calls.append(list(paths))
-        return legs(spec, paths, *args)
+        paths = list(paths)
+        calls.append([(path.z_vertices, path.w0) for path in paths])
+        return lift(spec, paths, *args)
 
     def loops(words):
         return list(dict.fromkeys(
@@ -388,7 +396,7 @@ def test_word_loops_are_lifted_once():
             for path in (cov.deck_word_path(pair.spec, w) for w in words)))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ds, "_legs", counted)
+        mp.setattr(cov, "lift", counted)
         ds.trace_identity_check([pair])
         assert calls == [loops([cov.word_end_zero(1),
                                 cov.word_end_infinity(1)])]

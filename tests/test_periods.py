@@ -133,9 +133,9 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
     built, lifts, continued = [], [], []
     init, continue_legs = cov.LiftedPath.__init__, cov.continue_legs
 
-    def counting_init(self, spec, path):
+    def counting_init(self, spec, path, *args):
         built.append(path.label)
-        init(self, spec, path)
+        init(self, spec, path, *args)
         lifts.append(self)
 
     def counting_continue(spec, chains, w0s):

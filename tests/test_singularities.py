@@ -48,7 +48,8 @@ def _assert_lift_matches_reference(spec, verts):
             break
     ref = np.array(ref)
     s = int(np.argmin(np.abs(units - ref[m] / w0))) if circuits > 1 else 0
-    got_circuits, got_w = sng._lift_component(spec, verts)
+    [(got_circuits, got_w), (open_circuits, open_w)] = sng._lift_traces(
+        spec, [(verts, True), (verts, False)])
     assert got_circuits == circuits
     assert len(got_w) == len(ref)
     np.testing.assert_array_equal(got_w[:m], ref[:m])
@@ -56,9 +57,9 @@ def _assert_lift_matches_reference(spec, verts):
         got_j, ref_j = got_w[j * m:(j + 1) * m], ref[j * m:(j + 1) * m]
         np.testing.assert_array_equal(got_j, got_w[:m] * units[(s * j) % n])
         assert np.all(np.abs(got_j - ref_j) <= 1e-14 * np.abs(ref_j))
+    assert open_circuits == 1
     np.testing.assert_array_equal(
-        sng._lift_open(spec, verts),
-        np.array(_continue_vertexwise(spec, verts, w0)))
+        open_w, np.array(_continue_vertexwise(spec, verts, w0)))
     return circuits
 
 

@@ -235,7 +235,7 @@ def test_integrate_form_on_cover_exact_differential():
         return w * (3 * z * z - 1) / (2 * z * (z * z - 1))
 
     got = wst.integrate_form(spec, path, dw, tol=1e-12)[-1]
-    w_end = cov.LiftedPath(spec, path).w_end
+    w_end = cov.lift(spec, [path])[0].w_end
     assert complex(got) == pytest.approx(w_end - o.w, rel=1e-9)
 
 
@@ -281,9 +281,9 @@ def test_batched_quadrature_matches_recursive_reference():
     genus_k k=2 path of many legs, detours included."""
     data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
     o = data.base
-    lp = cov.LiftedPath(data.cover, cov.SurfacePath(
+    [lp] = cov.lift(data.cover, [cov.SurfacePath(
         (o.z, 1.4 + 0.6j, 0.5 + 0.2j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j,
-         1.0 + 0.01j, 1.7 - 0.2j), o.w))
+         1.0 + 0.01j, 1.7 - 0.2j), o.w)])
     assert len(lp.legs) > 20
     got = wst.integrate_phi(data, lp, 1e-9)
     total, want = np.zeros(3, dtype=complex), [np.zeros(3, dtype=complex)]
@@ -312,7 +312,7 @@ def _marched_mesh(data, nr, nth):
     def leg(za, zb, wa):
         path = cov.SurfacePath((za, zb), wa)
         if spec is not None:
-            path = cov.LiftedPath(spec, path)
+            path = cov.lift(spec, [path])[0]
         return wst.integrate_phi(data, path, 1e-9)[-1].real, getattr(path, "w_end", None)
 
     xs, mets = np.empty((nr, nth + 1, 3)), np.empty((nr, nth + 1))
