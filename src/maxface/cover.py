@@ -28,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContinuationError, ValidationError
+from .errors import ContinuationError, NumericalError, ValidationError
 
 BASE_Z = 2.0 + 0.0j
 
@@ -97,9 +97,16 @@ class CoverSpec:
         branch = zip(self.finite_branch_points, self.branch_exponents)
         return -sum(e / (z - c) ** 2 for c, e in branch) / self.sheet_count
 
+    def _root_rhs(self, z):
+        """rhs(z); a scalar that overflows raises NumericalError."""
+        try:
+            return self.rhs(z)
+        except OverflowError:
+            raise NumericalError(f"rhs overflows at z = {z}") from None
+
     def principal_root(self, z):
         """rhs(z)^(1/n), n = sheet_count, for a scalar or an array of z."""
-        return np.power(self.rhs(z), 1.0 / self.sheet_count, dtype=complex)
+        return np.power(self._root_rhs(z), 1.0 / self.sheet_count, dtype=complex)
 
     def fiber(self, z) -> np.ndarray:
         """All sheet_count roots w over z, a scalar or an array, along a new
@@ -268,45 +275,47 @@ def _sheet(spec: CoverSpec, za, z, w_a, p) -> tuple[np.ndarray, np.ndarray]:
     return np.rint(turn / (2.0 * math.pi)).astype(int) % n, ratio
 
 
-def continue_legs(spec: CoverSpec, chains, w0s) -> list[np.ndarray]:
-    """Analytic continuation of w along chains of straight legs (za, zb):
-    chain c leaves from the fiber value w0s[c], each of its legs from the
-    value the one before it reached.  Returns per chain the fiber value at
-    every leg end, w[0] = w0 and w[i + 1] at the end of leg i.
+def continue_legs(spec: CoverSpec, routes, w0s) -> list[np.ndarray]:
+    """Analytic continuation of w along routes, z-polylines whose leg i runs
+    from route[i] to route[i + 1]: route r leaves from the fiber value
+    w0s[r], each leg from the value the one before it reached.  Returns per
+    route the fiber value at every vertex, w[0] = w0.
 
     All roots over z are p(z) units[j], p the principal root, and the root
     a leg reaches is fixed in closed form by the angle it subtends at each
     branch point (_sheet); a leg that meets a branch point has no such
-    angle and raises ContinuationError.  Each leg's sheet shift, from the
-    principal roots at its two ends (w0 itself at a chain's start), comes
-    from one array pass, and the shifts are summed per chain mod n, so a
-    chain's result does not depend on the others."""
-    sizes = [len(chain) for chain in chains]
-    legs = [leg for chain in chains for leg in chain]
-    za = np.array([a for a, _ in legs], dtype=complex)
-    # a leg ends at za + (zb - za) * 1.0, as w_at's s = 1 does; rhs there is
+    angle and raises ContinuationError, one whose end overflows rhs
+    NumericalError.  Each leg's sheet shift, from the principal roots at its
+    two ends (w0 itself at a route's start), comes from one array pass, and
+    the shifts are summed per route mod n, so a route's result does not
+    depend on the others."""
+    if not routes:
+        return []
+    sizes = [len(route) - 1 for route in routes]
+    za = np.concatenate([route[:-1] for route in routes])
+    # a leg ends at za + (end - za) * 1.0, as w_at's s = 1 does; rhs there is
     # formed in Python arithmetic as a scalar fiber call forms it (numpy's
     # integer power of a complex array may round differently), and the n-th
     # roots taken in one np.power call, which rounds each as a scalar call
-    zb = za + (np.array([b for _, b in legs], dtype=complex) - za) * 1.0
-    p_end = np.power(np.array([spec.rhs(z) for z in zb.tolist()], dtype=complex),
-                     1.0 / spec.sheet_count, dtype=complex)
-    # leg i leaves from the end of leg i - 1, a chain's first leg from w0
+    ends = np.concatenate([route[1:] for route in routes])
+    zb = za + (ends - za) * 1.0
+    p_end = np.power(np.array([spec._root_rhs(z) for z in zb.tolist()],
+                              dtype=complex), 1.0 / spec.sheet_count, dtype=complex)
+    # leg i leaves from the end of leg i - 1, a route's first leg from w0
     first = np.cumsum([0] + sizes)[:-1]
     p_start = np.roll(p_end, 1)
-    for leg, size, w0 in zip(first, sizes, w0s):
-        if size:
-            p_start[leg] = complex(w0)
+    live = np.array(sizes) > 0
+    p_start[first[live]] = np.array(w0s, dtype=complex)[live]
     shift, ratio = _sheet(spec, za, zb, p_start, p_end)
     # a leg from or to c has a ratio of 0 or none, one through c a ratio on
     # the negative real axis
     meets = np.any((ratio == 0) | ~np.isfinite(ratio)
                    | (np.abs(np.angle(ratio)) > math.pi - 1e-12), axis=-1)
     if meets.any():
-        a, b = legs[int(np.argmax(meets))]
-        raise ContinuationError(
-            f"fiber continuation meets a branch point on segment {a} -> {b}")
-    # each chain's sheet sums its own shifts
+        i = int(np.argmax(meets))
+        raise ContinuationError("fiber continuation meets a branch point on "
+                                f"segment {complex(za[i])} -> {complex(ends[i])}")
+    # each route's sheet sums its own shifts
     summed = np.concatenate([[0], np.cumsum(shift)])
     sheet = (summed[1:] - np.repeat(summed[first], sizes)) % spec.sheet_count
     w = p_end * _unit_roots(spec.sheet_count)[sheet]
@@ -314,33 +323,29 @@ def continue_legs(spec: CoverSpec, chains, w0s) -> list[np.ndarray]:
             for leg, size, w0 in zip(first, sizes, w0s)]
 
 
+@dataclass(eq=False)
 class LiftedPath:
     """A polyline lifted to the cover, as lift builds it.
 
     route is the polyline w is continued along, branch-point detours
-    included.  w_vertices[i] is the fiber value at input vertex i and
-    upto[i] the number of legs before it.  legs lists every leg (z0, z1, w0,
-    w1) with the fiber values at its ends; leg_z0, leg_dz and leg_w hold
-    every leg's z0, z1 - z0 and w0 as arrays (leg_w[-1] is w at the end of
-    the path).  w_at answers w at points along legs by the closed form of
+    included: leg i runs from route[i] to route[i + 1].  w[i] is the fiber
+    value at route[i], and input vertex i of path sits at route[upto[i]].
+    w_at answers w at points along legs by the closed form of
     continue_legs, from the leg's start value."""
 
-    def __init__(self, spec: CoverSpec, path: SurfacePath, ends: list,
-                 upto: list, leg_w: np.ndarray):
-        self.spec = spec
-        self.path = path
-        self.upto = upto
-        self.leg_w = leg_w
-        w = leg_w.tolist()
-        self.legs = [(a, b, wa, wb) for (a, b), wa, wb in zip(ends, w, w[1:])]
-        self.route = (path.start,) + tuple(b for _, b in ends)
-        self.leg_z0 = np.array([a for a, _ in ends], dtype=complex)
-        self.leg_dz = np.array([b for _, b in ends], dtype=complex) - self.leg_z0
-        self.w_vertices = [w[i] for i in upto]
+    spec: CoverSpec
+    path: SurfacePath
+    route: np.ndarray
+    w: np.ndarray
+    upto: np.ndarray
+
+    @property
+    def w_vertices(self) -> np.ndarray:
+        return self.w[self.upto]
 
     @property
     def w_end(self) -> complex:
-        return self.w_vertices[-1]
+        return complex(self.w[-1])
 
     def is_closed(self, tol: float = 1e-9) -> bool:
         """The polyline closes in z and w returns to its starting value."""
@@ -352,10 +357,10 @@ class LiftedPath:
     def w_at(self, leg, s: np.ndarray) -> np.ndarray:
         """w at the parameters s (an array in [0, 1]) of leg, one leg index
         or an array of them broadcasting against s."""
-        z0 = self.leg_z0[leg]
-        z = z0 + self.leg_dz[leg] * s
+        z0 = self.route[leg]
+        z = z0 + (self.route[leg + 1] - z0) * s
         p = self.spec.principal_root(z)
-        sheet, _ = _sheet(self.spec, z0, z, self.leg_w[leg], p)
+        sheet, _ = _sheet(self.spec, z0, z, self.w[leg], p)
         return p * _unit_roots(self.spec.sheet_count)[sheet]
 
 
@@ -364,7 +369,7 @@ def lift(spec: CoverSpec, paths, detour: bool = True) -> list[LiftedPath]:
     the segments of all paths, laid end to end, are screened against the
     branch points in one array pass (the joins are ignored), those near one
     get its detour (sanitize_path), the others are one leg (none if shorter
-    than 1e-14), and w is continued along all legs in one continue_legs
+    than 1e-14), and w is continued along all routes in one continue_legs
     call.  detour=False keeps every segment as one leg, for rays that run
     radially into a branch point, where a detour would wind about it."""
     paths = list(paths)
@@ -375,20 +380,19 @@ def lift(spec: CoverSpec, paths, detour: bool = True) -> list[LiftedPath]:
     routes = []
     for path in paths:
         z = path.z_vertices
-        ends, upto = [], [0]
+        route, upto = [z[0]], [0]
         for a, b in zip(z[:-1], z[1:]):
             if detour and next(near):
-                seg = sanitize_path(spec, (a, b))
-            else:
-                seg = (a, b) if not detour or abs(b - a) > 1e-14 else (a,)
-            ends.extend(zip(seg[:-1], seg[1:]))
-            upto.append(len(ends))
+                route.extend(sanitize_path(spec, (a, b))[1:])
+            elif not detour or abs(b - a) > 1e-14:
+                route.append(b)
+            upto.append(len(route) - 1)
         next(near, None)  # the join to the next path
-        routes.append((ends, upto))
-    chains = continue_legs(spec, [ends for ends, _ in routes],
-                           [path.w0 for path in paths])
-    return [LiftedPath(spec, path, ends, upto, w)
-            for path, (ends, upto), w in zip(paths, routes, chains)]
+        routes.append((np.array(route), np.array(upto)))
+    ws = continue_legs(spec, [route for route, _ in routes],
+                       [path.w0 for path in paths])
+    return [LiftedPath(spec, path, route, w, upto)
+            for path, (route, upto), w in zip(paths, routes, ws)]
 
 
 # ---------------------------------------------------------------------------

@@ -92,10 +92,11 @@ def nu_exponents(k: int, t: float) -> tuple[float, float]:
 @dataclass
 class Transport:
     """The lift along one polyline.  F[i] and w[i] are the frame and the
-    fiber value at the path's i-th vertex; route is the polyline actually
-    transported, branch-point detours included."""
+    fiber value at the path's i-th vertex, w in Python complex values (the
+    relations that read it round differently on numpy scalars); route is
+    the polyline actually transported, branch-point detours included."""
 
-    route: tuple
+    route: np.ndarray
     w: list
     F: np.ndarray
     det_defect: float
@@ -117,10 +118,11 @@ def clear_memos() -> None:
 
 
 def _leg_keys(k: int, lp: cov.LiftedPath) -> list[tuple]:
-    """The memo keys of the legs (z0, z1, w0, w1) of lp, lifted on the cover
-    of k: (k, z0, z1, w0 rounded to 1e-10)."""
+    """The memo keys of the legs of lp, lifted on the cover of k: (k, z0,
+    z1, w0 rounded to 1e-10) per leg from z0 to z1 with w0 at z0."""
+    z = lp.route.tolist()
     return [(k, za, zb, complex(round(wa.real, 10), round(wa.imag, 10)))
-            for za, zb, wa, _ in lp.legs]
+            for za, zb, wa in zip(z, z[1:], lp.w.tolist())]
 
 
 def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
@@ -156,12 +158,14 @@ def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
         return out
 
     y = dop853(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
-    for (pair, (_, a, b, _, wb)), w_end in zip(rows, y[:, 4]):
-        roots = pair.spec.fiber(b)
-        near = roots[int(np.argmin(np.abs(roots - w_end)))]
-        if abs(near - wb) > 1e-9 * (1.0 + abs(wb)):
-            raise ContinuationError(
-                f"lift left the continued sheet on leg {a} -> {b}")
+    # the roots over b share their modulus: w_b is the one nearest the
+    # integrated w if the two part by less than half the root spacing
+    w_b = np.array([leg[4] for _, leg in rows])
+    off = ~(np.abs(np.angle(y[:, 4] / w_b)) < math.pi / (ks + 1))
+    if off.any():
+        _, a, b, _, _ = rows[int(np.argmax(off))][1]
+        raise ContinuationError(
+            f"lift left the continued sheet on leg {a} -> {b}")
     return y[:, :4].reshape(-1, 2, 2)
 
 
@@ -214,10 +218,11 @@ def transport(jobs, b=None, rtol: float = 1e-11,
     lifts = []
     for pair, path in jobs:
         lp, keys = split[pair.k, path.z_vertices, path.w0]
+        z, w = lp.route.tolist(), lp.w.tolist()
         # each pair keys the legs' propagators by its own (t, c, rtol)
         head = (pair.t, pair.c, rtol)
-        lifts.append((lp, [(head + key,) + leg
-                           for key, leg in zip(keys, lp.legs)]))
+        lifts.append((lp, [(head + key, za, zb, wa, wb) for key, za, zb, wa, wb
+                           in zip(keys, z, z[1:], w, w[1:])]))
     phis = _propagators([(pair, leg) for (pair, _), (_, legs)
                          in zip(jobs, lifts) for leg in legs], rtol)
     out = []
@@ -225,10 +230,9 @@ def transport(jobs, b=None, rtol: float = 1e-11,
         frames = [b0]
         for leg in legs:
             frames.append(phis[leg[0]] @ frames[-1])
-        F = np.array([frames[n] for n in lp.upto])
-        det0 = det2(b0)
-        defect = max(abs(det2(f) - det0) for f in F)
-        out.append(Transport(route=lp.route, w=lp.w_vertices, F=F,
+        F = np.array(frames)[lp.upto]
+        defect = np.max(np.abs(det2(F.T) - det2(b0)))
+        out.append(Transport(route=lp.route, w=lp.w_vertices.tolist(), F=F,
                              det_defect=float(defect)))
     return out
 

@@ -103,13 +103,6 @@ def _classify(alpha, beta) -> np.ndarray:
                      "degenerate")
 
 
-def classify_point(data: wst.WeierstrassData, p: cov.SurfacePoint) -> dict:
-    """Classify one singular point at the epsilon scale _CLASS_EPS; caller
-    is responsible for |G| = 1."""
-    alpha, beta = alpha_beta(data, p)
-    return {"kind": str(_classify(alpha, beta)), "alpha": alpha, "beta": beta}
-
-
 @dataclass(frozen=True)
 class SingularPointRecord:
     kind: str
@@ -374,14 +367,14 @@ def _lift_traces(spec: cov.CoverSpec, traces) -> list[tuple[int, np.ndarray]]:
     out = []
     for (_, closed), w0, lifted in zip(traces, w0s, cov.lift(spec, paths)):
         if not closed:
-            out.append((1, np.array(lifted.w_vertices)))
+            out.append((1, lifted.w_vertices))
             continue
         ratio = lifted.w_end / w0
         s = int(np.argmin(np.abs(units - ratio)))
         if not abs(ratio - units[s]) < 1e-8:
             raise NumericalError("singular-curve lift failed to close on the cover")
         circuits = n // math.gcd(s, n)
-        w = np.array(lifted.w_vertices[:-1])
+        w = lifted.w_vertices[:-1]
         out.append((circuits, np.concatenate([w * units[(s * j) % n]
                                               for j in range(circuits)])))
     return out

@@ -402,13 +402,11 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
         lp = path
     elif spec is not None and path.w0 is not None:
         [lp] = cov.lift(spec, [path])
-    else:
+    else:  # a planar path is integrated along its own vertices
         lp = None
-    if lp is not None:
-        z0, dz, upto = lp.leg_z0, lp.leg_dz, lp.upto
-    else:
-        z = np.array(path.z_vertices, dtype=complex)
-        z0, dz, upto = z[:-1], z[1:] - z[:-1], range(len(z))
+    route = np.array(path.z_vertices, dtype=complex) if lp is None else lp.route
+    upto = np.arange(len(route)) if lp is None else lp.upto
+    z0, dz = route[:-1], route[1:] - route[:-1]
 
     def f(leg, s):
         w = lp.w_at(leg[:, None], s) if lp is not None else None
@@ -417,7 +415,7 @@ def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.Lifte
 
     legs = gk_batched(f, len(z0), tol)
     start = np.zeros((1,) + legs.shape[1:], dtype=complex)
-    return np.cumsum(np.concatenate([start, legs]), axis=0)[list(upto)]
+    return np.cumsum(np.concatenate([start, legs]), axis=0)[upto]
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ def walk_segments(spec, vertices, w):
     return legs, at_vertex
 
 
+def lifted_legs(lp):
+    """The legs (za, zb, w at za, w at zb) of a cover.LiftedPath, in the
+    form walk_segments gives them."""
+    z, w = lp.route.tolist(), lp.w.tolist()
+    return list(zip(z, z[1:], w, w[1:]))
+
+
 def fiber_residual(spec, p) -> float:
     """|w^n - rhs(z)| at the surface point p."""
     return abs(p.w ** spec.sheet_count - spec.rhs(p.z))

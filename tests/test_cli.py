@@ -210,6 +210,15 @@ def test_periods_at_k40_closes(capsys):
     assert row["route_agreement_pass"] is True
 
 
+def test_periods_past_the_envelope_exits_3(capsys):
+    """At k = 400 a fiber value's rhs overflows Python's complex power: the
+    run exits 3 with the JSON error, not 1 with a raw OverflowError."""
+    assert run(["periods", "--k", "400"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "NumericalError"
+    assert err["error"]["message"].startswith("rhs overflows at z = ")
+
+
 def test_periods_csv_artifacts(tmp_path):
     assert run(["periods", "--k", "1", "--format", "csv",
                 "--out", str(tmp_path)]) == 0

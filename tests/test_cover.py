@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from maxface import algebra as alg
 from maxface import cover as cov
-from maxface.errors import ContinuationError, ValidationError
-from nearest_root import fiber_residual, on_cover, walk_leg, walk_segments
+from maxface.errors import ContinuationError, NumericalError, ValidationError
+from nearest_root import (fiber_residual, lifted_legs, on_cover, walk_leg,
+                          walk_segments)
 
 # ---------------------------------------------------------------------------
 # fibers
@@ -159,11 +160,11 @@ def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
     [lp] = cov.lift(spec, [cov.SurfacePath(verts, o.w)])
     ref, at_vertex = walk_segments(spec, verts, o.w)
     assert len(ref) > len(verts)
-    assert lp.legs == ref
-    assert lp.w_vertices == at_vertex
+    assert lifted_legs(lp) == ref
+    assert lp.w_vertices.tolist() == at_vertex
     near = cov._near_branch_points(spec, verts)
     assert near.any() and not near.all()
-    assert lp.route == (o.z,) + tuple(zb for _, zb, _, _ in ref)
+    assert lp.route.tolist() == [o.z] + [zb for _, zb, _, _ in ref]
 
 
 @pytest.mark.parametrize("detour", [True, False])
@@ -187,19 +188,20 @@ def test_lift_of_many_paths_matches_each_alone(k, reduced, detour):
     for path, lp in zip(paths, together):
         [alone] = cov.lift(spec, [path], detour)
         assert lp.path is path
-        assert lp.legs == alone.legs
-        assert np.array_equal(lp.leg_w, alone.leg_w)
-        assert lp.w_vertices == alone.w_vertices
-        assert lp.route == alone.route
-        assert lp.upto == alone.upto
+        assert lifted_legs(lp) == lifted_legs(alone)
+        assert np.array_equal(lp.w, alone.w)
+        assert lp.w_vertices.tolist() == alone.w_vertices.tolist()
+        assert lp.route.tolist() == alone.route.tolist()
+        assert np.array_equal(lp.upto, alone.upto)
     first = together[0]
     assert first.route[0] == o.z and first.route[-1] == verts[-1]
     if detour:
-        assert first.upto[1] == first.upto[2] and len(first.legs) > 4
+        assert first.upto[1] == first.upto[2] and len(first.route) - 1 > 4
     else:
         assert list(first.upto) == [0, 1, 2, 3, 4]
-        assert first.route == verts
-    assert together[1].legs == [] and together[1].w_vertices == [o.w]
+        assert first.route.tolist() == list(verts)
+    assert lifted_legs(together[1]) == []
+    assert together[1].w_vertices.tolist() == [o.w]
     assert cov.lift(spec, []) == []
 
 
@@ -219,7 +221,7 @@ def _w_at_reference(lp, leg, s):
     nearest a dense walk from the leg's start to the point.  The fibers come
     from one array call, as in w_at, because numpy may round an array power
     differently from a scalar one in the last bit."""
-    z0, z1, w0, _ = lp.legs[leg]
+    z0, z1, w0, _ = lifted_legs(lp)[leg]
     z = z0 + (z1 - z0) * s
     return [roots[int(np.argmin(np.abs(roots - walk_leg(lp.spec, z0, x, w0))))]
             for x, roots in zip(z.tolist(), lp.spec.fiber(z))]
@@ -235,12 +237,12 @@ def test_w_at_matches_pointwise_reference(k, reduced):
     bump = 0.5j * cov.clearance(spec)
     verts = (o.z, 1.3 + bump, 0.7 + bump, 0.7 + 3 * bump, 1.3 + 3 * bump)
     [lp] = cov.lift(spec, [cov.SurfacePath(verts, o.w)])
-    assert len(lp.legs) > 2
+    assert len(lp.route) - 1 > 2
     s = np.concatenate([np.linspace(0.0, 1.0, 33), 0.5 + 0.5 * alg._X15])
-    for leg in range(len(lp.legs)):
+    for leg in range(len(lp.route) - 1):
         assert np.array_equal(lp.w_at(leg, s), _w_at_reference(lp, leg, s))
     # one call over every leg, a leg index per row
-    legs = np.arange(len(lp.legs))
+    legs = np.arange(len(lp.route) - 1)
     assert np.array_equal(lp.w_at(legs[:, None], np.broadcast_to(s, (len(legs), len(s)))),
                           [lp.w_at(leg, s) for leg in legs])
 
@@ -248,27 +250,28 @@ def test_w_at_matches_pointwise_reference(k, reduced):
 @pytest.mark.parametrize("k, reduced", [(1, False), (2, False), (3, False),
                                         (2, True), (4, True)])
 def test_continue_legs_matches_sequential_walk(k, reduced):
-    """On random chains of legs that are not routed around the branch
-    points, one of them empty, the continuation of all chains in one call
+    """On random routes that are not routed around the branch points, one
+    of them a single vertex, the continuation of all routes in one call
     lands every leg on the root a dense nearest-root walk from the leg's
-    start reaches, bit for bit, and gives each chain what continuing it
-    alone gives; no chains give no result.  Subdivision that accepts a step once its nearest root is
+    start reaches, bit for bit, and gives each route what continuing it
+    alone gives; no routes give no result.  Subdivision that accepts a step once its nearest root is
     twice as close as any other aliases on such legs: it puts 8 of these
     200 legs off-sheet for k = 2, and 10 for the reduced k = 2."""
     spec = cov.CoverSpec(k, reduced=reduced)
     rng = np.random.default_rng(k + 10 * reduced)
-    chains, w0s = [], []
+    routes, w0s = [], []
     for size in [4] * 25 + [0] + [4] * 25:
         z = rng.uniform(-2.0, 2.0, size + 1) + 1j * rng.uniform(-1.5, 1.5, size + 1)
-        chains.append(list(zip(z[:-1].tolist(), z[1:].tolist())))
+        routes.append(z)
         w0s.append(spec.fiber(complex(z[0]))[int(rng.integers(spec.sheet_count))])
-    together = cov.continue_legs(spec, chains, w0s)
+    together = cov.continue_legs(spec, routes, w0s)
     assert cov.continue_legs(spec, [], []) == []
-    for legs, w0, got in zip(chains, w0s, together):
-        [alone] = cov.continue_legs(spec, [legs], [w0])
+    for z, w0, got in zip(routes, w0s, together):
+        [alone] = cov.continue_legs(spec, [z], [w0])
         assert np.array_equal(got, alone)
-        assert len(got) == len(legs) + 1 and got[0] == w0
-        for (za, zb), wa, wb in zip(legs, got[:-1], got[1:]):
+        assert len(got) == len(z) and got[0] == w0
+        z = z.tolist()
+        for za, zb, wa, wb in zip(z, z[1:], got[:-1], got[1:]):
             assert wb == walk_leg(spec, za, zb, wa)
 
 
@@ -281,7 +284,7 @@ def test_continue_legs_does_not_alias_at_high_k():
     spec = cov.CoverSpec(20)
     o = cov.base_point(spec)
     w0 = cov.lift(spec, [cov.SurfacePath((o.z, 1.4 + 1.1j), o.w)])[0].w_end
-    [w] = cov.continue_legs(spec, [[(1.4 + 1.1j, 0.6 + 1.5j)]], [w0])
+    [w] = cov.continue_legs(spec, [[1.4 + 1.1j, 0.6 + 1.5j]], [w0])
     assert w[1] == walk_leg(spec, 1.4 + 1.1j, 0.6 + 1.5j, w0)
 
 
@@ -294,9 +297,23 @@ def test_continuation_into_a_branch_point_stalls():
     o = cov.base_point(spec)
     for leg in [(o.z, 1.0 + 0j), (1.0 + 0j, 1.5 + 0.5j), (o.z, 0.5 + 0j)]:
         with pytest.raises(ContinuationError, match="meets a branch point"):
-            cov.continue_legs(spec, [[leg]], [o.w])
+            cov.continue_legs(spec, [leg], [o.w])
     with pytest.raises(ContinuationError, match="meets a branch point"):
         cov.lift(spec, [cov.SurfacePath((o.z, 1.0 + 0j), o.w)])
+
+
+def test_overflowing_rhs_raises_numerical_error():
+    """At k = 400, rhs(10) = 10 * 99^400 overflows Python's complex power:
+    the principal root there and a leg that ends there raise
+    NumericalError naming the point, not a raw OverflowError; rhs(2)
+    still fits."""
+    spec = cov.CoverSpec(400)
+    w0 = spec.principal_root(2 + 0j)
+    assert math.isfinite(abs(w0))
+    with pytest.raises(NumericalError, match=r"rhs overflows at z = \(10\+0j\)"):
+        spec.principal_root(10 + 0j)
+    with pytest.raises(NumericalError, match=r"rhs overflows at z = \(10\+0j\)"):
+        cov.continue_legs(spec, [[2 + 0j, 10 + 0j]], [w0])
 
 
 def test_winding_number_oracle():

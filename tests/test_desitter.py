@@ -7,6 +7,7 @@ cross-checked against the closed forms nu_0 = k sqrt(1 + 4t(k+1)/k) etc.;
 they guard the integration pipeline against silent regressions.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from maxface import cover as cov
 from maxface import desitter as ds
 from maxface import verify as verify_mod
 from maxface import weierstrass as wst
-from maxface.errors import NumericalError, ValidationError
-from nearest_root import on_cover, walk_segments
+from maxface.errors import ContinuationError, NumericalError, ValidationError
+from nearest_root import lifted_legs, on_cover, walk_segments
 
 K1 = ds.AdmissiblePair(1, 0.02)
 K1_ZERO = ds.AdmissiblePair(1, 0.0)
@@ -156,8 +157,28 @@ def test_multi_pair_transport_matches_per_pair_calls():
     for mixed, single in zip(together, alone):
         assert np.array_equal(mixed.F, single.F)
         assert mixed.w == single.w
-        assert mixed.route == single.route
+        assert np.array_equal(mixed.route, single.route)
         assert mixed.det_defect == single.det_defect
+
+
+def test_integrate_legs_checks_the_continued_sheet():
+    """The w integrated jointly with F must end on the root the cover lift
+    continued each leg to: rows of k = 1 and k = 2 with their lifted end
+    values pass, and one whose end value is one root off raises
+    ContinuationError naming its leg."""
+    rows = []
+    for pair in (K1, ds.AdmissiblePair(2, -0.03)):
+        o = cov.base_point(pair.spec)
+        [lp] = cov.lift(pair.spec, [cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)])
+        assert len(lp.route) == 2
+        rows.append((pair, (None, o.z, 1.6 + 0.8j, o.w, lp.w_end)))
+    phis = ds._integrate_legs(rows, 1e-11)
+    assert np.max(np.abs(alg.det2(phis.T) - 1.0)) < 1e-11
+    pair, (key, a, b, w_a, w_b) = rows[1]
+    off = w_b * cmath.exp(2j * math.pi / pair.spec.sheet_count)
+    with pytest.raises(ContinuationError,
+                       match=r"left the continued sheet on leg \(2\+0j\) -> \(1.6\+0.8j\)"):
+        ds._integrate_legs([rows[0], (pair, (key, a, b, w_a, off))], 1e-11)
 
 
 def _count_solves(monkeypatch) -> dict:
@@ -191,10 +212,11 @@ def test_legs_of_all_paths_match_sequential_walk():
     for path, lp, tr in zip(paths, lifts,
                             ds.transport([(K1, path) for path in paths])):
         ref, at_vertex = walk_segments(spec, path.z_vertices, path.w0)
-        assert lp.legs == ref
-        assert lp.route == (path.start,) + tuple(zb for _, zb, _, _ in ref)
-        assert lp.w_vertices == at_vertex
-        assert tr.route == lp.route and tr.w == lp.w_vertices
+        assert lifted_legs(lp) == ref
+        assert lp.route.tolist() == [path.start] + [zb for _, zb, _, _ in ref]
+        assert lp.w_vertices.tolist() == at_vertex
+        assert np.array_equal(tr.route, lp.route)
+        assert tr.w == lp.w_vertices.tolist()
 
 
 def test_transport_needs_a_fiber_value():

@@ -16,7 +16,7 @@ from maxface import cover as cov
 from maxface import periods as per
 from maxface import weierstrass as wst
 from maxface.errors import NumericalError, ValidationError
-from nearest_root import walk_segments
+from nearest_root import lifted_legs, walk_segments
 
 # frozen oracle decimals (Beta-function route, 1e-10 quadrature)
 FROZEN = {
@@ -138,9 +138,9 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
         init(self, spec, path, *args)
         lifts.append(self)
 
-    def counting_continue(spec, chains, w0s):
-        continued.append([len(legs) for legs in chains])
-        return continue_legs(spec, chains, w0s)
+    def counting_continue(spec, routes, w0s):
+        continued.append([len(route) - 1 for route in routes])
+        return continue_legs(spec, routes, w0s)
 
     monkeypatch.setattr(cov.LiftedPath, "__init__", counting_init)
     monkeypatch.setattr(cov, "continue_legs", counting_continue)
@@ -148,11 +148,11 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
     for loop in loops:
         per.period_vector(data, loop)
     assert built == [loop.label for loop in loops]
-    assert continued == [[len(lp.legs)] for lp in lifts]
+    assert continued == [[len(lp.route) - 1] for lp in lifts]
     for lp in lifts:
         legs, at_vertex = walk_segments(lp.spec, lp.path.z_vertices, lp.path.w0)
-        assert lp.legs == legs
-        assert lp.w_vertices == at_vertex
+        assert lifted_legs(lp) == legs
+        assert lp.w_vertices.tolist() == at_vertex
 
 
 def test_period_vector_rejects_loop_that_permutes_sheets():

@@ -125,11 +125,11 @@ def test_alpha_helicoid_closed_form():
 def test_classify_point_kinds():
     data = wst.catalog_get("catenoid")
     p = data.point(cmath.exp(0.4j))
-    out = sng.classify_point(data, p)
-    assert out["kind"] == "degenerate"  # real alpha, real beta: cone axis
+    kind = str(sng._classify(*sng.alpha_beta(data, p)))
+    assert kind == "degenerate"  # real alpha, real beta: cone axis
     data_h = wst.catalog_get("helicoid")
-    out_h = sng.classify_point(data_h, data_h.point(cmath.exp(0.4j)))
-    assert out_h["kind"] in ("cuspidal_edge", "degenerate")
+    kind_h = str(sng._classify(*sng.alpha_beta(data_h, data_h.point(cmath.exp(0.4j)))))
+    assert kind_h in ("cuspidal_edge", "degenerate")
 
 
 def _scalar_kind(alpha: complex, beta: complex) -> str:
@@ -193,8 +193,7 @@ def test_associated_family_generic_edge():
     """Strictly between the conjugate pair the edge points are generic."""
     data = wst.catalog_get("associated", phase=0.6)
     p = data.point(cmath.exp(0.8j))
-    out = sng.classify_point(data, p)
-    assert out["kind"] == "cuspidal_edge"
+    assert str(sng._classify(*sng.alpha_beta(data, p))) == "cuspidal_edge"
 
 
 def _planar(G, eta):
@@ -653,7 +652,7 @@ def _scalar_records(data, comp):
             if (v0 < 0) == (v1 < 0) or max(abs(v0), abs(v1)) <= floor:
                 continue
             p = _scalar_refine(data, prof, za, zb, pa.w, part)
-            kind = sng.classify_point(data, p)["kind"]
+            kind = str(sng._classify(*sng.alpha_beta(data, p)))
             records.append((kind if kind == target else "degenerate_" + target, p))
     unique = []
     for kind, p in records:

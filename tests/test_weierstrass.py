@@ -284,10 +284,11 @@ def test_batched_quadrature_matches_recursive_reference():
     [lp] = cov.lift(data.cover, [cov.SurfacePath(
         (o.z, 1.4 + 0.6j, 0.5 + 0.2j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j,
          1.0 + 0.01j, 1.7 - 0.2j), o.w)])
-    assert len(lp.legs) > 20
+    assert len(lp.route) - 1 > 20
     got = wst.integrate_phi(data, lp, 1e-9)
     total, want = np.zeros(3, dtype=complex), [np.zeros(3, dtype=complex)]
-    for leg, (a, b, _, _) in enumerate(lp.legs):
+    z = lp.route.tolist()
+    for leg, (a, b) in enumerate(zip(z, z[1:])):
         def f(s, a=a, b=b, leg=leg):
             return data.phi(cov.SurfacePoint(a + (b - a) * s, lp.w_at(leg, s))) * (b - a)
         total = total + _gk_recursive(f, 0.0, 1.0, 1e-9)
