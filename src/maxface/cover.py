@@ -143,7 +143,7 @@ class SurfacePoint:
 @dataclass
 class SurfacePath:
     """z-polyline plus the starting fiber value; the homotopy class is pinned
-    by the concrete vertices (after branch-clearance sanitization)."""
+    by the concrete vertices (and lift's branch-clearance detours)."""
 
     z_vertices: tuple
     w0: complex | None
@@ -189,75 +189,49 @@ def clearance(spec: CoverSpec) -> float:
     return 0.05 * dmin
 
 
-def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = max(0.0, min(1.0, ((p - a).conjugate() * ab).real / denom))
-    return abs(a + t * ab - p)
-
-
-def _near_branch_points(spec: CoverSpec, vertices) -> np.ndarray:
-    """For every segment of the polyline, whether it may pass a finite
-    branch point closer than the clearance radius: the distance of every
-    segment to every branch point in one array pass.  A relative margin of
-    1e-9 keeps rounding from clearing a segment sanitize_path would detour."""
+def _passes(spec: CoverSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Which finite branch points each segment a[i] -> b[i] passes, one
+    column per point of spec.finite_branch_points: the segment's nearest
+    point to c (t clipped to [0, 1]) is closer than the clearance radius,
+    and neither end lies within 1e-14 of c.  A zero-length segment passes
+    nothing."""
     bp = np.array(spec.finite_branch_points, dtype=complex)
-    v = np.array(vertices, dtype=complex)
-    a, ab = v[:-1, None], (v[1:] - v[:-1])[:, None]
+    a, b = a[:, None], b[:, None]
+    ab = b - a
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip(((bp - a).conjugate() * ab).real / np.abs(ab) ** 2, 0.0, 1.0)
-    # a zero-length segment measures from its start
-    dist = np.abs(a + np.where(np.isnan(t), 0.0, t) * ab - bp)
-    return np.any(dist < clearance(spec) * (1.0 + 1e-9), axis=1)
+    # a NaN t, from a zero-length segment, compares False
+    return ((np.abs(a + t * ab - bp) < clearance(spec))
+            & (np.abs(a - bp) > 1e-14) & (np.abs(b - bp) > 1e-14))
 
 
-def sanitize_path(spec: CoverSpec, vertices) -> tuple:
-    """Insert a counterclockwise semicircular detour wherever a segment passes
-    a finite branch point closer than the clearance radius.
-
-    A segment that grazes several branch points is split recursively so each
-    offender gets its own arc; the pieces on either side of a detour are
-    re-examined against the remaining branch points."""
+def _detour(spec: CoverSpec, a: complex, b: complex, passed) -> list:
+    """The route from a (excluded) to b around the branch points passed,
+    taken in order along the segment: per point the entry point and a
+    counterclockwise arc of radius clearance(spec), then b.  A point within
+    1e-14 of the one kept before it is dropped."""
     clr = clearance(spec)
-
-    def detour(a: complex, b: complex, seen: frozenset) -> list:
-        # vertices strictly after a, ending with b
-        for bp in spec.finite_branch_points:
-            if bp in seen:
-                continue
-            if (_seg_point_dist(a, b, bp) < clr
-                    and abs(a - bp) > 1e-14 and abs(b - bp) > 1e-14):
-                ab = b - a
-                t = (((bp - a).conjugate() * ab).real) / abs(ab) ** 2
-                t = max(0.0, min(1.0, t))
-                # entry/exit points on the segment at clearance distance
-                back = max(0.0, t - 2 * clr / abs(ab))
-                fwd = min(1.0, t + 2 * clr / abs(ab))
-                pin = a + back * ab
-                pout = a + fwd * ab
-                # counterclockwise arc of radius clr around the offender;
-                # pin -> arc[0] and arc[-1] -> pout are radial joints
-                th_in = cmath.phase(pin - bp)
-                th_out = cmath.phase(pout - bp)
-                while th_out <= th_in:
-                    th_out += 2 * math.pi
-                arc = [bp + clr * cmath.exp(1j * (th_in + s * (th_out - th_in)))
-                       for s in np.linspace(0.0, 1.0, 9)]
-                mark = seen | {bp}
-                return detour(a, pin, mark) + arc + detour(pout, b, mark)
-        return [b]
-
-    out = [complex(vertices[0])]
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        out.extend(detour(complex(a), complex(b), frozenset()))
-    # drop consecutive duplicates
-    dedup = [out[0]]
-    for v in out[1:]:
-        if abs(v - dedup[-1]) > 1e-14:
-            dedup.append(v)
-    return tuple(dedup)
+    ab = b - a
+    hits = [(max(0.0, min(1.0, ((c - a).conjugate() * ab).real / abs(ab) ** 2)), c)
+            for c in passed]
+    out = []
+    for t, c in sorted(hits, key=lambda hit: hit[0]):
+        # entry/exit points on the segment at twice the clearance distance;
+        # the exit point only ends the arc, pin -> arc[0] is a radial joint
+        pin = a + max(0.0, t - 2 * clr / abs(ab)) * ab
+        pout = a + min(1.0, t + 2 * clr / abs(ab)) * ab
+        th_in = cmath.phase(pin - c)
+        th_out = cmath.phase(pout - c)
+        while th_out <= th_in:
+            th_out += 2 * math.pi
+        out.append(pin)
+        out.extend(c + clr * cmath.exp(1j * (th_in + s * (th_out - th_in)))
+                   for s in np.linspace(0.0, 1.0, 9))
+    kept = [a]
+    for z in out + [b]:
+        if abs(z - kept[-1]) > 1e-14:
+            kept.append(z)
+    return kept[1:]
 
 
 def _sheet(spec: CoverSpec, za, z, w_a, p) -> tuple[np.ndarray, np.ndarray]:
@@ -365,34 +339,47 @@ class LiftedPath:
 
 
 def lift(spec: CoverSpec, paths, detour: bool = True) -> list[LiftedPath]:
-    """Lift every path (a SurfacePath with its fiber value w0) to the cover:
-    the segments of all paths, laid end to end, are screened against the
-    branch points in one array pass (the joins are ignored), those near one
-    get its detour (sanitize_path), the others are one leg (none if shorter
-    than 1e-14), and w is continued along all routes in one continue_legs
-    call.  detour=False keeps every segment as one leg, for rays that run
-    radially into a branch point, where a detour would wind about it."""
+    """Lift every path (a SurfacePath with its fiber value w0) to the cover.
+
+    A segment no longer than 1e-14 adds nothing to the route, so the legs
+    run between the vertices that stay; each other segment adds its end
+    point, or its detour (_detour) where it passes a branch point (_passes,
+    one array test over the segments of all paths).  w is continued along
+    all routes in one continue_legs call.  detour=False keeps every segment
+    as one leg, for rays that run radially into a branch point, where a
+    detour would wind about it."""
     paths = list(paths)
     if any(path.w0 is None for path in paths):
         raise ValidationError("path carries no fiber value")
-    flat = [z for path in paths for z in path.z_vertices]
-    near = iter(_near_branch_points(spec, flat) if detour else ())
-    routes = []
-    for path in paths:
-        z = path.z_vertices
-        route, upto = [z[0]], [0]
-        for a, b in zip(z[:-1], z[1:]):
-            if detour and next(near):
-                route.extend(sanitize_path(spec, (a, b))[1:])
-            elif not detour or abs(b - a) > 1e-14:
-                route.append(b)
-            upto.append(len(route) - 1)
-        next(near, None)  # the join to the next path
-        routes.append((np.array(route), np.array(upto)))
-    ws = continue_legs(spec, [route for route, _ in routes],
-                       [path.w0 for path in paths])
-    return [LiftedPath(spec, path, route, w, upto)
-            for path, (route, upto), w in zip(paths, routes, ws)]
+    z = np.array([z for path in paths for z in path.z_vertices], dtype=complex)
+    first = np.cumsum([0] + [len(path.z_vertices) for path in paths])[:-1]
+    head = np.zeros(len(z), dtype=bool)
+    head[first] = True
+    keep = np.ones(len(z), dtype=bool)
+    if detour:
+        keep[1:] = np.abs(z[1:] - z[:-1]) > 1e-14
+        keep |= head
+    v = z[keep]
+    kept = np.cumsum(keep) - 1  # the index in v of the last vertex that stays
+    # segment v[j - 1] -> v[j] for every j that starts no path
+    ends = np.flatnonzero(~head[keep])
+    passes = _passes(spec, v[ends - 1], v[ends])
+    flagged = passes.any(axis=1) & detour
+    hit = ends[flagged].tolist()
+    detours = [_detour(spec, complex(v[j - 1]), complex(v[j]),
+                       [c for c, on in zip(spec.finite_branch_points, row) if on])
+               for j, row in zip(hit, passes[flagged])]
+    counts = np.ones(len(v), dtype=int)
+    counts[hit] = [len(d) for d in detours]
+    route = np.repeat(v, counts)
+    last = np.cumsum(counts) - 1  # the route index of v[j]
+    for j, d in zip(hit, detours):
+        route[last[j] - len(d) + 1:last[j] + 1] = d
+    at = last[kept]
+    routes = np.split(route, at[first])[1:]
+    ws = continue_legs(spec, routes, [path.w0 for path in paths])
+    return [LiftedPath(spec, path, r, w, upto - upto[0])
+            for path, r, w, upto in zip(paths, routes, ws, np.split(at, first)[1:])]
 
 
 # ---------------------------------------------------------------------------

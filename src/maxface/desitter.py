@@ -375,9 +375,8 @@ def loop_monodromy(jobs, b=None) -> list[dict]:
             raise NumericalError(
                 f"monodromy routes disagree by {disagreement:.2e} on word "
                 f"{word.indices}")
-        out.append({"rho": rho_a, "rho_word": rho_b,
-                    "route_disagreement": disagreement,
-                    "det_defect": lift.det_defect, "sigma_scalar": sig})
+        out.append({"rho": rho_a, "route_disagreement": disagreement,
+                    "det_defect": lift.det_defect})
     return out
 
 
@@ -551,24 +550,26 @@ def theta_zero_check(pair: AdmissiblePair) -> dict:
 # ---------------------------------------------------------------------------
 
 def hermitian_coordinates(F: np.ndarray) -> np.ndarray:
-    """x = (x0, x1, x2, x3) of f = F e3 F^*."""
-    f = F @ E3 @ F.conj().T
-    x0 = 0.5 * (f[0, 0] + f[1, 1]).real
-    x3 = 0.5 * (f[0, 0] - f[1, 1]).real
-    x1 = f[0, 1].real
-    x2 = f[0, 1].imag
-    return np.array([x0, x1, x2, x3])
+    """x = (x0, x1, x2, x3) of f = F e3 F^*, for a frame or a stack of
+    frames (..., 2, 2); x along a new last axis."""
+    f = F @ E3 @ np.swapaxes(F, -1, -2).conj()
+    return np.stack([0.5 * (f[..., 0, 0] + f[..., 1, 1]).real, f[..., 0, 1].real,
+                     f[..., 0, 1].imag, 0.5 * (f[..., 0, 0] - f[..., 1, 1]).real],
+                    axis=-1)
 
 
 def desitter_defect(x: np.ndarray) -> float:
-    """|(-x0^2 + x1^2 + x2^2 + x3^2) - 1|."""
-    return float(abs(-x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] ** 2 - 1.0))
+    """The largest |(-x0^2 + x1^2 + x2^2 + x3^2) - 1| over the points x
+    (..., 4)."""
+    return float(np.max(np.abs(-x[..., 0] ** 2 + x[..., 1] ** 2 + x[..., 2] ** 2
+                               + x[..., 3] ** 2 - 1.0)))
 
 
 def desitter_sample(pairs, z_values, b=None) -> list[dict]:
     """Sample the CMC-1 face of each pair at the given z values (lifted from
-    the base point along straight sanitized legs, initial frame b: one for
-    all pairs or one per pair); one transport for every pair."""
+    the base point along straight legs, detoured about the branch points,
+    initial frame b: one for all pairs or one per pair); one transport for
+    every pair."""
     pairs = list(pairs)
     frames = np.repeat(_frames(b, len(pairs)), len(z_values), axis=0)
     lifts = transport([(pair, _straight_path(pair.spec, z))
@@ -576,11 +577,8 @@ def desitter_sample(pairs, z_values, b=None) -> list[dict]:
     out = []
     for i in range(len(pairs)):
         mine = lifts[i * len(z_values):(i + 1) * len(z_values)]
-        xs = np.array([hermitian_coordinates(tr.F[-1]) for tr in mine])
-        out.append({"x": xs,
-                    "hyperboloid_defect": max(desitter_defect(x) for x in xs),
-                    "points": [cov.SurfacePoint(tr.route[-1], tr.w[-1])
-                               for tr in mine]})
+        xs = hermitian_coordinates(np.array([tr.F[-1] for tr in mine]))
+        out.append({"x": xs, "hyperboloid_defect": desitter_defect(xs)})
     return out
 
 
@@ -598,12 +596,11 @@ def desitter_grid(pair: AdmissiblePair, b: np.ndarray | None = None) -> dict:
     paths = [cov.SurfacePath(
         column[:i + 2] + [radii[i] * cmath.exp(1j * th) for th in thetas[1:]],
         o.w) for i in range(nr)]
-    xs = np.array([[hermitian_coordinates(F) for F in tr.F[i + 1:]]
-                   for i, tr in enumerate(transport(
-                       [(pair, path) for path in paths], b, 1e-10))])
-    worst = max(desitter_defect(x) for x in xs.reshape(-1, 4))
-    return {"x": xs.reshape(-1, 4), "faces": wst._grid_faces(nr, nth + 1),
-            "hyperboloid_defect": float(worst), "rows": nr, "cols": nth + 1}
+    xs = hermitian_coordinates(np.concatenate(
+        [tr.F[i + 1:] for i, tr in enumerate(transport(
+            [(pair, path) for path in paths], b, 1e-10))]))
+    return {"x": xs, "faces": wst._grid_faces(nr, nth + 1),
+            "hyperboloid_defect": desitter_defect(xs), "rows": nr, "cols": nth + 1}
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +692,7 @@ def end_asymptotics(pair: AdmissiblePair) -> list[dict]:
 
 def _end_fit(pair: AdmissiblePair, which: str, tr: Transport) -> dict:
     """The growth fit of one end from the lift `tr` of its ray."""
-    y_samples = [hermitian_coordinates(F) for F in tr.F[1:]]
+    y_samples = hermitian_coordinates(tr.F[1:])
     nu0, nuinf = nu_exponents(pair.k, pair.t)
     nu = nu0 if which == "zero" else nuinf
     expected = nu / (pair.k + nu)

@@ -143,7 +143,6 @@ class WeierstrassData:
     eta: Callable        # coefficient of dz (the local coordinate)
     deta: Callable
     cover: cov.CoverSpec | None
-    punctures: tuple     # z-values; INF marks the point at infinity
     base: cov.SurfacePoint
     constraints: str = ""
     anchor: str = ""     # serialized under the 'paper_anchor' report key
@@ -172,7 +171,7 @@ class WeierstrassData:
 # catalog
 # ---------------------------------------------------------------------------
 
-def _planar(name, params, G_rat, eta_rat, punctures, base_z, constraints, anchor,
+def _planar(name, params, G_rat, eta_rat, base_z, constraints, anchor,
             chart=None, window=(-1.8, 1.8, -1.8, 1.8), grid_n=91, trace_step=0.02,
             default_mesh=None):
     dG_rat = G_rat.deriv()
@@ -182,7 +181,7 @@ def _planar(name, params, G_rat, eta_rat, punctures, base_z, constraints, anchor
         name=name, params=params,
         G=lambda p: G_rat(p.z), dG=lambda p: dG_rat(p.z), d2G=lambda p: d2G_rat(p.z),
         eta=lambda p: eta_rat(p.z), deta=lambda p: deta_rat(p.z),
-        cover=None, punctures=tuple(punctures),
+        cover=None,
         base=cov.SurfacePoint(complex(base_z), None),
         constraints=constraints, anchor=anchor,
         chart=chart or TraceChart(), window=window, grid_n=grid_n,
@@ -219,7 +218,7 @@ def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
     return WeierstrassData(
         name=name, params={"k": k, "c": c},
         G=G, dG=dG, d2G=d2G, eta=eta, deta=deta,
-        cover=spec, punctures=(0j, INF),
+        cover=spec,
         base=cov.base_point(spec),
         constraints="k >= 1 integer; c > 0" + ("; k even" if reduced else ""),
         anchor=(f"G = c W/Z, eta = dZ/(2W) on {kind}" if reduced else
@@ -248,13 +247,13 @@ def catalog_get(name: str, **params) -> WeierstrassData:
     if name == "catenoid":
         return _planar(
             "catenoid", {}, RationalFunction([1, 0]), RationalFunction([1], [1, 0, 0]),
-            (0j, INF), 1.0, "none",
+            1.0, "none",
             "G = z, eta = dz/z^2 on C \\ {0}; cone-point figure of revolution",
         )
     if name == "helicoid":
         return _planar(
             "helicoid", {}, RationalFunction([1, 0]), RationalFunction([1j], [1, 0, 0]),
-            (0j, INF), 1.0, "none",
+            1.0, "none",
             "G = z, eta = i dz/z^2 on C \\ {0}; conjugate of the catenoid, fold singularity",
         )
     if name == "associated":
@@ -267,7 +266,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "associated", {"phase": phase},
             RationalFunction([1, 0]),
             RationalFunction([cmath.exp(1j * phase)], [1, 0, 0]),
-            (0j, INF), 1.0, "phase in (0, pi/2) strictly between the conjugate pair",
+            1.0, "phase in (0, pi/2) strictly between the conjugate pair",
             "G = z, eta = e^{i phase} dz/z^2; associated family of the catenoid",
         )
     if name == "trinoid1":
@@ -283,7 +282,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "trinoid1", {"a": a, "b": b},
             RationalFunction([-1, 0, b], [1, 0]),
             RationalFunction(num_eta, den_eta),
-            (complex(a), complex(-a), INF), 0.6j,
+            0.6j,
             "a > 1/2; b = -a^2 + a sqrt(4a^2-1)",
             "G = (b - z^2)/z, eta = z^2 dz/(z^2-a^2)^2; three ends at +-a, inf",
             window=(-5.2, 5.2, -5.2, 5.2), grid_n=161,
@@ -300,7 +299,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "trinoid2", {"c": cpar},
             RationalFunction([cpar, 0, 3 * cpar], [1, 0, -1]),
             RationalFunction([1.0 / cpar]),
-            (1 + 0j, -1 + 0j, INF), 0j,
+            0j,
             "c > 0, c != 1",
             "G = c(z^2+3)/(z^2-1), eta = dz/c; three ends at +-1, inf",
             window=(-2.6, 2.6, -2.6, 2.6), grid_n=121,
@@ -328,7 +327,7 @@ def catalog_get(name: str, **params) -> WeierstrassData:
             "cone", {"a": a},
             RationalFunction(num_g, den_g),
             RationalFunction(num_e, den_e),
-            (1 + 0j, -1 + 0j), 0.4j,
+            0.4j,
             "1 < a < 4, a != 2",
             "G = (z-1)(z^2+az+1)/((z+1)(z^2-az+1)), "
             "eta = (z^2-az+1)^2 dz/((z-1)^4 (z+1)^2); cone-like axis through infinity",

@@ -5,7 +5,9 @@ steps and moves to the nearest root at each, with no separation check.
 All roots over a point share their modulus, so a step lands on the right
 root whenever it turns w by less than half the root spacing 2 pi / n.
 
-fiber_residual and on_cover check that a point lies on the cover."""
+route_segment routes one segment as cover.lift does, from a scalar
+clearance test; fiber_residual and on_cover check that a point lies on the
+cover."""
 
 import math
 
@@ -16,13 +18,37 @@ from maxface import cover as cov
 STEPS = 512
 
 
+def seg_point_dist(a, b, p) -> float:
+    """The distance from p to the segment a -> b (to a if it has no length)."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = max(0.0, min(1.0, ((p - a).conjugate() * ab).real / denom))
+    return abs(a + t * ab - p)
+
+
+def route_segment(spec, a, b):
+    """The route vertices after a that lift gives the segment a -> b: none
+    if it is no longer than 1e-14, else its detour about every branch point
+    it passes, one scalar test per point: closer than the clearance radius,
+    neither end within 1e-14 of the point."""
+    if abs(b - a) <= 1e-14:
+        return []
+    clr = cov.clearance(spec)
+    passed = [c for c in spec.finite_branch_points
+              if seg_point_dist(a, b, c) < clr
+              and abs(a - c) > 1e-14 and abs(b - c) > 1e-14]
+    return cov._detour(spec, a, b, passed)
+
+
 def dense_steps(spec, za, zb):
     """STEPS, or more where the leg passes close to a branch point: enough
     that no step turns w by a quarter of the root spacing.  A step of length
     h turns the factor (z - c)^e of w^n by at most e h / d, d the leg's
     distance from c, and e < n on both covers."""
     n = spec.sheet_count
-    turn = abs(zb - za) * n * sum(1.0 / cov._seg_point_dist(za, zb, c)
+    turn = abs(zb - za) * n * sum(1.0 / seg_point_dist(za, zb, c)
                                   for c in spec.finite_branch_points)
     return max(STEPS, math.ceil(turn / (0.5 * math.pi)))
 
@@ -49,15 +75,19 @@ def walk_leg(spec, za, zb, w):
 
 
 def walk_segments(spec, vertices, w):
-    """Walk w along the polyline with every segment sanitized on its own:
-    the legs (za, zb, w at za, w at zb) and w at every vertex."""
+    """Walk w along the polyline with every segment routed on its own
+    (route_segment) from the last vertex that stayed, as lift does: the
+    legs (za, zb, w at za, w at zb) and w at every vertex."""
     legs, at_vertex = [], [w]
-    for a, b in zip(vertices[:-1], vertices[1:]):
-        seg = cov.sanitize_path(spec, (complex(a), complex(b)))
-        for za, zb in zip(seg[:-1], seg[1:]):
+    a = za = complex(vertices[0])
+    for b in vertices[1:]:
+        seg = route_segment(spec, a, complex(b))
+        for zb in seg:
             wb = walk_leg(spec, za, zb, w)
             legs.append((za, zb, w, wb))
-            w = wb
+            za, w = zb, wb
+        if seg:
+            a = complex(b)
         at_vertex.append(w)
     return legs, at_vertex
 

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from maxface import algebra as alg
 from maxface import cover as cov
 from maxface.errors import ContinuationError, NumericalError, ValidationError
-from nearest_root import (fiber_residual, lifted_legs, on_cover, walk_leg,
-                          walk_segments)
+from nearest_root import (fiber_residual, lifted_legs, on_cover, route_segment,
+                          seg_point_dist, walk_leg, walk_segments)
 
 # ---------------------------------------------------------------------------
 # fibers
@@ -125,28 +125,56 @@ def test_branch_loop_permutes_then_returns(k):
     assert full.close_to(o, 1e-8)
 
 
-def test_sanitize_path_inserts_branch_detour():
-    """A segment grazing a branch point gets a clearance detour arc."""
+def test_lift_detours_around_every_branch_point_passed():
+    """A segment grazing all three branch points gets a clearance arc about
+    each, in order along it, and the route matches routing it alone."""
     spec = cov.CoverSpec(1)
     clr = cov.clearance(spec)
-    raw = (2.0 + 0.01j, -2.0 + 0.01j)  # passes within 0.01 of z = +-1
-    clean = cov.sanitize_path(spec, raw)
-    assert len(clean) > 2
+    raw = (2.0 + 0.01j, -2.0 + 0.01j)  # passes within 0.01 of z = 0, +-1
+    p0 = cov.solve_fiber(spec, raw[0])
+    [lifted] = cov.lift(spec, [cov.SurfacePath(raw, p0.w)])
+    clean = lifted.route.tolist()
+    assert len(clean) == 2 + 3 * 10
+    assert clean == [raw[0]] + route_segment(spec, *raw)
     for a, b in zip(clean[:-1], clean[1:]):
         for bp in spec.finite_branch_points:
-            assert cov._seg_point_dist(a, b, bp) > 0.5 * clr
+            assert seg_point_dist(a, b, bp) > 0.5 * clr
+    # each arc circles its branch point counterclockwise, 1 then 0 then -1
+    arcs = [clean[2 + 10 * i:11 + 10 * i] for i in range(3)]
+    assert [round((sum(a) / 9).real) for a in arcs] == [1, 0, -1]
     # the detour respects homotopy: continuation along it is well-defined
-    p0 = cov.solve_fiber(spec, clean[0])
-    [lifted] = cov.lift(spec, [cov.SurfacePath(clean, p0.w)])
     assert on_cover(spec, cov.SurfacePoint(clean[-1], lifted.w_end), 1e-8)
+    # a segment with an end within 1e-14 of a branch point does not pass it
+    for seg in ((1 + 5e-15, 1.3 + 0.2j), (0.3 - 0.2j, -5e-15j)):
+        [lp] = cov.lift(spec, [cov.SurfacePath(seg, cov.solve_fiber(spec, seg[0]).w)])
+        assert lp.route.tolist() == list(seg)
+
+
+@pytest.mark.parametrize("path", [(1.01 + 0.01j, 1.01 + 0.01j, 0.5 + 0.5j),
+                                  (1.01, 1.01 + 5e-15, 1.3 + 0.2j)])
+def test_segment_within_1e_14_adds_nothing(path):
+    """A segment of length 0 or 5e-15 inside the clearance disc of z = 1
+    adds no leg and no detour, and the next segment is routed from the
+    vertex before it: the path gets the route, w and end value of the path
+    without its middle vertex, with no turn about z = 1."""
+    spec = cov.CoverSpec(1)
+    w0 = cov.solve_fiber(spec, path[0]).w
+    [lp] = cov.lift(spec, [cov.SurfacePath(path, w0)])
+    [ref] = cov.lift(spec, [cov.SurfacePath(path[::2], w0)])
+    assert lp.route.tolist() == ref.route.tolist()
+    assert lp.w.tolist() == ref.w.tolist()
+    assert lp.w_end == ref.w_end
+    assert lp.upto.tolist() == [0, 0, len(ref.route) - 1]
+    assert len(ref.route) > 2
+    assert abs(cov.winding_number(lp.route.tolist(), 1.0)) < 0.5
 
 
 @pytest.mark.parametrize("k, reduced", [(1, False), (3, False), (2, True)])
 def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
-    """lift screens the segments against the branch points in one
-    array pass and sanitizes only those near one, and continues w along all
-    legs at once; its legs and the fiber values at their ends and at the
-    vertices equal, bit for bit, those of sanitizing every segment and
+    """lift tests the segments against the branch points in one array pass
+    and detours only those that pass one, and continues w along all legs at
+    once; its legs and the fiber values at their ends and at the vertices
+    equal, bit for bit, those of routing every segment by a scalar test and
     walking w densely to the nearest root: on a path that ends inside a
     clearance disc and leaves it, repeats a vertex, and passes z = 1 at the
     clearance radius, just inside it and just outside it."""
@@ -162,8 +190,9 @@ def test_screened_lift_matches_per_segment_sanitizing(k, reduced):
     assert len(ref) > len(verts)
     assert lifted_legs(lp) == ref
     assert lp.w_vertices.tolist() == at_vertex
-    near = cov._near_branch_points(spec, verts)
-    assert near.any() and not near.all()
+    detoured = [len(route_segment(spec, a, b)) > 1
+                for a, b in zip(verts[:-1], verts[1:])]
+    assert any(detoured) and not all(detoured)
     assert lp.route.tolist() == [o.z] + [zb for _, zb, _, _ in ref]
 
 

@@ -533,6 +533,28 @@ def test_hermitian_coordinates_identity():
     assert ds.desitter_defect(x) < 1e-14
 
 
+def test_hermitian_coordinates_of_a_stack_match_each_frame():
+    """A stack of frames maps, bit for bit, to the coordinates of each frame
+    alone (f = F e3 F^* written out per frame), and desitter_defect gives
+    the largest defect over any stack shape: on the frames of an end ray."""
+    [tr] = ds.transport([(K1, cov.SurfacePath(ds._end_ray("infinity"),
+                                              cov.base_point(K1.spec).w))],
+                        detour=False)
+    stack = ds.hermitian_coordinates(tr.F)
+    assert stack.shape == (len(tr.F), 4)
+    for F, x in zip(tr.F, stack):
+        f = F @ ds.E3 @ F.conj().T
+        assert x.tolist() == [0.5 * (f[0, 0] + f[1, 1]).real, f[0, 1].real,
+                              f[0, 1].imag, 0.5 * (f[0, 0] - f[1, 1]).real]
+        assert ds.hermitian_coordinates(F).tolist() == x.tolist()
+    defects = [abs(-x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 - 1.0)
+               for x0, x1, x2, x3 in stack]
+    assert ds.desitter_defect(stack) == max(defects) > 0.0
+    ends = ds.hermitian_coordinates(np.stack([tr.F[:3], tr.F[-3:]]))
+    assert ends.tolist() == [stack[:3].tolist(), stack[-3:].tolist()]
+    assert ds.desitter_defect(ends) == max(defects[:3] + defects[-3:])
+
+
 def test_surface_lies_on_hyperboloid():
     iota1 = ds.construct_iota([K1])[0]["iota1"]
     [out] = ds.desitter_sample([K1], (1.8 + 0.4j, 2.2 - 0.3j, 2.6 + 0.9j),

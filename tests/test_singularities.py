@@ -24,7 +24,7 @@ from nearest_root import on_cover, walk_segments
 # ---------------------------------------------------------------------------
 
 def _continue_vertexwise(spec, verts, w):
-    """w at every vertex, walked one sanitized 2-vertex segment at a time."""
+    """w at every vertex, walked one routed 2-vertex segment at a time."""
     return walk_segments(spec, verts, w)[1]
 
 
@@ -199,7 +199,7 @@ def test_associated_family_generic_edge():
 def _planar(G, eta):
     """Planar data from (numerator, denominator) coefficients of G and eta."""
     return wst._planar("test", {}, wst.RationalFunction(*G),
-                       wst.RationalFunction(*eta), (), 0.5, "", "")
+                       wst.RationalFunction(*eta), 0.5, "", "")
 
 
 def _assert_matches_pointwise(data, p, alpha, beta):
