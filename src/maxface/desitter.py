@@ -117,74 +117,48 @@ def clear_memos() -> None:
     _RHO_TILDE.clear()
 
 
-def _leg_keys(k: int, lp: cov.LiftedPath) -> list[tuple]:
-    """The memo keys of the legs of lp, lifted on the cover of k: (k, z0,
-    z1, w0 rounded to 1e-10) per leg from z0 to z1 with w0 at z0."""
-    z = lp.route.tolist()
-    return [(k, za, zb, complex(round(wa.real, 10), round(wa.imag, 10)))
-            for za, zb, wa in zip(z, z[1:], lp.w.tolist())]
+def _leg_keys(t, c, k, za, zb, wa, rtol: float) -> list[tuple]:
+    """The memo keys of the legs given as arrays, leg i running from za[i]
+    to zb[i] with w = wa[i] at za[i] under the pair (k[i], t[i], c[i])."""
+    return list(zip(t.tolist(), c.tolist(), [rtol] * len(za), k.tolist(),
+                    za.tolist(), zb.tolist(), np.round(wa, 10).tolist()))
 
 
-def _integrate_legs(rows: list, rtol: float) -> np.ndarray:
-    """Propagators of the legs of the rows (pair, (key, a, b, w_a, w_b)) from
-    F = e0, all in one batched DOP853 call with w integrated jointly;
-    each row reads its own t, c and k.  w must end on the continued root
-    w_b."""
-    za = np.array([leg[1] for _, leg in rows])
-    dza = np.array([leg[2] - leg[1] for _, leg in rows])
-    ts = np.array([pair.t for pair, _ in rows])
-    cs = np.array([pair.c for pair, _ in rows])
-    ks = np.array([pair.k for pair, _ in rows])
-    y0 = np.zeros((len(rows), 5), dtype=complex)
+def _integrate_legs(t, c, k, za, zb, wa, wb, rtol: float) -> np.ndarray:
+    """Propagators of the legs given as arrays (as for _leg_keys) from
+    F = e0, all in one batched DOP853 call with w integrated jointly from
+    wa.  w must end on the continued root wb."""
+    dza = zb - za
+    y0 = np.zeros((len(za), 5), dtype=complex)
     y0[:, 0] = y0[:, 3] = 1.0
-    y0[:, 4] = [leg[3] for _, leg in rows]
+    y0[:, 4] = wa
 
     def rhs(s, y, live):
         dz = dza[live]
         z = za[live] + dz * s
         w = y[:, 4]
-        c = cs[live]
         # t dz PsiHat_0 = [[p, q], [r, -p]]
-        tdz = ts[live] * dz
+        tdz = t[live] * dz
         p = tdz / z
-        q = -c * w / (z * z) * tdz
-        r = tdz / (c * w)
+        q = -c[live] * w / (z * z) * tdz
+        r = tdz / (c[live] * w)
         out = np.empty_like(y)
         out[:, 0] = p * y[:, 0] + q * y[:, 2]
         out[:, 1] = p * y[:, 1] + q * y[:, 3]
         out[:, 2] = r * y[:, 0] - p * y[:, 2]
         out[:, 3] = r * y[:, 1] - p * y[:, 3]
-        out[:, 4] = w * cov.genus_log_derivative(ks[live], z) * dz
+        out[:, 4] = w * cov.genus_log_derivative(k[live], z) * dz
         return out
 
     y = dop853(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
-    # the roots over b share their modulus: w_b is the one nearest the
+    # the roots over b share their modulus: wb is the one nearest the
     # integrated w if the two part by less than half the root spacing
-    w_b = np.array([leg[4] for _, leg in rows])
-    off = ~(np.abs(np.angle(y[:, 4] / w_b)) < math.pi / (ks + 1))
+    off = ~(np.abs(np.angle(y[:, 4] / wb)) < math.pi / (k + 1))
     if off.any():
-        _, a, b, _, _ = rows[int(np.argmax(off))][1]
-        raise ContinuationError(
-            f"lift left the continued sheet on leg {a} -> {b}")
+        i = int(np.argmax(off))
+        raise ContinuationError(f"lift left the continued sheet on leg "
+                                f"{complex(za[i])} -> {complex(zb[i])}")
     return y[:, :4].reshape(-1, 2, 2)
-
-
-def _propagators(rows: list, rtol: float) -> dict:
-    """Phi for the leg of every row (pair, leg); the ones not memoized are
-    integrated together."""
-    found, new = {}, {}
-    for pair, leg in rows:
-        key = leg[0]
-        if key in _PROPAGATORS:
-            found[key] = _PROPAGATORS[key]
-        else:
-            new[key] = (pair, leg)
-    if new:
-        if len(_PROPAGATORS) + len(new) > _MEMO_CAP:
-            clear_memos()
-        for key, phi in zip(new, _integrate_legs(list(new.values()), rtol)):
-            _PROPAGATORS[key] = found[key] = phi
-    return found
 
 
 def _frames(b, n: int) -> np.ndarray:
@@ -199,13 +173,16 @@ def transport(jobs, b=None, rtol: float = 1e-11,
     one frame for all jobs or one per job.
 
     The ODE is linear in F, so the frame at the i-th leg end is the prefix
-    product Phi_i ... Phi_1 b of memoized leg propagators; the legs not yet
-    memoized, of every pair, take one batched solve.  The distinct paths of
-    each k are lifted to the cover in one cov.lift call, however many pairs
-    transport them; detour passes through to it (False transports the
-    segments straight, for rays that run radially into a branch point).
-    det F is monitored, never renormalized."""
+    product Phi_i ... Phi_1 b of memoized leg propagators; the legs of all
+    jobs sit in flat arrays, the ones not yet memoized take one batched
+    solve, and step i multiplies Phi_i onto every job still running.  The
+    distinct paths of each k are lifted to the cover in one cov.lift call,
+    however many pairs transport them; detour passes through to it (False
+    transports the segments straight, for rays that run radially into a
+    branch point).  det F is monitored, never renormalized."""
     jobs = list(jobs)
+    if not jobs:
+        return []
     # the legs, sheets and route depend on (k, path) only
     paths = {}
     for pair, path in jobs:
@@ -214,23 +191,44 @@ def transport(jobs, b=None, rtol: float = 1e-11,
     for k, todo in paths.items():
         for key, lp in zip(todo, cov.lift(cov.CoverSpec(k), todo.values(),
                                           detour)):
-            split[(k,) + key] = lp, _leg_keys(k, lp)
-    lifts = []
-    for pair, path in jobs:
-        lp, keys = split[pair.k, path.z_vertices, path.w0]
-        z, w = lp.route.tolist(), lp.w.tolist()
-        # each pair keys the legs' propagators by its own (t, c, rtol)
-        head = (pair.t, pair.c, rtol)
-        lifts.append((lp, [(head + key, za, zb, wa, wb) for key, za, zb, wa, wb
-                           in zip(keys, z, z[1:], w, w[1:])]))
-    phis = _propagators([(pair, leg) for (pair, _), (_, legs)
-                         in zip(jobs, lifts) for leg in legs], rtol)
+            split[(k,) + key] = lp
+    lps = [split[pair.k, path.z_vertices, path.w0] for pair, path in jobs]
+    n = np.array([len(lp.route) - 1 for lp in lps])
+    # each pair keys the legs' propagators by its own (t, c, rtol)
+    t, c, k = (np.repeat([getattr(pair, name) for pair, _ in jobs], n)
+               for name in ("t", "c", "k"))
+    legs = [(lp.route[:-1], lp.route[1:], lp.w[:-1], lp.w[1:]) for lp in lps]
+    za, zb, wa, wb = map(np.concatenate, zip(*legs))
+    # one slot per distinct key, in order of first occurrence; a slot's
+    # first leg stands for it
+    slot_of = {}
+    slots = np.array([slot_of.setdefault(key, len(slot_of))
+                      for key in _leg_keys(t, c, k, za, zb, wa, rtol)], dtype=int)
+    keys = list(slot_of)
+    phis = [_PROPAGATORS.get(key) for key in keys]
+    new = [i for i, phi in enumerate(phis) if phi is None]
+    if new:
+        if len(_PROPAGATORS) + len(new) > _MEMO_CAP:
+            clear_memos()
+        f = np.unique(slots, return_index=True)[1][new]
+        for i, phi in zip(new, _integrate_legs(t[f], c[f], k[f], za[f], zb[f],
+                                               wa[f], wb[f], rtol)):
+            _PROPAGATORS[keys[i]] = phis[i] = phi
+    phis = np.array(phis).reshape(-1, 2, 2)
+    # job j's frames are the rows start[j] .. start[j] + n[j], and the frame
+    # in row r moves on along leg r - j
+    start = np.cumsum(n + 1) - (n + 1)
+    b0s = _frames(b, len(jobs))
+    frames = np.empty((len(za) + len(jobs), 2, 2), dtype=complex)
+    frames[start] = b0s
+    # jobs by falling leg count: the ones still running at step i come first
+    order = np.argsort(-n, kind="stable")
+    for i, m in enumerate(np.searchsorted(-n[order], -np.arange(n.max()))):
+        rows = start[order[:m]] + i
+        frames[rows + 1] = phis[slots[rows - order[:m]]] @ frames[rows]
     out = []
-    for (lp, legs), b0 in zip(lifts, _frames(b, len(jobs))):
-        frames = [b0]
-        for leg in legs:
-            frames.append(phis[leg[0]] @ frames[-1])
-        F = np.array(frames)[lp.upto]
+    for lp, b0, r, m in zip(lps, b0s, start, n):
+        F = frames[r:r + m + 1][lp.upto]
         defect = np.max(np.abs(det2(F.T) - det2(b0)))
         out.append(Transport(route=lp.route, w=lp.w_vertices.tolist(), F=F,
                              det_defect=float(defect)))
@@ -489,9 +487,10 @@ def _iota(pair: AdmissiblePair, rho: dict) -> dict:
 def su11_certify(pairs) -> list[dict]:
     """Certify for each pair that at b = iota_1 the three reflection
     matrices, every generator monodromy, and both end monodromies lie in
-    SU(1,1); one loop_monodromy call lifts the word loops of every pair."""
+    SU(1,1); one loop_monodromy call lifts the word loops of every pair.
+    Each row carries iota_1 and the form residual of its iota."""
     pairs = list(pairs)
-    iotas = [iota["iota1"] for iota in construct_iota(pairs)]
+    iotas = construct_iota(pairs)
     # gen_k1^0 is the base loop gamma, so each distinct word is listed once
     words = [[(f"gen_k1^{j}{tag}", cov.word_generator(j, k2))
               for j in range(pair.k + 1)
@@ -502,13 +501,13 @@ def su11_certify(pairs) -> list[dict]:
     monodromies = iter(loop_monodromy(
         [(pair, word) for pair, labelled in zip(pairs, words)
          for _, word in labelled],
-        [iota1 for iota1, labelled in zip(iotas, words) for _ in labelled]))
+        [iota["iota1"] for iota, labelled in zip(iotas, words) for _ in labelled]))
     out = []
-    for pair, iota1, labelled in zip(pairs, iotas, words):
+    for pair, iota, labelled in zip(pairs, iotas, words):
         rows = {}
         worst = 0.0
         for j in (1, 2, 3):
-            defect = su11_defect(rho_tilde(pair, j, b=iota1))
+            defect = su11_defect(rho_tilde(pair, j, b=iota["iota1"]))
             rows[f"rho~_{j}"] = {"su11_defect": defect,
                                  "route_disagreement": 0.0}
             worst = max(worst, defect)
@@ -527,7 +526,8 @@ def su11_certify(pairs) -> list[dict]:
                 f"SU(1,1) certification failed: defect {worst:.2e}")
         out.append({"certified": certified, "worst_defect": worst,
                     "worst_det_defect": worst_det, "words": rows,
-                    "iota1": iota1})
+                    "iota1": iota["iota1"],
+                    "iota_form_residual": iota["form_residual"]})
     return out
 
 
@@ -729,18 +729,16 @@ def deformation_report(k: int, ts) -> list[dict]:
     trace and theta checks, each check lifting every t in one call."""
     pairs = [AdmissiblePair(k, t) for t in ts]
     rhos = _rho_tildes(pairs)
-    iotas = construct_iota(pairs)
     certs = su11_certify(pairs)
     traces = trace_identity_check(pairs)
     out = []
-    for pair, rho, iota, cert, trace in zip(pairs, rhos, iotas, certs,
-                                            traces):
+    for pair, rho, cert, trace in zip(pairs, rhos, certs, traces):
         nu0, nuinf = nu_exponents(k, pair.t)
         out.append({
             "k": k, "t": pair.t, "c": pair.c,
             "nu_0": nu0, "nu_inf": nuinf,
             "probe_spreads": {j: rho[j][1] for j in (1, 2, 3)},
-            "iota_form_residual": iota["form_residual"],
+            "iota_form_residual": cert["iota_form_residual"],
             "su11_worst_defect": cert["worst_defect"],
             "worst_det_defect": cert["worst_det_defect"],
             "trace_tau0_residual": trace["tau_0"]["residual"],

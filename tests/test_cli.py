@@ -275,6 +275,16 @@ def test_cmc1_t_grid(capsys):
     assert live_row["nu_0"] == pytest.approx(1.0770329614, abs=1e-8)
 
 
+def test_cmc1_only_zero_t(capsys):
+    """With no nonzero t every de Sitter stage gets an empty batch: the
+    report holds the one degenerate row."""
+    assert run(["cmc1", "--k", "1", "--t=0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    schema_mod.assert_valid(doc)
+    [row] = doc["rows"]
+    assert row["degenerate_to_sigma"] < 1e-10
+
+
 def test_cmc1_mesh_artifact(tmp_path):
     assert run(["cmc1", "--k", "1", "--t", "0.02", "--mesh",
                 "--out", str(tmp_path)]) == 0

@@ -136,7 +136,8 @@ def test_multi_pair_transport_matches_per_pair_calls():
     """One transport over pairs of k = 1 and k = 2 with +-t, each from its
     own frame, gives every path the frames and fiber values, bit for bit,
     that a transport of its pair alone gives: each row of the batched solve
-    reads its own t, c and k."""
+    reads its own t, c and k.  A one-vertex path has no legs: it keeps its
+    frame b with no det defect, next to jobs of other lengths."""
     pairs = [ds.AdmissiblePair(k, t) for k in (1, 2) for t in (0.02, -0.03)]
     frames = {pair: alg.mat2(1.0 + 0.1 * i, 0.2j, -0.1, 1.0)
               for i, pair in enumerate(pairs)}
@@ -144,6 +145,7 @@ def test_multi_pair_transport_matches_per_pair_calls():
     def jobs(pair):
         o = cov.base_point(pair.spec)
         return [(pair, cov.SurfacePath((o.z, 1.6 + 0.8j, 1.1 + 1.3j), o.w)),
+                (pair, cov.SurfacePath((o.z,), o.w)),
                 (pair, cov.deck_word_path(pair.spec,
                                           cov.word_end_zero(pair.k)))]
 
@@ -153,12 +155,15 @@ def test_multi_pair_transport_matches_per_pair_calls():
 
     together = lift([job for pair in pairs for job in jobs(pair)])
     alone = [tr for pair in pairs for tr in lift(jobs(pair))]
-    assert len(together) == len(alone) == 8
+    assert len(together) == len(alone) == 12
     for mixed, single in zip(together, alone):
         assert np.array_equal(mixed.F, single.F)
         assert mixed.w == single.w
         assert np.array_equal(mixed.route, single.route)
         assert mixed.det_defect == single.det_defect
+    for pair, point in zip(pairs, together[1::3]):
+        assert np.array_equal(point.F, [frames[pair]])
+        assert point.det_defect == 0.0
 
 
 def test_integrate_legs_checks_the_continued_sheet():
@@ -166,19 +171,21 @@ def test_integrate_legs_checks_the_continued_sheet():
     continued each leg to: rows of k = 1 and k = 2 with their lifted end
     values pass, and one whose end value is one root off raises
     ContinuationError naming its leg."""
+    pairs = (K1, ds.AdmissiblePair(2, -0.03))
     rows = []
-    for pair in (K1, ds.AdmissiblePair(2, -0.03)):
+    for pair in pairs:
         o = cov.base_point(pair.spec)
         [lp] = cov.lift(pair.spec, [cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)])
         assert len(lp.route) == 2
-        rows.append((pair, (None, o.z, 1.6 + 0.8j, o.w, lp.w_end)))
-    phis = ds._integrate_legs(rows, 1e-11)
+        rows.append((pair.t, pair.c, pair.k, o.z, 1.6 + 0.8j, o.w, lp.w_end))
+    t, c, k, za, zb, wa, wb = map(np.array, zip(*rows))
+    phis = ds._integrate_legs(t, c, k, za, zb, wa, wb, 1e-11)
     assert np.max(np.abs(alg.det2(phis.T) - 1.0)) < 1e-11
-    pair, (key, a, b, w_a, w_b) = rows[1]
-    off = w_b * cmath.exp(2j * math.pi / pair.spec.sheet_count)
+    off = wb.copy()
+    off[1] *= cmath.exp(2j * math.pi / pairs[1].spec.sheet_count)
     with pytest.raises(ContinuationError,
                        match=r"left the continued sheet on leg \(2\+0j\) -> \(1.6\+0.8j\)"):
-        ds._integrate_legs([rows[0], (pair, (key, a, b, w_a, off))], 1e-11)
+        ds._integrate_legs(t, c, k, za, zb, wa, off, 1e-11)
 
 
 def _count_solves(monkeypatch) -> dict:
@@ -258,8 +265,22 @@ def test_gate_criteria_ode_work_ceiling(monkeypatch):
     assert counts["rhs_calls"] <= 1100
 
 
+def test_leg_keys_round_the_start_fiber_value(monkeypatch):
+    """A leg end is formed as za + (end - za) * 1.0, so two routes to the
+    same vertex can reach fiber values that differ in the last bits; the
+    memo key rounds the start value to 1e-10 so that they share one
+    propagator.  On empty memos deformation_report(30, [0.001]) integrates
+    1,492 legs, where exact start values as keys integrate 1,769."""
+    solves = _count_solves(monkeypatch)["solves"]
+    ds.clear_memos()
+    ds.deformation_report(30, [0.001])
+    assert sum(solves) == 1492
+
+
 def test_checks_take_empty_pair_lists():
-    """cmc1 with only t = 0 asks deformation_report for no rows."""
+    """cmc1 with only t = 0 asks deformation_report for no rows, and every
+    de Sitter stage under it then transports an empty batch."""
+    assert ds.transport([]) == []
     assert ds.deformation_report(1, []) == []
     assert ds.su11_certify([]) == ds.desitter_sample([], (2.0 + 1j,)) == []
 
@@ -330,6 +351,15 @@ def test_loop_monodromy_routes_agree(word_fn):
     assert out["det_defect"] < 1e-10
 
 
+def _leg_keys(pair: ds.AdmissiblePair, lp: cov.LiftedPath) -> list[tuple]:
+    """The memo keys transport gives the legs of lp transported under pair
+    at the default rtol."""
+    n = len(lp.route) - 1
+    return ds._leg_keys(np.full(n, pair.t), np.full(n, pair.c),
+                        np.full(n, pair.k), lp.route[:-1], lp.route[1:],
+                        lp.w[:-1], 1e-11)
+
+
 def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
     """Route a (the word loop) and route b (the reflection probes) share
     memoized leg propagators only where their paths share legs; corrupting a
@@ -339,11 +369,11 @@ def test_corrupted_word_loop_leg_breaks_route_agreement(monkeypatch):
     probes = [path for j in (1, 2, 3)
               for path in ds._probe_paths(K1.spec, j, ds._PROBES)]
     loop_lift, *probe_lifts = cov.lift(K1.spec, [loop] + probes)
-    probe_keys = {key for lp in probe_lifts for key in ds._leg_keys(1, lp)}
-    only_a = [key for key in ds._leg_keys(1, loop_lift) if key not in probe_keys]
+    probe_keys = {key for lp in probe_lifts for key in _leg_keys(K1, lp)}
+    only_a = [key for key in _leg_keys(K1, loop_lift) if key not in probe_keys]
     assert only_a
     ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
-    key = (K1.t, K1.c, 1e-11) + only_a[len(only_a) // 2]
+    key = only_a[len(only_a) // 2]
     monkeypatch.setitem(ds._PROPAGATORS, key,
                         ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
     with pytest.raises(NumericalError):
@@ -363,12 +393,11 @@ def test_corrupted_probe_leg_breaks_route_agreement(j, monkeypatch):
     split = cov.lift(K1.spec, [loop, *probes.values()])
     users = {}
     for name, lp in zip(["loop", *probes], split):
-        for key in ds._leg_keys(1, lp):
+        for key in _leg_keys(K1, lp):
             users.setdefault(key, set()).add(name)
     # path 1 of a reflection's probe paths is P_j * (mu_j o c) at probe 0
-    [only] = [key for key, names in users.items() if names == {(j, 1)}]
+    [key] = [key for key, names in users.items() if names == {(j, 1)}]
     ds.loop_monodromy([(K1, word)])  # memoizes every leg of both routes
-    key = (K1.t, K1.c, 1e-11) + only
     monkeypatch.setitem(ds._PROPAGATORS, key,
                         ds._PROPAGATORS[key] @ alg.mat2(1, 1e-6, 0, 1))
     monkeypatch.setattr(ds, "_RHO_TILDE", {})
@@ -470,6 +499,9 @@ def test_all_generators_su11_at_iota1():
     [cert] = ds.su11_certify([K1])
     assert cert["certified"]
     assert cert["worst_defect"] < 1e-8
+    [iota] = ds.construct_iota([K1])
+    assert np.array_equal(cert["iota1"], iota["iota1"])
+    assert cert["iota_form_residual"] == iota["form_residual"]
     # reflection monodromies at iota1 are themselves SU(1,1)
     assert any(name.startswith("rho~") for name in cert["words"])
 
@@ -673,10 +705,17 @@ def test_end_rays_share_one_solve(monkeypatch):
         assert ds._end_fit(K1, out["end"], alone) == out
 
 
-def test_deformation_report_keys():
+def test_deformation_report_keys(monkeypatch):
+    """The report builds each pair's iota once, inside su11_certify, and
+    reads its form residual from the certificate."""
+    calls = []
+    construct_iota = ds.construct_iota
+    monkeypatch.setattr(ds, "construct_iota",
+                        lambda pairs: calls.append(1) or construct_iota(pairs))
     [rep] = ds.deformation_report(1, [0.02])
-    for key in ("k", "t", "c", "nu_0", "nu_inf", "su11_worst_defect",
-                "trace_tau0_residual", "trace_tauinf_residual",
-                "theta0_residual"):
+    assert calls == [1]
+    for key in ("k", "t", "c", "nu_0", "nu_inf", "iota_form_residual",
+                "su11_worst_defect", "trace_tau0_residual",
+                "trace_tauinf_residual", "theta0_residual"):
         assert key in rep
     assert rep["su11_worst_defect"] < 1e-8
