@@ -132,13 +132,6 @@ class SurfacePoint:
     z: complex
     w: complex | None = None
 
-    def close_to(self, other: "SurfacePoint", tol: float = 1e-9) -> bool:
-        if abs(self.z - other.z) > tol * (1 + abs(self.z)):
-            return False
-        if self.w is None or other.w is None:
-            return self.w is other.w
-        return abs(self.w - other.w) <= tol * (1 + abs(self.w))
-
 
 @dataclass
 class SurfacePath:

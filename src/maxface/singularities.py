@@ -67,19 +67,6 @@ def _beta(g, dg, dalpha):
         return np.where(dg != 0, g * dalpha / dg, _NAN)
 
 
-def alpha_beta(data: wst.WeierstrassData, p: cov.SurfacePoint):
-    """The classification pair (alpha, beta) at a surface point.  p.z (and
-    p.w on a cover) may be arrays: then alpha and beta are arrays of their
-    shape, evaluated in one call of each Weierstrass function; a scalar
-    point gives complex scalars.  Raises DegenerateError if G^2 eta vanishes
-    at any point; beta is NaN where G' vanishes."""
-    g, dg, _, alpha, dalpha = _alpha_terms(data, p)
-    beta = _beta(g, dg, dalpha)
-    if alpha.ndim == 0:
-        return complex(alpha), complex(beta)
-    return alpha, beta
-
-
 def _eps(alpha, beta):
     """The classification scale _CLASS_EPS (1 + |alpha| + |beta|), |beta|
     taken as 0 where beta is NaN; elementwise on arrays."""
@@ -101,16 +88,6 @@ def _classify(alpha, beta) -> np.ndarray:
                       (im_a > eps) & (re_a > eps)],
                      ["swallowtail", "cuspidal_cross_cap", "cuspidal_edge"],
                      "degenerate")
-
-
-@dataclass(frozen=True)
-class SingularPointRecord:
-    kind: str
-    zhat: complex
-    z: complex
-    w: complex | None
-    alpha: complex
-    beta: complex
 
 
 @dataclass
@@ -434,9 +411,12 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
 
     Each row starts at its chord midpoint and takes the fiber root nearest
     its row's wa.  It stops, and yields its iterate, once its step is at
-    most 1e-14 (1 + |zhat|) or |Re(s beta)| <= _eps(alpha, beta), where
-    _classify calls the point degenerate; a row's result does not depend
-    on the rest of the batch.  Returns the refined points (z and w as
+    most 1e-14 (1 + |zhat|); or at most 1e-10 (1 + |zhat|) and no less
+    than half its previous step, the round-off floor where steps stop
+    shrinking (rows at |zhat| ~ 10 on the cone near a = 2); or once
+    |Re(s beta)| <= _eps(alpha, beta), where _classify calls the point
+    degenerate.  A row's result does not depend on the rest of the
+    batch.  Returns the refined points (z and w as
     arrays) and alpha and beta at them, from the round that stopped each
     row.  Raises NumericalError at a non-finite step (G' = 0 makes the
     Jacobian singular), at an iterate farther than |zb - za| from its
@@ -447,6 +427,7 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
     z, alphas, betas = np.empty_like(zh), np.empty_like(zh), np.empty_like(zh)
     w = None if spec is None else np.empty_like(zh)
     busy = np.arange(len(zh))
+    last = np.full(len(zh), np.inf)      # each row's previous step size
     for _ in range(_NEWTON_ROUNDS):
         with np.errstate(all="ignore"):
             zr = chart.to_z(zh[busy])
@@ -464,7 +445,9 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
             im_sb = np.where(im, beta.imag, beta.real)
             step = (1j * ((f0 * im_sb - f1) / re_sb) - f0) / h
             degenerate = np.abs(re_sb) <= _eps(alpha, beta)
-        done = degenerate | (np.abs(step) <= 1e-14 * (1 + np.abs(zh[busy])))
+        size, scale = np.abs(step), 1 + np.abs(zh[busy])
+        done = (degenerate | (size <= 1e-14 * scale)
+                | ((size <= 1e-10 * scale) & (size >= 0.5 * last[busy])))
         if not np.all(np.isfinite(step[~done])):
             raise NumericalError("crossing refinement met a non-finite Newton step")
         stop = busy[done]
@@ -472,6 +455,7 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
         if spec is not None:
             w[stop] = wr[done]
         busy, step = busy[~done], step[~done]
+        last[busy] = size[~done]
         if len(busy) == 0:
             return cov.SurfacePoint(z, w), alphas, betas
         zh[busy] += step
@@ -534,7 +518,6 @@ def _traversal_pass(data: wst.WeierstrassData, comp: SingularComponent):
         "cone_like": bool(base and max_im <= 1e-8 * (1.0 + a_scale)),
         "fold_candidate": bool(base and max_re <= 1e-8 * (1.0 + a_scale)),
         "max_im_alpha": max_im,
-        "max_re_alpha": max_re,
         "min_abs_alpha": min_abs,
         "gauss_winding": winding,
         "eta_chart_min": eta_min,
@@ -543,49 +526,50 @@ def _traversal_pass(data: wst.WeierstrassData, comp: SingularComponent):
     return level, crossings
 
 
+def _near(v: np.ndarray) -> np.ndarray:
+    """near[i, j]: v[j] lies within 1e-6 (1 + |v[i]|) of v[i]."""
+    return np.abs(v[:, None] - v) < 1e-6 * (1 + np.abs(v))[:, None]
+
+
 def count_singularities(data: wst.WeierstrassData,
                         comps: list[SingularComponent]) -> list[dict]:
     """Classification of each component from one _traversal_pass: its
     singular points, located by sign changes of Im alpha (swallowtails)
     and Re alpha (cross caps) along its full lifted traversal, the
     crossings of all components refined in one _refine_crossings call and
-    classified from the alpha and beta it returns.  One dict per component:
-    the counts and records of its singular points, plus _traversal_pass's
-    component-level criteria and vertex kinds."""
+    classified in one _classify call; a crossing whose class is not its
+    target is degenerate_<target>.  One dict per component: the counts of
+    its singular points and the points as arrays in crossing order, "kinds",
+    "z" and "w" (None on planar data), plus _traversal_pass's
+    component-level criteria and vertex kinds.  A noisy double crossing is
+    dropped: a point within 1e-6 (1 + |z|) in z, and in w on a cover, of an
+    earlier point of the same kind and component."""
     passes = [_traversal_pass(data, comp) for comp in comps]
-    owner = np.repeat(np.arange(len(comps)), [len(part[0]) for _, part in passes])
-    records: list[list[SingularPointRecord]] = [[] for _ in comps]
-    if len(owner):
-        za, zb, wa, imag = (None if col[0] is None else np.concatenate(col)
-                            for col in zip(*(part for _, part in passes)))
-        pts, alphas, betas = _refine_crossings(data, za, zb, wa, imag)
-        kinds = _classify(alphas, betas)
-        for j, use_imag in enumerate(imag):
-            target = "swallowtail" if use_imag else "cuspidal_cross_cap"
-            z = complex(pts.z[j])
-            records[owner[j]].append(SingularPointRecord(
-                kind=target if kinds[j] == target else f"degenerate_{target}",
-                zhat=complex(data.chart.from_z(z)), z=z,
-                w=complex(pts.w[j]) if pts.w is not None else None,
-                alpha=complex(alphas[j]), beta=complex(betas[j])))
+    if not passes:
+        return []
+    za, zb, wa, imag = (None if col[0] is None else np.concatenate(col)
+                        for col in zip(*(part for _, part in passes)))
+    pts, alphas, betas = _refine_crossings(data, za, zb, wa, imag)
+    target = np.where(imag, "swallowtail", "cuspidal_cross_cap")
+    kinds = np.where(_classify(alphas, betas) == target, target,
+                     np.where(imag, "degenerate_swallowtail",
+                              "degenerate_cuspidal_cross_cap"))
+    ends = np.cumsum([len(part[0]) for _, part in passes])
     out = []
-    for (level, _), recs in zip(passes, records):
-        # merge duplicates from noisy double crossings
-        unique: list[SingularPointRecord] = []
-        for r in recs:
-            dup = any(
-                abs(r.z - u.z) < 1e-6 * (1 + abs(r.z))
-                and (r.w is None or abs(r.w - u.w) < 1e-6 * (1 + abs(r.w)))
-                and r.kind == u.kind
-                for u in unique)
-            if not dup:
-                unique.append(r)
-        out.append(dict(
-            level,
-            swallowtails=sum(1 for r in unique if r.kind == "swallowtail"),
-            cross_caps=sum(1 for r in unique if r.kind == "cuspidal_cross_cap"),
-            degenerate=sum(1 for r in unique if r.kind.startswith("degenerate")),
-            records=unique))
+    for (level, _), lo, hi in zip(passes, np.append(0, ends[:-1]), ends):
+        kind, z = kinds[lo:hi], pts.z[lo:hi]
+        w = None if pts.w is None else pts.w[lo:hi]
+        keep = np.ones(hi - lo, dtype=bool)
+        for name in set(kind.tolist()):
+            idx = np.flatnonzero(kind == name)
+            near = _near(z[idx]) if w is None else _near(z[idx]) & _near(w[idx])
+            keep[idx] = ~np.tril(near, -1).any(axis=1)
+        kind = kind[keep]
+        sw = int(np.count_nonzero(kind == "swallowtail"))
+        cc = int(np.count_nonzero(kind == "cuspidal_cross_cap"))
+        out.append(dict(level, swallowtails=sw, cross_caps=cc,
+                        degenerate=len(kind) - sw - cc, kinds=kind, z=z[keep],
+                        w=None if w is None else w[keep]))
     return out
 
 

@@ -152,11 +152,6 @@ class WeierstrassData:
     trace_step: float = 0.02
     default_mesh: dict = field(default_factory=dict)
 
-    def point(self, z: complex, near_w: complex | None = None) -> cov.SurfacePoint:
-        if self.cover is None:
-            return cov.SurfacePoint(complex(z), None)
-        return cov.solve_fiber(self.cover, complex(z), near=near_w)
-
     def phi(self, p: cov.SurfacePoint) -> np.ndarray:
         g = self.G(p)
         e = self.eta(p)

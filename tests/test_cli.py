@@ -175,6 +175,20 @@ def test_singular_stdout_json(capsys):
     assert total_sw == 8
 
 
+@pytest.mark.parametrize("a", ["1.8", "2.2"])
+def test_singular_cone_near_a2(a, capsys):
+    """Near a = 2 crossing rows lie at |zhat| ~ 10, where Newton's steps
+    stop shrinking above 1e-14 (1 + |zhat|); the refinement stops at that
+    floor and the cone keeps two ovals of 4 swallowtails and 4 cross caps
+    beside its cone-like axis."""
+    assert run(["singular", "--surface", "cone", "--param", f"a={a}"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = sorted((row["cone_like"], row["swallowtails"], row["cross_caps"],
+                   row["degenerate"], row["closed"]) for row in doc["components"])
+    assert rows == [(False, 4, 4, 0, True), (False, 4, 4, 0, True),
+                    (True, 0, 0, 0, True)]
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------

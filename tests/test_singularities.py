@@ -101,13 +101,21 @@ def test_component_lift_circuits_follow_the_deck_rotation(corners, circuits):
 # alpha, beta closed forms
 # ---------------------------------------------------------------------------
 
+def _alpha_beta(data, p):
+    """alpha and beta at p from one _alpha_terms call and _beta: arrays of
+    p.z's shape, complex scalars for a scalar point."""
+    g, dg, _, alpha, dalpha = sng._alpha_terms(data, p)
+    beta = sng._beta(g, dg, dalpha)
+    return (complex(alpha), complex(beta)) if alpha.ndim == 0 else (alpha, beta)
+
+
 def test_alpha_catenoid_closed_form():
     """G = z, eta = dz/z^2: alpha = G'/(G^2 eta) = z^2/z^2 = 1 (real,
     nonzero, beta real) -> cone-axis degeneracy, never a swallowtail."""
     data = wst.catalog_get("catenoid")
     for th in (0.3, 1.1, 2.7):
-        p = data.point(cmath.exp(1j * th))
-        alpha, beta = sng.alpha_beta(data, p)
+        p = cov.SurfacePoint(cmath.exp(1j * th))
+        alpha, beta = _alpha_beta(data, p)
         assert alpha == pytest.approx(1.0, abs=1e-12)
         assert abs(beta.imag) < 1e-12
 
@@ -116,19 +124,20 @@ def test_alpha_helicoid_closed_form():
     """Conjugate data eta = i dz/z^2 rotates alpha to -i: purely imaginary
     alpha on the whole circle (fold / cuspidal-edge regime)."""
     data = wst.catalog_get("helicoid")
-    p = data.point(cmath.exp(0.9j))
-    alpha, _ = sng.alpha_beta(data, p)
+    p = cov.SurfacePoint(cmath.exp(0.9j))
+    alpha, _ = _alpha_beta(data, p)
     assert alpha.real == pytest.approx(0.0, abs=1e-12)
     assert abs(alpha.imag) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_classify_point_kinds():
     data = wst.catalog_get("catenoid")
-    p = data.point(cmath.exp(0.4j))
-    kind = str(sng._classify(*sng.alpha_beta(data, p)))
+    p = cov.SurfacePoint(cmath.exp(0.4j))
+    kind = str(sng._classify(*_alpha_beta(data, p)))
     assert kind == "degenerate"  # real alpha, real beta: cone axis
     data_h = wst.catalog_get("helicoid")
-    kind_h = str(sng._classify(*sng.alpha_beta(data_h, data_h.point(cmath.exp(0.4j)))))
+    p_h = cov.SurfacePoint(cmath.exp(0.4j))
+    kind_h = str(sng._classify(*_alpha_beta(data_h, p_h)))
     assert kind_h in ("cuspidal_edge", "degenerate")
 
 
@@ -192,8 +201,8 @@ def test_array_classify_matches_scalar_rule():
 def test_associated_family_generic_edge():
     """Strictly between the conjugate pair the edge points are generic."""
     data = wst.catalog_get("associated", phase=0.6)
-    p = data.point(cmath.exp(0.8j))
-    assert str(sng._classify(*sng.alpha_beta(data, p))) == "cuspidal_edge"
+    p = cov.SurfacePoint(cmath.exp(0.8j))
+    assert str(sng._classify(*_alpha_beta(data, p))) == "cuspidal_edge"
 
 
 def _planar(G, eta):
@@ -205,7 +214,7 @@ def _planar(G, eta):
 def _assert_matches_pointwise(data, p, alpha, beta):
     for i, z in enumerate(p.z):
         w = None if p.w is None else complex(p.w[i])
-        a, b = sng.alpha_beta(data, cov.SurfacePoint(complex(z), w))
+        a, b = _alpha_beta(data, cov.SurfacePoint(complex(z), w))
         assert abs(alpha[i] - a) <= 1e-14 * abs(a)
         if math.isnan(b.real):
             assert np.isnan(beta[i])
@@ -214,14 +223,14 @@ def _assert_matches_pointwise(data, p, alpha, beta):
 
 
 def test_alpha_beta_on_arrays_matches_pointwise(genus1, genus2_reduced):
-    """One array call of alpha_beta equals pointwise calls, on planar data
-    and on both covers; G^2 eta = 0 anywhere raises, and beta is NaN where
+    """One array call of _alpha_terms and _beta equals pointwise calls, on
+    planar data and on both covers; G^2 eta = 0 anywhere raises, and beta is NaN where
     G' = 0 (z = i on the full cover, z = -1 on the reduced one)."""
     rng = np.random.default_rng(3)
     z = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(0.1, 1.5, 40)
     trinoid = wst.catalog_get("trinoid1")
     p = cov.SurfacePoint(z, None)
-    alpha, beta = sng.alpha_beta(trinoid, p)
+    alpha, beta = _alpha_beta(trinoid, p)
     assert alpha.shape == beta.shape == z.shape
     _assert_matches_pointwise(trinoid, p, alpha, beta)
     for data, flat in ((genus1, 1j), (genus2_reduced, -1 + 0j)):
@@ -229,15 +238,15 @@ def test_alpha_beta_on_arrays_matches_pointwise(genus1, genus2_reduced):
         roots = data.cover.fiber(zs)
         sheet = np.arange(len(zs)) % data.cover.sheet_count
         p = cov.SurfacePoint(zs, roots[np.arange(len(zs)), sheet])
-        alpha, beta = sng.alpha_beta(data, p)
+        alpha, beta = _alpha_beta(data, p)
         assert np.isnan(beta[-1]) and np.all(np.isfinite(beta[:-1]))
         _assert_matches_pointwise(data, p, alpha, beta)
     # G = z, eta = z dz: G^2 eta vanishes at z = 0 only
     with pytest.raises(DegenerateError):
-        sng.alpha_beta(_planar(([1, 0],), ([1, 0],)),
+        _alpha_beta(_planar(([1, 0],), ([1, 0],)),
                        cov.SurfacePoint(np.array([0.5, 0.0, 1j]), None))
     # G = z^2 + 1, eta = dz: G' = 0 at z = 0, alpha = 0 there
-    alpha, beta = sng.alpha_beta(_planar(([1, 0, 1],), ([1],)),
+    alpha, beta = _alpha_beta(_planar(([1, 0, 1],), ([1],)),
                                  cov.SurfacePoint(np.array([0.5, 0.0]), None))
     assert alpha[1] == 0 and np.isnan(beta[1]) and np.isfinite(beta[0])
 
@@ -612,8 +621,9 @@ def _scalar_refine(data, prof, za, zb, wa, part):
 
     def value(zh):
         z = complex(data.chart.to_z(_scalar_newton(prof, zh)))
-        p = data.point(z, near_w=wa)
-        return part(sng.alpha_beta(data, p)[0]), p
+        p = (cov.SurfacePoint(z) if data.cover is None
+             else cov.solve_fiber(data.cover, z, near=wa))
+        return part(_alpha_beta(data, p)[0]), p
 
     fa, pa = value(za)
     fb, pb = value(zb)
@@ -637,7 +647,7 @@ def _scalar_records(data, comp):
     ring = []
     for zh, z, w in comp.traversal():
         p = cov.SurfacePoint(complex(z), None if w is None else complex(w))
-        ring.append((complex(zh), p, sng.alpha_beta(data, p)[0]))
+        ring.append((complex(zh), p, _alpha_beta(data, p)[0]))
     pairs = list(zip(ring, ring[1:] + ring[:1] if comp.closed else ring[1:]))
     a_scale = max(abs(a) for _, _, a in ring)
     records = []
@@ -652,11 +662,13 @@ def _scalar_records(data, comp):
             if (v0 < 0) == (v1 < 0) or max(abs(v0), abs(v1)) <= floor:
                 continue
             p = _scalar_refine(data, prof, za, zb, pa.w, part)
-            kind = str(sng._classify(*sng.alpha_beta(data, p)))
+            kind = str(sng._classify(*_alpha_beta(data, p)))
             records.append((kind if kind == target else "degenerate_" + target, p))
     unique = []
     for kind, p in records:
-        if not any(kind == k and p.close_to(q, 1e-6) for k, q in unique):
+        if not any(kind == k and abs(p.z - q.z) <= 1e-6 * (1 + abs(p.z))
+                   and (p.w is None or abs(p.w - q.w) <= 1e-6 * (1 + abs(p.w)))
+                   for k, q in unique):
             unique.append((kind, p))
     return unique
 
@@ -673,10 +685,10 @@ def _close(a, b, rel):
     ("genus_k_reduced", {"k": 2}),
 ])
 def test_batched_classification_matches_scalar_reference(name, params):
-    """One array call of alpha_beta per traversal and one batched Newton
-    solve per component reproduce the vertex-by-vertex scalar classifier:
-    the same records, kinds and order.  Degenerate records are compared by
-    kind only: on the cone at a = 3 they sit on a multiple zero of Im alpha,
+    """One array call of _alpha_terms per traversal and one batched Newton
+    solve reproduce the vertex-by-vertex scalar classifier: the same kinds
+    in the same order, at the same z and w.  Degenerate points are compared
+    by kind only: on the cone at a = 3 they sit on a multiple zero of Im alpha,
     which bisection locates only to its rounding-noise floor and Newton's
     method only to where the beta condition fails."""
     if name.startswith("genus"):
@@ -685,13 +697,95 @@ def test_batched_classification_matches_scalar_reference(name, params):
     [comps] = sng.trace_singular_set(data)
     for comp, got in zip(comps, sng.count_singularities(data, comps)):
         ref = _scalar_records(data, comp)
-        assert [r.kind for r in got["records"]] == [k for k, _ in ref]
+        assert got["kinds"].tolist() == [k for k, _ in ref]
         assert got["degenerate"] == sum(k.startswith("degenerate") for k, _ in ref)
-        for r, (kind, p) in zip(got["records"], ref):
+        assert len(got["z"]) == len(ref)
+        assert (got["w"] is None) == (comp.w_vertices is None)
+        for j, (kind, p) in enumerate(ref):
             if kind.startswith("degenerate"):
                 continue
-            assert _close(r.z, p.z, 1e-12)
-            assert r.w is None if p.w is None else _close(r.w, p.w, 1e-12)
+            assert _close(got["z"][j], p.z, 1e-12)
+            assert got["w"] is None if p.w is None else _close(got["w"][j], p.w, 1e-12)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("cone", {"a": 2.5}),
+    ("cone", {"a": 3.0}),
+    ("trinoid1", {"a": 3.67}),
+    ("genus_k", {"k": 1}),
+])
+def test_repeated_crossings_are_merged(name, params, monkeypatch):
+    """A _traversal_pass that lists every crossing twice leaves every count
+    and every kept point unchanged: each repeat refines to its twin bit for
+    bit and is dropped."""
+    if name.startswith("genus"):
+        params = dict(params, c=per.compute_ck(params["k"]).c_k)
+    data = wst.catalog_get(name, **params)
+    [comps] = sng.trace_singular_set(data)
+    ref = sng.count_singularities(data, comps)
+    traversal_pass = sng._traversal_pass
+
+    def twice(data_, comp):
+        level, crossings = traversal_pass(data_, comp)
+        return level, tuple(None if col is None else np.repeat(col, 2)
+                            for col in crossings)
+
+    monkeypatch.setattr(sng, "_traversal_pass", twice)
+    got = sng.count_singularities(data, comps)
+    assert sum(len(c["kinds"]) for c in ref) >= 8
+    for a, b in zip(got, ref):
+        for key in ("swallowtails", "cross_caps", "degenerate"):
+            assert a[key] == b[key]
+        assert a["kinds"].tolist() == b["kinds"].tolist()
+        np.testing.assert_array_equal(a["z"], b["z"])
+        if b["w"] is None:
+            assert a["w"] is None
+        else:
+            np.testing.assert_array_equal(a["w"], b["w"])
+
+
+@pytest.mark.parametrize("cover", [False, True])
+def test_merge_keeps_other_kinds_and_sheets(cover, monkeypatch):
+    """Points at one z are merged only within one kind, and on a cover only
+    on one sheet: of a swallowtail, a cross cap, a degenerate swallowtail,
+    a swallowtail on the next sheet and a repeat of the first, only the
+    repeat is dropped (planar data has no second sheet)."""
+    z0, w0 = 0.3 + 0.4j, 0.5 - 0.2j
+    rows = [0, 1, 2, 3, 4] if cover else [0, 1, 2, 4]
+    imag = np.array([True, False, True, True, True])[rows]
+    alpha = np.array([1.0, 1j, 1.0, 1.0, 1.0])[rows]
+    beta = np.array([1.0, 1j, 0.0, 1.0, 1.0])[rows]   # Re beta = 0: degenerate
+    w = np.array([w0, w0, w0, -w0, w0]) if cover else None
+    n = len(rows)
+
+    def one_point(data_, za, zb, wa, imag_):
+        return cov.SurfacePoint(np.full(n, z0), w), alpha, beta
+
+    monkeypatch.setattr(sng, "_traversal_pass", lambda data_, comp: (
+        {}, (np.zeros(n, complex), np.ones(n, complex), w, imag)))
+    monkeypatch.setattr(sng, "_refine_crossings", one_point)
+    [got] = sng.count_singularities(None, [None])
+    kinds = ["swallowtail", "cuspidal_cross_cap", "degenerate_swallowtail"]
+    assert got["kinds"].tolist() == kinds + (["swallowtail"] if cover else [])
+    assert (got["swallowtails"], got["cross_caps"], got["degenerate"]) == \
+        (1 + cover, 1, 1)
+    np.testing.assert_array_equal(got["z"], np.full(3 + cover, z0))
+    if cover:
+        np.testing.assert_array_equal(got["w"], [w0, w0, w0, -w0])
+    else:
+        assert got["w"] is None
+
+
+def test_genus_counts_at_k300():
+    """At k = 300 each of the two closed ovals carries 2(k+1) = 602
+    swallowtails and 602 cross caps, with no degenerate point."""
+    data = wst.catalog_get("genus_k", k=300, c=per.compute_ck(300).c_k)
+    [comps] = sng.trace_singular_set(data)
+    assert len(comps) == 2 and all(c.closed for c in comps)
+    for counts in sng.count_singularities(data, comps):
+        assert (counts["swallowtails"], counts["cross_caps"],
+                counts["degenerate"]) == (602, 602, 0)
+        assert len(counts["z"]) == len(counts["w"]) == 1204
 
 
 @pytest.mark.parametrize("fixture", ["cone25", "genus1"])
@@ -701,14 +795,14 @@ def test_newton_refinement(fixture, request, monkeypatch):
     the first crossing, and a row from a vertex to just past it, reach that
     crossing.  Each row stops within the round cap (the vertex edges within
     6 rounds, where bisection takes about 42 halvings), every refined point
-    lies on |G| = 1 to 1e-13 with the alpha and beta alpha_beta gives
-    there, and the corrector is never called.  A chord that holds no
+    lies on |G| = 1 to 1e-13 with the alpha and beta _alpha_terms and _beta
+    give there, and the corrector is never called.  A chord that holds no
     crossing raises."""
     data = request.getfixturevalue(fixture)
     comp = sng.trace_singular_set(data)[0][0]
     zh = np.tile(comp.zhat_vertices, comp.circuits)
     p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
-    alpha = sng.alpha_beta(data, p)[0]
+    alpha = _alpha_beta(data, p)[0]
     i0 = np.arange(len(zh))
     i1 = (i0 + 1) % len(zh)
     rows, imag = [], []
@@ -757,9 +851,9 @@ def test_newton_refinement(fixture, request, monkeypatch):
     assert max(per_row[:edges]) <= 6
     assert np.all(np.abs(np.log(np.abs(data.G(batch)))) < 1e-13)
     # alpha and beta come from the round that stopped each row, as
-    # alpha_beta gives them at the refined points
+    # _alpha_terms and _beta give them at the refined points
     np.testing.assert_array_equal(np.stack([b_alpha, b_beta]),
-                                  np.stack(sng.alpha_beta(data, batch)))
+                                  np.stack(_alpha_beta(data, batch)))
     zc = complex(data.chart.to_z(zc))
     for j in (0, edges, edges + 1, edges + 2):
         assert abs(batch.z[j] - zc) < 1e-13 * (1 + abs(zc))
@@ -859,8 +953,7 @@ def test_singular_report_evaluates_each_traversal_once(fixture, request,
     """singular_report evaluates the Weierstrass data once per component,
     over its whole lifted traversal in one _alpha_terms call, and once per
     Newton round of the crossing refinement (the busy rows in one call, a
-    batch that never grows); G and eta are evaluated by those calls only,
-    and alpha_beta is never called."""
+    batch that never grows); G and eta are evaluated by those calls only."""
     data = dataclasses.replace(request.getfixturevalue(fixture))
     [comps] = sng.trace_singular_set(data)
     calls = []           # (inside the refinement, points evaluated)
@@ -879,9 +972,6 @@ def test_singular_report_evaluates_each_traversal_once(fixture, request,
         finally:
             depth[0] -= 1
 
-    def no_alpha_beta(*args):
-        raise AssertionError("singular_report called alpha_beta")
-
     def counting(key, fn):
         def wrapper(p):
             evals[key] += 1
@@ -890,7 +980,6 @@ def test_singular_report_evaluates_each_traversal_once(fixture, request,
 
     monkeypatch.setattr(sng, "_alpha_terms", counted_terms)
     monkeypatch.setattr(sng, "_refine_crossings", counted_refine)
-    monkeypatch.setattr(sng, "alpha_beta", no_alpha_beta)
     data.G, data.eta = counting("G", data.G), counting("eta", data.eta)
     rep = sng.singular_report(data, comps)
     traversals = [n for inside, n in calls if not inside]

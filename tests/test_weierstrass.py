@@ -181,7 +181,8 @@ CATALOG_CASES = [
 def test_phi_is_null_direction(name, params):
     """<Phi,Phi> = 0 in the Lorentz form, for every catalog surface."""
     data = wst.catalog_get(name, **params)
-    p = data.point(1.7 + 0.43j)
+    z = 1.7 + 0.43j
+    p = cov.SurfacePoint(z) if data.cover is None else cov.solve_fiber(data.cover, z)
     v = data.phi(p)
     lorentz = -v[0] * v[0] + v[1] * v[1] + v[2] * v[2]
     assert abs(lorentz) < 1e-12 * np.sum(np.abs(v) ** 2)
@@ -190,9 +191,9 @@ def test_phi_is_null_direction(name, params):
 def test_metric_factor_vanishes_on_unit_gauss():
     data = wst.catalog_get("catenoid")
     # catenoid G = z: the singular set is |z| = 1
-    p = data.point(cmath.exp(0.7j))
+    p = cov.SurfacePoint(cmath.exp(0.7j))
     assert data.metric_factor(p) < 1e-14
-    q = data.point(1.5)
+    q = cov.SurfacePoint(1.5 + 0j)
     assert data.metric_factor(q) > 1e-3
 
 
