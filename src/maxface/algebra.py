@@ -191,8 +191,9 @@ def gk_batched(f, n: int, tol: float, max_depth: int = 28) -> np.ndarray:
     for depth in range(max_depth + 1):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         fv = np.asarray(f(idx, mid[:, None] + half[:, None] * _X15), dtype=complex)
-        # one (rows, 15) product per rule, so each panel's sum rounds as a
-        # single panel's would
+        # one (rows, 15) product per rule; from two rows up, each row's sum
+        # rounds the same whatever the other rows are (a one-row product
+        # takes another BLAS kernel and may round differently)
         rows = fv.reshape(-1, 15)
         k = half * (rows @ _W15).reshape(fv.shape[:-1])
         g = half * (rows @ _G15).reshape(fv.shape[:-1])

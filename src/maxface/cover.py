@@ -82,7 +82,10 @@ class CoverSpec:
     def rhs(self, z):
         if self.reduced:
             return z ** (self.m + 1) * (z - 1) ** (2 * self.m)
-        return z * (z * z - 1) ** self.k
+        # a named right factor: numpy may reuse a large temporary in place,
+        # swapping the operands of a product that is not bitwise commutative
+        t = (z * z - 1) ** self.k
+        return z * t
 
     def log_derivative(self, z):
         """w'/w along the curve, for a scalar or an array of z."""
@@ -260,7 +263,7 @@ def continue_legs(spec: CoverSpec, routes, w0s) -> list[np.ndarray]:
         return []
     sizes = [len(route) - 1 for route in routes]
     za = np.concatenate([route[:-1] for route in routes])
-    # a leg ends at za + (end - za) * 1.0, as w_at's s = 1 does; rhs there is
+    # a leg ends at za + (end - za) * 1.0, as w_along's s = 1 does; rhs there is
     # formed in Python arithmetic as a scalar fiber call forms it (numpy's
     # integer power of a complex array may round differently), and the n-th
     # roots taken in one np.power call, which rounds each as a scalar call
@@ -290,15 +293,25 @@ def continue_legs(spec: CoverSpec, routes, w0s) -> list[np.ndarray]:
             for leg, size, w0 in zip(first, sizes, w0s)]
 
 
+def w_along(spec: CoverSpec, za, dz, wa, s) -> np.ndarray:
+    """w at z = za + dz s on straight legs that leave za with the fiber
+    value wa, by the closed form of continue_legs (_sheet); the arguments
+    are arrays that broadcast, s in [0, 1]."""
+    z = za + dz * s
+    p = spec.principal_root(z)
+    sheet, _ = _sheet(spec, za, z, wa, p)
+    # a named right factor (see CoverSpec.rhs)
+    units = _unit_roots(spec.sheet_count)[sheet]
+    return p * units
+
+
 @dataclass(eq=False)
 class LiftedPath:
     """A polyline lifted to the cover, as lift builds it.
 
     route is the polyline w is continued along, branch-point detours
     included: leg i runs from route[i] to route[i + 1].  w[i] is the fiber
-    value at route[i], and input vertex i of path sits at route[upto[i]].
-    w_at answers w at points along legs by the closed form of
-    continue_legs, from the leg's start value."""
+    value at route[i], and input vertex i of path sits at route[upto[i]]."""
 
     spec: CoverSpec
     path: SurfacePath
@@ -320,15 +333,6 @@ class LiftedPath:
             return False
         w0 = self.path.w0
         return abs(self.w_end - w0) <= tol * (1 + abs(w0))
-
-    def w_at(self, leg, s: np.ndarray) -> np.ndarray:
-        """w at the parameters s (an array in [0, 1]) of leg, one leg index
-        or an array of them broadcasting against s."""
-        z0 = self.route[leg]
-        z = z0 + (self.route[leg + 1] - z0) * s
-        p = self.spec.principal_root(z)
-        sheet, _ = _sheet(self.spec, z0, z, self.w[leg], p)
-        return p * _unit_roots(self.spec.sheet_count)[sheet]
 
 
 def lift(spec: CoverSpec, paths, detour: bool = True) -> list[LiftedPath]:

@@ -70,10 +70,10 @@ class AdmissiblePair:
     def spec(self) -> cov.CoverSpec:
         return cov.CoverSpec(self.k)
 
-    def psihat0(self, z: complex, w: complex) -> np.ndarray:
-        """PsiHat_0(z, w) of the lift equation; z and w may be arrays, and
-        the matrix axes come first."""
-        c = self.c
+    def psihat0(self, p: cov.SurfacePoint) -> np.ndarray:
+        """PsiHat_0 at p of the lift equation; p.z and p.w may be arrays,
+        and the matrix axes come first."""
+        c, z, w = self.c, p.z, p.w
         return mat2(1.0 / z, -c * w / (z * z), 1.0 / (c * w), -1.0 / z)
 
 
@@ -147,7 +147,9 @@ def _integrate_legs(t, c, k, za, zb, wa, wb, rtol: float) -> np.ndarray:
         out[:, 1] = p * y[:, 1] + q * y[:, 3]
         out[:, 2] = r * y[:, 0] - p * y[:, 2]
         out[:, 3] = r * y[:, 1] - p * y[:, 3]
-        out[:, 4] = w * cov.genus_log_derivative(k[live], z) * dz
+        # a named right factor (see CoverSpec.rhs)
+        lw = cov.genus_log_derivative(k[live], z)
+        out[:, 4] = w * lw * dz
         return out
 
     y = dop853(rhs, y0, 0.0, 1.0, rtol=rtol, atol=_ATOL)
@@ -417,8 +419,9 @@ def residue_derivative(ks) -> list[dict]:
     for k, c, loop in loops:
         fwd, back = next(ends), next(ends)
         d_fd = (fwd - back) / (2.0 * h)
-        contour = wst.integrate_form(
-            cov.CoverSpec(k), loop, AdmissiblePair(k, 0.0, c).psihat0)[-1]
+        pair = AdmissiblePair(k, 0.0, c)
+        contour = wst.integrate_form(pair.spec, cov.lift(pair.spec, [loop]),
+                                     pair.psihat0)[0][-1]
         target = 2.0 * (k + 1) * math.pi * 1j * np.diag([1.0, -1.0])
         out.append({
             "fd": d_fd,

@@ -112,21 +112,19 @@ def compute_ck(k: int) -> CkSolution:
 # direct loop periods on the cover
 # ---------------------------------------------------------------------------
 
-def period_vector(data: wst.WeierstrassData, loop: cov.SurfacePath) -> np.ndarray:
-    """oint Phi over a closed lifted loop (complex 3-vector), to integrate_phi's
-    tolerance 1e-10; raises if the loop does not close on the cover."""
-    if abs(loop.start - loop.end) > 1e-12:
-        raise ValidationError("period_vector needs a closed z-polyline")
-    if data.cover is None:
-        return wst.integrate_phi(data, loop)[-1]
-    [lifted] = cov.lift(data.cover, [loop])
-    if not lifted.is_closed():
-        raise ValidationError(f"loop {loop.label!r} does not close on the cover")
-    return wst.integrate_phi(data, lifted)[-1]
-
-
-def closure_residual(data: wst.WeierstrassData, loop: cov.SurfacePath) -> float:
-    return float(np.max(np.abs(period_vector(data, loop).real)))
+def closure_residuals(data: wst.WeierstrassData, loops) -> list[float]:
+    """max |Re oint Phi| over each closed loop on the cover, to integrate_form's
+    tolerance 1e-10: the loops are lifted in one cov.lift call and integrated
+    in one integrate_form call.  Raises ValidationError if a loop does not
+    close in z, or, naming the first, if one does not close on the cover."""
+    if any(abs(loop.start - loop.end) > 1e-12 for loop in loops):
+        raise ValidationError("closure_residuals needs closed z-polylines")
+    lifted = cov.lift(data.cover, loops)
+    for lp in lifted:
+        if not lp.is_closed():
+            raise ValidationError(f"loop {lp.path.label!r} does not close on the cover")
+    ends = np.array([x[-1] for x in wst.integrate_form(data.cover, lifted, data.phi)])
+    return np.max(np.abs(ends.real), axis=-1).tolist()
 
 
 @lru_cache(maxsize=32)
@@ -135,8 +133,8 @@ def _gamma_raw_integrals(k: int) -> tuple[complex, complex]:
     (c-independent; G^2 eta = c^2 J)."""
     spec = cov.CoverSpec(k)
     gamma = cov.deck_word_path(spec, cov.word_base_loop())
-    E, J = wst.integrate_form(
-        spec, gamma, lambda z, w: np.array([1.0 / w, w / (z * z)]))[-1]
+    E, J = wst.integrate_form(spec, cov.lift(spec, [gamma]),
+                              lambda p: np.array([1.0 / p.w, p.w / (p.z * p.z)]))[0][-1]
     return complex(E), complex(J)
 
 
@@ -208,10 +206,9 @@ def period_report(k: int) -> dict:
     sol = compute_ck(k)
     c_root = solve_ck_by_root(k)
     data = wst.catalog_get("genus_k", k=k, c=sol.c_k)
-    spec = data.cover
-    residuals = {}
-    for loop in cov.generator_loops(spec):
-        residuals[loop.label] = closure_residual(data, loop)
+    loops = cov.generator_loops(data.cover)
+    residuals = dict(zip([loop.label for loop in loops],
+                         closure_residuals(data, loops)))
     sym = symmetry_reduction_check(k, n_samples=20)
     return {
         "k": k,

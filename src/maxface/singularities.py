@@ -57,7 +57,9 @@ def _alpha_terms(data: wst.WeierstrassData, p: cov.SurfacePoint):
     if np.any(denom == 0):
         raise DegenerateError("alpha undefined: G^2 eta vanishes")
     alpha = dg / denom
-    dalpha = (d2g - alpha * (2.0 * g * dg * e + g * g * de)) / denom
+    # a named right factor (see CoverSpec.rhs)
+    t = 2.0 * g * dg * e + g * g * de
+    dalpha = (d2g - alpha * t) / denom
     return g, dg, e, alpha, dalpha
 
 

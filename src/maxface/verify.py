@@ -95,14 +95,12 @@ def criterion_2(cfg: VerifyConfig) -> list[dict]:
     for k in range(1, 5):
         c = per.compute_ck(k).c_k * (1.0 + cfg.perturb_ck)
         data = wst.catalog_get("genus_k", k=k, c=c)
-        worst = 0.0
-        for loop in cov.generator_loops(data.cover):
-            worst = max(worst, per.closure_residual(data, loop))
+        worst = max(per.closure_residuals(data, cov.generator_loops(data.cover)))
         checks.append(_within(f"max closure residual k={k}", worst, 1e-8,
                               "Re contour(Phi) = 0 over all 2(k+1) generators"))
     data = wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k * 1.01)
     gamma = cov.generator_loops(data.cover)[0]
-    res = per.closure_residual(data, gamma)
+    [res] = per.closure_residuals(data, [gamma])
     checks.append(_check("1% c-perturbation breaks closure", res, 1e-3,
                          res > 1e-3, "closure is c-critical, not generic"))
     return checks

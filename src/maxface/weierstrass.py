@@ -122,14 +122,12 @@ class TraceChart:
     """Moebius chart zhat -> z used by the singular tracer; identity default."""
 
     to_z: Callable = None
-    from_z: Callable = None
     dz_dzhat: Callable = None
     name: str = "identity"
 
     def __post_init__(self):
         if self.to_z is None:
             self.to_z = lambda zh: zh
-            self.from_z = lambda z: z
             self.dz_dzhat = lambda zh: 1.0 + 0j
 
 
@@ -314,7 +312,6 @@ def catalog_get(name: str, **params) -> WeierstrassData:
                            np.polymul(np.polymul([1, -1], [1, -1]), [1, 2, 1]))
         chart = TraceChart(
             to_z=lambda zh: 1.0 + 1.0 / zh,
-            from_z=lambda z: 1.0 / (z - 1.0),
             dz_dzhat=lambda zh: -1.0 / (zh * zh),
             name="inverted_about_one",
         )
@@ -372,44 +369,38 @@ def catalog_list(ck_values: dict | None = None) -> list[dict]:
 # immersion integration
 # ---------------------------------------------------------------------------
 
-def integrate_phi(data: WeierstrassData, path: cov.SurfacePath | cov.LiftedPath,
-                  tol: float = 1e-10) -> np.ndarray:
-    """Integrals of the Phi-vector from the start of the path to each of its
-    vertices, shape (len(vertices), 3)."""
-
-    def form(z, w):
-        return data.phi(cov.SurfacePoint(z, w))
-
-    return integrate_form(data.cover, path, form, tol)
-
-
-def integrate_form(spec: cov.CoverSpec | None, path: cov.SurfacePath | cov.LiftedPath,
-                   form, tol: float = 1e-10) -> np.ndarray:
-    """Integrals of form(z, w) dz from the start of a (lifted) polyline to
-    each of its vertices: shape (len(vertices),) + form shape, entry 0 zero.
-    Every leg is integrated by Gauss-Kronrod panels, all legs at once
-    (gk_batched), and the legs are summed in order.  form takes z and w of
-    shape (panels, 15) and returns its values with those two axes last.  A
-    path that is already a LiftedPath is integrated as it stands, so a
-    caller can reuse its lift (end fiber value, closure check)."""
-    if isinstance(path, cov.LiftedPath):
-        lp = path
-    elif spec is not None and path.w0 is not None:
-        [lp] = cov.lift(spec, [path])
-    else:  # a planar path is integrated along its own vertices
-        lp = None
-    route = np.array(path.z_vertices, dtype=complex) if lp is None else lp.route
-    upto = np.arange(len(route)) if lp is None else lp.upto
-    z0, dz = route[:-1], route[1:] - route[:-1]
+def integrate_form(spec: cov.CoverSpec | None, paths, form,
+                   tol: float = 1e-10) -> list[np.ndarray]:
+    """Integrals of form(p) dz from the start of each path to each of its
+    vertices: per path an array of shape (len(vertices),) + form shape,
+    entry 0 zero.  On a cover the paths are LiftedPaths, integrated along
+    their routes; on planar data (spec None) SurfacePaths, integrated along
+    their own vertices.  Every leg of every path is integrated by
+    Gauss-Kronrod panels in one gk_batched call, and each path's legs are
+    summed in order.  form takes a SurfacePoint whose z and w have shape
+    (panels, 15) and returns its values with those two axes last."""
+    if not paths:
+        return []
+    if spec is None:
+        routes = [np.array(path.z_vertices, dtype=complex) for path in paths]
+        uptos = [np.arange(len(route)) for route in routes]
+    else:
+        routes, uptos = [lp.route for lp in paths], [lp.upto for lp in paths]
+    sizes = [len(route) - 1 for route in routes]
+    za = np.concatenate([route[:-1] for route in routes])
+    dz = np.concatenate([route[1:] - route[:-1] for route in routes])
+    wa = None if spec is None else np.concatenate([lp.w[:-1] for lp in paths])
 
     def f(leg, s):
-        w = lp.w_at(leg[:, None], s) if lp is not None else None
-        delta = dz[leg, None]
-        return form(z0[leg, None] + delta * s, w) * delta
+        z0, delta = za[leg, None], dz[leg, None]
+        w = None if wa is None else cov.w_along(spec, z0, delta, wa[leg, None], s)
+        return form(cov.SurfacePoint(z0 + delta * s, w)) * delta
 
-    legs = gk_batched(f, len(z0), tol)
+    legs = gk_batched(f, len(za), tol)
     start = np.zeros((1,) + legs.shape[1:], dtype=complex)
-    return np.cumsum(np.concatenate([start, legs]), axis=0)[upto]
+    first = np.cumsum([0] + sizes)[:-1]
+    return [np.cumsum(np.concatenate([start, legs[leg:leg + size]]), axis=0)[upto]
+            for leg, size, upto in zip(first, sizes, uptos)]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +443,8 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
     The spine (base point, then the first column) is lifted and integrated as
     one path, and each row as one path from its spine vertex, so the result
     is deterministic and watertight in the parameter grid; the rows are
-    lifted together, in one cov.lift call."""
+    lifted together, in one cov.lift call, and the spine and the rows
+    integrated in one integrate_form call."""
     g = data.default_mesh
     nr = nr if nr is not None else g["nr"]
     nth = nth if nth is not None else g["nth"]
@@ -468,10 +460,8 @@ def mesh_sample(data: WeierstrassData, nr: int | None = None,
         [spine] = cov.lift(spec, [spine])
         rows = cov.lift(spec, [cov.SurfacePath(z, w0)
                                for z, w0 in zip(zs, spine.w_vertices[1:])])
-    x_col = integrate_phi(data, spine, 1e-9).real
-    xs = np.empty(zs.shape + (3,))
-    for i, row in enumerate(rows):
-        xs[i] = x_col[i + 1] + integrate_phi(data, row, 1e-9).real
+    x_col, *x_rows = integrate_form(spec, [spine, *rows], data.phi, 1e-9)
+    xs = x_col[1:, None].real + np.array(x_rows).real
     ws = None if spec is None else np.array([row.w_vertices for row in rows])
     mets = data.metric_factor(cov.SurfacePoint(zs, ws))
     return MeshSample(xs.reshape(-1, 3), mets.reshape(-1), _grid_faces(nr, nth + 1),

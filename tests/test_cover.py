@@ -254,17 +254,24 @@ def test_lift_needs_a_fiber_value():
 def _w_at_reference(lp, leg, s):
     """w at the leg parameters s, one point at a time: the fiber root
     nearest a dense walk from the leg's start to the point.  The fibers come
-    from one array call, as in w_at, because numpy may round an array power
-    differently from a scalar one in the last bit."""
+    from one array call, as in w_along, because numpy may round an array
+    power differently from a scalar one in the last bit."""
     z0, z1, w0, _ = lifted_legs(lp)[leg]
     z = z0 + (z1 - z0) * s
     return [roots[int(np.argmin(np.abs(roots - walk_leg(lp.spec, z0, x, w0))))]
             for x, roots in zip(z.tolist(), lp.spec.fiber(z))]
 
 
+def _w_at(lp, leg, s):
+    """w_along on leg (one leg index or an array of them broadcasting
+    against s) of a lifted path, from the leg's start value."""
+    z0 = lp.route[leg]
+    return cov.w_along(lp.spec, z0, lp.route[leg + 1] - z0, lp.w[leg], s)
+
+
 @pytest.mark.parametrize("k, reduced", [(1, False), (2, True)])
 def test_w_at_matches_pointwise_reference(k, reduced):
-    """The array w_at picks, bit for bit, the root a point-by-point dense
+    """The array w_along picks, bit for bit, the root a point-by-point dense
     walk reaches, on every leg of a path that is detoured around z = 1 and
     then passes it just outside the clearance disc."""
     spec = cov.CoverSpec(k, reduced=reduced)
@@ -275,11 +282,37 @@ def test_w_at_matches_pointwise_reference(k, reduced):
     assert len(lp.route) - 1 > 2
     s = np.concatenate([np.linspace(0.0, 1.0, 33), 0.5 + 0.5 * alg._X15])
     for leg in range(len(lp.route) - 1):
-        assert np.array_equal(lp.w_at(leg, s), _w_at_reference(lp, leg, s))
+        assert np.array_equal(_w_at(lp, leg, s), _w_at_reference(lp, leg, s))
     # one call over every leg, a leg index per row
     legs = np.arange(len(lp.route) - 1)
-    assert np.array_equal(lp.w_at(legs[:, None], np.broadcast_to(s, (len(legs), len(s)))),
-                          [lp.w_at(leg, s) for leg in legs])
+    assert np.array_equal(_w_at(lp, legs[:, None], np.broadcast_to(s, (len(legs), len(s)))),
+                          [_w_at(lp, leg, s) for leg in legs])
+
+
+@pytest.mark.parametrize("which", ["rhs", "principal_root", "w_along"])
+def test_arrays_do_not_depend_on_the_batch(which):
+    """rhs, principal_root and w_along of 20,000 points equal, bit for bit,
+    the same points taken 100 at a time.  numpy reuses a temporary of 256
+    KiB or more (16,384 complex values) in place; as the right factor of a
+    product it swaps the operands, and numpy's complex product (fused
+    multiply-adds) is not bitwise commutative.  The cover has three sheets:
+    the fourth roots of unity (1 exactly; i, -1 and -i to within 1e-16)
+    would multiply w_along's roots alike in either order."""
+    spec = cov.CoverSpec(2)
+    rng = np.random.default_rng(7)
+    n = 20000
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if which == "w_along":
+        wa = spec.fiber(z)[np.arange(n), rng.integers(0, spec.sheet_count, n)]
+        args = (z, 0.05 * (rng.normal(size=n) + 1j * rng.normal(size=n)), wa,
+                rng.uniform(size=n))
+
+        def f(*a):
+            return cov.w_along(spec, *a)
+    else:
+        args, f = (z,), getattr(spec, which)
+    chunked = [f(*(a[i:i + 100] for a in args)) for i in range(0, n, 100)]
+    assert np.array_equal(f(*args), np.concatenate(chunked))
 
 
 @pytest.mark.parametrize("k, reduced", [(1, False), (2, False), (3, False),

@@ -74,7 +74,7 @@ def test_nu_closed_form():
 def test_psihat_is_tracefree_nilpotent():
     """Psi_0 is trace-free with det 0: the ODE preserves det F."""
     p = cov.solve_fiber(cov.CoverSpec(1), 1.7 + 0.5j)
-    m = K1.psihat0(p.z, p.w)
+    m = K1.psihat0(p)
     assert abs(m[0, 0] + m[1, 1]) < 1e-14
     assert abs(alg.det2(m)) < 1e-14
 
@@ -114,8 +114,8 @@ def test_lift_first_order_in_t():
     o = cov.base_point(spec)
     path = cov.SurfacePath((o.z, 1.6 + 0.8j), o.w)
     F = ds.transport([(pair, path)], rtol=1e-12)[0].F[-1]
-    contour = wst.integrate_form(spec, path,
-                                 lambda z, w: pair.psihat0(z, w), tol=1e-12)[-1]
+    contour = wst.integrate_form(spec, cov.lift(spec, [path]), pair.psihat0,
+                                 tol=1e-12)[0][-1]
     assert np.max(np.abs(F - alg.EYE2 - t * contour)) < 5.0 * t * t
 
 
@@ -186,6 +186,24 @@ def test_integrate_legs_checks_the_continued_sheet():
     with pytest.raises(ContinuationError,
                        match=r"left the continued sheet on leg \(2\+0j\) -> \(1.6\+0.8j\)"):
         ds._integrate_legs(t, c, k, za, zb, wa, off, 1e-11)
+
+
+def test_integrate_legs_do_not_depend_on_the_batch():
+    """16,500 short legs integrated in one batch give, bit for bit, the
+    propagators of the same legs integrated 100 at a time, though numpy
+    reuses temporaries of 16,384 complex values or more in place
+    (test_cover.test_arrays_do_not_depend_on_the_batch)."""
+    pair = ds.AdmissiblePair(2, 0.02)
+    spec, n = pair.spec, 16500
+    rng = np.random.default_rng(13)
+    za = rng.uniform(1.3, 2.5, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+    zb = za + 0.01 * np.exp(2j * math.pi * rng.uniform(size=n))
+    wa = spec.fiber(za)[np.arange(n), rng.integers(0, spec.sheet_count, n)]
+    wb = np.array([w[-1] for w in cov.continue_legs(spec, list(zip(za, zb)), wa)])
+    legs = (np.full(n, pair.t), np.full(n, pair.c), np.full(n, pair.k), za, zb, wa, wb)
+    chunked = [ds._integrate_legs(*(a[i:i + 100] for a in legs), 1e-11)
+               for i in range(0, n, 100)]
+    assert np.array_equal(ds._integrate_legs(*legs, 1e-11), np.concatenate(chunked))
 
 
 def _count_solves(monkeypatch) -> dict:
@@ -544,7 +562,7 @@ def test_residue_derivative_perturbed_contour_fails(monkeypatch):
     [exact] = ds.residue_derivative([1])
     integrate_form = wst.integrate_form
     monkeypatch.setattr(wst, "integrate_form",
-                        lambda *a, **kw: integrate_form(*a, **kw) + 1e-7)
+                        lambda *a, **kw: [x + 1e-7 for x in integrate_form(*a, **kw)])
     [out] = ds.residue_derivative([1])
     assert out["contour_residual"] == pytest.approx(1e-7, rel=1e-3)
     assert out["fd_residual"] == exact["fd_residual"]

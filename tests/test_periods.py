@@ -120,15 +120,15 @@ def test_root_route_refuses_no_positive_root(E, J, monkeypatch):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_generator_closure_at_ck(k):
     data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
-    for loop in cov.generator_loops(data.cover):
-        assert per.closure_residual(data, loop) < 1e-8
+    for res in per.closure_residuals(data, cov.generator_loops(data.cover)):
+        assert res < 1e-8
 
 
 def test_period_vector_lifts_each_loop_once(monkeypatch):
-    """The closure check and the integral share one lift of the loop, whose
-    one continuation over all its legs gives the fiber values, bit for bit,
-    of walking w densely to the nearest root; nothing continues w outside
-    it."""
+    """The closure check and the integral share one lift of the loops, whose
+    one continuation over the legs of every loop gives the fiber values,
+    bit for bit, of walking w densely to the nearest root; nothing
+    continues w outside it."""
     data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
     built, lifts, continued = [], [], []
     init, continue_legs = cov.LiftedPath.__init__, cov.continue_legs
@@ -145,10 +145,9 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
     monkeypatch.setattr(cov.LiftedPath, "__init__", counting_init)
     monkeypatch.setattr(cov, "continue_legs", counting_continue)
     loops = cov.generator_loops(data.cover)
-    for loop in loops:
-        per.period_vector(data, loop)
+    per.closure_residuals(data, loops)
     assert built == [loop.label for loop in loops]
-    assert continued == [[len(lp.route) - 1] for lp in lifts]
+    assert continued == [[len(lp.route) - 1 for lp in lifts]]
     for lp in lifts:
         legs, at_vertex = walk_segments(lp.spec, lp.path.z_vertices, lp.path.w0)
         assert lifted_legs(lp) == legs
@@ -163,15 +162,42 @@ def test_period_vector_rejects_loop_that_permutes_sheets():
     loop = cov.SurfacePath((o.z, 1.4 + 0j, *circle[1:], o.z), o.w,
                            label="around_one")
     with pytest.raises(ValidationError, match="does not close"):
-        per.period_vector(data, loop)
+        per.closure_residuals(data, [loop])
+    # not first in its batch, it is still the loop the message names
+    loops = cov.generator_loops(data.cover)
+    with pytest.raises(ValidationError, match="'around_one' does not close"):
+        per.closure_residuals(data, loops[:2] + [loop] + loops[2:])
+    # a polyline that does not return to its start in z is refused first
+    with pytest.raises(ValidationError, match="closed z-polylines"):
+        per.closure_residuals(data, loops + [cov.SurfacePath((o.z, 1.4 + 0j), o.w)])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: wst.mesh_sample(wst.catalog_get("genus_k", k=1)),
+    lambda: per.closure_residuals(wst.catalog_get("genus_k", k=2),
+                                  cov.generator_loops(cov.CoverSpec(2))),
+    lambda: per._gamma_raw_integrals.__wrapped__(2),
+], ids=["mesh_sample", "closure_residuals", "gamma_raw_integrals"])
+def test_one_quadrature_call(run, monkeypatch):
+    """A mesh, the closure of a set of loops and the gamma integrals each
+    integrate all their paths in one gk_batched call."""
+    calls = []
+    gk_batched = wst.gk_batched
+
+    def counting(f, n, tol, *args):
+        calls.append(n)
+        return gk_batched(f, n, tol, *args)
+
+    monkeypatch.setattr(wst, "gk_batched", counting)
+    run()
+    assert len(calls) == 1
 
 
 def test_perturbed_c_breaks_closure():
     """1% off the period constant leaves a visible real period."""
     c_wrong = per.compute_ck(1).c_k * 1.01
     data = wst.catalog_get("genus_k", k=1, c=c_wrong)
-    worst = max(per.closure_residual(data, loop)
-                for loop in cov.generator_loops(data.cover))
+    worst = max(per.closure_residuals(data, cov.generator_loops(data.cover)))
     assert worst > 1e-3
     # frozen magnitude of the broken period (regression guard)
     assert worst == pytest.approx(0.1054, abs=0.002)
@@ -182,13 +208,13 @@ def test_x0_real_period_vanishes_for_any_c():
     periods are purely imaginary, so the REAL x0-period closes at every c
     (only the x1, x2 components constrain the period problem)."""
     data = wst.catalog_get("genus_k", k=1, c=1.3)
-    for loop in cov.generator_loops(data.cover):
 
-        def x0_form(z, w):
-            p = cov.SurfacePoint(z, w)
-            return -2.0 * data.G(p) * data.eta(p)
+    def x0_form(p):
+        return -2.0 * data.G(p) * data.eta(p)
 
-        val = complex(wst.integrate_form(data.cover, loop, x0_form, tol=1e-11)[-1])
+    lifted = cov.lift(data.cover, cov.generator_loops(data.cover))
+    for ints in wst.integrate_form(data.cover, lifted, x0_form, tol=1e-11):
+        val = complex(ints[-1])
         assert abs(val.real) < 1e-9
         # the imaginary period is quantized: -2c * 2 pi * winding(z-loop, 0)
         n = round(val.imag / (-2.0 * 1.3 * 2.0 * math.pi))

@@ -251,6 +251,29 @@ def test_alpha_beta_on_arrays_matches_pointwise(genus1, genus2_reduced):
     assert alpha[1] == 0 and np.isnan(beta[1]) and np.isfinite(beta[0])
 
 
+@pytest.mark.parametrize("name, params", [("genus_k", {"k": 3}),
+                                          ("genus_k_reduced", {"k": 4}),
+                                          ("cone", {}), ("trinoid1", {})])
+def test_alpha_terms_do_not_depend_on_the_batch(name, params):
+    """_alpha_terms of 20,000 points equals, bit for bit, the same points
+    taken 100 at a time, though numpy reuses temporaries of 16,384 complex
+    values or more in place (test_cover.test_arrays_do_not_depend_on_the_batch)."""
+    data = wst.catalog_get(name, **params)
+    rng = np.random.default_rng(9)
+    n = 20000
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    w = None
+    if data.cover is not None:
+        w = data.cover.fiber(z)[np.arange(n), rng.integers(0, data.cover.sheet_count, n)]
+
+    def terms(i):
+        return np.stack(sng._alpha_terms(
+            data, cov.SurfacePoint(z[i], None if w is None else w[i])))
+
+    chunked = [terms(slice(i, i + 100)) for i in range(0, n, 100)]
+    assert np.array_equal(terms(slice(None)), np.concatenate(chunked, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # tracing: ovals of the genus family
 # ---------------------------------------------------------------------------
@@ -817,7 +840,9 @@ def test_newton_refinement(fixture, request, monkeypatch):
     edges = len(za)
     w0 = None if wa is None else wa[0]
     part = (lambda a: a.imag) if imag[0] else (lambda a: a.real)
-    zc = data.chart.from_z(_scalar_refine(data, sng._Profile(data), za[0], zb[0], w0, part).z)
+    zc = _scalar_refine(data, sng._Profile(data), za[0], zb[0], w0, part).z
+    if data.chart.name == "inverted_about_one":  # z = 1 + 1/zhat
+        zc = 1.0 / (zc - 1.0)
     u = (zb[0] - za[0]) / abs(zb[0] - za[0])
     za = np.append(za, [zc - 1e-6 * u, zc - 1e-10 * u, za[0]])
     zb = np.append(zb, [zc + 1e-6 * u, zc + 1e-10 * u, zc + 1e-9 * u])

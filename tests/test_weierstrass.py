@@ -208,7 +208,7 @@ def test_integrate_phi_catenoid_closed_form():
     data = wst.catalog_get("catenoid")
     a, b = 1.0 + 0j, 2.0 + 1.5j
     path = cov.SurfacePath((a, b), None)
-    got = wst.integrate_phi(data, path, tol=1e-12)[-1]
+    got = wst.integrate_form(None, [path], data.phi, tol=1e-12)[0][-1]
     want = np.array([
         -2.0 * (cmath.log(b) - cmath.log(a)),
         (b - 1.0 / b) - (a - 1.0 / a),
@@ -221,7 +221,7 @@ def test_integrate_form_residue_loop():
     """Int dz/z around the unit-ish circle = 2 pi i (planar chart)."""
     pts = tuple(1.3 * cmath.exp(2j * math.pi * i / 48) for i in range(49))
     path = cov.SurfacePath(pts, None)
-    got = wst.integrate_form(None, path, lambda z, w: 1.0 / z, tol=1e-12)[-1]
+    got = wst.integrate_form(None, [path], lambda p: 1.0 / p.z, tol=1e-12)[0][-1]
     assert complex(got) == pytest.approx(2j * math.pi, rel=1e-10)
 
 
@@ -232,11 +232,13 @@ def test_integrate_form_on_cover_exact_differential():
     path = cov.SurfacePath((o.z, 1.6 + 0.7j, 1.2 + 1.1j), o.w)
 
     # dw/dz = w L with L = ((2k+1) z^2 - 1)/((k+1) z (z^2-1)), k=1
-    def dw(z, w):
-        return w * (3 * z * z - 1) / (2 * z * (z * z - 1))
+    def dw(p):
+        z = p.z
+        return p.w * (3 * z * z - 1) / (2 * z * (z * z - 1))
 
-    got = wst.integrate_form(spec, path, dw, tol=1e-12)[-1]
-    w_end = cov.lift(spec, [path])[0].w_end
+    [lp] = cov.lift(spec, [path])
+    got = wst.integrate_form(spec, [lp], dw, tol=1e-12)[0][-1]
+    w_end = lp.w_end
     assert complex(got) == pytest.approx(w_end - o.w, rel=1e-9)
 
 
@@ -248,14 +250,15 @@ def test_integrate_form_prefixes_are_exact():
     bump = 0.5j * cov.clearance(spec)
     verts = (o.z, 1.3 + bump, 0.7 + bump, 0.8 + 0.9j, 1.6 + 0.4j)
 
-    def form(z, w):
-        return np.array([1.0 / w, w / (z * z)])
+    def form(p):
+        return np.array([1.0 / p.w, p.w / (p.z * p.z)])
 
-    whole = wst.integrate_form(spec, cov.SurfacePath(verts, o.w), form)
+    [whole] = wst.integrate_form(spec, cov.lift(spec, [cov.SurfacePath(verts, o.w)]), form)
     assert whole.shape == (len(verts), 2)
     assert not np.any(whole[0])
     for j in range(1, len(verts)):
-        part = wst.integrate_form(spec, cov.SurfacePath(verts[:j + 1], o.w), form)
+        [part] = wst.integrate_form(
+            spec, cov.lift(spec, [cov.SurfacePath(verts[:j + 1], o.w)]), form)
         assert np.array_equal(whole[j], part[-1])
 
 
@@ -276,7 +279,7 @@ def _gk_recursive(f, a, b, tol, depth=28):
 
 
 def test_batched_quadrature_matches_recursive_reference():
-    """integrate_phi refines every leg of a path breadth first, in one form
+    """integrate_form refines every leg of a path breadth first, in one form
     call per level; its prefix integrals equal, bit for bit, integrating
     each leg by recursive bisection and adding the legs in order, on a
     genus_k k=2 path of many legs, detours included."""
@@ -286,15 +289,52 @@ def test_batched_quadrature_matches_recursive_reference():
         (o.z, 1.4 + 0.6j, 0.5 + 0.2j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j,
          1.0 + 0.01j, 1.7 - 0.2j), o.w)])
     assert len(lp.route) - 1 > 20
-    got = wst.integrate_phi(data, lp, 1e-9)
+    [got] = wst.integrate_form(data.cover, [lp], data.phi, 1e-9)
     total, want = np.zeros(3, dtype=complex), [np.zeros(3, dtype=complex)]
     z = lp.route.tolist()
     for leg, (a, b) in enumerate(zip(z, z[1:])):
         def f(s, a=a, b=b, leg=leg):
-            return data.phi(cov.SurfacePoint(a + (b - a) * s, lp.w_at(leg, s))) * (b - a)
+            w = cov.w_along(data.cover, a, b - a, lp.w[leg], s)
+            return data.phi(cov.SurfacePoint(a + (b - a) * s, w)) * (b - a)
         total = total + _gk_recursive(f, 0.0, 1.0, 1e-9)
         want.append(total)
     assert np.array_equal(got, np.array([want[n] for n in lp.upto]))
+
+
+def _batch_paths(name):
+    """Paths of different lengths for integrate_form, on the genus_k k=2
+    cover (lifted; the first detoured about z = 1) or planar trinoid1, one
+    of a single vertex."""
+    if name == "genus_k":
+        data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+        o = data.base
+        bump = 0.5j * cov.clearance(data.cover)
+        verts = [(o.z, 1.3 + bump, 0.7 + bump, 0.8 + 0.9j), (o.z,),
+                 (o.z, 1.6 + 0.4j),
+                 (o.z, 1.4 + 0.6j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j)]
+        paths = cov.lift(data.cover, [cov.SurfacePath(v, o.w) for v in verts])
+        assert len(paths[0].route) > len(verts[0])
+        return data, verts, paths
+    data = wst.catalog_get("trinoid1")
+    o = data.base.z
+    verts = [(o, 1.2 + 0.8j, 2.1 - 0.4j), (o,), (o, -0.7 + 0.2j, -1.5 - 1.1j, 0.3 - 2.0j),
+             (o, 0.9j)]
+    return data, verts, [cov.SurfacePath(v, None) for v in verts]
+
+
+@pytest.mark.parametrize("name", ["genus_k", "trinoid1"])
+def test_integrate_form_batch_matches_each_path_alone(name):
+    """integrate_form integrates every path of a batch, bit for bit, as it
+    integrates that path alone; a one-vertex path gives one zero row, and
+    an empty batch gives []."""
+    data, verts, paths = _batch_paths(name)
+    batch = wst.integrate_form(data.cover, paths, data.phi)
+    assert len(batch) == len(paths)
+    for v, path, got in zip(verts, paths, batch):
+        assert got.shape == (len(v), 3)
+        assert np.array_equal(got, wst.integrate_form(data.cover, [path], data.phi)[0])
+    assert np.array_equal(batch[1], np.zeros((1, 3)))
+    assert wst.integrate_form(data.cover, [], data.phi) == []
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +355,8 @@ def _marched_mesh(data, nr, nth):
         path = cov.SurfacePath((za, zb), wa)
         if spec is not None:
             path = cov.lift(spec, [path])[0]
-        return wst.integrate_phi(data, path, 1e-9)[-1].real, getattr(path, "w_end", None)
+        return (wst.integrate_form(spec, [path], data.phi, 1e-9)[0][-1].real,
+                getattr(path, "w_end", None))
 
     xs, mets = np.empty((nr, nth + 1, 3)), np.empty((nr, nth + 1))
     x_col, w_col = leg(data.base.z, z[0][0], data.base.w)
