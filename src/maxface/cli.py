@@ -199,12 +199,7 @@ def _surface_tag(name: str, params: dict) -> str:
 def _get_surface(name: str | None, params: dict) -> wst.WeierstrassData:
     if not name:
         raise ValidationError("--surface is required")
-    data = wst.catalog_get(name, **params)
-    if data.cover is not None and "c" not in params:
-        # the closing constant for the catalog's k, its default included
-        data = wst.catalog_get(name, **params,
-                               c=per.compute_ck(data.params["k"]).c_k)
-    return data
+    return wst.catalog_get(name, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +207,7 @@ def _get_surface(name: str | None, params: dict) -> wst.WeierstrassData:
 # ---------------------------------------------------------------------------
 
 def cmd_gallery(args) -> int:
-    ck_values = None
-    if args.solve_ck:
-        ck_values = {k: per.compute_ck(k).c_k for k in (1, 2)}
-    listing = wst.catalog_list(ck_values)
-    doc = export.report_document("gallery", {"surfaces": listing},
+    doc = export.report_document("gallery", {"surfaces": wst.catalog_list()},
                                  paper_anchor="catalog of Weierstrass data")
     _emit(doc, args.out, "gallery.json")
     return 0
@@ -320,7 +311,7 @@ def cmd_cmc1(args) -> int:
         pair = ds.AdmissiblePair(k, t_mesh)
         grid = ds.desitter_grid(pair, b=ds.construct_iota([pair])[0]["iota1"])
         Path(out).mkdir(parents=True, exist_ok=True)
-        fname = f"cmc1_k{k}_t{f'{t_mesh:g}'.replace('.', 'p').replace('-', 'm')}.ply"
+        fname = f"{_surface_tag('cmc1', {'k': k, 't': t_mesh})}.ply"
         with open(Path(out) / fname, "w", encoding="utf-8") as fh:
             export.write_desitter_ply(
                 grid["x"], grid["faces"], fh,
@@ -386,9 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default %(default)s)")
         return p
 
-    p = command("gallery", cmd_gallery, "list the surface catalog")
-    p.add_argument("--solve-ck", action="store_true", dest="solve_ck",
-                   help="echo solved period constants c_k")
+    command("gallery", cmd_gallery, "list the surface catalog")
 
     p = command("mesh", cmd_mesh, "sample an immersion mesh", surface=True)
     p.add_argument("--format", choices=("obj", "ply"), default="obj")

@@ -171,7 +171,7 @@ def symmetry_reduction_check(k: int, n_samples: int = 50) -> dict:
     transposed rotation convention the second angle reads -k lam; the identity
     checked here is the numerically literal one.)  Returns the max residual
     over cover points drawn from a fixed-seed generator, at c = c_k."""
-    data = wst.catalog_get("genus_k", k=k, c=compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     spec = data.cover
     rng = np.random.default_rng(11)
     r1 = _rot_block(2 * k * spec.lam)
@@ -205,7 +205,7 @@ def period_report(k: int) -> dict:
     and the closure residuals of all 2(k+1) generator loops at c = c_k."""
     sol = compute_ck(k)
     c_root = solve_ck_by_root(k)
-    data = wst.catalog_get("genus_k", k=k, c=sol.c_k)
+    data = wst.catalog_get("genus_k", k=k)
     loops = cov.generator_loops(data.cover)
     residuals = dict(zip([loop.label for loop in loops],
                          closure_residuals(data, loops)))

@@ -127,17 +127,13 @@ def criterion_3(cfg: VerifyConfig) -> list[dict]:
 
 
 def _oval_residual(comp, rho_k: float, reduced: bool) -> float:
-    worst = 0.0
-    for z in comp.z_vertices:
-        if reduced:
-            # the reduced coordinate is Z = z^2: R + 1/R - 2 cos Theta = rho_k
-            r, th = abs(z), cmath.phase(z)
-            val = r + 1.0 / r - 2.0 * math.cos(th)
-        else:
-            r, th = abs(z), cmath.phase(z)
-            val = r * r + 1.0 / (r * r) - 2.0 * math.cos(2.0 * th)
-        worst = max(worst, abs(val - rho_k))
-    return worst
+    """max |r^2 + 1/r^2 - 2 cos 2theta - rho_k| over the vertices
+    z = r e^(i theta); the reduced coordinate is Z = z^2, where the oval
+    reads R + 1/R - 2 cos Theta = rho_k."""
+    z = comp.z_vertices
+    r, th = np.hypot(z.real, z.imag), np.arctan2(z.imag, z.real)
+    s, th = (r, th) if reduced else (r * r, 2.0 * th)
+    return float(np.max(np.abs(s + 1.0 / s - 2.0 * np.cos(th) - rho_k)))
 
 
 def criterion_4(cfg: VerifyConfig) -> list[dict]:
@@ -146,7 +142,7 @@ def criterion_4(cfg: VerifyConfig) -> list[dict]:
     for k, reduced in ((1, False), (3, False), (2, True), (4, True)):
         name = "genus_k_reduced" if reduced else "genus_k"
         sol = per.compute_ck(k)
-        data = wst.catalog_get(name, k=k, c=sol.c_k)
+        data = wst.catalog_get(name, k=k)
         # the step-halving trace marches beside the main one
         comps, comps_h = sng.trace_singular_set(
             data, steps=(data.trace_step, data.trace_step / 2.0))
@@ -262,7 +258,7 @@ def criterion_7(cfg: VerifyConfig) -> list[dict]:
     by the same table both ends are complete and nonsingular."""
     checks = []
     for k in (1, 2, 3):
-        data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+        data = wst.catalog_get("genus_k", k=k)
         table = wst.order_table(data)
         expected = wst.expected_orders(data.cover)
         mismatches = []
@@ -290,13 +286,13 @@ def criterion_8(cfg: VerifyConfig) -> list[dict]:
     """Gauss-map degrees and the Osserman-type equality."""
     checks = []
     for k in (1, 2, 3):
-        data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+        data = wst.catalog_get("genus_k", k=k)
         deg = wst.gauss_degree(data)["degree"]
         checks.append(_check(f"deg G on M_{k}", deg, 2 * k, deg == 2 * k,
                              "deg G = 2k on the genus-k cover"))
     for k in (2, 4):
         m = k // 2
-        data = wst.catalog_get("genus_k_reduced", k=k, c=per.compute_ck(k).c_k)
+        data = wst.catalog_get("genus_k_reduced", k=k)
         deg = wst.gauss_degree(data)["degree"]
         table = wst.order_table(data)
         pole0 = table.rows["zero"]["G"]["order"]
@@ -307,13 +303,13 @@ def criterion_8(cfg: VerifyConfig) -> list[dict]:
             {"mapping_degree": deg, "pole_order_each_end": (-pole0, -poleinf)},
             {"mapping_degree": 2 * m, "pole_order_each_end": (m, m)}, ok,
             "G_1 has an order-m pole at each end; mapping degree 2m"))
-    d1 = wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k)
+    d1 = wst.catalog_get("genus_k", k=1)
     oss1 = wst.osserman_check(d1)
     checks.append(_check("Osserman equality, k=1", oss1,
                          "2 deg G = -chi + #ends",
                          oss1["ok"] and oss1["equality"],
                          "2 deg G = -chi(M) + #ends with equality"))
-    d2 = wst.catalog_get("genus_k_reduced", k=2, c=per.compute_ck(2).c_k)
+    d2 = wst.catalog_get("genus_k_reduced", k=2)
     oss2 = wst.osserman_check(d2)
     checks.append(_check("Osserman equality, reduced k=2", oss2,
                          "2 deg G = -chi + #ends",

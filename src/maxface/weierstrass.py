@@ -9,7 +9,8 @@ with induced metric (1-|G|^2)^2 |eta|^2 (singular exactly on |G| = 1), the
 spacelike lift metric (1+|G|^2)^2 |eta|^2, and Hopf differential Q = eta dG.
 The catalog collects the planar classics (catenoid, helicoid, associated
 family, two trinoids, a cone-vertex example) and the genus-k family on the
-branched cover w^(k+1) = z(z^2-1)^k with G = c w/z, eta = dz/w.
+branched cover w^(k+1) = z(z^2-1)^k with G = c w/z, eta = dz/w, where c is
+the period-closing constant c_k unless one is given.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import cover as cov
+from . import periods as per
 from .algebra import gk_batched
 from .errors import ValidationError
 
@@ -183,7 +185,11 @@ def _planar(name, params, G_rat, eta_rat, base_z, constraints, anchor,
     )
 
 
-def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
+def _genus_family(k: int, c: float | None, reduced: bool) -> WeierstrassData:
+    """The genus-k datum on the full or the reduced cover; c None is the
+    closing constant c_k."""
+    if c is None:
+        c = per.compute_ck(k).c_k
     spec = cov.CoverSpec(k, reduced=reduced)
     L, dL = spec.log_derivative, spec.dlog_derivative
     eta_scale = 0.5 if reduced else 1.0
@@ -221,148 +227,149 @@ def _genus_family(k: int, c: float, reduced: bool) -> WeierstrassData:
     )
 
 
-def _int_param(params: dict, key: str, default: int) -> int:
-    """Pop an integer parameter; a fractional value is refused, not truncated."""
-    val = params.pop(key, default)
-    try:
-        integral = float(val).is_integer()
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
-        raise ValidationError(f"{key} must be an integer, got {val!r}")
-    return int(float(val))
+def _catenoid():
+    return _planar(
+        "catenoid", {}, RationalFunction([1, 0]), RationalFunction([1], [1, 0, 0]),
+        1.0, "none",
+        "G = z, eta = dz/z^2 on C \\ {0}; cone-point figure of revolution",
+    )
+
+
+def _helicoid():
+    return _planar(
+        "helicoid", {}, RationalFunction([1, 0]), RationalFunction([1j], [1, 0, 0]),
+        1.0, "none",
+        "G = z, eta = i dz/z^2 on C \\ {0}; conjugate of the catenoid, fold singularity",
+    )
+
+
+def _associated(phase):
+    return _planar(
+        "associated", {"phase": phase},
+        RationalFunction([1, 0]),
+        RationalFunction([cmath.exp(1j * phase)], [1, 0, 0]),
+        1.0, "phase in (0, pi/2) strictly between the conjugate pair",
+        "G = z, eta = e^{i phase} dz/z^2; associated family of the catenoid",
+    )
+
+
+def _trinoid1(a):
+    b = -a * a + a * math.sqrt(4 * a * a - 1.0)
+    return _planar(
+        "trinoid1", {"a": a, "b": b},
+        RationalFunction([-1, 0, b], [1, 0]),
+        RationalFunction([1, 0, 0], np.polymul([1, 0, -a * a], [1, 0, -a * a])),
+        0.6j,
+        "a > 1/2; b = -a^2 + a sqrt(4a^2-1)",
+        "G = (b - z^2)/z, eta = z^2 dz/(z^2-a^2)^2; three ends at +-a, inf",
+        window=(-5.2, 5.2, -5.2, 5.2), grid_n=161,
+        default_mesh={"r0": 0.25, "r1": 0.86 * a, "nr": 22, "nth": 80},
+    )
+
+
+def _trinoid2(c):
+    return _planar(
+        "trinoid2", {"c": c},
+        RationalFunction([c, 0, 3 * c], [1, 0, -1]),
+        RationalFunction([1.0 / c]),
+        0j,
+        "c > 0, c != 1",
+        "G = c(z^2+3)/(z^2-1), eta = dz/c; three ends at +-1, inf",
+        window=(-2.6, 2.6, -2.6, 2.6), grid_n=121,
+        default_mesh={"r0": 0.05, "r1": 0.8, "nr": 18, "nth": 64},
+    )
+
+
+def _cone(a):
+    num_g = np.polymul([1, -1], [1, a, 1])
+    den_g = np.polymul([1, 1], [1, -a, 1])
+    num_e = np.polymul([1, -a, 1], [1, -a, 1])
+    den_e = np.polymul(np.polymul([1, -1], [1, -1]),
+                       np.polymul(np.polymul([1, -1], [1, -1]), [1, 2, 1]))
+    chart = TraceChart(
+        to_z=lambda zh: 1.0 + 1.0 / zh,
+        dz_dzhat=lambda zh: -1.0 / (zh * zh),
+        name="inverted_about_one",
+    )
+    return _planar(
+        "cone", {"a": a},
+        RationalFunction(num_g, den_g),
+        RationalFunction(num_e, den_e),
+        0.4j,
+        _CONE_RANGE,
+        "G = (z-1)(z^2+az+1)/((z+1)(z^2-az+1)), "
+        "eta = (z^2-az+1)^2 dz/((z-1)^4 (z+1)^2); cone-like axis through infinity",
+        chart=chart, window=(-8.0, 8.0, -8.0, 8.0), grid_n=161, trace_step=0.008,
+        default_mesh={"r0": 0.06, "r1": 0.8, "nr": 18, "nth": 64},
+    )
+
+
+# In the cone's fixed +-8 trace window, a sweep in steps of 0.01 finds its
+# three components through a = 1.83 and from a = 2.18 on, but only 2 for
+# 1.84 <= a <= 2.17 (1 for 1.98 <= a <= 2.02), so the catalog admits a only
+# outside (1.8, 2.2).
+_CONE_RANGE = "1 < a < 4, a outside (1.8, 2.2)"
+
+# name -> (defaults, constraint, its message, builder).  Every parameter has
+# a default, and an int default marks an integer parameter.  The genus
+# entries' c defaults to None, the closing constant c_k.
+_CATALOG = {
+    "catenoid": ({}, lambda: True, "", _catenoid),
+    "helicoid": ({}, lambda: True, "", _helicoid),
+    "associated": ({"phase": math.pi / 4},
+                   lambda phase: 0.0 < phase < math.pi / 2,
+                   "associated needs 0 < phase < pi/2", _associated),
+    "trinoid1": ({"a": 3.67}, lambda a: a > 0.5, "trinoid1 needs a > 1/2",
+                 _trinoid1),
+    "trinoid2": ({"c": 0.1}, lambda c: c > 0 and c != 1.0,
+                 "trinoid2 needs c > 0, c != 1", _trinoid2),
+    "cone": ({"a": 2.5}, lambda a: 1.0 < a <= 1.8 or 2.2 <= a < 4.0,
+             f"cone needs {_CONE_RANGE}", _cone),
+    "genus_k": ({"k": 1, "c": None},
+                lambda k, c: k >= 1 and (c is None or c > 0),
+                "genus_k needs integer k >= 1 and c > 0",
+                lambda k, c: _genus_family(k, c, reduced=False)),
+    "genus_k_reduced": ({"k": 2, "c": None},
+                        lambda k, c: k >= 2 and k % 2 == 0 and (c is None or c > 0),
+                        "genus_k_reduced needs even k >= 2 and c > 0",
+                        lambda k, c: _genus_family(k, c, reduced=True)),
+}
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog_get(name: str, **params) -> WeierstrassData:
-    """Instantiate a catalog datum; parameter constraints are validated here."""
-    if name in ("catenoid", "helicoid") and params:
-        raise ValidationError(f"unknown parameters {sorted(params)}")
-    if name == "catenoid":
-        return _planar(
-            "catenoid", {}, RationalFunction([1, 0]), RationalFunction([1], [1, 0, 0]),
-            1.0, "none",
-            "G = z, eta = dz/z^2 on C \\ {0}; cone-point figure of revolution",
-        )
-    if name == "helicoid":
-        return _planar(
-            "helicoid", {}, RationalFunction([1, 0]), RationalFunction([1j], [1, 0, 0]),
-            1.0, "none",
-            "G = z, eta = i dz/z^2 on C \\ {0}; conjugate of the catenoid, fold singularity",
-        )
-    if name == "associated":
-        phase = float(params.pop("phase", math.pi / 4))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if not 0.0 < phase < math.pi / 2:
-            raise ValidationError("associated needs 0 < phase < pi/2")
-        return _planar(
-            "associated", {"phase": phase},
-            RationalFunction([1, 0]),
-            RationalFunction([cmath.exp(1j * phase)], [1, 0, 0]),
-            1.0, "phase in (0, pi/2) strictly between the conjugate pair",
-            "G = z, eta = e^{i phase} dz/z^2; associated family of the catenoid",
-        )
-    if name == "trinoid1":
-        a = float(params.pop("a", 3.67))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if not a > 0.5:
-            raise ValidationError("trinoid1 needs a > 1/2")
-        b = -a * a + a * math.sqrt(4 * a * a - 1.0)
-        num_eta = [1, 0, 0]
-        den_eta = np.polymul([1, 0, -a * a], [1, 0, -a * a])
-        return _planar(
-            "trinoid1", {"a": a, "b": b},
-            RationalFunction([-1, 0, b], [1, 0]),
-            RationalFunction(num_eta, den_eta),
-            0.6j,
-            "a > 1/2; b = -a^2 + a sqrt(4a^2-1)",
-            "G = (b - z^2)/z, eta = z^2 dz/(z^2-a^2)^2; three ends at +-a, inf",
-            window=(-5.2, 5.2, -5.2, 5.2), grid_n=161,
-            default_mesh={"r0": 0.25, "r1": 0.86 * a,
-                          "nr": 22, "nth": 80},
-        )
-    if name == "trinoid2":
-        cpar = float(params.pop("c", 0.1))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if not (cpar > 0 and cpar != 1.0):
-            raise ValidationError("trinoid2 needs c > 0, c != 1")
-        return _planar(
-            "trinoid2", {"c": cpar},
-            RationalFunction([cpar, 0, 3 * cpar], [1, 0, -1]),
-            RationalFunction([1.0 / cpar]),
-            0j,
-            "c > 0, c != 1",
-            "G = c(z^2+3)/(z^2-1), eta = dz/c; three ends at +-1, inf",
-            window=(-2.6, 2.6, -2.6, 2.6), grid_n=121,
-            default_mesh={"r0": 0.05, "r1": 0.8,
-                          "nr": 18, "nth": 64},
-        )
-    if name == "cone":
-        a = float(params.pop("a", 2.5))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if not (1.0 < a < 4.0 and a != 2.0):
-            raise ValidationError("cone needs 1 < a < 4, a != 2")
-        num_g = np.polymul([1, -1], [1, a, 1])
-        den_g = np.polymul([1, 1], [1, -a, 1])
-        num_e = np.polymul([1, -a, 1], [1, -a, 1])
-        den_e = np.polymul(np.polymul([1, -1], [1, -1]),
-                           np.polymul(np.polymul([1, -1], [1, -1]), [1, 2, 1]))
-        chart = TraceChart(
-            to_z=lambda zh: 1.0 + 1.0 / zh,
-            dz_dzhat=lambda zh: -1.0 / (zh * zh),
-            name="inverted_about_one",
-        )
-        return _planar(
-            "cone", {"a": a},
-            RationalFunction(num_g, den_g),
-            RationalFunction(num_e, den_e),
-            0.4j,
-            "1 < a < 4, a != 2",
-            "G = (z-1)(z^2+az+1)/((z+1)(z^2-az+1)), "
-            "eta = (z^2-az+1)^2 dz/((z-1)^4 (z+1)^2); cone-like axis through infinity",
-            chart=chart, window=(-8.0, 8.0, -8.0, 8.0), grid_n=161, trace_step=0.008,
-            default_mesh={"r0": 0.06, "r1": 0.8,
-                          "nr": 18, "nth": 64},
-        )
-    if name == "genus_k":
-        k = _int_param(params, "k", 1)
-        c = float(params.pop("c", 1.0))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if k < 1 or c <= 0:
-            raise ValidationError("genus_k needs integer k >= 1 and c > 0")
-        return _genus_family(k, c, reduced=False)
-    if name == "genus_k_reduced":
-        k = _int_param(params, "k", 2)
-        c = float(params.pop("c", 1.0))
-        if params:
-            raise ValidationError(f"unknown parameters {sorted(params)}")
-        if k < 2 or k % 2 != 0 or c <= 0:
-            raise ValidationError("genus_k_reduced needs even k >= 2 and c > 0")
-        return _genus_family(k, c, reduced=True)
-    raise ValidationError(f"unknown catalog surface {name!r}")
+    """Instantiate a catalog datum.  Unknown parameters and fractional
+    integers are refused first, then the entry's constraint is checked on
+    the values with their defaults filled in."""
+    if name not in _CATALOG:
+        raise ValidationError(f"unknown catalog surface {name!r}")
+    defaults, constraint, message, build = _CATALOG[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValidationError(f"unknown parameters {unknown}")
+    values = {}
+    for key, default in defaults.items():
+        val = params.get(key, default)
+        if val is not None:
+            try:
+                num = float(val)
+            except (TypeError, ValueError):
+                num = math.nan
+            if isinstance(default, int):
+                if not num.is_integer():
+                    raise ValidationError(f"{key} must be an integer, got {val!r}")
+                num = int(num)
+            val = num
+        values[key] = val
+    if not constraint(**values):
+        raise ValidationError(message)
+    return build(**values)
 
 
-CATALOG_NAMES = ("catenoid", "helicoid", "associated", "trinoid1", "trinoid2",
-                 "cone", "genus_k", "genus_k_reduced")
-
-
-def catalog_list(ck_values: dict | None = None) -> list[dict]:
-    """JSON-ready catalog listing; optional {k: c_k} echoes solved constants."""
-    out = []
-    for name in CATALOG_NAMES:
-        kwargs = {}
-        if name == "genus_k" and ck_values:
-            kwargs = {"k": 1, "c": ck_values.get(1, 1.0)}
-        if name == "genus_k_reduced" and ck_values:
-            kwargs = {"k": 2, "c": ck_values.get(2, 1.0)}
-        d = catalog_get(name, **kwargs)
-        out.append({"name": d.name, "params": d.params,
-                    "constraints": d.constraints, "paper_anchor": d.anchor})
-    return out
+def catalog_list() -> list[dict]:
+    """JSON-ready catalog listing, each surface at its defaults."""
+    return [{"name": d.name, "params": d.params, "constraints": d.constraints,
+             "paper_anchor": d.anchor} for d in map(catalog_get, CATALOG_NAMES)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,18 @@
 import pytest
 
 from make_golden import VERIFY_ARGV, run_case
-from maxface import periods as per
 from maxface import weierstrass as wst
 
 
 @pytest.fixture(scope="session")
 def genus1():
     """Genus-1 surface at its solved period constant (cached per session)."""
-    return wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k)
+    return wst.catalog_get("genus_k", k=1)
 
 
 @pytest.fixture(scope="session")
 def genus2_reduced():
-    return wst.catalog_get("genus_k_reduced", k=2, c=per.compute_ck(2).c_k)
+    return wst.catalog_get("genus_k_reduced", k=2)
 
 
 @pytest.fixture(scope="session")

@@ -28,15 +28,19 @@ def test_gallery_lists_catalog(capsys):
     assert len(names) >= 8
     cone = next(s for s in doc["surfaces"] if s["name"] == "cone")
     assert "1 < a < 4" in cone["constraints"]
-    assert "a != 2" in cone["constraints"]
+    assert "a outside (1.8, 2.2)" in cone["constraints"]
     assert all("paper_anchor" in s for s in doc["surfaces"])
 
 
-def test_gallery_solve_ck_echo(capsys):
-    assert run(["gallery", "--solve-ck"]) == 0
+def test_gallery_lists_genus_at_closing_constant(capsys):
+    """The genus entries are listed at their default k with c = c_k."""
+    assert run(["gallery"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    gk = next(s for s in doc["surfaces"] if s["name"] == "genus_k")
-    assert gk["params"]["c"] == pytest.approx(1.0460496201, abs=1e-8)
+    surfaces = {s["name"]: s for s in doc["surfaces"]}
+    assert surfaces["genus_k"]["params"] == {"k": 1, "c": per.compute_ck(1).c_k}
+    assert surfaces["genus_k"]["params"]["c"] == pytest.approx(1.0460496201, abs=1e-8)
+    assert surfaces["genus_k_reduced"]["params"] == {"k": 2,
+                                                     "c": per.compute_ck(2).c_k}
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +193,20 @@ def test_singular_cone_near_a2(a, capsys):
                     (True, 0, 0, 0, True)]
 
 
+@pytest.mark.parametrize("a", ["1.84", "2.1", "2.17"])
+def test_singular_cone_outside_envelope_exits_2(a, monkeypatch, capsys):
+    """For 1.84 <= a <= 2.17 the cone's fixed trace window loses ovals, so
+    the catalog refuses a in (1.8, 2.2) before any tracing."""
+    def trace(*args, **kwargs):
+        raise AssertionError("traced a cone outside its envelope")
+
+    monkeypatch.setattr(sng, "trace_singular_set", trace)
+    assert run(["singular", "--surface", "cone", "--param", f"a={a}"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == {"type": "ValidationError",
+                            "message": "cone needs 1 < a < 4, a outside (1.8, 2.2)"}
+
+
 # ---------------------------------------------------------------------------
 # periods
 # ---------------------------------------------------------------------------
@@ -306,6 +324,14 @@ def test_cmc1_mesh_artifact(tmp_path):
     assert "cmc1_k1_t0p02.ply" in files
     text = (tmp_path / "cmc1_k1_t0p02.ply").read_text()
     assert "property float x0" in text
+
+
+def test_cmc1_mesh_name_of_negative_t(tmp_path):
+    assert run(["cmc1", "--k", "1", "--t=-0.027", "--mesh",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "cmc1_k1.json").read_text())
+    assert doc["mesh_file"] == "cmc1_k1_tm0p027.ply"
+    assert (tmp_path / "cmc1_k1_tm0p027.ply").is_file()
 
 
 def test_cmc1_rejects_out_of_window_t(capsys):
@@ -521,9 +547,19 @@ def test_config_switch_turns_on(tmp_path):
 
 
 def test_config_null_counts_as_unset(tmp_path, capsys):
-    cfg = _config(tmp_path, {"out": None, "solve_ck": None, "jobs": None})
+    cfg = _config(tmp_path, {"out": None, "mesh": None, "jobs": None})
     assert run(["gallery", "--config", cfg]) == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "gallery"
+
+
+def test_config_solve_ck_is_unknown(tmp_path, capsys):
+    """gallery lists the genus entries at c_k by default and has no
+    solve_ck switch: the key names no option and is refused."""
+    cfg = _config(tmp_path, {"solve_ck": True})
+    assert run(["gallery", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationError"
+    assert "'solve_ck'" in err["error"]["message"]
 
 
 def test_config_params_come_before_param_flags(tmp_path, capsys):

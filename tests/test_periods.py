@@ -119,7 +119,7 @@ def test_root_route_refuses_no_positive_root(E, J, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_generator_closure_at_ck(k):
-    data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     for res in per.closure_residuals(data, cov.generator_loops(data.cover)):
         assert res < 1e-8
 
@@ -129,7 +129,7 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
     one continuation over the legs of every loop gives the fiber values,
     bit for bit, of walking w densely to the nearest root; nothing
     continues w outside it."""
-    data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+    data = wst.catalog_get("genus_k", k=2)
     built, lifts, continued = [], [], []
     init, continue_legs = cov.LiftedPath.__init__, cov.continue_legs
 
@@ -156,7 +156,7 @@ def test_period_vector_lifts_each_loop_once(monkeypatch):
 
 def test_period_vector_rejects_loop_that_permutes_sheets():
     """Once around z = 1 closes in z but not on the cover."""
-    data = wst.catalog_get("genus_k", k=1, c=per.compute_ck(1).c_k)
+    data = wst.catalog_get("genus_k", k=1)
     o = data.base
     circle = [1.0 + 0.4 * cmath.exp(2j * math.pi * i / 32) for i in range(33)]
     loop = cov.SurfacePath((o.z, 1.4 + 0j, *circle[1:], o.z), o.w,

@@ -15,6 +15,7 @@ import pytest
 from maxface import cover as cov
 from maxface import periods as per
 from maxface import singularities as sng
+from maxface import verify as verify_mod
 from maxface import weierstrass as wst
 from maxface.errors import DegenerateError, NumericalError
 from nearest_root import on_cover, walk_segments
@@ -67,7 +68,7 @@ def _assert_lift_matches_reference(spec, verts):
                                      ("genus_k_reduced", 2)])
 def test_component_lift_matches_vertexwise_reference(name, k):
     """Traced components close after sheet_count circuits."""
-    data = wst.catalog_get(name, k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get(name, k=k)
     [comps] = sng.trace_singular_set(data)
     assert comps
     for comp in comps:
@@ -288,7 +289,7 @@ def oval_residual_full(z, rho):
 def test_singular_ovals_on_frozen_curve(k):
     """|G| = 1 on the genus family is r^2 + 1/r^2 - 2 cos 2 theta = rho_k."""
     sol = per.compute_ck(k)
-    data = wst.catalog_get("genus_k", k=k, c=sol.c_k)
+    data = wst.catalog_get("genus_k", k=k)
     [comps] = sng.trace_singular_set(data)
     assert len(comps) == 2
     for comp in comps:
@@ -300,7 +301,7 @@ def test_singular_ovals_on_frozen_curve(k):
 @pytest.mark.parametrize("k", [2])
 def test_singular_oval_reduced(k):
     sol = per.compute_ck(k)
-    data = wst.catalog_get("genus_k_reduced", k=k, c=sol.c_k)
+    data = wst.catalog_get("genus_k_reduced", k=k)
     [comps] = sng.trace_singular_set(data)
     assert len(comps) == 1
     comp = comps[0]
@@ -310,10 +311,32 @@ def test_singular_oval_reduced(k):
         assert abs(R + 1.0 / R - 2.0 * math.cos(Th) - sol.rho_k) < 1e-7
 
 
+@pytest.mark.parametrize("name, k", [("genus_k", 1), ("genus_k", 3),
+                                     ("genus_k_reduced", 2), ("genus_k_reduced", 4)])
+def test_oval_residual_matches_vertex_loop(name, k):
+    """verify's array oval residual against a per-vertex scalar loop; numpy's
+    arctan2 may round a phase differently from cmath.phase, so they agree to
+    a few ulp of the O(1) terms."""
+    reduced = name == "genus_k_reduced"
+    rho = per.compute_ck(k).rho_k
+    [comps] = sng.trace_singular_set(wst.catalog_get(name, k=k))
+    for comp in comps:
+        want = 0.0
+        for z in comp.z_vertices:
+            z = complex(z)
+            if reduced:
+                R, Th = abs(z), cmath.phase(z)
+                want = max(want, abs(R + 1.0 / R - 2.0 * math.cos(Th) - rho))
+            else:
+                want = max(want, oval_residual_full(z, rho))
+        got = verify_mod._oval_residual(comp, rho, reduced)
+        assert abs(got - want) <= 16 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_genus_family_counts(k):
     """Each oval carries 2(k+1) swallowtails and 2(k+1) cross caps."""
-    data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     [comps] = sng.trace_singular_set(data)
     for counts in sng.count_singularities(data, comps):
         assert counts["swallowtails"] == 2 * (k + 1)
@@ -430,8 +453,6 @@ def _scalar_seeds(data, grid_n):
 def test_array_seeds_match_scalar_reference(name, params):
     """One array evaluation of phi_hat and batched bisection reproduce the
     scalar seeder: same seeds in the same order."""
-    if name.startswith("genus"):
-        params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     ref = _scalar_seeds(data, 21)
     got = sng._grid_seeds(sng._Profile(data), data.window, 21)
@@ -476,8 +497,6 @@ def test_project_returns_points_and_their_gradients(name, params):
     gives at that point, bit for bit.  A NaN start, and a start off the
     curve given one iterate, fail without raising: ok False and a NaN
     gradient; a start already on the curve passes in one iterate."""
-    if name.startswith("genus"):
-        params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     prof = sng._Profile(data)
     comp = sng.trace_singular_set(data)[0][0]
@@ -714,8 +733,6 @@ def test_batched_classification_matches_scalar_reference(name, params):
     by kind only: on the cone at a = 3 they sit on a multiple zero of Im alpha,
     which bisection locates only to its rounding-noise floor and Newton's
     method only to where the beta condition fails."""
-    if name.startswith("genus"):
-        params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     [comps] = sng.trace_singular_set(data)
     for comp, got in zip(comps, sng.count_singularities(data, comps)):
@@ -741,8 +758,6 @@ def test_repeated_crossings_are_merged(name, params, monkeypatch):
     """A _traversal_pass that lists every crossing twice leaves every count
     and every kept point unchanged: each repeat refines to its twin bit for
     bit and is dropped."""
-    if name.startswith("genus"):
-        params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     [comps] = sng.trace_singular_set(data)
     ref = sng.count_singularities(data, comps)
@@ -802,7 +817,7 @@ def test_merge_keeps_other_kinds_and_sheets(cover, monkeypatch):
 def test_genus_counts_at_k300():
     """At k = 300 each of the two closed ovals carries 2(k+1) = 602
     swallowtails and 602 cross caps, with no degenerate point."""
-    data = wst.catalog_get("genus_k", k=300, c=per.compute_ck(300).c_k)
+    data = wst.catalog_get("genus_k", k=300)
     [comps] = sng.trace_singular_set(data)
     assert len(comps) == 2 and all(c.closed for c in comps)
     for counts in sng.count_singularities(data, comps):
@@ -929,8 +944,6 @@ def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
     2.5 step (1 + |seed|) of a component kept before it starts no walk and
     every other seed starts one.  Two step sizes traced together equal each
     step size traced alone."""
-    if name.startswith("genus"):
-        params = dict(params, c=per.compute_ck(params["k"]).c_k)
     data = wst.catalog_get(name, **params)
     h = data.trace_step
     walked = []

@@ -95,7 +95,7 @@ assert type(weierstrass) is not types.ModuleType
 docs = []
 setattr(export, "dump_json", lambda doc, fh: docs.append(doc))
 with pytest.MonkeyPatch.context() as mp:
-    mp.setattr(weierstrass, "catalog_list", lambda ck=None: ["patched"])
+    mp.setattr(weierstrass, "catalog_list", lambda: ["patched"])
     assert cli.main(["gallery"]) == 0
 print(json.dumps(docs[0]["surfaces"]))
 """

@@ -165,6 +165,30 @@ def test_catalog_constraint_enforcement():
         wst.catalog_get("nonexistent_surface")
 
 
+@pytest.mark.parametrize("name", wst.CATALOG_NAMES)
+def test_catalog_refuses_unknown_parameter(name):
+    """Every entry refuses a key it does not have, before any other check
+    (a fractional k included)."""
+    with pytest.raises(ValidationError, match=r"unknown parameters \[.*'foo'"):
+        wst.catalog_get(name, foo=1, k=1.5)
+
+
+@pytest.mark.parametrize("name, k", [("genus_k", 3), ("genus_k_reduced", 4)])
+def test_genus_entries_default_to_closing_constant(name, k):
+    assert wst.catalog_get(name, k=k).params["c"] == per.compute_ck(k).c_k
+    assert wst.catalog_get(name, k=k, c=1.0).params["c"] == 1.0
+
+
+def test_genus_k_is_checked_before_c_k(monkeypatch):
+    def compute_ck(k):
+        raise AssertionError(f"c_{k} computed for a refused k")
+
+    monkeypatch.setattr(per, "compute_ck", compute_ck)
+    for name, k in (("genus_k", 0), ("genus_k_reduced", 3), ("genus_k", 1.5)):
+        with pytest.raises(ValidationError):
+            wst.catalog_get(name, k=k)
+
+
 CATALOG_CASES = [
     ("catenoid", {}),
     ("helicoid", {}),
@@ -283,7 +307,7 @@ def test_batched_quadrature_matches_recursive_reference():
     call per level; its prefix integrals equal, bit for bit, integrating
     each leg by recursive bisection and adding the legs in order, on a
     genus_k k=2 path of many legs, detours included."""
-    data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+    data = wst.catalog_get("genus_k", k=2)
     o = data.base
     [lp] = cov.lift(data.cover, [cov.SurfacePath(
         (o.z, 1.4 + 0.6j, 0.5 + 0.2j, -0.6 + 0.5j, -1.4 - 0.3j, 0.2 - 0.9j,
@@ -306,7 +330,7 @@ def _batch_paths(name):
     cover (lifted; the first detoured about z = 1) or planar trinoid1, one
     of a single vertex."""
     if name == "genus_k":
-        data = wst.catalog_get("genus_k", k=2, c=per.compute_ck(2).c_k)
+        data = wst.catalog_get("genus_k", k=2)
         o = data.base
         bump = 0.5j * cov.clearance(data.cover)
         verts = [(o.z, 1.3 + bump, 0.7 + bump, 0.8 + 0.9j), (o.z,),
@@ -447,7 +471,7 @@ def test_mesh_metric_nonnegative_finite(genus1):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_order_table_matches_expected(k):
-    data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     table = wst.order_table(data)
     want = wst.expected_orders(data.cover)
     got = {label: {q: row[q]["order"] for q in row}
@@ -509,13 +533,13 @@ def test_criterion_7_fails_on_a_bad_end(zero_end, monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_gauss_degree_full_curve(k):
-    data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     assert wst.gauss_degree(data)["degree"] == 2 * k
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_osserman_bound(k):
-    data = wst.catalog_get("genus_k", k=k, c=per.compute_ck(k).c_k)
+    data = wst.catalog_get("genus_k", k=k)
     rep = wst.osserman_check(data)
     assert rep["ok"]
     if k == 1:
