@@ -288,7 +288,9 @@ def continue_legs(spec: CoverSpec, routes, w0s) -> list[np.ndarray]:
     # each route's sheet sums its own shifts
     summed = np.concatenate([[0], np.cumsum(shift)])
     sheet = (summed[1:] - np.repeat(summed[first], sizes)) % spec.sheet_count
-    w = p_end * _unit_roots(spec.sheet_count)[sheet]
+    # a named right factor (see CoverSpec.rhs)
+    units = _unit_roots(spec.sheet_count)[sheet]
+    w = p_end * units
     return [np.concatenate([[complex(w0)], w[leg:leg + size]])
             for leg, size, w0 in zip(first, sizes, w0s)]
 

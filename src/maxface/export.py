@@ -91,27 +91,31 @@ def write_obj(mesh, fh, comment: str = "") -> None:
         fh.write("f " + " ".join(str(int(i) + 1) for i in f) + "\n")
 
 
+def _write_ply(fh, comments, props, rows, faces) -> None:
+    """ASCII PLY: comment lines, one float property per row column, faces."""
+    fh.write("ply\nformat ascii 1.0\n")
+    for ln in comments:
+        fh.write(f"comment {ln}\n")
+    fh.write(f"element vertex {len(rows)}\n")
+    for prop in props:
+        fh.write(f"property float {prop}\n")
+    fh.write(f"element face {len(faces)}\n")
+    fh.write("property list uchar int vertex_indices\n")
+    fh.write("end_header\n")
+    for row in rows:
+        fh.write(" ".join(fmt_float(t) for t in row) + "\n")
+    for f in faces:
+        fh.write(f"{len(f)} " + " ".join(str(int(i)) for i in f) + "\n")
+
+
 def write_ply(mesh, fh, comment: str = "") -> None:
     """ASCII PLY with per-vertex metric_factor (degenerates on the singular
     set) alongside the (x1, x2, x0) coordinates."""
-    lines = [f"comment maxface mesh; {_AXIS_NOTE}",
-             "comment property metric_factor = (1-|G|^2)^2 |eta|^2"]
-    if comment:
-        lines += [f"comment {ln}" for ln in comment.splitlines()]
-    fh.write("ply\nformat ascii 1.0\n")
-    for ln in lines:
-        fh.write(ln + "\n")
-    fh.write(f"element vertex {len(mesh.vertices)}\n")
-    for prop in ("x", "y", "z", "metric_factor"):
-        fh.write(f"property float {prop}\n")
-    fh.write(f"element face {len(mesh.faces)}\n")
-    fh.write("property list uchar int vertex_indices\n")
-    fh.write("end_header\n")
-    for v, m in zip(mesh.vertices, mesh.metric):
-        fh.write(f"{fmt_float(v[1])} {fmt_float(v[2])} {fmt_float(v[0])} "
-                 f"{fmt_float(m)}\n")
-    for f in mesh.faces:
-        fh.write(f"{len(f)} " + " ".join(str(int(i)) for i in f) + "\n")
+    comments = [f"maxface mesh; {_AXIS_NOTE}",
+                "property metric_factor = (1-|G|^2)^2 |eta|^2",
+                *comment.splitlines()]
+    rows = [(v[1], v[2], v[0], m) for v, m in zip(mesh.vertices, mesh.metric)]
+    _write_ply(fh, comments, ("x", "y", "z", "metric_factor"), rows, mesh.faces)
 
 
 def write_desitter_ply(xs: np.ndarray, faces, fh, comment: str = "") -> None:
@@ -125,26 +129,14 @@ def write_desitter_ply(xs: np.ndarray, faces, fh, comment: str = "") -> None:
     if xs.ndim != 2 or xs.shape[1] != 4:
         raise ValidationError("de Sitter samples must be (N, 4) arrays")
     shift = float(np.min(xs[:, 0])) - 1.0
-    fh.write("ply\nformat ascii 1.0\n")
-    fh.write("comment cmc1 face in de Sitter 3-space S^3_1\n")
-    fh.write("comment ambient coordinates x0 x1 x2 x3, -x0^2+x1^2+x2^2+x3^2=1\n")
-    fh.write(f"comment preview (x,y,z) = (x1,x2,x3)/(1+x0-shift), "
-             f"shift = min(x0)-1 = {fmt_float(shift)}\n")
-    if comment:
-        for ln in comment.splitlines():
-            fh.write(f"comment {ln}\n")
-    fh.write(f"element vertex {len(xs)}\n")
-    for prop in ("x", "y", "z", "x0", "x1", "x2", "x3"):
-        fh.write(f"property float {prop}\n")
-    fh.write(f"element face {len(faces)}\n")
-    fh.write("property list uchar int vertex_indices\n")
-    fh.write("end_header\n")
-    for v in xs:
-        den = 1.0 + v[0] - shift
-        px, py, pz = v[1] / den, v[2] / den, v[3] / den
-        fh.write(" ".join(fmt_float(t) for t in (px, py, pz, *v)) + "\n")
-    for f in faces:
-        fh.write(f"{len(f)} " + " ".join(str(int(i)) for i in f) + "\n")
+    comments = ["cmc1 face in de Sitter 3-space S^3_1",
+                "ambient coordinates x0 x1 x2 x3, -x0^2+x1^2+x2^2+x3^2=1",
+                f"preview (x,y,z) = (x1,x2,x3)/(1+x0-shift), "
+                f"shift = min(x0)-1 = {fmt_float(shift)}",
+                *comment.splitlines()]
+    rows = [(v[1] / den, v[2] / den, v[3] / den, *v)
+            for v, den in zip(xs, 1.0 + xs[:, 0] - shift)]
+    _write_ply(fh, comments, ("x", "y", "z", "x0", "x1", "x2", "x3"), rows, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ _CLASS_EPS = 1e-7
 _NAN = complex("nan")
 _MAX_STEPS = 40000  # predictor-corrector steps per traced component
 _NEWTON_ROUNDS = 16  # Newton rounds per refined crossing
+_CHORD_HALVINGS = 30  # halvings of a Newton step that would leave its chord
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +421,12 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
     degenerate.  A row's result does not depend on the rest of the
     batch.  Returns the refined points (z and w as
     arrays) and alpha and beta at them, from the round that stopped each
-    row.  Raises NumericalError at a non-finite step (G' = 0 makes the
-    Jacobian singular), at an iterate farther than |zb - za| from its
-    chord midpoint, or when a row is still moving after _NEWTON_ROUNDS."""
+    row.  A step that would take a row farther than |zb - za| from its chord
+    midpoint is halved until it does not (where swallowtails merge on the
+    cone near a = 1.31, a full step overshoots the chord).  Raises
+    NumericalError at a non-finite step (G' = 0 makes the Jacobian
+    singular), when _CHORD_HALVINGS halvings leave a row off its chord, or
+    when a row is still moving after _NEWTON_ROUNDS."""
     chart, spec = data.chart, data.cover
     mid = 0.5 * (za + zb)
     zh = mid.copy()
@@ -457,12 +461,18 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
         if spec is not None:
             w[stop] = wr[done]
         busy, step = busy[~done], step[~done]
-        last[busy] = size[~done]
         if len(busy) == 0:
             return cov.SurfacePoint(z, w), alphas, betas
-        zh[busy] += step
-        if np.any(np.abs(zh[busy] - mid[busy]) > np.abs(zb[busy] - za[busy])):
+        reach = np.abs(zb[busy] - za[busy])
+        for _ in range(_CHORD_HALVINGS + 1):
+            away = np.abs(zh[busy] + step - mid[busy]) > reach
+            if not away.any():
+                break
+            step[away] *= 0.5
+        else:
             raise NumericalError("crossing refinement left its chord")
+        last[busy] = np.abs(step)
+        zh[busy] += step
     raise NumericalError(f"crossing refinement did not converge in {_NEWTON_ROUNDS} rounds")
 
 

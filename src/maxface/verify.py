@@ -511,12 +511,12 @@ def run_criterion(cid: int, cfg: VerifyConfig | None = None) -> dict:
 # together so the memos are built once.  Criterion 11's end rays share no leg.
 _DESITTER_UNIT = (9, 10, 12)
 
-# cost of each criterion in ms on a shared 2-vCPU host: median of 7 runs,
+# cost of each criterion in ms on a shared 2-vCPU host: median of 26 runs,
 # each in a fresh process with the modules loaded, in id order so that 10
 # and 12 read 9's memos.  It only balances the shards; no result depends
 # on it.
-COST_MS = {1: 14, 2: 31, 3: 1, 4: 102, 5: 56, 6: 15, 7: 7, 8: 5, 9: 156,
-           10: 75, 11: 28, 12: 11}
+COST_MS = {1: 10, 2: 12, 3: 1, 4: 73, 5: 47, 6: 13, 7: 5, 8: 3, 9: 84,
+           10: 36, 11: 17, 12: 6}
 
 
 def pack_shards(ids, jobs: int) -> list[list[int]]:

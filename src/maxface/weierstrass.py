@@ -37,15 +37,18 @@ INF = complex(float("inf"), 0.0)
 class RationalFunction:
     """num/den with numpy coefficient arrays (highest power first).
 
-    Evaluation switches to the reversed polynomials in 1/z for |z| > 1, so
-    values stay accurate out to z = infinity (useful for Moebius-chart
-    tracing through the point at infinity).  The polynomials are evaluated
-    by Horner's rule on Python-complex coefficients in np.polyval's order.
-    On an array this gives np.polyval's values bit for bit at finite
-    points.  A Python number runs the same recurrences in Python complex
-    arithmetic, which rounds a product differently from numpy's vectorized
-    one, so a scalar value agrees with np.polyval to rounding only; a scalar
-    at a pole gives INF.
+    One Horner recurrence, started from the leading coefficient, evaluates
+    num and den on each side of |z| = 1: at z when |z| <= 1, and at x = 1/z
+    on the reversed coefficients, times x**(deg den - deg num), when
+    |z| > 1, so values stay accurate out to z = infinity (useful for
+    Moebius-chart tracing through the point at infinity).  An array is split
+    once by |z| <= 1 and each side runs the recurrence in numpy arithmetic,
+    which gives np.polyval's values bit for bit at finite points unless num
+    and den are both constant (their quotient is then one Python division).
+    A Python number runs the same recurrence in Python complex arithmetic,
+    which rounds a product differently from numpy's vectorized one, so a
+    scalar value agrees with np.polyval to rounding only; a scalar at a pole
+    gives INF.
     """
 
     def __init__(self, num, den=(1.0,)):
@@ -59,53 +62,32 @@ class RationalFunction:
 
     @staticmethod
     def _horner(coef, x):
-        if len(coef) == 1:
-            return np.full(x.shape, coef[0])
-        y = coef[0] * x + coef[1]
-        for c in coef[2:]:
+        y = coef[0]
+        for c in coef[1:]:
             y = y * x + c
         return y
 
-    def _near_value(self, z):
-        num, den = self._near
-        return self._horner(num, z) / self._horner(den, z)
-
-    def _far_value(self, z):
+    def _value(self, z, near: bool):
+        if near:
+            num, den = self._near
+            return self._horner(num, z) / self._horner(den, z)
         num, den = self._far
-        u = 1.0 / z
-        return self._horner(num, u) / self._horner(den, u) * u ** self._shift
-
-    def _scalar_value(self, z: complex) -> complex:
-        near = abs(z) <= 1.0
-        num, den = self._near if near else self._far
-        x = z if near else 1.0 / z
-        p, q = num[0], den[0]
-        for c in num[1:]:
-            p = p * x + c
-        for c in den[1:]:
-            q = q * x + c
-        try:
-            return p / q if near else p / q * x ** self._shift
-        except (ZeroDivisionError, OverflowError):
-            return INF
+        x = 1.0 / z
+        return self._horner(num, x) / self._horner(den, x) * x ** self._shift
 
     def __call__(self, z):
         if isinstance(z, (complex, float, int)):
-            return self._scalar_value(complex(z))
+            z = complex(z)
+            try:
+                return self._value(z, abs(z) <= 1.0)
+            except (ZeroDivisionError, OverflowError):
+                return INF
         z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
+        out = np.empty(z.shape, dtype=complex)
         near = np.abs(z) <= 1.0
-        if near.all():
-            out = self._near_value(z)
-        elif not near.any():
-            out = self._far_value(z)
-        else:
-            out = np.empty_like(z)
-            out[near] = self._near_value(z[near])
-            far = ~near
-            out[far] = self._far_value(z[far])
-        return complex(out[0]) if scalar else out
+        out[near] = self._value(z[near], True)
+        out[~near] = self._value(z[~near], False)
+        return complex(out) if z.ndim == 0 else out
 
     def deriv(self) -> "RationalFunction":
         n, d = self.num, self.den

@@ -315,6 +315,25 @@ def test_arrays_do_not_depend_on_the_batch(which):
     assert np.array_equal(f(*args), np.concatenate(chunked))
 
 
+def test_lift_past_a_reused_temporary_matches_each_alone():
+    """Each of 51 paths of 400 legs on the genus k = 6 cover, lifted in one
+    call of 20,400 legs (past numpy's 16,384-value temporary reuse, see
+    test_arrays_do_not_depend_on_the_batch), gets the fiber values of
+    lifting it alone, bit for bit."""
+    spec = cov.CoverSpec(6)
+    rng = np.random.default_rng(3)
+    paths = []
+    for j in range(51):
+        z = (1.5 + j / 50) * np.exp(2j * np.pi * (np.arange(401) / 400 + rng.uniform()))
+        paths.append(cov.SurfacePath(tuple(z.tolist()),
+                                     spec.fiber(complex(z[0]))[j % spec.sheet_count]))
+    together = cov.lift(spec, paths)
+    assert sum(len(lp.route) - 1 for lp in together) == 20400
+    for path, lp in zip(paths, together):
+        [alone] = cov.lift(spec, [path])
+        assert lp.w.tobytes() == alone.w.tobytes()
+
+
 @pytest.mark.parametrize("k, reduced", [(1, False), (2, False), (3, False),
                                         (2, True), (4, True)])
 def test_continue_legs_matches_sequential_walk(k, reduced):

@@ -376,6 +376,23 @@ def test_cone_structure(cone25):
         assert "cuspidal_edge" in cls["vertex_kinds"]
 
 
+@pytest.mark.parametrize("a, swallowtails", [
+    (1.302, [8, 8]), (1.31, [8, 8]), (1.327, [8, 6])])
+def test_cone_where_swallowtails_merge(a, swallowtails):
+    """Where swallowtails merge on the real axis (a near 1.31) a full Newton
+    step of the crossing refinement would leave its chord; the halved step
+    keeps the cone's structure: three closed components, one cone-like, and
+    on each oval 4 cross caps, no degenerate point and its swallowtails."""
+    data = wst.catalog_get("cone", a=a)
+    [comps] = sng.trace_singular_set(data)
+    rows = sng.singular_report(data, comps)["components"]
+    assert [row["closed"] for row in rows] == [True, True, True]
+    assert [row["cone_like"] for row in rows] == [False, True, False]
+    assert [(row["swallowtails"], row["cross_caps"], row["degenerate"])
+            for row in rows if not row["cone_like"]] == \
+        [(sw, 4, 0) for sw in swallowtails]
+
+
 def test_trinoid_counts():
     data = wst.catalog_get("trinoid1", a=3.67)
     [comps] = sng.trace_singular_set(data)
