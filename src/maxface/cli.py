@@ -21,6 +21,12 @@ import os
 import sys
 from pathlib import Path
 
+# one BLAS thread unless set: threads take gk_batched's small matrix products
+# from microseconds to milliseconds.  The modules below load lazily, so
+# numpy is not imported yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 from . import desitter as ds
 from . import export
 from . import periods as per
@@ -255,7 +261,7 @@ def cmd_singular(args) -> int:
     tag = _surface_tag(data.name, data.params)
     out = args.out or ("." if args.format == "csv" else None)
     _emit(doc, out, f"{tag}_singular.json")
-    if out:
+    if args.format == "csv":
         with open(Path(out) / f"{tag}_singular.csv", "w", encoding="utf-8") as fh:
             export.write_singular_csv(comps, fh)
     return 0

@@ -144,8 +144,9 @@ def write_desitter_ply(xs: np.ndarray, faces, fh, comment: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def write_singular_csv(components, fh) -> None:
-    """One row per traversal vertex: component label, circuit, chart and z
-    coordinates, and the fiber value when the curve lives on a cover.
+    """One row per vertex of each component's lifted traversal: component
+    label, circuit, chart and z coordinates, and the fiber value when the
+    curve lives on a cover.
 
     z is computed from the chart coordinate zhat.  On an inverted chart
     (z = 1 + 1/zhat on the cone) the z columns near z = infinity carry
@@ -153,7 +154,8 @@ def write_singular_csv(components, fh) -> None:
     fh.write("component,circuit,index,chart,zhat_re,zhat_im,z_re,z_im,"
              "w_re,w_im,closed,partial\n")
     for comp in components:
-        for j, (zh, z, w) in enumerate(comp.traversal()):
+        w_all = [None] * len(comp.z_vertices) if comp.w_vertices is None else comp.w_vertices
+        for j, (zh, z, w) in enumerate(zip(comp.zhat_vertices, comp.z_vertices, w_all)):
             c, i = divmod(j, comp.vertex_count)
             wre = fmt_float(w.real) if w is not None else ""
             wim = fmt_float(w.imag) if w is not None else ""

@@ -95,13 +95,14 @@ def _classify(alpha, beta) -> np.ndarray:
 
 @dataclass
 class SingularComponent:
-    """One traced singular curve.  A closed trace is a full circuit of the
-    chart; an open one (its walk left the trace bound, stalled or ran out of
-    steps) is partial."""
+    """One traced singular curve as its whole lifted traversal: the chart
+    circuit taken `circuits` times, zhat, z and w at every vertex.  A closed
+    trace is a full circuit of the chart; an open one (its walk left the
+    trace bound, stalled or ran out of steps) is partial."""
     label: str
-    zhat_vertices: np.ndarray          # one chart circuit, no repeated endpoint
-    z_vertices: np.ndarray             # same circuit in the z coordinate
-    w_vertices: np.ndarray | None      # full lifted traversal (circuits x n)
+    zhat_vertices: np.ndarray          # circuits x n, no repeated endpoint
+    z_vertices: np.ndarray             # the same traversal in z
+    w_vertices: np.ndarray | None      # fiber values along it, None on planar data
     circuits: int                      # z-circuits needed to close on the cover
     closed: bool
     chart_name: str = "identity"
@@ -112,71 +113,53 @@ class SingularComponent:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.zhat_vertices)
-
-    def traversal(self):
-        """(zhat, z, w) over the full lifted closed traversal."""
-        n = self.vertex_count
-        for c in range(self.circuits):
-            for i in range(n):
-                w = self.w_vertices[c * n + i] if self.w_vertices is not None else None
-                yield self.zhat_vertices[i], self.z_vertices[i], w
+        return len(self.zhat_vertices) // self.circuits
 
 
 # ---------------------------------------------------------------------------
-# the z-only trace profile
+# the z-only trace profile: phi_hat = log|G| in the trace chart zhat.  |G|
+# never depends on the fiber point (|w| is a function of z on every cover in
+# use), so the principal root serves, and H' = G'/G is a w-free ratio: a
+# singular curve can be traced entirely in the base coordinate.
 # ---------------------------------------------------------------------------
 
-class _Profile:
-    """phi_hat = log|G| in the trace chart zhat and H' = G'/G in z.
+def _phi_hat(data: wst.WeierstrassData, zh) -> np.ndarray:
+    """log|G| at chart points zh, an array of zh's shape.  NaN where the
+    chart or G is undefined (zh = 0 on an inverted chart, z = 0 on the
+    cover) or |G| is infinite, -inf where G vanishes."""
+    with np.errstate(all="ignore"):
+        z = data.chart.to_z(np.asarray(zh, dtype=complex))
+        w = None if data.cover is None else data.cover.principal_root(z)
+        out = np.log(np.abs(data.G(cov.SurfacePoint(z, w))))
+    return np.where(out == np.inf, np.nan, out)
 
-    |G| never depends on the fiber point (|w| is a function of z on every
-    cover in use), so the principal root serves, and G'/G is a w-free
-    ratio: a singular curve can be traced entirely in the base coordinate."""
 
-    def __init__(self, data: wst.WeierstrassData):
-        self.data = data
-        self.spec = data.cover
-        self.chart = data.chart
-
-    def phi_hat(self, zh):
-        """log|G| at chart points zh: a float for a scalar, else an array of
-        zh's shape.  NaN where the chart or G is undefined (zh = 0 on an
-        inverted chart, z = 0 on the cover) or |G| is infinite, -inf where G
-        vanishes."""
-        with np.errstate(all="ignore"):
-            z = self.chart.to_z(np.asarray(zh, dtype=complex))
-            w = None if self.spec is None else self.spec.principal_root(z)
-            out = np.log(np.abs(self.data.G(cov.SurfacePoint(z, w))))
-        out = np.where(out == np.inf, np.nan, out)
-        return float(out) if out.ndim == 0 else out
-
-    def phi_grad(self, zh: complex) -> tuple[float, complex]:
-        """phi_hat and its chart gradient conj(H' dz/dzhat) at one chart
-        point, a Python complex, in Python arithmetic: one call each of the
-        principal root rhs(z)^(1/n), G and G'.  Both are NaN where the chart
-        or G is undefined (a division by zero, the log of |G| = 0) or |G| is
-        infinite."""
-        chart, spec = self.chart, self.spec
-        try:
-            z = chart.to_z(zh)
-            w = None if spec is None else spec.rhs(z) ** (1.0 / spec.sheet_count)
-            p = cov.SurfacePoint(z, w)
-            g = self.data.G(p)
-            phi = math.log(abs(g))
-            grad = (self.data.dG(p) / g * chart.dz_dzhat(zh)).conjugate()
-        except (ZeroDivisionError, ValueError, OverflowError):
-            return math.nan, _NAN
-        if phi == math.inf:
-            return math.nan, _NAN
-        return phi, grad
+def _phi_grad(data: wst.WeierstrassData, zh: complex) -> tuple[float, complex]:
+    """phi_hat and its chart gradient conj(H' dz/dzhat) at one chart point,
+    a Python complex, in Python arithmetic: one call each of the principal
+    root rhs(z)^(1/n), G and G'.  Both are NaN where the chart or G is
+    undefined (a division by zero, the log of |G| = 0) or |G| is
+    infinite."""
+    chart, spec = data.chart, data.cover
+    try:
+        z = chart.to_z(zh)
+        w = None if spec is None else spec.rhs(z) ** (1.0 / spec.sheet_count)
+        p = cov.SurfacePoint(z, w)
+        g = data.G(p)
+        phi = math.log(abs(g))
+        grad = (data.dG(p) / g * chart.dz_dzhat(zh)).conjugate()
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return math.nan, _NAN
+    if phi == math.inf:
+        return math.nan, _NAN
+    return phi, grad
 
 
 # ---------------------------------------------------------------------------
 # tracing
 # ---------------------------------------------------------------------------
 
-def _correct(prof: _Profile, zh: complex,
+def _correct(data: wst.WeierstrassData, zh: complex,
              max_iter: int = 40) -> tuple[complex, complex, bool]:
     """Project the chart point zh onto {phi = 0} by Newton steps along the
     chart gradient, in Python arithmetic.  Stops once |phi_hat| < 1e-13, or
@@ -184,7 +167,7 @@ def _correct(prof: _Profile, zh: complex,
     steps.  Returns (point, gradient, ok), the gradient the one evaluated at
     the returned point (one phi_grad call per iterate), NaN on a failure."""
     for _ in range(max_iter):
-        v, grad = prof.phi_grad(zh)
+        v, grad = _phi_grad(data, zh)
         av = abs(v)
         if av < 1e-13:
             return zh, grad, True
@@ -195,7 +178,7 @@ def _correct(prof: _Profile, zh: complex,
     return zh, _NAN, False
 
 
-def _walk(prof: _Profile, seed: complex, step: float, bound: float):
+def _walk(data: wst.WeierstrassData, seed: complex, step: float, bound: float):
     """March one level curve from its seed.
 
     The walk corrects its seed, then steps h along the unit tangent and
@@ -206,7 +189,7 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
     steps.  Returns (vertices, closed), vertices never repeating the first;
     None drops the walk: a seed that cannot be corrected, a vertex with a
     vanishing gradient or an end before 8 vertices."""
-    cur, grad, ok = _correct(prof, seed)
+    cur, grad, ok = _correct(data, seed)
     a = abs(grad)
     if not (ok and a >= 1e-12):
         return None
@@ -216,7 +199,7 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
     moved_away = closed = False
     tries = 0                            # halvings of the pending step
     while True:
-        nxt, grad, ok = _correct(prof, cur + h * t)
+        nxt, grad, ok = _correct(data, cur + h * t)
         if ok:
             a = abs(grad)
             if a < 1e-12:
@@ -249,7 +232,7 @@ def _walk(prof: _Profile, seed: complex, step: float, bound: float):
     return (np.array(pts), closed) if len(pts) >= 8 else None
 
 
-def _march(prof: _Profile, seeds: list[complex], steps: tuple,
+def _march(data: wst.WeierstrassData, seeds: list[complex], steps: tuple,
            bound: float) -> list[list[tuple]]:
     """Per step size, the kept (vertices, closed) in seed order.  The seeds
     are taken in _grid_seeds order: a seed within 2.5 step (1 + |seed|) of
@@ -264,7 +247,7 @@ def _march(prof: _Profile, seeds: list[complex], steps: tuple,
         for i, seed in enumerate(seeds):
             if covered[i]:
                 continue
-            result = _walk(prof, seed, step, bound)
+            result = _walk(data, seed, step, bound)
             if result is None:
                 continue
             kept.append(result)
@@ -276,7 +259,7 @@ def _march(prof: _Profile, seeds: list[complex], steps: tuple,
     return out
 
 
-def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
+def _bisect_edges(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
                   fa: np.ndarray) -> np.ndarray:
     """Bisect the sign change of phi_hat on every edge [za, zb] at once
     (fa = phi_hat(za)) by 50 halvings.  An edge is dropped when a midpoint
@@ -290,7 +273,7 @@ def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
         if len(idx) == 0:
             break
         zm = 0.5 * (za[idx] + zb[idx])
-        fm = prof.phi_hat(zm)
+        fm = _phi_hat(data, zm)
         finite = np.isfinite(fm)
         kept[idx[~finite]] = False
         busy[idx[~finite | (fm == 0.0)]] = False
@@ -303,9 +286,10 @@ def _bisect_edges(prof: _Profile, za: np.ndarray, zb: np.ndarray,
     return 0.5 * (za[kept] + zb[kept])
 
 
-def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
-    """Sign changes of phi_hat on a chart grid, plus a dense sweep of the real
-    axis (components of conjugation-symmetric data always cross it).
+def _grid_seeds(data: wst.WeierstrassData) -> list[complex]:
+    """Sign changes of phi_hat on a grid_n x grid_n grid over the chart
+    window, both read from data, plus a dense sweep of the real axis
+    (components of conjugation-symmetric data always cross it).
 
     Marching-squares seeding: the grid and the sweep are evaluated in one
     call each, the sign-change edges are found by array masks and all of
@@ -313,13 +297,14 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     vertical edges column-major, then the sweep; the tracer starts each
     component at its first seed, so the order fixes its start vertex and
     vertex count."""
-    x0, x1, y0, y1 = window
+    x0, x1, y0, y1 = data.window
+    grid_n = data.grid_n
     grid = np.empty((grid_n, grid_n), dtype=complex)
     grid.real = np.linspace(x0, x1, grid_n)
     grid.imag = np.linspace(y0, y1, grid_n)[:, None]
-    vals = prof.phi_hat(grid)
+    vals = _phi_hat(data, grid)
     line = np.linspace(x0, x1, 8 * grid_n).astype(complex)
-    sweep = prof.phi_hat(line)
+    sweep = _phi_hat(data, line)
 
     def crossings(za, zb, fa, fb):
         m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
@@ -328,7 +313,7 @@ def _grid_seeds(prof: _Profile, window: tuple, grid_n: int) -> list[complex]:
     edges = (crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
              crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
              crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
-    return _bisect_edges(prof, *(np.concatenate(col) for col in zip(*edges))).tolist()
+    return _bisect_edges(data, *(np.concatenate(col) for col in zip(*edges))).tolist()
 
 
 def _lift_traces(spec: cov.CoverSpec, traces) -> list[tuple[int, np.ndarray]]:
@@ -365,28 +350,25 @@ def trace_singular_set(data: wst.WeierstrassData, *,
     """All singular components of the catalog surface inside the chart
     window: one component list per step size of steps (default
     (data.trace_step,)), all traced from the same seeds."""
-    prof = _Profile(data)
-    win = data.window
-    bound = 1.6 * max(abs(win[0]), abs(win[1]), abs(win[2]), abs(win[3]))
-    seeds = _grid_seeds(prof, win, data.grid_n)
-    marched = _march(prof, seeds, steps or (data.trace_step,), bound)
+    bound = 1.6 * max(map(abs, data.window))
+    marched = _march(data, _grid_seeds(data), steps or (data.trace_step,), bound)
     return [_components(data, traces) for traces in marched]
 
 
 def _components(data: wst.WeierstrassData, traces: list[tuple]) -> list[SingularComponent]:
-    """Components from traced (vertices, closed), all lifted to the cover
-    together, largest traversal first; an open trace is partial."""
-    zs = [(np.array([data.chart.to_z(zh) for zh in verts]), closed)
-          for verts, closed in traces]
+    """Components from traced (vertices, closed), each chart circuit mapped
+    to z in one array call, all lifted to the cover together and repeated
+    over their circuits; largest traversal first, an open trace partial."""
+    zs = [(data.chart.to_z(verts), closed) for verts, closed in traces]
     lifts = ([(1, None)] * len(zs) if data.cover is None
              else _lift_traces(data.cover, zs))
-    comps: list[SingularComponent] = []
-    for (verts, closed), (verts_z, _), (circuits, w_all) in zip(traces, zs, lifts):
-        comps.append(SingularComponent(
-            label=f"component_{len(comps)}", zhat_vertices=verts,
-            z_vertices=verts_z, w_vertices=w_all, circuits=circuits,
-            closed=closed, chart_name=data.chart.name))
-    comps.sort(key=lambda c: (-c.vertex_count * c.circuits, c.label))
+    comps = [SingularComponent(
+        label=f"component_{i}", zhat_vertices=np.tile(verts, circuits),
+        z_vertices=np.tile(verts_z, circuits), w_vertices=w_all,
+        circuits=circuits, closed=closed, chart_name=data.chart.name)
+        for i, ((verts, closed), (verts_z, _), (circuits, w_all))
+        in enumerate(zip(traces, zs, lifts))]
+    comps.sort(key=lambda c: (-len(c.zhat_vertices), c.label))
     for i, c in enumerate(comps):
         c.label = f"component_{i}"
     return comps
@@ -488,8 +470,8 @@ def _traversal_pass(data: wst.WeierstrassData, comp: SingularComponent):
                     unit circle, and eta_hat (chart values) is bounded away
                     from 0; on a closed component only.
     fold candidate: same with alpha purely imaginary."""
-    zh = np.tile(comp.zhat_vertices, comp.circuits)
-    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
+    zh = comp.zhat_vertices
+    p = cov.SurfacePoint(comp.z_vertices, comp.w_vertices)
     g, dg, eta, alpha, dalpha = _alpha_terms(data, p)
     abs_alpha = np.abs(alpha)
     a_scale = float(np.max(abs_alpha))

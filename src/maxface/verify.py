@@ -152,7 +152,8 @@ def criterion_4(cfg: VerifyConfig) -> list[dict]:
             f"{name} k={k}: component count", len(comps), n_expected,
             len(comps) == n_expected,
             "singular set = 2 ovals on M_k, 1 on the reduced M'_k"))
-        worst_oval = max(_oval_residual(c, sol.rho_k, reduced) for c in comps)
+        worst_oval = max((_oval_residual(c, sol.rho_k, reduced) for c in comps),
+                         default=math.inf)
         checks.append(_within(
             f"{name} k={k}: oval identity", worst_oval, 1e-8,
             "r^2 + 1/r^2 - 2 cos 2theta = rho_k on the singular set"))

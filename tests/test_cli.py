@@ -142,6 +142,15 @@ def test_singular_writes_json_and_csv(tmp_path):
     assert csv_text.startswith("component,circuit,index,chart")
 
 
+def test_singular_json_with_out_writes_only_json(tmp_path):
+    """--format json --out DIR writes the report and no CSV, as periods
+    does; the CSV is written for --format csv only."""
+    assert run(["singular", "--surface", "trinoid1", "--format", "json",
+                "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "trinoid1_a3p67_b13p2177_singular.json"]
+
+
 def test_singular_csv_traces_once(tmp_path, monkeypatch):
     """The report and the CSV share one trace; the CSV has one row per
     vertex of every lifted traversal."""

@@ -72,7 +72,8 @@ def test_component_lift_matches_vertexwise_reference(name, k):
     [comps] = sng.trace_singular_set(data)
     assert comps
     for comp in comps:
-        circuits = _assert_lift_matches_reference(data.cover, comp.z_vertices)
+        circuits = _assert_lift_matches_reference(
+            data.cover, comp.z_vertices[:comp.vertex_count])
         assert circuits == data.cover.sheet_count
 
 
@@ -472,7 +473,7 @@ def test_array_seeds_match_scalar_reference(name, params):
     scalar seeder: same seeds in the same order."""
     data = wst.catalog_get(name, **params)
     ref = _scalar_seeds(data, 21)
-    got = sng._grid_seeds(sng._Profile(data), data.window, 21)
+    got = sng._grid_seeds(dataclasses.replace(data, grid_n=21))
     assert len(ref) > 0
     assert len(got) == len(ref)
     assert all(type(z) is complex for z in got)
@@ -481,23 +482,22 @@ def test_array_seeds_match_scalar_reference(name, params):
 
 def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
     """zhat = 0 is a grid node of the cone's inverted chart and z = 0 is a
-    branch point of the cover: phi_hat is NaN there, as array and scalar."""
-    prof = sng._Profile(cone25)
+    branch point of the cover: phi_hat is NaN there, in an array and at a
+    single point."""
     x0, x1, _, _ = cone25.window
     assert 0.0 in np.linspace(x0, x1, 21)
     grid = np.array([[0j, 0.5 + 0.5j], [-1.0 + 0j, 2.0j]])
-    vals = prof.phi_hat(grid)
+    vals = sng._phi_hat(cone25, grid)
     assert vals.shape == grid.shape
     assert np.isnan(vals[0, 0]) and np.all(np.isfinite(vals.ravel()[1:]))
-    assert math.isnan(prof.phi_hat(0j))
+    assert math.isnan(sng._phi_hat(cone25, 0j))
     for zh in grid.ravel()[1:]:
-        assert prof.phi_hat(zh) == pytest.approx(_scalar_phi_hat(cone25, zh),
-                                                 rel=1e-14, abs=1e-14)
-    gprof = sng._Profile(genus1)
-    assert np.isnan(gprof.phi_hat(np.array([0j, 0.7 + 0.2j]))[0])
-    assert math.isnan(gprof.phi_hat(0j))
+        assert sng._phi_hat(cone25, zh) == pytest.approx(
+            _scalar_phi_hat(cone25, zh), rel=1e-14, abs=1e-14)
+    assert np.isnan(sng._phi_hat(genus1, np.array([0j, 0.7 + 0.2j]))[0])
+    assert math.isnan(sng._phi_hat(genus1, 0j))
     # a pole of G (|G| = inf) is NaN too, not +inf
-    assert math.isnan(sng._Profile(wst.catalog_get("trinoid1")).phi_hat(0j))
+    assert math.isnan(sng._phi_hat(wst.catalog_get("trinoid1"), 0j))
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +515,20 @@ def test_project_returns_points_and_their_gradients(name, params):
     curve given one iterate, fail without raising: ok False and a NaN
     gradient; a start already on the curve passes in one iterate."""
     data = wst.catalog_get(name, **params)
-    prof = sng._Profile(data)
     comp = sng.trace_singular_set(data)[0][0]
-    verts = comp.zhat_vertices[::5]
+    verts = comp.zhat_vertices[:comp.vertex_count:5]
     starts = (verts + 1e-3 * (1 + 1j) * (1 + np.abs(verts))).tolist()
     assert len(starts) >= 6
     for start in starts:
-        pt, grad, ok = sng._correct(prof, start)
+        pt, grad, ok = sng._correct(data, start)
         assert ok and type(pt) is complex and pt != start
-        v, at_pt = prof.phi_grad(pt)
+        v, at_pt = sng._phi_grad(data, pt)
         assert abs(v) < 1e-13
         assert np.array([grad]).tobytes() == np.array([at_pt]).tobytes()
-        assert sng._correct(prof, pt, max_iter=1) == (pt, grad, True)
-        off, off_grad, off_ok = sng._correct(prof, start, max_iter=1)
+        assert sng._correct(data, pt, max_iter=1) == (pt, grad, True)
+        off, off_grad, off_ok = sng._correct(data, start, max_iter=1)
         assert not off_ok and cmath.isnan(off_grad)
-    pt, grad, ok = sng._correct(prof, complex("nan"))
+    pt, grad, ok = sng._correct(data, complex("nan"))
     assert not ok and cmath.isnan(grad)
 
 
@@ -554,26 +553,26 @@ def test_one_phi_grad_call_per_newton_iterate(genus1, monkeypatch):
             return fn(*args)
         return wrapper
 
-    phi_grad, correct = sng._Profile.phi_grad, sng._correct
+    phi_grad, correct = sng._phi_grad, sng._correct
 
-    def counted_phi_grad(self, zh):
+    def counted_phi_grad(data_, zh):
         before = dict(evals)
-        v, grad = phi_grad(self, zh)
+        v, grad = phi_grad(data_, zh)
         calls.append((depth[0], zh, v, grad,
                       {k: evals[k] - before[k] for k in evals}))
         return v, grad
 
-    def counted_correct(prof, zh):
+    def counted_correct(data_, zh):
         depth[0] += 1
         start = len(calls)
         try:
-            out = correct(prof, zh)
+            out = correct(data_, zh)
         finally:
             depth[0] -= 1
         runs.append((calls[start:], out[2]))
         return out
 
-    monkeypatch.setattr(sng._Profile, "phi_grad", counted_phi_grad)
+    monkeypatch.setattr(sng, "_phi_grad", counted_phi_grad)
     monkeypatch.setattr(sng, "_correct", counted_correct)
     monkeypatch.setattr(cov.CoverSpec, "rhs", counting("rhs", cov.CoverSpec.rhs))
     monkeypatch.setattr(cov.CoverSpec, "fiber", counting("fiber", cov.CoverSpec.fiber))
@@ -603,83 +602,77 @@ def test_corrector_fails_without_raising(cone25, monkeypatch):
     cases = [(cone25, 0j), (genus, 0j), (trinoid, 0j),
              (cone25, -0.5 + 0j)]          # z = 1 + 1/zhat = -1, a pole of G
     for data, zh in cases:
-        prof = sng._Profile(data)
-        v, grad = prof.phi_grad(zh)
+        v, grad = sng._phi_grad(data, zh)
         assert math.isnan(v) and cmath.isnan(grad)
-        pt, grad, ok = sng._correct(prof, zh)
+        pt, grad, ok = sng._correct(data, zh)
         assert not ok and cmath.isnan(grad)
-        assert sng._walk(prof, zh, data.trace_step, 100.0) is None
+        assert sng._walk(data, zh, data.trace_step, 100.0) is None
     # fail the fifth correction of a walk once: the sixth starts half as far
-    prof = sng._Profile(cone25)
     comp = sng.trace_singular_set(cone25)[0][0]
     starts, returned = [], []
     correct = sng._correct
 
-    def failing_once(prof, zh):
+    def failing_once(data_, zh):
         starts.append(zh)
-        out = correct(prof, zh)
+        out = correct(data_, zh)
         if len(starts) == 5:
             out = (zh, complex("nan"), False)
         returned.append(out[0])
         return out
 
     monkeypatch.setattr(sng, "_correct", failing_once)
-    verts, closed = sng._walk(prof, complex(comp.zhat_vertices[0]),
+    verts, closed = sng._walk(cone25, complex(comp.zhat_vertices[0]),
                               cone25.trace_step, 100.0)
     assert closed and len(verts) > 8
     cur = returned[3]
     assert abs((starts[5] - cur) - 0.5 * (starts[4] - cur)) < 1e-15 * (1 + abs(cur))
 
 
-class _LineProfile:
-    """phi_hat = Re zhat - 1/2 on Im zhat = 0, undefined on a slot about the
-    root on Im zhat = 1, and Re zhat - 0.3 on Im zhat = 2; records every
-    batch it evaluates."""
+def test_bisect_edges_drops_and_stops(monkeypatch):
+    """All edges halve together: one stops at an exact zero, one is dropped
+    at an undefined midpoint, one converges after 50 halvings.  phi_hat is
+    Re zhat - 1/2 on Im zhat = 0, undefined on a slot about the root on
+    Im zhat = 1, and Re zhat - 0.3 on Im zhat = 2; every batch it evaluates
+    is recorded."""
+    batches = []
 
-    def __init__(self):
-        self.batches = []
-
-    def phi_hat(self, zh):
-        self.batches.append(np.array(zh))
+    def line_phi_hat(data_, zh):
+        batches.append(np.array(zh))
         x, y = zh.real, zh.imag
         f = np.where(y == 2.0, x - 0.3, x - 0.5)
         return np.where((y == 1.0) & (np.abs(x - 0.5) < 0.1), np.nan, f)
 
-
-def test_bisect_edges_drops_and_stops():
-    """All edges halve together: one stops at an exact zero, one is dropped
-    at an undefined midpoint, one converges after 50 halvings."""
-    prof = _LineProfile()
+    monkeypatch.setattr(sng, "_phi_hat", line_phi_hat)
     za = np.array([0.0, 1j, 2j])
-    seeds = sng._bisect_edges(prof, za, za + 1.0, za.real - np.array([0.5, 0.5, 0.3]))
+    seeds = sng._bisect_edges(None, za, za + 1.0, za.real - np.array([0.5, 0.5, 0.3]))
     assert len(seeds) == 2            # the edge on Im zhat = 1 is dropped
     assert seeds[0] == 0.5
     assert abs(seeds[1] - (0.3 + 2j)) < 1e-15
-    assert [len(b) for b in prof.batches] == [3] + [1] * 49
+    assert [len(b) for b in batches] == [3] + [1] * 49
 
 
 # ---------------------------------------------------------------------------
 # batched classification against a scalar reference
 # ---------------------------------------------------------------------------
 
-def _scalar_newton(prof, zh, tol=1e-13, max_iter=40):
+def _scalar_newton(data, zh, tol=1e-13, max_iter=40):
     for _ in range(max_iter):
-        v = prof.phi_hat(zh)
+        v = float(sng._phi_hat(data, zh))
         assert math.isfinite(v)
         if abs(v) < tol:
             return zh
-        grad = prof.phi_grad(zh)[1]
+        grad = sng._phi_grad(data, zh)[1]
         zh = zh - v * grad / abs(grad) ** 2
     raise AssertionError(f"scalar Newton stalled at zhat={zh}")
 
 
-def _scalar_refine(data, prof, za, zb, wa, part):
+def _scalar_refine(data, za, zb, wa, part):
     """Bisect part(alpha) = 0 between two traversal vertices by scalar
     calls: each midpoint projected onto the curve, the fiber root nearest
     wa, at most 60 halvings."""
 
     def value(zh):
-        z = complex(data.chart.to_z(_scalar_newton(prof, zh)))
+        z = complex(data.chart.to_z(_scalar_newton(data, zh)))
         p = (cov.SurfacePoint(z) if data.cover is None
              else cov.solve_fiber(data.cover, z, near=wa))
         return part(_alpha_beta(data, p)[0]), p
@@ -702,9 +695,9 @@ def _scalar_refine(data, prof, za, zb, wa, part):
 
 def _scalar_records(data, comp):
     """(kind, point) of every classified crossing, vertex by vertex."""
-    prof = sng._Profile(data)
     ring = []
-    for zh, z, w in comp.traversal():
+    ws = [None] * len(comp.z_vertices) if comp.w_vertices is None else comp.w_vertices
+    for zh, z, w in zip(comp.zhat_vertices, comp.z_vertices, ws):
         p = cov.SurfacePoint(complex(z), None if w is None else complex(w))
         ring.append((complex(zh), p, _alpha_beta(data, p)[0]))
     pairs = list(zip(ring, ring[1:] + ring[:1] if comp.closed else ring[1:]))
@@ -720,7 +713,7 @@ def _scalar_records(data, comp):
             v0, v1 = part(a0), part(a1)
             if (v0 < 0) == (v1 < 0) or max(abs(v0), abs(v1)) <= floor:
                 continue
-            p = _scalar_refine(data, prof, za, zb, pa.w, part)
+            p = _scalar_refine(data, za, zb, pa.w, part)
             kind = str(sng._classify(*_alpha_beta(data, p)))
             records.append((kind if kind == target else "degenerate_" + target, p))
     unique = []
@@ -855,8 +848,8 @@ def test_newton_refinement(fixture, request, monkeypatch):
     crossing raises."""
     data = request.getfixturevalue(fixture)
     comp = sng.trace_singular_set(data)[0][0]
-    zh = np.tile(comp.zhat_vertices, comp.circuits)
-    p = cov.SurfacePoint(np.tile(comp.z_vertices, comp.circuits), comp.w_vertices)
+    zh = comp.zhat_vertices
+    p = cov.SurfacePoint(comp.z_vertices, comp.w_vertices)
     alpha = _alpha_beta(data, p)[0]
     i0 = np.arange(len(zh))
     i1 = (i0 + 1) % len(zh)
@@ -872,7 +865,7 @@ def test_newton_refinement(fixture, request, monkeypatch):
     edges = len(za)
     w0 = None if wa is None else wa[0]
     part = (lambda a: a.imag) if imag[0] else (lambda a: a.real)
-    zc = _scalar_refine(data, sng._Profile(data), za[0], zb[0], w0, part).z
+    zc = _scalar_refine(data, za[0], zb[0], w0, part).z
     if data.chart.name == "inverted_about_one":  # z = 1 + 1/zhat
         zc = 1.0 / (zc - 1.0)
     u = (zb[0] - za[0]) / abs(zb[0] - za[0])
@@ -966,8 +959,8 @@ def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
     walked = []
     walk = sng._walk
 
-    def recorded(prof, seed, step, bound):
-        result = walk(prof, seed, step, bound)
+    def recorded(data_, seed, step, bound):
+        result = walk(data_, seed, step, bound)
         walked.append((seed, result))
         return result
 
@@ -977,7 +970,7 @@ def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
     assert len(comps) == (3 if name == "cone" else 2 if name == "genus_k" else 1)
     walks = iter(walked)
     kept, skipped = [], 0
-    for seed in sng._grid_seeds(sng._Profile(data), data.window, data.grid_n):
+    for seed in sng._grid_seeds(data):
         near = 2.5 * h * (1.0 + abs(seed))
         if any(np.min(np.abs(verts - seed)) < near for verts in kept):
             skipped += 1
@@ -1051,8 +1044,9 @@ def test_singular_report_evaluates_each_traversal_once(fixture, request,
 def test_traversal_spans_all_circuits(genus1):
     [comps] = sng.trace_singular_set(genus1)
     comp = comps[0]
-    tv = list(comp.traversal())
+    tv = list(zip(comp.zhat_vertices, comp.z_vertices, comp.w_vertices))
     assert len(tv) == comp.circuits * comp.vertex_count
+    assert len(comp.zhat_vertices) == len(comp.z_vertices) == len(comp.w_vertices)
     # the traversal is on-curve throughout
     for zh, z, w in tv[:: max(1, len(tv) // 25)]:
         assert on_cover(genus1.cover,

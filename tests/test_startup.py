@@ -77,6 +77,33 @@ def test_command_runs_only_what_it_needs(argv, skipped, tmp_path):
     assert not doc["numpy_random"]
 
 
+# In a fresh process: OPENBLAS_NUM_THREADS and OMP_NUM_THREADS after the
+# values in argv[1] are set (the rest unset) and maxface.cli is imported,
+# and whether numpy was imported.
+PIN = """
+import json, os, sys
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+for name in names:
+    os.environ.pop(name, None)
+os.environ.update(json.loads(sys.argv[1]))
+import maxface.cli
+print(json.dumps([[os.environ.get(name) for name in names], "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("preset, pinned", [
+    ({}, ["1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", "1"]),
+    ({"OMP_NUM_THREADS": "4"}, ["1", "4"]),
+])
+def test_import_cli_pins_blas_threads_unless_set(preset, pinned, tmp_path):
+    """Importing the CLI sets both BLAS thread variables to 1 where unset,
+    keeps a value the user set, and still imports no numpy."""
+    proc = _python(["-c", PIN, json.dumps(preset)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [pinned, False]
+
+
 def test_run_as_main_without_warnings(tmp_path):
     """python -m finds cli unloaded, so runpy does not warn about a second
     import of it; --help still prints usage and exits 0."""
