@@ -42,6 +42,7 @@ _NAN = complex("nan")
 _MAX_STEPS = 40000  # predictor-corrector steps per traced component
 _NEWTON_ROUNDS = 16  # Newton rounds per refined crossing
 _CHORD_HALVINGS = 30  # halvings of a Newton step that would leave its chord
+_AXIS_NODES = 2048  # nodes of each axis sweep that seeds the tracer
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def _walk(data: wst.WeierstrassData, seed: complex, step: float, bound: float):
 def _march(data: wst.WeierstrassData, seeds: list[complex], steps: tuple,
            bound: float) -> list[list[tuple]]:
     """Per step size, the kept (vertices, closed) in seed order.  The seeds
-    are taken in _grid_seeds order: a seed within 2.5 step (1 + |seed|) of
+    are taken in the order given: a seed within 2.5 step (1 + |seed|) of
     a component already kept is skipped, any other is walked to its end and
     kept unless the walk is dropped."""
     points = np.array(seeds, dtype=complex)
@@ -286,34 +287,25 @@ def _bisect_edges(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
     return 0.5 * (za[kept] + zb[kept])
 
 
-def _grid_seeds(data: wst.WeierstrassData) -> list[complex]:
-    """Sign changes of phi_hat on a grid_n x grid_n grid over the chart
-    window, both read from data, plus a dense sweep of the real axis
-    (components of conjugation-symmetric data always cross it).
-
-    Marching-squares seeding: the grid and the sweep are evaluated in one
-    call each, the sign-change edges are found by array masks and all of
-    them are bisected together.  Seed order: horizontal edges row-major,
-    vertical edges column-major, then the sweep; the tracer starts each
+def _axis_seeds(data: wst.WeierstrassData) -> list[complex]:
+    """Sign changes of phi_hat along the chart's whole real axis, then its
+    whole imaginary axis, all bisected together.  Every singular component
+    of the catalog's surfaces crosses one of them; trinoid2 with c > 1 has
+    |G| > 1 on the whole real axis, and its two ovals about the zeros
+    +-i sqrt 3 of G cross only the imaginary one.  A component that crosses
+    neither gets no seed and is not traced.  Each axis is sampled at
+    t = tan theta on _AXIS_NODES midpoints of equal steps in theta over
+    (-pi/2, pi/2), so the sweep is dense near 0 and reaches |t| ~ 1300.
+    Seeds are in increasing t, the real axis first; the tracer starts each
     component at its first seed, so the order fixes its start vertex and
     vertex count."""
-    x0, x1, y0, y1 = data.window
-    grid_n = data.grid_n
-    grid = np.empty((grid_n, grid_n), dtype=complex)
-    grid.real = np.linspace(x0, x1, grid_n)
-    grid.imag = np.linspace(y0, y1, grid_n)[:, None]
-    vals = _phi_hat(data, grid)
-    line = np.linspace(x0, x1, 8 * grid_n).astype(complex)
-    sweep = _phi_hat(data, line)
-
-    def crossings(za, zb, fa, fb):
-        m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
-        return za[m], zb[m], fa[m]
-
-    edges = (crossings(grid[:, :-1], grid[:, 1:], vals[:, :-1], vals[:, 1:]),
-             crossings(grid[:-1].T, grid[1:].T, vals[:-1].T, vals[1:].T),
-             crossings(line[:-1], line[1:], sweep[:-1], sweep[1:]))
-    return _bisect_edges(data, *(np.concatenate(col) for col in zip(*edges))).tolist()
+    theta = math.pi * ((np.arange(_AXIS_NODES) + 0.5) / _AXIS_NODES - 0.5)
+    t = np.tan(theta)
+    line = np.stack([t, 1j * t])
+    vals = _phi_hat(data, line)
+    fa, fb = vals[:, :-1], vals[:, 1:]
+    m = np.isfinite(fa) & np.isfinite(fb) & ((fa < 0) != (fb < 0))
+    return _bisect_edges(data, line[:, :-1][m], line[:, 1:][m], fa[m]).tolist()
 
 
 def _lift_traces(spec: cov.CoverSpec, traces) -> list[tuple[int, np.ndarray]]:
@@ -347,11 +339,13 @@ def _lift_traces(spec: cov.CoverSpec, traces) -> list[tuple[int, np.ndarray]]:
 
 def trace_singular_set(data: wst.WeierstrassData, *,
                        steps: tuple | None = None) -> list[list[SingularComponent]]:
-    """All singular components of the catalog surface inside the chart
-    window: one component list per step size of steps (default
-    (data.trace_step,)), all traced from the same seeds."""
-    bound = 1.6 * max(map(abs, data.window))
-    marched = _march(data, _grid_seeds(data), steps or (data.trace_step,), bound)
+    """All singular components of the catalog surface that cross the
+    chart's real or imaginary axis: one component list per step size of
+    steps (default (data.trace_step,)), all traced from the same
+    _axis_seeds.  A walk ends as partial beyond twice the largest |seed|."""
+    seeds = _axis_seeds(data)
+    bound = 2.0 * max(map(abs, seeds), default=0.0)
+    marched = _march(data, seeds, steps or (data.trace_step,), bound)
     return [_components(data, traces) for traces in marched]
 
 
@@ -394,14 +388,15 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
     class; near such a point Newton converges only linearly (on the cone at
     a = 3, where two swallowtails are born).
 
-    Each row starts at its chord midpoint and takes the fiber root nearest
-    its row's wa.  It stops, and yields its iterate, once its step is at
-    most 1e-14 (1 + |zhat|); or at most 1e-10 (1 + |zhat|) and no less
-    than half its previous step, the round-off floor where steps stop
-    shrinking (rows at |zhat| ~ 10 on the cone near a = 2); or once
-    |Re(s beta)| <= _eps(alpha, beta), where _classify calls the point
-    degenerate.  A row's result does not depend on the rest of the
-    batch.  Returns the refined points (z and w as
+    Each row starts at its chord midpoint, and its w at every iterate is
+    continued from (za, wa) along the straight leg to it (cov.w_along), so
+    a row never changes sheet by picking a fiber root.  It stops, and
+    yields its iterate, once its step is at most 1e-14 (1 + |zhat|); or at
+    most 1e-10 (1 + |zhat|) and no less than half its previous step, the
+    round-off floor where steps stop shrinking (rows at |zhat| ~ 10 on the
+    cone near a = 2); or once |Re(s beta)| <= _eps(alpha, beta), where
+    _classify calls the point degenerate.  A row's result does not depend
+    on the rest of the batch.  Returns the refined points (z and w as
     arrays) and alpha and beta at them, from the round that stopped each
     row.  A step that would take a row farther than |zb - za| from its chord
     midpoint is halved until it does not (where swallowtails merge on the
@@ -421,9 +416,8 @@ def _refine_crossings(data: wst.WeierstrassData, za: np.ndarray, zb: np.ndarray,
             zr = chart.to_z(zh[busy])
             wr = None
             if spec is not None:
-                roots = spec.fiber(zr)
-                pick = np.argmin(np.abs(roots - wa[busy, None]), axis=1)
-                wr = roots[np.arange(len(busy)), pick]
+                z0 = chart.to_z(za[busy])
+                wr = cov.w_along(spec, z0, zr - z0, wa[busy], 1.0)
             g, dg, _, alpha, dalpha = _alpha_terms(data, cov.SurfacePoint(zr, wr))
             beta = _beta(g, dg, dalpha)
             h = dg / g * chart.dz_dzhat(zh[busy])
@@ -514,7 +508,6 @@ def _traversal_pass(data: wst.WeierstrassData, comp: SingularComponent):
         "max_im_alpha": max_im,
         "min_abs_alpha": min_abs,
         "gauss_winding": winding,
-        "eta_chart_min": eta_min,
         "vertex_kinds": _classify(alpha, _beta(g, dg, dalpha)),
     }
     return level, crossings

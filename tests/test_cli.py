@@ -204,8 +204,9 @@ def test_singular_cone_near_a2(a, capsys):
 
 @pytest.mark.parametrize("a", ["1.84", "2.1", "2.17"])
 def test_singular_cone_outside_envelope_exits_2(a, monkeypatch, capsys):
-    """For 1.84 <= a <= 2.17 the cone's fixed trace window loses ovals, so
-    the catalog refuses a in (1.8, 2.2) before any tracing."""
+    """Inside (1.8, 2.2) the tracer fails or miscounts the cone near a = 2
+    and no second count checks it, so the catalog refuses a there before
+    any tracing."""
     def trace(*args, **kwargs):
         raise AssertionError("traced a cone outside its envelope")
 

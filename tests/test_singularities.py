@@ -427,20 +427,17 @@ def _scalar_phi_hat(data, zh):
     return math.log(g) if g > 0 else -math.inf
 
 
-def _scalar_seeds(data, grid_n):
-    """Node-by-node grid and real-axis sign changes, each edge bisected 50
-    times by scalar calls; edges in the tracer's seed order."""
-    x0, x1, y0, y1 = data.window
-    xs, ys = np.linspace(x0, x1, grid_n), np.linspace(y0, y1, grid_n)
-    val = {(i, j): _scalar_phi_hat(data, complex(x, y))
-           for i, y in enumerate(ys) for j, x in enumerate(xs)}
-    pt = {(i, j): complex(x, y) for i, y in enumerate(ys) for j, x in enumerate(xs)}
-    pairs = [((i, j), (i, j + 1)) for i in range(grid_n) for j in range(grid_n - 1)]
-    pairs += [((i, j), (i + 1, j)) for j in range(grid_n) for i in range(grid_n - 1)]
-    edges = [(pt[a], val[a], pt[b], val[b]) for a, b in pairs]
-    line = [complex(x, 0.0) for x in np.linspace(x0, x1, 8 * grid_n)]
-    fl = [_scalar_phi_hat(data, z) for z in line]
-    edges += list(zip(line[:-1], fl[:-1], line[1:], fl[1:]))
+def _scalar_seeds(data, nodes):
+    """Sign changes of phi_hat along the chart's real axis, then its
+    imaginary axis, sampled node by node at t = tan theta on the midpoints
+    of `nodes` equal steps in theta over (-pi/2, pi/2), each edge bisected
+    50 times by scalar calls; edges in the tracer's seed order."""
+    ts = [math.tan(math.pi * ((j + 0.5) / nodes - 0.5)) for j in range(nodes)]
+    edges = []
+    for unit in (1.0, 1j):
+        line = [unit * t + 0j for t in ts]
+        fl = [_scalar_phi_hat(data, z) for z in line]
+        edges += zip(line[:-1], fl[:-1], line[1:], fl[1:])
     seeds = []
     for za, fa, zb, fb in edges:
         if not (math.isfinite(fa) and math.isfinite(fb)) or (fa < 0) == (fb < 0):
@@ -467,13 +464,14 @@ def _scalar_seeds(data, grid_n):
     ("trinoid1", {"a": 3.67}),
     ("genus_k", {"k": 1}),
     ("genus_k_reduced", {"k": 2}),
+    ("trinoid2", {"c": 2.0}),
 ])
 def test_array_seeds_match_scalar_reference(name, params):
-    """One array evaluation of phi_hat and batched bisection reproduce the
-    scalar seeder: same seeds in the same order."""
+    """One array evaluation of phi_hat along both axes and batched
+    bisection reproduce the scalar seeder: same seeds in the same order."""
     data = wst.catalog_get(name, **params)
-    ref = _scalar_seeds(data, 21)
-    got = sng._grid_seeds(dataclasses.replace(data, grid_n=21))
+    ref = _scalar_seeds(data, sng._AXIS_NODES)
+    got = sng._axis_seeds(data)
     assert len(ref) > 0
     assert len(got) == len(ref)
     assert all(type(z) is complex for z in got)
@@ -481,11 +479,9 @@ def test_array_seeds_match_scalar_reference(name, params):
 
 
 def test_phi_hat_nan_where_chart_undefined(cone25, genus1):
-    """zhat = 0 is a grid node of the cone's inverted chart and z = 0 is a
-    branch point of the cover: phi_hat is NaN there, in an array and at a
-    single point."""
-    x0, x1, _, _ = cone25.window
-    assert 0.0 in np.linspace(x0, x1, 21)
+    """zhat = 0 is where the cone's inverted chart is undefined and z = 0
+    is a branch point of the cover: phi_hat is NaN there, in an array and
+    at a single point."""
     grid = np.array([[0j, 0.5 + 0.5j], [-1.0 + 0j, 2.0j]])
     vals = sng._phi_hat(cone25, grid)
     assert vals.shape == grid.shape
@@ -836,6 +832,52 @@ def test_genus_counts_at_k300():
         assert len(counts["z"]) == len(counts["w"]) == 1204
 
 
+@pytest.mark.parametrize("name, k", [
+    ("genus_k", 13), ("genus_k", 20), ("genus_k", 40),
+    ("genus_k_reduced", 26), ("genus_k_reduced", 40),
+])
+def test_genus_counts_from_axis_seeds(name, k):
+    """Axis seeds sit on swallowtails of the genus family, so chords start
+    there: each oval still carries 2(k+1) swallowtails and 2(k+1) cross
+    caps, with no degenerate point.  Refinement that takes the fiber root
+    nearest the chord's start jumps sheets here (k = 20 loses 6 of the 42
+    swallowtails of each oval to duplicate points)."""
+    data = wst.catalog_get(name, k=k)
+    [comps] = sng.trace_singular_set(data)
+    assert len(comps) == (1 if name == "genus_k_reduced" else 2)
+    for comp, counts in zip(comps, sng.count_singularities(data, comps)):
+        assert comp.closed
+        assert (counts["swallowtails"], counts["cross_caps"],
+                counts["degenerate"]) == (2 * (k + 1), 2 * (k + 1), 0)
+
+
+@pytest.mark.parametrize("c, sw, cc", [(0.1, 4, 0), (2.0, 4, 4)])
+def test_trinoid2_ovals_on_either_axis(c, sw, cc):
+    """trinoid2's two ovals cross the real axis for c < 1.  For c > 1,
+    |G| > 1 on the whole real axis and the ovals lie about the zeros
+    +-i sqrt 3 of G, so only the imaginary axis seeds them.  Either way
+    both are traced closed, with their swallowtails and cross caps."""
+    data = wst.catalog_get("trinoid2", c=c)
+    assert all(s.real == 0.0 for s in sng._axis_seeds(data)) == (c > 1)
+    [comps] = sng.trace_singular_set(data)
+    assert len(comps) == 2 and all(comp.closed for comp in comps)
+    for counts in sng.count_singularities(data, comps):
+        assert (counts["swallowtails"], counts["cross_caps"],
+                counts["degenerate"]) == (sw, cc, 0)
+
+
+def test_cone_ovals_beyond_any_fixed_window():
+    """At a = 1.9 (outside the catalog's envelope, so built directly) the
+    cone's larger oval crosses the chart's real axis beyond |zhat| = 8 and
+    is traced with the other two components: three closed, one cone-like."""
+    data = wst._cone(1.9)
+    [comps] = sng.trace_singular_set(data)
+    assert len(comps) == 3 and all(c.closed for c in comps)
+    assert np.max(np.abs(comps[0].zhat_vertices)) > 8.0
+    classes = sng.count_singularities(data, comps)
+    assert sum(cls["cone_like"] for cls in classes) == 1
+
+
 @pytest.mark.parametrize("fixture", ["cone25", "genus1"])
 def test_newton_refinement(fixture, request, monkeypatch):
     """Every crossing of a component, refined in one batch, equals the same
@@ -970,7 +1012,8 @@ def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
     assert len(comps) == (3 if name == "cone" else 2 if name == "genus_k" else 1)
     walks = iter(walked)
     kept, skipped = [], 0
-    for seed in sng._grid_seeds(data):
+    seeds = sng._axis_seeds(data)
+    for seed in seeds:
         near = 2.5 * h * (1.0 + abs(seed))
         if any(np.min(np.abs(verts - seed)) < near for verts in kept):
             skipped += 1
@@ -980,7 +1023,8 @@ def test_march_skips_covered_seeds_per_step_size(name, params, monkeypatch):
         if result is not None:
             kept.append(result[0])
     assert next(walks, None) is None
-    assert len(kept) == len(comps) and skipped > len(walked)
+    assert len(kept) == len(comps)
+    assert skipped > 0 and skipped + len(walked) == len(seeds)
     coarse, fine = sng.trace_singular_set(data, steps=(h, h / 2))
     _assert_same_components(coarse, comps)
     _assert_same_components(fine, sng.trace_singular_set(data, steps=(h / 2,))[0])
